@@ -40,8 +40,11 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .intset import IntSet, Window, parse_set, serialize_set
+from .intset import ExplicitWindow, IntSet, Window, parse_set, serialize_set
 from .sumset import Status
+
+# Largest window, in bits, that profile, runs and ap-reduce will materialize.
+WINDOW_BITS_BUDGET = 1 << 20
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
 _EXIT_USAGE = (ParseError, PreconditionFailed, ValueError)
@@ -81,6 +84,17 @@ def _load_set(args) -> IntSet:
     else:
         text = args.set.replace(";", "\n")
     return parse_set(text)
+
+
+def _load_window(args) -> tuple[IntSet, ExplicitWindow]:
+    """The set and its bitmap on args.window, within WINDOW_BITS_BUDGET."""
+    s = _load_set(args)
+    if args.window.length > WINDOW_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"window of {args.window.length} bits exceeds the budget of "
+            f"{WINDOW_BITS_BUDGET} bits"
+        )
+    return s, s.materialize(args.window)
 
 
 def _add_set_args(p: argparse.ArgumentParser) -> None:
@@ -154,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_profile(args) -> int:
-    s = _load_set(args)
-    w = s.materialize(args.window)
+    s, w = _load_window(args)
     profile = f_profile(w)
     if args.format == "csv":
         sys.stdout.write(profile_csv(profile))
@@ -166,8 +179,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_runs(args) -> int:
-    s = _load_set(args)
-    w = s.materialize(args.window)
+    s, w = _load_window(args)
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
         "runs": [{"start": str(r.start), "len": r.length} for r in w.runs()],
@@ -225,8 +237,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ap_reduce(args) -> int:
-    s = _load_set(args)
-    w = s.materialize(args.window)
+    _, w = _load_window(args)
     red = ap_reduce(w, args.m0)
     _emit(red.to_payload())
     return 0

@@ -6,17 +6,22 @@ consecutive positions inside the window.  The windowed density estimate
 is min over n of f[n]/n, an upper bound on how densely the set can pack
 any block at the scales the window exposes.
 
-The profile is computed with a vectorized sliding-window maximum over a
-prefix-sum array; numpy stays exact here because counts are small
-integers.  f_naive is the independent slow path kept for cross-checks.
+f_profile works from the shortest span of c members, L[c], for every
+count c.  A block that starts on a member with a member just before it
+can slide one step left without losing a member, so L[c] is a minimum
+over the R run starts only.  L is strictly increasing, so f[n] is the
+number of c with L[c] <= n.  The cost is O(N + R*M) for M members
+instead of O(N**2); the worst case, alternating members, costs N**2/8.
+numpy is imported only inside the functions that use it, so commands
+that never touch a profile do not load it.  f_naive and f_naive_all are
+the independent slow paths kept for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from .errors import BadLength, PreconditionFailed
 from .intset import Congruence, ExplicitWindow, Full, IntSet, PolyRuns, PowRuns
@@ -39,8 +44,10 @@ __all__ = [
 ]
 
 
-def _bit_vector(w: ExplicitWindow) -> np.ndarray:
+def _bit_vector(w: ExplicitWindow):
     """0/1 membership array of length w.window.length, uint8."""
+    import numpy as np
+
     n_bytes = (w.window.length + 7) // 8
     raw = np.frombuffer(w.bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[: w.window.length]
@@ -72,8 +79,10 @@ def f_naive_all(w: ExplicitWindow) -> tuple[int, ...]:
 
     Maintains counts[u] = members in [u, u + n - 1]; widening the block by
     one appends the next column.  Independent of both f_naive's bit
-    scanning and f_profile's prefix sums.
+    scanning and f_profile's member spans.
     """
+    import numpy as np
+
     a = _bit_vector(w).astype(np.int64)
     N = a.shape[0]
     out = [0]
@@ -110,27 +119,40 @@ class DensityEstimate:
 
 
 def f_profile(w: ExplicitWindow) -> WindowProfile:
-    """Profile of every block length at once via prefix sums."""
-    a = _bit_vector(w).astype(np.int64)
-    N = a.shape[0]
-    prefix = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(a, out=prefix[1:])
-    f = [0] * (N + 1)
-    for n in range(1, N + 1):
-        f[n] = int((prefix[n:] - prefix[: N - n + 1]).max())
-    return WindowProfile(w.window.base, w.window.length, tuple(f))
+    """Profile of every block length at once from the shortest member spans.
+
+    With pos the sorted member offsets, span[c - 1] = min over s of
+    pos[s + c - 1] - pos[s] is one less than the shortest block holding c
+    members.  If pos[s - 1] = pos[s] - 1, the c members from s - 1 span no
+    more than those from s, so the minimum is taken over run starts only.
+    Dropping the last member of a shortest block shortens it, so span is
+    strictly increasing and f[n] = #{c : span[c - 1] < n}.  Every such
+    block lies inside the window, so no edge case arises.
+    """
+    import numpy as np
+
+    N = w.window.length
+    # offsets and spans lie in [0, N - 1]; the narrowest type that holds them
+    # halves the memory traffic of the loop below at N = 2**16
+    pos = np.flatnonzero(_bit_vector(w)).astype(np.min_scalar_type(N - 1))
+    M = pos.shape[0]
+    run_starts = np.flatnonzero(np.diff(pos, prepend=pos[:1]) != 1).tolist()
+    span = pos - pos[0] if M else pos
+    for s in run_starts[1:]:
+        k = M - s
+        np.minimum(span[:k], pos[s:] - pos[s], out=span[:k])
+    f = np.searchsorted(span, np.arange(N + 1)).tolist()
+    return WindowProfile(w.window.base, N, tuple(f))
 
 
 def density_estimate(profile: WindowProfile) -> DensityEstimate:
     """min f[n]/n over the window's block lengths, smallest minimizer kept."""
-    best = Fraction(profile.f[1], 1)
-    best_n = 1
+    f = profile.f
+    best_f, best_n = f[1], 1
     for n in range(2, profile.window_length + 1):
-        q = Fraction(profile.f[n], n)
-        if q < best:
-            best = q
-            best_n = n
-    return DensityEstimate(best, best_n)
+        if f[n] * best_n < best_f * n:
+            best_f, best_n = f[n], n
+    return DensityEstimate(Fraction(best_f, best_n), best_n)
 
 
 def check_subadditivity(profile: WindowProfile) -> list[tuple[int, int, int]]:
@@ -140,6 +162,8 @@ def check_subadditivity(profile: WindowProfile) -> list[tuple[int, int, int]]:
     of n2, so the count of the whole cannot beat the two maxima combined.
     Returned tuples are (n1, n2, excess) with n1 <= n2.
     """
+    import numpy as np
+
     f = np.asarray(profile.f, dtype=np.int64)
     N = profile.window_length
     violations = []
@@ -156,6 +180,8 @@ def fekete_qd_check(profile: WindowProfile, d: int) -> bool:
     N = profile.window_length
     if not 1 <= d <= N:
         raise BadLength(f"divisor must lie in [1, {N}], got {d}")
+    import numpy as np
+
     f = np.asarray(profile.f, dtype=np.int64)
     ns = np.arange(d, N + 1)
     bound = (ns // d) * f[d] + f[ns % d]
@@ -248,7 +274,8 @@ def profile_payload(
 def profile_csv(profile: WindowProfile) -> str:
     """Rows n,f,fn_over_n with the ratio as an exact reduced fraction."""
     lines = ["n,f,fn_over_n"]
+    f = profile.f
     for n in range(1, profile.window_length + 1):
-        q = Fraction(profile.f[n], n)
-        lines.append(f"{n},{profile.f[n]},{q.numerator}/{q.denominator}")
+        g = gcd(f[n], n)
+        lines.append(f"{n},{f[n]},{f[n] // g}/{n // g}")
     return "\n".join(lines) + "\n"

@@ -231,13 +231,7 @@ class ExplicitWindow(IntSet):
 
     def elements(self) -> Iterator[int]:
         """Members in ascending order."""
-        base = self.window.base
-        data = self.bits.to_bytes((self.window.length + 7) // 8, "little")
-        for byte_idx, byte in enumerate(data):
-            while byte:
-                low = byte & -byte
-                yield base + byte_idx * 8 + low.bit_length() - 1
-                byte ^= low
+        yield from _bit_offsets(self.bits, self.window.length, self.window.base)
 
     def min_element(self) -> int | None:
         if self.bits == 0:
@@ -250,17 +244,16 @@ class ExplicitWindow(IntSet):
         return self.window.base + self.bits.bit_length() - 1
 
     def runs(self) -> list[Run]:
-        """Maximal runs of members, ascending."""
-        out = []
-        b = self.bits
-        base = self.window.base
-        while b:
-            start_off = (b & -b).bit_length() - 1
-            shifted = b >> start_off
-            length = (~shifted & (shifted + 1)).bit_length() - 1
-            out.append(Run(base + start_off, length))
-            b &= ~(((1 << length) - 1) << start_off)
-        return out
+        """Maximal runs of members, ascending.
+
+        A run starts at a member whose lower neighbour is absent and ends
+        at one whose upper neighbour is absent, so the i-th start and the
+        i-th end bound the i-th run.
+        """
+        b, n = self.bits, self.window.length
+        starts = _bit_offsets(b & ~(b << 1), n, self.window.base)
+        ends = _bit_offsets(b & ~(b >> 1), n, self.window.base)
+        return [Run(s, e - s + 1) for s, e in zip(starts, ends)]
 
     def to_run_list(self) -> "RunList":
         return RunList(self.runs())
@@ -790,6 +783,19 @@ class AffineImage(IntSet):
             if self.inner.member(s):
                 bits |= 1 << (self.m * s + self.offset - window.base)
         return ExplicitWindow(window, bits)
+
+
+def _bit_offsets(x: int, length: int, base: int) -> Iterator[int]:
+    """base + i for every set bit i of x below bit length, ascending.
+
+    Walks the bytes of x, so the cost is linear in length.
+    """
+    data = x.to_bytes((length + 7) // 8, "little")
+    for byte_idx, byte in enumerate(data):
+        while byte:
+            low = byte & -byte
+            yield base + byte_idx * 8 + low.bit_length() - 1
+            byte ^= low
 
 
 def _check_min_len(min_len: int) -> None:

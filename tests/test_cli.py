@@ -6,10 +6,13 @@ pin down byte-level reproducibility of reports.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from banachsum.cli import main
+import banachsum
+from banachsum.cli import WINDOW_BITS_BUDGET, main
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +263,20 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "profile", "--input", "/no/such/file")[0] == 2
 
 
+def test_huge_window_is_a_budget_error(capsys):
+    code, out, err = run_cli(
+        capsys, "profile", "--set", "gen full", "--window", "0:300000000"
+    )
+    assert code == 3
+    assert json.loads(out)["error"] == "BudgetExceeded"
+    assert err == ""
+    over = f"1:{WINDOW_BITS_BUDGET + 1}"
+    for cmd in ("runs", "ap-reduce"):
+        code, out, _ = run_cli(capsys, cmd, "--set", "gen full", "--window", over)
+        assert code == 3
+        assert json.loads(out)["error"] == "BudgetExceeded"
+
+
 def test_parse_errors_carry_line_numbers(capsys):
     code, _, err = run_cli(capsys, "profile", "--set", "run 4 3;run 0 2")
     assert code == 2
@@ -298,3 +315,16 @@ def test_reports_are_byte_identical_across_runs(capsys):
         check=True,
     )
     assert proc.stdout == first
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(banachsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, banachsum.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "False\n"

@@ -43,6 +43,38 @@ def explicit_windows(draw, max_len=256):
     return ExplicitWindow(Window(base, length), bits)
 
 
+@st.composite
+def shaped_windows(draw, max_len=512):
+    """Windows of the shapes the span argument has to get right."""
+    shape = draw(st.sampled_from(
+        ["random", "runs", "empty", "full", "alternating", "edges"]))
+    base = draw(st.sampled_from([0, 1, draw(st.integers(2, 10**6))]))
+    length = draw(st.integers(min_value=1, max_value=max_len))
+    top = (1 << length) - 1
+    if shape == "random":
+        bits = draw(st.integers(min_value=0, max_value=top))
+    elif shape == "runs":
+        bits, off = 0, 0
+        for gap, run in draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                                      max_size=6)):
+            off += gap
+            bits |= ((1 << run) - 1) << off
+            off += run
+        bits &= top
+    elif shape == "empty":
+        bits = 0
+    elif shape == "full":
+        bits = top
+    elif shape == "alternating":
+        bits = int("10" * length, 2) >> (length + draw(st.integers(0, 1)))
+    else:
+        inner = draw(st.integers(min_value=0, max_value=top))
+        bits = inner | 1 | (1 << (length - 1))
+    if base == 0:
+        bits &= ~1
+    return ExplicitWindow(Window(base, length), bits)
+
+
 def clear_long_runs(w: ExplicitWindow, d: int) -> ExplicitWindow:
     """Punch a hole into every run that would reach length d."""
     bits = w.bits
@@ -94,8 +126,8 @@ def test_density_smallest_argmin_on_ties():
     assert est.argmin_n == 1
 
 
-@given(explicit_windows())
-@settings(max_examples=60)
+@given(shaped_windows())
+@settings(max_examples=80)
 def test_profile_matches_naive_everywhere(w):
     assert f_profile(w).f == f_naive_all(w)
 

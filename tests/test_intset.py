@@ -363,6 +363,18 @@ def test_window_runs_reconstruct_elements(w):
     assert w.to_run_list().runs == tuple(w.runs())
 
 
+@given(explicit_windows())
+def test_window_runs_match_bit_scan(w):
+    want, streak = [], 0
+    for off in range(w.window.length + 1):
+        if off < w.window.length and (w.bits >> off) & 1:
+            streak += 1
+        elif streak:
+            want.append(Run(w.window.base + off - streak, streak))
+            streak = 0
+    assert w.runs() == want
+
+
 @given(explicit_windows(), st.integers(0, 250), st.integers(0, 250))
 def test_first_gap_matches_scan(w, a, b):
     start, end = min(a, b), max(a, b)
