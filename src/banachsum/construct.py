@@ -20,6 +20,7 @@ counterexample when one exists.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,9 +44,11 @@ from .intset import (
 from .sumset import (
     Status,
     Verdict,
+    check_subset_count,
     enumerate_subsets,
     family_sumset,
     run_sum,
+    subset_of,
     verify_containment,
 )
 
@@ -135,13 +138,33 @@ class BSequence:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BSequence":
+        """Inverse of to_payload.
+
+        Run lengths must be JSON integers; bases and certificate starts
+        JSON integers or decimal strings.  A bool or a float anywhere, or a
+        string where a length belongs, raises TypeError instead of being
+        coerced.
+        """
         return cls(
-            tuple(payload["ells"]),
-            tuple(int(b) for b in payload["bs"]),
+            tuple(_exact_int(ell, "ells entry") for ell in payload["ells"]),
+            tuple(_exact_int(b, "base", text=True) for b in payload["bs"]),
             tuple(
-                Run(int(c["start"]), c["len"]) for c in payload["certificates"]
+                Run(
+                    _exact_int(c["start"], "certificate start", text=True),
+                    _exact_int(c["len"], "certificate len"),
+                )
+                for c in payload["certificates"]
             ),
         )
+
+
+def _exact_int(value, what: str, text: bool = False) -> int:
+    # bool is a subclass of int, so test the type itself
+    if type(value) is int:
+        return value
+    if text and type(value) is str:
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def build_b_sequence(
@@ -268,16 +291,61 @@ class _SweepState:
         )
 
 
-def _brute_bounds(a: IntSet, s: Run, brute_span: int) -> tuple[int, int] | None:
-    """Range of s to recheck element by element, clipped to decidability."""
-    if s.length > brute_span:
+class _MemberWalk:
+    """Smallest non-member of an interval, asking the target about each
+    integer at most once per sweep.
+
+    Stretches of members already walked are kept as disjoint, non-adjacent
+    intervals sorted by start, and the non-members that ended walks in a
+    set, so a walk skips whatever an earlier one covered.  A one-integer
+    interval is asked directly and not recorded: such claims hardly ever
+    repeat, and keeping them would only cost memory.
+    """
+
+    def __init__(self, target: IntSet):
+        self._member = target.member
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._gaps: set[int] = set()
+
+    def first_gap(self, lo: int, hi: int) -> int | None:
+        """Smallest x in [lo, hi] that is not a member, or None."""
+        if lo == hi:
+            return None if self._member(lo) else lo
+        starts, ends, gaps, member = self._starts, self._ends, self._gaps, self._member
+        x = lo
+        while x <= hi:
+            i = bisect_right(starts, x) - 1
+            if i >= 0 and x <= ends[i]:
+                x = ends[i] + 1
+                continue
+            stop = hi if i + 1 == len(starts) else min(hi, starts[i + 1] - 1)
+            y = x
+            while y <= stop and y not in gaps and member(y):
+                y += 1
+            if y > x:
+                self._add(i, x, y - 1)
+            if y <= stop:
+                gaps.add(y)
+                return y
+            x = y
         return None
-    lo, hi = s.start, s.end
-    if isinstance(a, ExplicitWindow):
-        lo, hi = max(lo, a.window.base), min(hi, a.window.end)
-    if lo > hi:
-        return None
-    return lo, hi
+
+    def _add(self, i: int, lo: int, hi: int) -> None:
+        """Record members [lo, hi], which lie between intervals i and i + 1."""
+        starts, ends = self._starts, self._ends
+        left = i >= 0 and ends[i] == lo - 1
+        right = i + 1 < len(starts) and starts[i + 1] == hi + 1
+        if left and right:
+            ends[i] = ends.pop(i + 1)
+            del starts[i + 1]
+        elif left:
+            ends[i] = hi
+        elif right:
+            starts[i + 1] = lo
+        else:
+            starts.insert(i + 1, lo)
+            ends.insert(i + 1, hi)
 
 
 def verify_b_sequence(
@@ -288,22 +356,59 @@ def verify_b_sequence(
 ) -> SweepReport:
     """Recheck every nonempty subset's sumset against the target.
 
-    Two routes per subset: the interval route sums the runs and asks the
-    target about one long run; the brute route walks the interval element
-    by element when it is short enough.  Both must agree with containment
-    for a Pass.
+    Subsets come in binary-counter order (see enumerate_subsets).  The
+    sumset of a subset's runs is the interval [sum of starts, sum of
+    ends], and subset i differs from subset i - 1 by clearing the trailing
+    ones of i - 1 and setting the next bit, so both sums move by one base
+    minus one prefix sum.
+
+    Two routes per subset.  The interval route asks the target about the
+    whole interval.  Every sum whose largest index is j starts at or
+    above b_j, so the target's maximal run through b_j is looked up once
+    per j, and a sum that ends inside it passes on one comparison; any
+    other sum goes to verify_containment, which decides it and finds the
+    smallest witness.  The brute route walks each interval of at most
+    brute_span integers with member() alone, through one _MemberWalk per
+    sweep, so no integer is asked twice.  Both must agree with
+    containment for a Pass.
+
+    On a valid sequence the cost is k run lookups, a few big-integer
+    additions per subset, and one membership query per distinct integer
+    the brute route covers.  Raises BudgetExceeded before any work when k
+    exceeds SUBSET_BUDGET_MAX.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
+    check_subset_count(k)
     state = _SweepState()
-    for subset in enumerate_subsets(k):
-        s = run_sum([seq.run(j) for j in subset])
-        state.add(verify_containment(s, a, subset=subset))
-        bounds = _brute_bounds(a, s, brute_span)
-        if bounds is not None:
-            for x in range(bounds[0], bounds[1] + 1):
-                if not a.member(x):
-                    state.fail(x, subset)
-                    break
+    walk = _MemberWalk(a)
+    window = a.window if isinstance(a, ExplicitWindow) else None
+    bs = seq.bs[:k]
+    ends = [b + ell - 1 for b, ell in zip(bs, seq.ells)]
+    bs_before = list(itertools.accumulate(bs, initial=0))
+    ends_before = list(itertools.accumulate(ends, initial=0))
+    lo = hi = 0  # the current subset's sum of starts and sum of ends
+    for top in range(1, k + 1):
+        b = bs[top - 1]
+        # b - 1 as the reach sends every sum with this top index to the
+        # full check, since each such sum ends at or above b
+        reach = a.run_end_at(b) if a.member(b) else b - 1
+        for i in range(1 << (top - 1), 1 << top):
+            t = (i & -i).bit_length() - 1
+            lo += bs[t] - bs_before[t]
+            hi += ends[t] - ends_before[t]
+            if reach is None or hi <= reach:
+                state.checked += 1
+            else:
+                claim = Run(lo, hi - lo + 1)
+                state.add(verify_containment(claim, a, subset=subset_of(i)))
+            if hi - lo < brute_span:
+                x_lo, x_hi = lo, hi
+                if window is not None:
+                    x_lo, x_hi = max(lo, window.base), min(hi, window.end)
+                if x_lo <= x_hi:
+                    witness = walk.first_gap(x_lo, x_hi)
+                    if witness is not None:
+                        state.fail(witness, subset_of(i))
     return state.report()
 
 
@@ -391,11 +496,7 @@ def verify_family(
     the target.  Short selections are additionally rechecked by summing
     materialized component bitmaps and testing each resulting element.
     """
-    if family.k_sets > 20:
-        raise BudgetExceeded(
-            f"sweeping 2**{family.k_sets} - 1 selections is over the "
-            f"2**20 budget"
-        )
+    check_subset_count(family.k_sets)
     _check_disjoint(family)
     state = _SweepState()
     cap = brute_span
@@ -488,21 +589,12 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     return APReduction(m, r, derived, best_len)
 
 
-_POW4 = [1, 4]
-
-
-def _pow4(i: int) -> int:
-    while len(_POW4) <= i:
-        _POW4.append(_POW4[-1] * 4)
-    return _POW4[i]
-
-
 def escape_i0(t: int) -> int:
     """Smallest i >= 1 with 4**i - i > t."""
     if t < 0:
         raise ValueError(f"shift must be >= 0, got {t}")
     i = 1
-    while _pow4(i) - i <= t:
+    while (1 << 2 * i) - i <= t:
         i += 1
     return i
 
@@ -580,7 +672,7 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
     gen = PowRuns(4)
     checks = []
     for i in range(i0, i_max + 1):
-        p, pn = _pow4(i), _pow4(i + 1)
+        p, pn = 1 << 2 * i, 1 << 2 * (i + 1)
         b_lo, b_hi = p, p + i - 1
         outside = all(
             not gen.member(2 * b - t) and not gen.member(2 * b + t)

@@ -172,14 +172,17 @@ class IntSet:
             return None
         if not self.member(start):
             return start
-        stop = self._run_end_at(start)
+        stop = self.run_end_at(start)
         if stop is None or stop >= end:
             return None
         # maximal runs are separated by gaps, so stop+1 is a non-member
         return stop + 1
 
-    def _run_end_at(self, x: int) -> int | None:
-        """End of the maximal run containing member x; None if unbounded."""
+    def run_end_at(self, x: int) -> int | None:
+        """End of the maximal run containing x, which must be a member.
+
+        None means the run is unbounded above.
+        """
         raise NotImplementedError
 
     def min_element(self) -> int | None:
@@ -231,7 +234,7 @@ class ExplicitWindow(IntSet):
 
     def elements(self) -> Iterator[int]:
         """Members in ascending order."""
-        yield from _bit_offsets(self.bits, self.window.length, self.window.base)
+        yield from _bit_offsets(self.bits, self.window.base)
 
     def min_element(self) -> int | None:
         if self.bits == 0:
@@ -250,9 +253,9 @@ class ExplicitWindow(IntSet):
         at one whose upper neighbour is absent, so the i-th start and the
         i-th end bound the i-th run.
         """
-        b, n = self.bits, self.window.length
-        starts = _bit_offsets(b & ~(b << 1), n, self.window.base)
-        ends = _bit_offsets(b & ~(b >> 1), n, self.window.base)
+        b = self.bits
+        starts = _bit_offsets(b & ~(b << 1), self.window.base)
+        ends = _bit_offsets(b & ~(b >> 1), self.window.base)
         return [Run(s, e - s + 1) for s, e in zip(starts, ends)]
 
     def to_run_list(self) -> "RunList":
@@ -308,7 +311,7 @@ class ExplicitWindow(IntSet):
             return None
         return True
 
-    def _run_end_at(self, x: int) -> int:
+    def run_end_at(self, x: int) -> int:
         off = x - self.window.base
         tail = self.bits >> off
         ones = (~tail & (tail + 1)).bit_length() - 1
@@ -412,7 +415,7 @@ class RunList(IntSet):
         run = self._locate(start)
         return run is not None and start + length - 1 <= run.end
 
-    def _run_end_at(self, x: int) -> int:
+    def run_end_at(self, x: int) -> int:
         run = self._locate(x)
         assert run is not None
         return run.end
@@ -465,7 +468,7 @@ class Full(IntSet):
             return None
         return start if start < 1 else None
 
-    def _run_end_at(self, x: int) -> None:
+    def run_end_at(self, x: int) -> None:
         return None
 
     def materialize(self, window: Window) -> ExplicitWindow:
@@ -527,7 +530,7 @@ class Congruence(IntSet):
             return start if start < 1 else None
         return super().first_gap(start, end)
 
-    def _run_end_at(self, x: int) -> int | None:
+    def run_end_at(self, x: int) -> int | None:
         return None if self.m == 1 else x
 
     def materialize(self, window: Window) -> ExplicitWindow:
@@ -551,8 +554,11 @@ class _IndexedRuns(IntSet):
     def _run(self, i: int) -> Run:
         raise NotImplementedError
 
-    def _index_for(self, x: int) -> int | None:
-        """Largest i >= 1 with run(i).start <= x, or None."""
+    def _floor_run(self, x: int) -> tuple[int, int] | None:
+        """(start, i) of the run i with the largest start <= x, or None.
+
+        A plain pair, not a Run: membership asks this once per query.
+        """
         raise NotImplementedError
 
     def runs_disjoint_upto(self, i_max: int) -> bool:
@@ -563,8 +569,8 @@ class _IndexedRuns(IntSet):
     def member(self, x: int) -> bool:
         if x < 1:
             return False
-        i = self._index_for(x)
-        return i is not None and x <= self._run(i).end
+        below = self._floor_run(x)
+        return below is not None and x < below[0] + below[1]
 
     def min_element(self) -> int:
         return self._run(1).start
@@ -580,12 +586,12 @@ class _IndexedRuns(IntSet):
         """Index of the run holding next_run's answer; None if it starts at
         the lower bound inside a straddled run."""
         lb = max(lower_bound, 1)
-        i_lo = self._index_for(lb)
-        if i_lo is not None and lb + min_len - 1 <= self._run(i_lo).end:
+        below = self._floor_run(lb)
+        if below is not None and lb + min_len <= below[0] + below[1]:
             return None
         # otherwise the earliest candidate is the first whole run that is
         # both long enough and past lb
-        return max(min_len, 1 if i_lo is None else i_lo + 1)
+        return max(min_len, 1 if below is None else below[1] + 1)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         _check_min_len(min_len)
@@ -607,19 +613,18 @@ class _IndexedRuns(IntSet):
     def contains_run(self, start: int, length: int) -> bool:
         if start < 1:
             return False
-        i = self._index_for(start)
-        if i is None:
-            return False
-        return start + length - 1 <= self._run(i).end
+        below = self._floor_run(start)
+        return below is not None and start + length <= below[0] + below[1]
 
-    def _run_end_at(self, x: int) -> int:
-        i = self._index_for(x)
-        assert i is not None
-        return self._run(i).end
+    def run_end_at(self, x: int) -> int:
+        below = self._floor_run(x)
+        assert below is not None
+        return below[0] + below[1] - 1
 
     def materialize(self, window: Window) -> ExplicitWindow:
         bits = 0
-        i = self._index_for(window.base) or 1
+        below = self._floor_run(window.base)
+        i = 1 if below is None else below[1]
         prev_end = None
         while True:
             run = self._run(i)
@@ -655,15 +660,20 @@ class PowRuns(_IndexedRuns):
             return 1 << 62
         return int(i * math.log10(self.c)) + 1
 
-    def _index_for(self, x: int) -> int | None:
-        if x < self.c:
+    def _floor_run(self, x: int) -> tuple[int, int] | None:
+        c = self.c
+        if x < c:
             return None
-        i = max(1, int((x.bit_length() - 1) / math.log2(self.c)))
-        while self.c ** (i + 1) <= x:
+        # one power from the estimate, then exact steps by c each way
+        i = max(1, int((x.bit_length() - 1) / math.log2(c)))
+        p = c ** i
+        while p * c <= x:
+            p *= c
             i += 1
-        while i > 1 and self.c ** i > x:
+        while p > x:
+            p //= c
             i -= 1
-        return i if self.c ** i <= x else None
+        return p, i
 
 
 @dataclass(frozen=True)
@@ -682,11 +692,11 @@ class PolyRuns(_IndexedRuns):
     def _start_digits(self, i: int) -> int:
         return (self.p * i.bit_length() * 30103) // 100000 + 1
 
-    def _index_for(self, x: int) -> int | None:
+    def _floor_run(self, x: int) -> tuple[int, int] | None:
         if x < 1:
             return None
         i = nth_root_floor(x, self.p)
-        return i if i >= 1 else None
+        return i ** self.p, i
 
 
 @dataclass(frozen=True)
@@ -769,10 +779,10 @@ class AffineImage(IntSet):
             return self.inner.contains_run(start - self.offset, length)
         return length == 1 and self.member(start)
 
-    def _run_end_at(self, x: int) -> int | None:
+    def run_end_at(self, x: int) -> int | None:
         if self.m >= 2:
             return x
-        e = self.inner._run_end_at(x - self.offset)
+        e = self.inner.run_end_at(x - self.offset)
         return None if e is None else e + self.offset
 
     def materialize(self, window: Window) -> ExplicitWindow:
@@ -785,12 +795,13 @@ class AffineImage(IntSet):
         return ExplicitWindow(window, bits)
 
 
-def _bit_offsets(x: int, length: int, base: int) -> Iterator[int]:
-    """base + i for every set bit i of x below bit length, ascending.
+def _bit_offsets(x: int, base: int) -> Iterator[int]:
+    """base + i for every set bit i of x >= 0, ascending.
 
-    Walks the bytes of x, so the cost is linear in length.
+    Walks the bytes of x up to its highest set bit, so the cost is linear
+    in x.bit_length(), not in the width of the window x came from.
     """
-    data = x.to_bytes((length + 7) // 8, "little")
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
     for byte_idx, byte in enumerate(data):
         while byte:
             low = byte & -byte

@@ -23,6 +23,8 @@ __all__ = [
     "pairwise_sumset",
     "family_sumset",
     "run_sum",
+    "check_subset_count",
+    "subset_of",
     "enumerate_subsets",
     "verify_containment",
     "verdict_payload",
@@ -61,7 +63,10 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
     """All sums x + y (x in b, y in c) up to cap, as a bitmap on [0, cap].
 
     Sums beyond cap are discarded; members of either set above cap still
-    contribute the sums that land at or below it.
+    contribute the sums that land at or below it.  Each run [s, e] of b
+    adds c shifted by every x in it.  A block holding c under shifts
+    0..w-1, or'd with itself shifted by w, holds it under shifts 0..2w-1,
+    so a run costs about log2(e - s + 1) shift-ors instead of e - s + 1.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -69,11 +74,18 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
     cbits = c.bits
     cbase = c.window.base
     acc = 0
-    for x in b.elements():
-        shift = x + cbase
-        if shift > cap:
+    for run in b.runs():
+        lo = run.start + cbase
+        if lo > cap:
             break
-        acc |= cbits << shift
+        # shifts past cap only make sums past cap
+        spread = min(run.end + cbase, cap) - lo + 1
+        block, width = cbits, 1
+        while width < spread:
+            step = min(width, spread - width)
+            block |= block << step
+            width += step
+        acc |= block << lo
     return ExplicitWindow(Window(0, cap + 1), acc & out_mask)
 
 
@@ -111,11 +123,11 @@ def run_sum(runs: Iterable[Run]) -> Run:
     return Run(start, length)
 
 
-def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of {1..k} in binary-counter order.
+def check_subset_count(k: int) -> None:
+    """Reject a sweep over the 2**k - 1 nonempty subsets of {1..k} up front.
 
-    Subset number i (1-based) selects the indices of i's set bits, listed
-    top bit first, so the stream starts (1,), (2,), (2, 1), (3,), ...
+    Raises ValueError for k < 0 and BudgetExceeded above SUBSET_BUDGET_MAX,
+    before any subset is looked at.
     """
     if k < 0:
         raise ValueError(f"subset count needs k >= 0, got {k}")
@@ -123,14 +135,28 @@ def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
         raise BudgetExceeded(
             f"enumerating 2**{k} - 1 subsets exceeds the budget of 2**{SUBSET_BUDGET_MAX}"
         )
+
+
+def subset_of(i: int) -> tuple[int, ...]:
+    """Subset number i >= 1 in binary-counter order: the indices of i's set
+    bits, top bit first."""
+    sel = []
+    while i:
+        top = i.bit_length()
+        sel.append(top)
+        i ^= 1 << (top - 1)
+    return tuple(sel)
+
+
+def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of {1..k} in binary-counter order.
+
+    Subset number i (1-based) selects the indices of i's set bits, listed
+    top bit first, so the stream starts (1,), (2,), (2, 1), (3,), ...
+    """
+    check_subset_count(k)
     for i in range(1, 1 << k):
-        sel = []
-        b = i
-        while b:
-            top = b.bit_length()
-            sel.append(top)
-            b ^= 1 << (top - 1)
-        yield tuple(sel)
+        yield subset_of(i)
 
 
 def _decidable_bounds(a: IntSet) -> tuple[int, int] | None:

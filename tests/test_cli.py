@@ -163,6 +163,36 @@ def test_verify_rejects_malformed_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "construct-b", "--set", "gen full", "--ells", "1", "--k", "2"
+    )
+    assert code == 0
+    good = json.loads(out)
+    path = tmp_path / "bad.json"
+    for where, key, value in [
+        ("certificates", "len", 1.5),
+        ("ells", 0, True),
+        ("bs", 1, 2.9),
+        ("certificates", "start", 1.0),
+    ]:
+        payload = json.loads(out)
+        if where == "certificates":
+            payload[where][0][key] = value
+        else:
+            payload[where][key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, err = run_cli(
+            capsys, "verify", "--set", "gen full", "--bseq", str(path)
+        )
+        assert (code, stdout) == (2, ""), (where, key, value)
+        assert "must be an integer" in err
+    # the untouched payload still verifies
+    path.write_text(json.dumps(good), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+    assert code == 0
+
+
 # ------------------------------------------------------------------ family
 
 

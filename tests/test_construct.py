@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from banachsum.construct import (
     BSequence,
     SweepReport,
+    _MemberWalk,
     ap_reduce,
     build_b_sequence,
     build_family,
@@ -25,16 +26,24 @@ from banachsum.errors import (
     PreconditionFailed,
 )
 from banachsum.intset import (
+    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
+    IntSet,
     PolyRuns,
     PowRuns,
     Run,
     RunList,
     Window,
 )
-from banachsum.sumset import Status, enumerate_subsets, run_sum, verify_containment
+from banachsum.sumset import (
+    SUBSET_BUDGET_MAX,
+    Status,
+    enumerate_subsets,
+    run_sum,
+    verify_containment,
+)
 
 # ------------------------------------------------------------------ b-sequence
 
@@ -109,6 +118,170 @@ def test_verify_partial_window_target():
     report = verify_b_sequence(seq, target)
     assert report.status is Status.PARTIAL_WINDOW
     assert report.partial_count > 0
+
+
+def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
+    """Payload of the per-subset sweep: the sum of each subset's runs
+    summed anew by run_sum, checked whole by verify_containment, then walked
+    element by element with member()."""
+    k = seq.k if k_limit is None else min(k_limit, seq.k)
+    checked = partials = 0
+    witness = witness_subset = None
+    for subset in enumerate_subsets(k):
+        s = run_sum([seq.run(j) for j in subset])
+        v = verify_containment(s, a, subset=subset)
+        checked += 1
+        found = []
+        if v.status is Status.PARTIAL_WINDOW:
+            partials += 1
+        elif v.status is Status.FAIL:
+            found.append(v.witness)
+        if s.length <= brute_span:
+            lo, hi = s.start, s.end
+            if isinstance(a, ExplicitWindow):
+                lo, hi = max(lo, a.window.base), min(hi, a.window.end)
+            found += [x for x in range(lo, hi + 1) if not a.member(x)][:1]
+        for x in found:
+            if witness is None or x < witness:
+                witness, witness_subset = x, subset
+    if witness is not None:
+        status = Status.FAIL
+    else:
+        status = Status.PARTIAL_WINDOW if partials else Status.PASS
+    return SweepReport(status, checked, witness, witness_subset, partials).to_payload()
+
+
+SWEEP_TARGETS = [
+    Full(),
+    Congruence(1, 0),
+    Congruence(3, 1),
+    PolyRuns(2),
+    RunList([Run(1, 3), Run(5, 40), Run(47, 2), Run(52, 300)]),
+    AffineImage.of(PolyRuns(2), 1, 2),
+    AffineImage.of(RunList([Run(1, 200)]), 2, 1),
+    # windows that cut long sums short, decided inside only
+    Full().materialize(Window(3, 60)),
+    RunList([Run(2, 30), Run(35, 100)]).materialize(Window(0, 90)),
+    AffineImage.of(Full().materialize(Window(0, 80)), 1, 1),
+]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A target with a sequence built on it, corrupted or not, or drawn at random."""
+    a = draw(st.sampled_from(SWEEP_TARGETS))
+    ells = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    seq = None
+    if draw(st.booleans()):
+        try:
+            seq = build_b_sequence(a, ells)
+        except (NoSuitableRun, BudgetExceeded):
+            pass
+    if seq is not None and draw(st.booleans()):
+        # move one base down into the previous gap or up past its run
+        j = draw(st.integers(0, seq.k - 1))
+        floor = seq.bs[j - 1] + seq.ells[j - 1] if j else 1
+        ceil = seq.bs[j + 1] - seq.ells[j] if j + 1 < seq.k else seq.bs[j] + 50
+        bs = list(seq.bs)
+        bs[j] = draw(st.integers(floor, max(floor, ceil)))
+        seq = BSequence.from_entries(seq.ells, tuple(bs))
+    if seq is None:
+        bs, nxt = [], 1
+        for ell in ells:
+            bs.append(nxt + draw(st.integers(0, 40)))
+            nxt = bs[-1] + ell
+        seq = BSequence.from_entries(tuple(ells), tuple(bs))
+    k_limit = draw(st.none() | st.integers(0, 7))
+    brute_span = draw(st.sampled_from([0, 1, 3, 10_000]))
+    return seq, a, k_limit, brute_span
+
+
+@given(sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_per_subset_reference(case):
+    seq, a, k_limit, brute_span = case
+    got = verify_b_sequence(seq, a, k_limit, brute_span)
+    assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
+
+
+def test_sweep_reference_examples():
+    # sums of [1,1], [2,3], [4,6]: [1,1] [2,3] [3,4] [4,6] [5,7] [6,9] [7,10]
+    seq = build_b_sequence(Full(), [1, 2, 3])
+    assert seq.bs == (1, 2, 4)
+    cut = RunList([Run(1, 12)]).materialize(Window(0, 6))
+    cases = [
+        (Full(), {"status": "Pass", "checked": 7}),
+        (cut, {"status": "PartialWindow", "checked": 7, "partial_count": 4}),
+        (Congruence(3, 1),
+         {"status": "Fail", "checked": 7, "witness": "2", "witness_subset": [2]}),
+    ]
+    for a, payload in cases:
+        assert reference_sweep(seq, a) == payload
+        assert verify_b_sequence(seq, a).to_payload() == payload
+
+
+class Untouchable(IntSet):
+    def member(self, x):
+        raise AssertionError(f"asked about {x}")
+
+    def run_end_at(self, x):
+        raise AssertionError(f"asked about {x}")
+
+
+def test_sweep_budget_is_checked_before_any_query():
+    k = SUBSET_BUDGET_MAX + 1
+    seq = BSequence.from_entries((1,) * k, tuple(range(1, k + 1)))
+    with pytest.raises(BudgetExceeded):
+        verify_b_sequence(seq, Untouchable())
+    with pytest.raises(ValueError):
+        verify_b_sequence(seq, Untouchable(), k_limit=-1)
+    assert verify_b_sequence(seq, Full(), k_limit=3).checked == 7
+
+
+class CountingRuns(RunList):
+    def __init__(self, runs):
+        super().__init__(runs)
+        self.asked = []
+
+    def member(self, x):
+        self.asked.append(x)
+        return super().member(x)
+
+
+def test_member_walk_examples():
+    target = CountingRuns([Run(1, 3), Run(5, 6)])
+    walk = _MemberWalk(target)
+    assert walk.first_gap(2, 8) == 4
+    assert walk.first_gap(5, 9) is None
+    # members 2..3 and 5..9 are known but not joined across the gap at 4
+    assert walk.first_gap(1, 9) == 4
+    assert walk.first_gap(6, 12) == 11
+    assert sorted(target.asked) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 30)), max_size=8),
+    st.lists(st.tuples(st.integers(1, 150), st.integers(1, 40)), max_size=30),
+)
+@settings(max_examples=100, deadline=None)
+def test_member_walk_asks_each_integer_once(runs, intervals):
+    # runs separated by gaps of 1 to 6 non-members
+    starts, pos = [], 0
+    for gap, n in runs:
+        starts.append(pos + gap)
+        pos += gap + n
+    target = CountingRuns(Run(s, n) for s, (_, n) in zip(starts, runs))
+    walk = _MemberWalk(target)
+    for lo, span in intervals:
+        hi = lo + span
+        want = next((x for x in range(lo, hi + 1) if not RunList.member(target, x)), None)
+        assert walk.first_gap(lo, hi) == want
+    assert len(target.asked) == len(set(target.asked))
+    # a one-integer interval is asked every time and never recorded
+    target.asked.clear()
+    walk.first_gap(1, 1)
+    walk.first_gap(1, 1)
+    assert target.asked == [1, 1]
 
 
 @given(
@@ -200,8 +373,9 @@ def test_family_disjointness_violation_fires():
 
 
 def test_family_selection_budget():
-    seq = build_b_sequence(Full(), [1] * 21, k=21)
-    fam = build_family(seq, 21, "residue")
+    k = SUBSET_BUDGET_MAX + 1
+    seq = build_b_sequence(Full(), [1] * k, k=k)
+    fam = build_family(seq, k, "residue")
     with pytest.raises(BudgetExceeded):
         verify_family(fam, Full())
 

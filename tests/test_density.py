@@ -184,7 +184,8 @@ def test_ratio_bounded_by_block_decomposition(w):
     for d in range(1, N + 1):
         cap = max(f[:d])
         for n in range(d, N + 1):
-            assert Fraction(f[n], n) <= Fraction(f[d], d) + Fraction(cap, n)
+            # f[n]/n <= f[d]/d + cap/n, times n*d
+            assert f[n] * d <= f[d] * n + cap * d
 
 
 def test_longest_run_examples():

@@ -84,6 +84,41 @@ def test_pairwise_commutative_associative(xs, ys, zs):
     assert left.bits == right.bits
 
 
+def pairwise_by_elements(b, c, cap):
+    # one shift-or per element of b, the loop that pairwise_sumset replaces
+    acc = 0
+    for x in b.elements():
+        if x + c.window.base > cap:
+            break
+        acc |= c.bits << (x + c.window.base)
+    return acc & ((1 << (cap + 1)) - 1)
+
+
+@st.composite
+def run_windows(draw, max_len=300):
+    """Windows at any base holding a few runs of up to 80 members."""
+    base = draw(st.integers(0, 200))
+    length = draw(st.integers(1, max_len))
+    bits, off = 0, 0
+    for gap, run in draw(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 80)),
+                                  max_size=5)):
+        off += gap
+        bits |= ((1 << run) - 1) << off
+        off += run
+    bits &= (1 << length) - 1
+    if base == 0:
+        bits &= ~1
+    return ExplicitWindow(Window(base, length), bits)
+
+
+@given(run_windows(), run_windows(), st.integers(0, 700))
+@settings(max_examples=150)
+def test_pairwise_matches_elementwise_fold(b, c, cap):
+    got = pairwise_sumset(b, c, cap)
+    assert got.window == Window(0, cap + 1)
+    assert got.bits == pairwise_by_elements(b, c, cap)
+
+
 # ------------------------------------------------------------------ family
 
 
