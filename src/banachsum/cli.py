@@ -16,6 +16,7 @@ from .construct import (
     BSequence,
     DEFAULT_DIGIT_BUDGET,
     ap_reduce,
+    budget_int,
     build_b_sequence,
     build_family,
     verify_b_sequence,
@@ -47,7 +48,12 @@ from .sumset import Status
 WINDOW_BITS_BUDGET = 1 << 20
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
-_EXIT_USAGE = (ParseError, PreconditionFailed, ValueError)
+
+# Headroom over the digit budget for int<->str conversions: certificate
+# lengths and witnesses are sums of bases, a few digits longer than any base.
+_SUM_DIGITS = 64
+# The largest limit sys.set_int_max_str_digits accepts (a C int).
+_MAX_STR_DIGITS = (1 << 31) - 1
 
 
 def _emit(payload: dict) -> None:
@@ -224,7 +230,7 @@ def _cmd_verify(args) -> int:
     s = _load_set(args)
     with open(args.bseq, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=budget_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad base sequence file: {exc}") from None
     try:
@@ -273,6 +279,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Integer/decimal conversions are bounded by the digit budget (the
+    # --digit-budget option where there is one) rather than by Python's
+    # default of 4300 digits, and only for the duration of this call.  The
+    # limit is process-wide: threads calling main at once share it.
+    limit = sys.get_int_max_str_digits()
+    budget = getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET)
+    if limit:
+        sys.set_int_max_str_digits(
+            min(max(limit, budget + _SUM_DIGITS), _MAX_STR_DIGITS)
+        )
     try:
         return _HANDLERS[args.subcommand](args)
     except DisjointnessViolation as exc:
@@ -281,15 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     except _EXIT_LIMIT as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 3
-    except _EXIT_USAGE as exc:
+    except (BanachsumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BanachsumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from .sumset import (
 __all__ = [
     "DEFAULT_DIGIT_BUDGET",
     "BSequence",
+    "budget_int",
     "build_b_sequence",
     "SweepReport",
     "verify_b_sequence",
@@ -143,7 +144,8 @@ class BSequence:
         Run lengths must be JSON integers; bases and certificate starts
         JSON integers or decimal strings.  A bool or a float anywhere, or a
         string where a length belongs, raises TypeError instead of being
-        coerced.
+        coerced.  A decimal string longer than DEFAULT_DIGIT_BUDGET raises
+        BudgetExceeded before it is converted.
         """
         return cls(
             tuple(_exact_int(ell, "ells entry") for ell in payload["ells"]),
@@ -158,12 +160,23 @@ class BSequence:
         )
 
 
+def budget_int(text: str) -> int:
+    """int(text), refusing text longer than DEFAULT_DIGIT_BUDGET before
+    converting it; usable as json.load's parse_int."""
+    if len(text) > DEFAULT_DIGIT_BUDGET:
+        raise BudgetExceeded(
+            f"a number of {len(text)} digits exceeds the budget of "
+            f"{DEFAULT_DIGIT_BUDGET} digits"
+        )
+    return int(text)
+
+
 def _exact_int(value, what: str, text: bool = False) -> int:
     # bool is a subclass of int, so test the type itself
     if type(value) is int:
         return value
     if text and type(value) is str:
-        return int(value)
+        return budget_int(value)
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
@@ -270,9 +283,7 @@ class _SweepState:
         if v.status is Status.PARTIAL_WINDOW:
             self.partials += 1
         elif v.status is Status.FAIL:
-            if self.witness is None or v.witness < self.witness:
-                self.witness = v.witness
-                self.witness_subset = v.subset
+            self.fail(v.witness, v.subset)
 
     def fail(self, witness: int, subset: tuple[int, ...]) -> None:
         if self.witness is None or witness < self.witness:
@@ -389,9 +400,9 @@ def verify_b_sequence(
     lo = hi = 0  # the current subset's sum of starts and sum of ends
     for top in range(1, k + 1):
         b = bs[top - 1]
-        # b - 1 as the reach sends every sum with this top index to the
-        # full check, since each such sum ends at or above b
-        reach = a.run_end_at(b) if a.member(b) else b - 1
+        # when b is not a member the reach is b - 1, which sends every sum
+        # with this top index to the full check, since each ends at or above b
+        reach = a.run_end_at(b)
         for i in range(1 << (top - 1), 1 << top):
             t = (i & -i).bit_length() - 1
             lo += bs[t] - bs_before[t]
@@ -494,7 +505,9 @@ def verify_family(
     For each nonempty selection of components, every way of picking one
     source run per selected component gives an interval that must lie in
     the target.  Short selections are additionally rechecked by summing
-    materialized component bitmaps and testing each resulting element.
+    materialized component bitmaps and handing the sum to
+    verify_containment; only its Fail counts, since sums a window target
+    cannot decide are not evidence either way.
     """
     check_subset_count(family.k_sets)
     _check_disjoint(family)
@@ -506,16 +519,9 @@ def verify_family(
             s = run_sum([family.source.run(j) for j in combo])
             state.add(verify_containment(s, a, subset=sel))
         if all(parts[i - 1].bits for i in sel):
-            summed = family_sumset(parts, sel, cap)
-            lo, hi = None, None
-            if isinstance(a, ExplicitWindow):
-                lo, hi = a.window.base, a.window.end
-            for x in summed.elements():
-                if lo is not None and not lo <= x <= hi:
-                    continue
-                if not a.member(x):
-                    state.fail(x, sel)
-                    break
+            v = verify_containment(family_sumset(parts, sel, cap), a)
+            if v.status is Status.FAIL:
+                state.fail(v.witness, sel)
     return state.report()
 
 

@@ -106,16 +106,11 @@ class WindowProfile:
         if len(self.f) != self.window_length + 1 or self.f[0] != 0:
             raise ValueError("profile must hold one value per block length plus the 0 sentinel")
 
-    @classmethod
-    def from_values(cls, w: ExplicitWindow, values: tuple[int, ...]) -> "WindowProfile":
-        return cls(w.window.base, w.window.length, values)
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
     value: Fraction
     argmin_n: int
-    windowed: bool = True
 
 
 def f_profile(w: ExplicitWindow) -> WindowProfile:

@@ -119,6 +119,11 @@ class IntSet:
     RunList) store their elements outright.  Symbolic representations
     (Full, Congruence, PowRuns, PolyRuns, AffineImage) answer queries by
     formula and may describe infinite sets.
+
+    A subclass supplies member, run_end_at, next_run and min_element.
+    run_end_at is the one run query: first_gap is derived from it here, and
+    translate and dilate default to an AffineImage, which finite
+    representations override with a set of their own kind.
     """
 
     def member(self, x: int) -> bool:
@@ -130,11 +135,12 @@ class IntSet:
 
     def translate(self, t: int) -> IntSet:
         """The set {x + t}; raises NegativeResult if any x + t < 1."""
-        raise NotImplementedError
+        return AffineImage.of(self, 1, t)
 
     def dilate(self, m: int, r: int = 0) -> IntSet:
         """The set {m*x + r} for m >= 1, r >= 0."""
-        raise NotImplementedError
+        _check_dilation(m, r)
+        return AffineImage.of(self, m, r)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
         """Smallest-start run of min_len consecutive members at or above lower_bound.
@@ -143,15 +149,6 @@ class IntSet:
         run of the set), None when the set provably has no such run, and
         raises HorizonExceeded when a finite representation is exhausted
         without an answer.
-        """
-        raise NotImplementedError
-
-    def contains_run(self, start: int, length: int) -> bool | None:
-        """Whether [start, start+length-1] lies inside the set.
-
-        ExplicitWindow returns None when part of the interval falls outside
-        its window and no counterexample exists inside; every other
-        representation decides fully.
         """
         raise NotImplementedError
 
@@ -170,18 +167,20 @@ class IntSet:
         """Smallest x in [start, end] that is not a member, or None."""
         if start > end:
             return None
-        if not self.member(start):
-            return start
         stop = self.run_end_at(start)
         if stop is None or stop >= end:
             return None
-        # maximal runs are separated by gaps, so stop+1 is a non-member
+        # maximal runs are separated by gaps, so stop+1 is a non-member;
+        # it is start itself when start is not a member
         return stop + 1
 
     def run_end_at(self, x: int) -> int | None:
-        """End of the maximal run containing x, which must be a member.
+        """End of the maximal run of members through x, for any integer x.
 
-        None means the run is unbounded above.
+        A non-member, including every x < 1, lies on an empty run and gets
+        x - 1.  None means the run is unbounded above.  Every interval
+        question reduces to this one: [x, y] lies inside the set exactly
+        when the answer is None or at least y.
         """
         raise NotImplementedError
 
@@ -288,31 +287,12 @@ class ExplicitWindow(IntSet):
         return ExplicitWindow(w, bits)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        _check_min_len(min_len)
-        for run in self.runs():
-            b = max(run.start, lower_bound)
-            if b + min_len - 1 <= run.end:
-                return Run(b, min_len)
-        raise HorizonExceeded(
-            f"no run of length {min_len} at or above {lower_bound} inside the window"
-        )
-
-    def contains_run(self, start: int, length: int) -> bool | None:
-        end = start + length - 1
-        if start < 1:
-            return False
-        w = self.window
-        in_lo, in_hi = max(start, w.base), min(end, w.end)
-        if in_lo <= in_hi:
-            mask = ((1 << (in_hi - in_lo + 1)) - 1) << (in_lo - w.base)
-            if self.bits & mask != mask:
-                return False
-        if start < w.base or end > w.end:
-            return None
-        return True
+        return _first_fit(self.runs(), min_len, lower_bound, "inside the window")
 
     def run_end_at(self, x: int) -> int:
         off = x - self.window.base
+        if off < 0:
+            return x - 1
         tail = self.bits >> off
         ones = (~tail & (tail + 1)).bit_length() - 1
         return x + ones - 1
@@ -400,25 +380,11 @@ class RunList(IntSet):
         return RunList(Run(m * x + r, 1) for run in self.runs for x in run)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        _check_min_len(min_len)
-        for run in self.runs:
-            b = max(run.start, lower_bound)
-            if b + min_len - 1 <= run.end:
-                return Run(b, min_len)
-        raise HorizonExceeded(
-            f"no run of length {min_len} at or above {lower_bound} in the run list"
-        )
-
-    def contains_run(self, start: int, length: int) -> bool:
-        if start < 1:
-            return False
-        run = self._locate(start)
-        return run is not None and start + length - 1 <= run.end
+        return _first_fit(self.runs, min_len, lower_bound, "in the run list")
 
     def run_end_at(self, x: int) -> int:
         run = self._locate(x)
-        assert run is not None
-        return run.end
+        return x - 1 if run is None else run.end
 
     def materialize(self, window: Window) -> ExplicitWindow:
         bits = 0
@@ -449,27 +415,12 @@ class Full(IntSet):
     def min_element(self) -> int:
         return 1
 
-    def translate(self, t: int) -> IntSet:
-        return AffineImage.of(self, 1, t)
-
-    def dilate(self, m: int, r: int = 0) -> IntSet:
-        _check_dilation(m, r)
-        return AffineImage.of(self, m, r)
-
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         _check_min_len(min_len)
         return Run(max(lower_bound, 1), min_len)
 
-    def contains_run(self, start: int, length: int) -> bool:
-        return start >= 1
-
-    def first_gap(self, start: int, end: int) -> int | None:
-        if start > end:
-            return None
-        return start if start < 1 else None
-
-    def run_end_at(self, x: int) -> None:
-        return None
+    def run_end_at(self, x: int) -> int | None:
+        return None if x >= 1 else x - 1
 
     def materialize(self, window: Window) -> ExplicitWindow:
         lo = max(window.base, 1)
@@ -498,13 +449,6 @@ class Congruence(IntSet):
     def min_element(self) -> int:
         return self.r if self.r >= 1 else self.m
 
-    def translate(self, t: int) -> IntSet:
-        return AffineImage.of(self, 1, t)
-
-    def dilate(self, m: int, r: int = 0) -> IntSet:
-        _check_dilation(m, r)
-        return AffineImage.of(self, m, r)
-
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
         _check_min_len(min_len)
         lb = max(lower_bound, 1)
@@ -516,21 +460,9 @@ class Congruence(IntSet):
         lo = max(lb, self.min_element())
         return Run(lo + (self.r - lo) % self.m, 1)
 
-    def contains_run(self, start: int, length: int) -> bool:
-        if start < 1:
-            return False
-        if self.m == 1:
-            return True
-        return length == 1 and self.member(start)
-
-    def first_gap(self, start: int, end: int) -> int | None:
-        if self.m == 1:
-            if start > end:
-                return None
-            return start if start < 1 else None
-        return super().first_gap(start, end)
-
     def run_end_at(self, x: int) -> int | None:
+        if not self.member(x):
+            return x - 1
         return None if self.m == 1 else x
 
     def materialize(self, window: Window) -> ExplicitWindow:
@@ -575,13 +507,6 @@ class _IndexedRuns(IntSet):
     def min_element(self) -> int:
         return self._run(1).start
 
-    def translate(self, t: int) -> IntSet:
-        return AffineImage.of(self, 1, t)
-
-    def dilate(self, m: int, r: int = 0) -> IntSet:
-        _check_dilation(m, r)
-        return AffineImage.of(self, m, r)
-
     def _next_run_index(self, min_len: int, lower_bound: int) -> int | None:
         """Index of the run holding next_run's answer; None if it starts at
         the lower bound inside a straddled run."""
@@ -610,16 +535,12 @@ class _IndexedRuns(IntSet):
     def _start_digits(self, i: int) -> int:
         raise NotImplementedError
 
-    def contains_run(self, start: int, length: int) -> bool:
-        if start < 1:
-            return False
-        below = self._floor_run(start)
-        return below is not None and start + length <= below[0] + below[1]
-
     def run_end_at(self, x: int) -> int:
         below = self._floor_run(x)
-        assert below is not None
-        return below[0] + below[1] - 1
+        if below is None:
+            return x - 1
+        # past the end of the run below, x is a non-member and this is x - 1
+        return max(below[0] + below[1] - 1, x - 1)
 
     def materialize(self, window: Window) -> ExplicitWindow:
         bits = 0
@@ -737,13 +658,6 @@ class AffineImage(IntSet):
         lo = self.inner.min_element()
         return None if lo is None else self.m * lo + self.offset
 
-    def translate(self, t: int) -> IntSet:
-        return AffineImage.of(self.inner, self.m, self.offset + t)
-
-    def dilate(self, m: int, r: int = 0) -> IntSet:
-        _check_dilation(m, r)
-        return AffineImage.of(self.inner, m * self.m, m * self.offset + r)
-
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
         _check_min_len(min_len)
         if self.m == 1:
@@ -770,18 +684,9 @@ class AffineImage(IntSet):
             return None
         return max(est + decimal_digits(self.m), decimal_digits(abs(self.offset) + 1)) + 1
 
-    def contains_run(self, start: int, length: int) -> bool | None:
-        if start < 1:
-            return False
-        if self.m == 1:
-            if start - self.offset < 1:
-                return False
-            return self.inner.contains_run(start - self.offset, length)
-        return length == 1 and self.member(start)
-
     def run_end_at(self, x: int) -> int | None:
         if self.m >= 2:
-            return x
+            return x if self.member(x) else x - 1
         e = self.inner.run_end_at(x - self.offset)
         return None if e is None else e + self.offset
 
@@ -807,6 +712,18 @@ def _bit_offsets(x: int, base: int) -> Iterator[int]:
             low = byte & -byte
             yield base + byte_idx * 8 + low.bit_length() - 1
             byte ^= low
+
+
+def _first_fit(runs: Iterable[Run], min_len: int, lower_bound: int, where: str) -> Run:
+    """next_run over a finite ascending list of maximal runs."""
+    _check_min_len(min_len)
+    for run in runs:
+        b = max(run.start, lower_bound)
+        if b + min_len - 1 <= run.end:
+            return Run(b, min_len)
+    raise HorizonExceeded(
+        f"no run of length {min_len} at or above {lower_bound} {where}"
+    )
 
 
 def _check_min_len(min_len: int) -> None:

@@ -173,12 +173,15 @@ def verify_containment(
 ) -> Verdict:
     """Is every element of the claim a member of the target?
 
-    Fail always reports the smallest witness.  When the target is an
-    ExplicitWindow, elements of the claim outside its window are
-    undecidable: if everything decidable passes but some of the claim was
-    out of reach, the verdict is PartialWindow with the decided span in
-    evaluable.  Passing bounds restricts the check to claim elements in
-    [bounds[0], bounds[1]]; an empty intersection passes vacuously.
+    Fail always reports the smallest witness.  An interval claim costs one
+    first_gap call, that is one run_end_at query on the target.  When the
+    target is an ExplicitWindow, elements of the claim outside its window
+    are undecidable: if everything decidable passes but some of the claim
+    was out of reach, the verdict is PartialWindow with the decided span in
+    evaluable.  Every other target, an AffineImage of a window included,
+    decides fully, so its verdict is Pass or Fail.  Passing bounds
+    restricts the check to claim elements in [bounds[0], bounds[1]]; an
+    empty intersection passes vacuously.
     """
     if bounds is not None and isinstance(claim, Run):
         lo = max(claim.start, bounds[0])
@@ -194,18 +197,9 @@ def verify_containment(
                 return Verdict(Status.PASS, subset=subset)
             claim = claim.materialize(Window(base, end - base + 1))
         return _verify_bitmap(claim, target, subset)
-    bounds = _decidable_bounds(target)
-    if bounds is None:
-        ok = target.contains_run(claim.start, claim.length)
-        if ok:
-            return Verdict(Status.PASS, subset=subset)
-        witness = target.first_gap(claim.start, claim.end)
-        if witness is None:
-            # a window-limited set wrapped in a symbolic map: no
-            # counterexample found, but part of the claim was out of reach
-            return Verdict(Status.PARTIAL_WINDOW, subset=subset)
-        return Verdict(Status.FAIL, witness=witness, subset=subset)
-    lo, hi = bounds
+    # a window target decides the part of the claim inside its window,
+    # every other target all of it
+    lo, hi = _decidable_bounds(target) or (claim.start, claim.end)
     in_lo, in_hi = max(claim.start, lo), min(claim.end, hi)
     if in_lo <= in_hi:
         witness = target.first_gap(in_lo, in_hi)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import banachsum
 from banachsum.cli import WINDOW_BITS_BUDGET, main
+from banachsum.construct import DEFAULT_DIGIT_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,59 @@ def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
     path.write_text(json.dumps(good), encoding="utf-8")
     code, _, _ = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
     assert code == 0
+
+
+def test_bases_past_4300_digits_round_trip(capsys, tmp_path):
+    # the largest base has 4637 digits, past Python's default int/str limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(
+            capsys, "construct-b", "--set", "gen poly_runs 2", "--ells", "1", "--k", "14"
+        )
+        assert (code, err) == (0, "")
+        assert max(len(b) for b in json.loads(out)["bs"]) > 4300
+        path = tmp_path / "seq.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "verify", "--set", "gen poly_runs 2", "--bseq", str(path),
+            "--brute-span", "0",
+        )
+        assert code == 0
+        assert json.loads(out) == {"status": "Pass", "checked": 2**14 - 1}
+        # the raised limit lasts for one call only
+        assert sys.get_int_max_str_digits() == 4300
+        # a budget past what the interpreter's limit can hold is still a budget
+        code, _, _ = run_cli(
+            capsys, "construct-b", "--set", "gen full", "--k", "2",
+            "--digit-budget", str(10**12),
+        )
+        assert code == 0
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "construct-b", "--set", "gen full", "--ells", "1", "--k", "2"
+    )
+    assert code == 0
+    huge = "1" + "0" * DEFAULT_DIGIT_BUDGET
+    path = tmp_path / "huge.json"
+    for where, key in [("bs", 1), ("certificates", "start")]:
+        for quote in ('"', ""):
+            payload = json.loads(out)
+            if where == "certificates":
+                payload[where][1][key] = "HUGE"
+            else:
+                payload[where][key] = "HUGE"
+            text = json.dumps(payload).replace('"HUGE"', quote + huge + quote)
+            path.write_text(text, encoding="utf-8")
+            code, stdout, _ = run_cli(
+                capsys, "verify", "--set", "gen full", "--bseq", str(path)
+            )
+            assert code == 3, (where, quote)
+            assert json.loads(stdout)["error"] == "BudgetExceeded"
 
 
 # ------------------------------------------------------------------ family

@@ -302,7 +302,7 @@ def test_greedy_choices_are_minimal(a, ells):
         if b - scan_from <= 2000:
             for b2 in range(scan_from, b):
                 assert any(not a.member(b2 + i) for i in range(need))
-        assert a.contains_run(b, need)
+        assert a.first_gap(b, b + need - 1) is None
         for x in range(b, b + min(need, 2000)):
             assert a.member(x)
         acc += b + ell

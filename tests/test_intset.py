@@ -55,6 +55,21 @@ generators = st.one_of(
     st.just(Full()),
 )
 
+
+@st.composite
+def affine_images(draw, inner):
+    """AffineImage.of an inner set with stride 1 to 3 and an offset that
+    may be negative, as far as the image stays positive."""
+    s = draw(inner)
+    m = draw(st.integers(1, 3))
+    t = draw(st.integers(-20, 30))
+    lo = s.min_element()
+    return AffineImage.of(s, m, t if lo is None else max(t, 1 - m * lo))
+
+
+base_sets = st.one_of(explicit_windows(), run_lists, generators)
+any_sets = st.one_of(base_sets, affine_images(base_sets))
+
 # ------------------------------------------------------------------- Run/Window
 
 
@@ -383,8 +398,9 @@ def test_first_gap_matches_scan(w, a, b):
     assert got == want
 
 
-@given(generators, st.integers(0, 200), st.integers(0, 200))
-@settings(max_examples=60)
+@given(st.one_of(generators, run_lists, affine_images(base_sets)),
+       st.integers(0, 200), st.integers(0, 200))
+@settings(max_examples=150)
 def test_first_gap_matches_scan_generators(s, a, b):
     start, end = min(a, b), max(a, b)
     got = s.first_gap(start, end)
@@ -392,17 +408,22 @@ def test_first_gap_matches_scan_generators(s, a, b):
     assert got == want
 
 
-@given(explicit_windows(), st.integers(1, 40), st.integers(1, 12))
-def test_contains_run_tristate(w, start, length):
-    got = w.contains_run(start, length)
-    inside = [x for x in range(start, start + length) if w.window.base <= x <= w.window.end]
-    all_in_window = len(inside) == length
-    if any(not w.member(x) for x in inside):
-        assert got is False
-    elif all_in_window:
-        assert got is True
-    else:
-        assert got is None
+def scan_run_end(s, x, horizon=600):
+    """run_end_at by asking member upward from x; None past the horizon."""
+    if not s.member(x):
+        return x - 1
+    y = x
+    while s.member(y + 1):
+        y += 1
+        if y - x > horizon:
+            return None
+    return y
+
+
+@given(any_sets, st.integers(-5, 250))
+@settings(max_examples=400)
+def test_run_end_at_matches_member_scan(s, x):
+    assert s.run_end_at(x) == scan_run_end(s, x)
 
 
 # ------------------------------------------------------------------- text format

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from banachsum.errors import BudgetExceeded, EmptySelection
 from banachsum.intset import (
+    AffineImage,
     Congruence,
     ExplicitWindow,
+    Full,
     PolyRuns,
     PowRuns,
     Run,
@@ -273,6 +275,53 @@ def test_containment_matches_membership_scan(start, length, target):
         assert v.witness == missing[0]
     else:
         assert v.passed
+
+
+windows = st.builds(
+    lambda base, bits: ExplicitWindow(Window(base, 40), bits & ~(base == 0)),
+    st.integers(0, 60),
+    st.integers(0, (1 << 40) - 1),
+)
+symbolic = st.one_of(
+    st.integers(2, 4).map(PowRuns),
+    st.integers(2, 3).map(PolyRuns),
+    st.integers(1, 4).map(lambda m: Congruence(m, m - 1)),
+    st.just(Full()),
+    st.lists(st.builds(Run, st.integers(1, 300), st.integers(1, 20)), max_size=8).map(RunList),
+)
+
+
+@st.composite
+def non_window_targets(draw):
+    """Every target but a bare window: symbolic sets, run lists, and
+    affine images of those and of windows, with stride 1 or more."""
+    inner = draw(st.one_of(symbolic, windows))
+    if isinstance(inner, ExplicitWindow) or draw(st.booleans()):
+        m, t = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+        return AffineImage.of(inner, m, t)
+    return inner
+
+
+@given(non_window_targets(), st.integers(1, 300), st.integers(1, 40))
+@settings(max_examples=300)
+def test_containment_decides_non_window_targets(target, start, length):
+    claim = Run(start, length)
+    v = verify_containment(claim, target)
+    missing = next((x for x in claim if not target.member(x)), None)
+    if missing is None:
+        assert v == Verdict(Status.PASS)
+    else:
+        assert v == Verdict(Status.FAIL, witness=missing)
+
+
+def test_translated_window_fails_past_its_end():
+    # a window is exactly its set bits, so a shifted copy decides the
+    # claim beyond the window too: the first position past it is a gap
+    w = ExplicitWindow(Window(10, 8), (1 << 8) - 1)
+    target = AffineImage.of(w, 1, 5)
+    assert verify_containment(Run(15, 8), target).passed
+    v = verify_containment(Run(20, 6), target)
+    assert v == Verdict(Status.FAIL, witness=23)
 
 
 def test_verdict_payload_schema():
