@@ -19,6 +19,7 @@ from .construct import (
     budget_int,
     build_b_sequence,
     build_family,
+    check_start_digits,
     verify_b_sequence,
     verify_escape,
     verify_family,
@@ -192,6 +193,7 @@ def _cmd_runs(args) -> int:
         "longest_run": longest_run(w),
     }
     if args.min_len is not None:
+        check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)
         found = s.next_run(args.min_len, args.lower_bound)
         payload["next_run"] = (
             None if found is None else {"start": str(found.start), "len": found.length}

@@ -19,9 +19,9 @@ counterexample when one exists.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -42,12 +42,10 @@ from .intset import (
     serialize_set,
 )
 from .sumset import (
+    SUBSET_BUDGET_MAX,
     Status,
-    Verdict,
     check_subset_count,
-    enumerate_subsets,
     family_sumset,
-    run_sum,
     subset_of,
     verify_containment,
 )
@@ -56,6 +54,7 @@ __all__ = [
     "DEFAULT_DIGIT_BUDGET",
     "BSequence",
     "budget_int",
+    "check_start_digits",
     "build_b_sequence",
     "SweepReport",
     "verify_b_sequence",
@@ -180,6 +179,19 @@ def _exact_int(value, what: str, text: bool = False) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def check_start_digits(
+    a: IntSet, min_len: int, lower_bound: int, digit_budget: int, what: str = "next run"
+) -> None:
+    """Refuse a.next_run(min_len, lower_bound) before searching, when its
+    start would need more than digit_budget digits: on fast-growing
+    generators it can be too large to represent at all."""
+    est = a.next_run_start_digits(min_len, lower_bound)
+    if est is not None and est > digit_budget + 64:
+        raise BudgetExceeded(
+            f"{what} needs about {est} digits, over the budget of {digit_budget}"
+        )
+
+
 def build_b_sequence(
     a: IntSet,
     ells: Sequence[int],
@@ -208,15 +220,7 @@ def build_b_sequence(
         ell = ells[j - 1]
         need = ell + acc
         lb = bs[-1] + ells[j - 2] if j >= 2 else 0
-        # size guard BEFORE searching: on fast-growing generators the next
-        # base can be far too large to represent at all, so a post-hoc
-        # check would never get the chance to run
-        est = a.next_run_start_digits(need, lb)
-        if est is not None and est > digit_budget + 64:
-            raise BudgetExceeded(
-                f"step {j}: next base needs about {est} digits, over the "
-                f"budget of {digit_budget}"
-            )
+        check_start_digits(a, need, lb, digit_budget, f"step {j}: next base")
         try:
             found = a.next_run(need, lb)
         except HorizonExceeded as exc:
@@ -270,36 +274,27 @@ class SweepReport:
 
 
 class _SweepState:
-    """Folds individual verdicts into the aggregate."""
+    """Folds individual verdicts into the aggregate.  A failure is kept as
+    the smallest (witness, mask), bit p - 1 of mask set when part p took
+    part, so a tie on the witness goes to the first selection in
+    enumerate_subsets order; report() builds that selection's tuple."""
 
     def __init__(self):
-        self.checked = 0
-        self.partials = 0
-        self.witness: int | None = None
-        self.witness_subset: tuple[int, ...] | None = None
+        self.checked = self.partials = 0
+        self.worst: tuple[int, int] | None = None
 
-    def add(self, v: Verdict) -> None:
-        self.checked += 1
-        if v.status is Status.PARTIAL_WINDOW:
-            self.partials += 1
-        elif v.status is Status.FAIL:
-            self.fail(v.witness, v.subset)
-
-    def fail(self, witness: int, subset: tuple[int, ...]) -> None:
-        if self.witness is None or witness < self.witness:
-            self.witness = witness
-            self.witness_subset = subset
+    def fail(self, witness: int, mask: int) -> None:
+        if self.worst is None or (witness, mask) < self.worst:
+            self.worst = (witness, mask)
 
     def report(self) -> SweepReport:
-        if self.witness is not None:
-            status = Status.FAIL
-        elif self.partials:
-            status = Status.PARTIAL_WINDOW
-        else:
-            status = Status.PASS
-        return SweepReport(
-            status, self.checked, self.witness, self.witness_subset, self.partials
-        )
+        if self.worst is not None:
+            witness, mask = self.worst
+            return SweepReport(
+                Status.FAIL, self.checked, witness, subset_of(mask), self.partials
+            )
+        status = Status.PARTIAL_WINDOW if self.partials else Status.PASS
+        return SweepReport(status, self.checked, partial_count=self.partials)
 
 
 class _MemberWalk:
@@ -315,12 +310,16 @@ class _MemberWalk:
 
     def __init__(self, target: IntSet):
         self._member = target.member
+        self._window = target.window if isinstance(target, ExplicitWindow) else None
         self._starts: list[int] = []
         self._ends: list[int] = []
         self._gaps: set[int] = set()
 
     def first_gap(self, lo: int, hi: int) -> int | None:
-        """Smallest x in [lo, hi] that is not a member, or None."""
+        """Smallest x in [lo, hi] that is not a member, or None.  A window
+        target decides nothing outside its window, so nothing there is asked."""
+        if self._window is not None:
+            lo, hi = max(lo, self._window.base), min(hi, self._window.end)
         if lo == hi:
             return None if self._member(lo) else lo
         starts, ends, gaps, member = self._starts, self._ends, self._gaps, self._member
@@ -359,6 +358,65 @@ class _MemberWalk:
             ends.insert(i + 1, hi)
 
 
+def _sweep(
+    parts: Sequence[Sequence[Run]], a: IntSet, brute_span: int, state: _SweepState
+) -> None:
+    """Check [sum of starts, sum of ends] against a for every pick of at
+    most one run per part, at least one run in all, in mixed-radix counter
+    order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): digit 0 leaves a part
+    out, digit d picks its d-th run, and part 1's digit changes fastest.
+    A step raises one digit and drops the full digits below it to 0, so
+    both sums move by one precomputed difference.  A sum starts at or above
+    the run picked in its top part and passes on one comparison when it
+    ends inside the target's run through that start, looked up once; any
+    other sum goes to verify_containment.  The brute route walks sums of at
+    most brute_span integers with member() alone, through one _MemberWalk.
+    More than 2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
+    """
+    fulls = [len(runs) for runs in parts]
+    picks = prod(f + 1 for f in fulls) - 1
+    if picks >> SUBSET_BUDGET_MAX:
+        raise BudgetExceeded(
+            f"checking {picks} picks exceeds the budget of 2**{SUBSET_BUDGET_MAX} - 1"
+        )
+    walk = _MemberWalk(a)
+    # rise_lo[p][d]: the move of lo when part p's digit rises to d and the
+    # full digits below it drop to 0; rise_hi likewise for hi
+    rise_lo, rise_hi, full_lo, full_hi = [], [], 0, 0
+    for runs in parts:
+        starts, ends = [0] + [r.start for r in runs], [0] + [r.end for r in runs]
+        rise_lo.append([x - y - full_lo for x, y in zip(starts, [0] + starts)])
+        rise_hi.append([x - y - full_hi for x, y in zip(ends, [0] + ends)])
+        full_lo, full_hi = full_lo + starts[-1], full_hi + ends[-1]
+    digits = [0] * len(parts)
+    def mask() -> int:
+        return sum(1 << q for q, d in enumerate(digits) if d)
+    lo, hi, top = 0, 0, -1  # the current pick's sums and its top part
+    state.checked += picks
+    for _ in range(picks):
+        p = 0
+        while digits[p] == fulls[p]:
+            digits[p] = 0
+            p += 1
+        d = digits[p] = digits[p] + 1
+        lo += rise_lo[p][d]
+        hi += rise_hi[p][d]
+        if p >= top:
+            top = p
+            # a non-member start reaches start - 1, below every sum
+            reach = a.run_end_at(parts[p][d - 1].start)
+        if reach is not None and hi > reach:
+            v = verify_containment(Run(lo, hi - lo + 1), a)
+            if v.status is Status.PARTIAL_WINDOW:
+                state.partials += 1
+            elif v.status is Status.FAIL:
+                state.fail(v.witness, mask())
+        if hi - lo < brute_span:
+            witness = walk.first_gap(lo, hi)
+            if witness is not None:
+                state.fail(witness, mask())
+
+
 def verify_b_sequence(
     seq: BSequence,
     a: IntSet,
@@ -367,59 +425,18 @@ def verify_b_sequence(
 ) -> SweepReport:
     """Recheck every nonempty subset's sumset against the target.
 
-    Subsets come in binary-counter order (see enumerate_subsets).  The
-    sumset of a subset's runs is the interval [sum of starts, sum of
-    ends], and subset i differs from subset i - 1 by clearing the trailing
-    ones of i - 1 and setting the next bit, so both sums move by one base
-    minus one prefix sum.
-
-    Two routes per subset.  The interval route asks the target about the
-    whole interval.  Every sum whose largest index is j starts at or
-    above b_j, so the target's maximal run through b_j is looked up once
-    per j, and a sum that ends inside it passes on one comparison; any
-    other sum goes to verify_containment, which decides it and finds the
-    smallest witness.  The brute route walks each interval of at most
-    brute_span integers with member() alone, through one _MemberWalk per
-    sweep, so no integer is asked twice.  Both must agree with
-    containment for a Pass.
-
-    On a valid sequence the cost is k run lookups, a few big-integer
-    additions per subset, and one membership query per distinct integer
-    the brute route covers.  Raises BudgetExceeded before any work when k
-    exceeds SUBSET_BUDGET_MAX.
+    The sumset of a subset's runs is the interval [sum of starts, sum of
+    ends].  The runs are the parts of one _sweep, one run each, so subsets
+    come in binary-counter order (see enumerate_subsets), and both of its
+    routes must agree with containment for a Pass.  On a valid sequence
+    that costs k run lookups, a few big-integer additions per subset, and
+    one membership query per distinct integer the brute route covers.
+    Raises BudgetExceeded before any work when k exceeds SUBSET_BUDGET_MAX.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     check_subset_count(k)
     state = _SweepState()
-    walk = _MemberWalk(a)
-    window = a.window if isinstance(a, ExplicitWindow) else None
-    bs = seq.bs[:k]
-    ends = [b + ell - 1 for b, ell in zip(bs, seq.ells)]
-    bs_before = list(itertools.accumulate(bs, initial=0))
-    ends_before = list(itertools.accumulate(ends, initial=0))
-    lo = hi = 0  # the current subset's sum of starts and sum of ends
-    for top in range(1, k + 1):
-        b = bs[top - 1]
-        # when b is not a member the reach is b - 1, which sends every sum
-        # with this top index to the full check, since each ends at or above b
-        reach = a.run_end_at(b)
-        for i in range(1 << (top - 1), 1 << top):
-            t = (i & -i).bit_length() - 1
-            lo += bs[t] - bs_before[t]
-            hi += ends[t] - ends_before[t]
-            if reach is None or hi <= reach:
-                state.checked += 1
-            else:
-                claim = Run(lo, hi - lo + 1)
-                state.add(verify_containment(claim, a, subset=subset_of(i)))
-            if hi - lo < brute_span:
-                x_lo, x_hi = lo, hi
-                if window is not None:
-                    x_lo, x_hi = max(lo, window.base), min(hi, window.end)
-                if x_lo <= x_hi:
-                    witness = walk.first_gap(x_lo, x_hi)
-                    if witness is not None:
-                        state.fail(witness, subset_of(i))
+    _sweep([[seq.run(j)] for j in range(1, k + 1)], a, brute_span, state)
     return state.report()
 
 
@@ -504,24 +521,23 @@ def verify_family(
 
     For each nonempty selection of components, every way of picking one
     source run per selected component gives an interval that must lie in
-    the target.  Short selections are additionally rechecked by summing
-    materialized component bitmaps and handing the sum to
-    verify_containment; only its Fail counts, since sums a window target
-    cannot decide are not evidence either way.
+    the target: the prod(|ix_i| + 1) - 1 picks of one _sweep over the
+    components' source runs, under its pick budget.  Short selections are
+    rechecked by summing materialized component bitmaps and handing the
+    sum to verify_containment; only its Fail counts, since sums a window
+    target cannot decide are not evidence either way.
     """
-    check_subset_count(family.k_sets)
     _check_disjoint(family)
     state = _SweepState()
-    cap = brute_span
-    parts = [rl.materialize(Window(0, cap + 1)) for rl in family.sets]
-    for sel in enumerate_subsets(family.k_sets):
-        for combo in itertools.product(*(family.index_sets[i - 1] for i in sel)):
-            s = run_sum([family.source.run(j) for j in combo])
-            state.add(verify_containment(s, a, subset=sel))
+    runs = [[family.source.run(j) for j in ix] for ix in family.index_sets]
+    _sweep(runs, a, 0, state)
+    parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
+    for mask in range(1, 1 << len(parts)):
+        sel = subset_of(mask)
         if all(parts[i - 1].bits for i in sel):
-            v = verify_containment(family_sumset(parts, sel, cap), a)
+            v = verify_containment(family_sumset(parts, sel, brute_span), a)
             if v.status is Status.FAIL:
-                state.fail(v.witness, sel)
+                state.fail(v.witness, mask)
     return state.report()
 
 

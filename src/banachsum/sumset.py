@@ -44,15 +44,12 @@ class Verdict:
     """Outcome of one containment check.
 
     witness is the smallest offending element on Fail; evaluable records
-    how much of the claim a window-limited target could actually decide;
-    subset tags which selection of summands produced the claim, when the
-    caller is iterating over selections.
+    how much of the claim a window-limited target could actually decide.
     """
 
     status: Status
     witness: int | None = None
     evaluable: tuple[int, int] | None = None
-    subset: tuple[int, ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -168,7 +165,6 @@ def _decidable_bounds(a: IntSet) -> tuple[int, int] | None:
 def verify_containment(
     claim: Run | ExplicitWindow,
     target: IntSet,
-    subset: tuple[int, ...] | None = None,
     bounds: tuple[int, int] | None = None,
 ) -> Verdict:
     """Is every element of the claim a member of the target?
@@ -187,16 +183,16 @@ def verify_containment(
         lo = max(claim.start, bounds[0])
         hi = min(claim.end, bounds[1])
         if lo > hi:
-            return Verdict(Status.PASS, subset=subset)
+            return Verdict(Status.PASS)
         claim = Run(lo, hi - lo + 1)
     if isinstance(claim, ExplicitWindow):
         if bounds is not None:
             base = max(claim.window.base, bounds[0], 0)
             end = min(claim.window.end, bounds[1])
             if base > end:
-                return Verdict(Status.PASS, subset=subset)
+                return Verdict(Status.PASS)
             claim = claim.materialize(Window(base, end - base + 1))
-        return _verify_bitmap(claim, target, subset)
+        return _verify_bitmap(claim, target)
     # a window target decides the part of the claim inside its window,
     # every other target all of it
     lo, hi = _decidable_bounds(target) or (claim.start, claim.end)
@@ -204,16 +200,14 @@ def verify_containment(
     if in_lo <= in_hi:
         witness = target.first_gap(in_lo, in_hi)
         if witness is not None:
-            return Verdict(Status.FAIL, witness=witness, subset=subset)
+            return Verdict(Status.FAIL, witness=witness)
     if claim.start < lo or claim.end > hi:
         span = (in_lo, in_hi) if in_lo <= in_hi else None
-        return Verdict(Status.PARTIAL_WINDOW, evaluable=span, subset=subset)
-    return Verdict(Status.PASS, subset=subset)
+        return Verdict(Status.PARTIAL_WINDOW, evaluable=span)
+    return Verdict(Status.PASS)
 
 
-def _verify_bitmap(
-    claim: ExplicitWindow, target: IntSet, subset: tuple[int, ...] | None
-) -> Verdict:
+def _verify_bitmap(claim: ExplicitWindow, target: IntSet) -> Verdict:
     bounds = _decidable_bounds(target)
     undecided = False
     for x in claim.elements():
@@ -221,10 +215,10 @@ def _verify_bitmap(
             undecided = True
             continue
         if not target.member(x):
-            return Verdict(Status.FAIL, witness=x, subset=subset)
+            return Verdict(Status.FAIL, witness=x)
     if undecided:
-        return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds, subset=subset)
-    return Verdict(Status.PASS, subset=subset)
+        return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
+    return Verdict(Status.PASS)
 
 
 def verdict_payload(v: Verdict) -> dict:
@@ -234,6 +228,4 @@ def verdict_payload(v: Verdict) -> dict:
         payload["witness"] = str(v.witness)
     if v.evaluable is not None:
         payload["evaluable"] = [str(v.evaluable[0]), str(v.evaluable[1])]
-    if v.subset is not None:
-        payload["subset"] = list(v.subset)
     return payload

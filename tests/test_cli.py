@@ -97,6 +97,17 @@ def test_runs_search_can_come_back_empty(capsys):
     assert json.loads(out)["next_run"] is None
 
 
+def test_runs_search_refuses_starts_over_the_digit_budget(capsys):
+    argv = ["runs", "--set", "gen pow_runs 2", "--window", "0:8"]
+    # the next run of 400000 starts at about 120412 digits
+    code, out, err = run_cli(capsys, *argv, "--min-len", "400000")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"] == "BudgetExceeded"
+    code, out, _ = run_cli(capsys, *argv, "--min-len", "20000")
+    assert code == 0
+    assert len(json.loads(out)["next_run"]["start"]) == 6021
+
+
 # ----------------------------------------------------- construct and verify
 
 
@@ -264,6 +275,22 @@ def test_family_command(capsys):
     assert payload["family"]["k_sets"] == 2
     assert payload["family"]["index_sets"] == [[1, 3], [2, 4]]
     assert payload["verification"]["status"] == "Pass"
+
+
+def test_family_refuses_too_many_picks():
+    # 20 components of 10 runs each ask for 11**20 - 1 picks; the refusal
+    # comes before any of them is checked (the timeout only guards a hang)
+    src = str(Path(banachsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "banachsum", "family", "--set", "gen full",
+         "--ells", "1", "--k", "200", "--k-sets", "20"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
 
 
 def test_family_rejects_too_many_sets(capsys):

@@ -1,6 +1,7 @@
 """Builders and their verifiers: base sequences, families, reductions, escapes."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachsum.construct import (
+    BFamily,
     BSequence,
     SweepReport,
     _MemberWalk,
@@ -41,6 +43,7 @@ from banachsum.sumset import (
     SUBSET_BUDGET_MAX,
     Status,
     enumerate_subsets,
+    family_sumset,
     run_sum,
     verify_containment,
 )
@@ -129,7 +132,7 @@ def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
     witness = witness_subset = None
     for subset in enumerate_subsets(k):
         s = run_sum([seq.run(j) for j in subset])
-        v = verify_containment(s, a, subset=subset)
+        v = verify_containment(s, a)
         checked += 1
         found = []
         if v.status is Status.PARTIAL_WINDOW:
@@ -378,6 +381,121 @@ def test_family_selection_budget():
     fam = build_family(seq, k, "residue")
     with pytest.raises(BudgetExceeded):
         verify_family(fam, Full())
+
+
+def test_family_pick_budget_is_checked_before_any_query():
+    # 20 components of two runs each: 3**20 - 1 picks
+    seq = BSequence.from_entries((1,) * 40, tuple(range(1, 41)))
+    with pytest.raises(BudgetExceeded):
+        verify_family(build_family(seq, 20, "residue"), Untouchable())
+    # component sizes 96, 256 and 672 give 97 * 257 * 673 - 1 = 2**24
+    # picks, one over the budget
+    seq = BSequence.from_entries((1,) * 1024, tuple(range(1, 1025)))
+    cuts = (0, 96, 352, 1024)
+    index_sets = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:]))
+    sets = tuple(RunList(seq.run(j) for j in ix) for ix in index_sets)
+    with pytest.raises(BudgetExceeded):
+        verify_family(BFamily(3, index_sets, sets, seq), Untouchable())
+
+
+class CountingRunEnds(IntSet):
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def member(self, x):
+        return self.inner.member(x)
+
+    def run_end_at(self, x):
+        self.asked.append(x)
+        return self.inner.run_end_at(x)
+
+
+def test_valid_sweeps_look_up_each_run_once():
+    # every sum of a valid sequence ends inside the target's run through
+    # the start of its top run, and so does every sum of a blocks family,
+    # whose top part holds its largest run
+    seq = build_b_sequence(PolyRuns(2), [1, 2, 1, 3, 1, 2])
+    a = CountingRunEnds(PolyRuns(2))
+    assert verify_b_sequence(seq, a, brute_span=0).passed
+    assert a.asked == list(seq.bs)
+    a.asked.clear()
+    assert verify_family(build_family(seq, 2, "blocks"), a, brute_span=0).passed
+    assert a.asked == list(seq.bs)
+
+
+def reference_family(family, a, brute_span=2048):
+    """Payload of the per-selection family check: every pick of one source
+    run per selected component summed anew by run_sum and checked whole by
+    verify_containment, then the selection's component bitmaps summed and
+    checked, where only a Fail counts."""
+    checked = partials = 0
+    witness = witness_subset = None
+    parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
+    for sel in enumerate_subsets(family.k_sets):
+        found = []
+        for combo in itertools.product(*(family.index_sets[i - 1] for i in sel)):
+            v = verify_containment(run_sum([family.source.run(j) for j in combo]), a)
+            checked += 1
+            if v.status is Status.PARTIAL_WINDOW:
+                partials += 1
+            elif v.status is Status.FAIL:
+                found.append(v.witness)
+        if all(parts[i - 1].bits for i in sel):
+            v = verify_containment(family_sumset(parts, sel, brute_span), a)
+            if v.status is Status.FAIL:
+                found.append(v.witness)
+        for x in found:
+            if witness is None or x < witness:
+                witness, witness_subset = x, sel
+    if witness is not None:
+        status = Status.FAIL
+    else:
+        status = Status.PARTIAL_WINDOW if partials else Status.PASS
+    return SweepReport(status, checked, witness, witness_subset, partials).to_payload()
+
+
+@st.composite
+def family_cases(draw):
+    """A family on a sweep case's sequence, with its component sets
+    replaced by other disjoint runs or not."""
+    seq, a, _, _ = draw(sweep_cases())
+    fam = build_family(
+        seq, draw(st.integers(1, seq.k)), draw(st.sampled_from(["residue", "blocks"]))
+    )
+    if draw(st.booleans()):
+        runs, pos = [], 0
+        for gap, n in draw(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 20)))):
+            runs.append(Run(pos + gap, n))
+            pos += gap + n
+        owner = draw(st.lists(st.integers(0, fam.k_sets - 1), min_size=len(runs),
+                              max_size=len(runs)))
+        sets = tuple(RunList(r for r, o in zip(runs, owner) if o == i)
+                     for i in range(fam.k_sets))
+        fam = dataclasses.replace(fam, sets=sets)
+    return fam, a, draw(st.sampled_from([0, 5, 64, 2048]))
+
+
+@given(family_cases())
+@settings(max_examples=300, deadline=None)
+def test_family_matches_per_selection_reference(case):
+    fam, a, brute_span = case
+    got = verify_family(fam, a, brute_span)
+    assert got.to_payload() == reference_family(fam, a, brute_span)
+
+
+def test_family_fail_reports_lowest_selection_of_smallest_witness():
+    # runs [1,10] [12,20] [21,21] [22,25]; components {1, 3} and {2, 4}.
+    # The only hole, 22, lies in run 1 + run 2 (selection (2, 1)) and in
+    # run 4 (selection (2,)); the sweep meets the pair first, but (2,)
+    # comes first in enumerate_subsets order, so (2,) is reported.
+    seq = BSequence.from_entries((10, 9, 1, 4), (1, 12, 21, 22))
+    fam = build_family(seq, 2, "residue")
+    a = RunList([Run(1, 21), Run(23, 1000)])
+    payload = {"status": "Fail", "checked": 8, "witness": "22", "witness_subset": [2]}
+    for brute_span in (0, 2048):
+        assert reference_family(fam, a, brute_span) == payload
+        assert verify_family(fam, a, brute_span).to_payload() == payload
 
 
 @given(

@@ -325,11 +325,10 @@ def test_translated_window_fails_past_its_end():
 
 
 def test_verdict_payload_schema():
-    v = Verdict(Status.FAIL, witness=182, subset=(2, 1))
+    v = Verdict(Status.FAIL, witness=182)
     assert verdict_payload(v) == {
         "status": "Fail",
         "witness": "182",
-        "subset": [2, 1],
     }
     v = Verdict(Status.PARTIAL_WINDOW, evaluable=(9, 11))
     assert verdict_payload(v) == {
