@@ -45,7 +45,7 @@ from .sumset import (
     SUBSET_BUDGET_MAX,
     Status,
     check_subset_count,
-    family_sumset,
+    pairwise_sumset,
     subset_of,
     verify_containment,
 )
@@ -525,19 +525,30 @@ def verify_family(
     components' source runs, under its pick budget.  Short selections are
     rechecked by summing materialized component bitmaps and handing the
     sum to verify_containment; only its Fail counts, since sums a window
-    target cannot decide are not evidence either way.
+    target cannot decide are not evidence either way.  The selections are
+    walked depth first by increasing component: a selection's sum is the
+    sum of the selection without its highest component plus that
+    component, one pairwise_sumset each, with one sum per depth held at a
+    time.  A selection holding an empty component is skipped with all its
+    extensions.
     """
     _check_disjoint(family)
     state = _SweepState()
     runs = [[family.source.run(j) for j in ix] for ix in family.index_sets]
     _sweep(runs, a, 0, state)
     parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
-    for mask in range(1, 1 << len(parts)):
-        sel = subset_of(mask)
-        if all(parts[i - 1].bits for i in sel):
-            v = verify_containment(family_sumset(parts, sel, brute_span), a)
+
+    def extend(mask: int, acc: ExplicitWindow | None, low: int) -> None:
+        for i in range(low, len(parts)):
+            if not parts[i].bits:
+                continue
+            total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
+            v = verify_containment(total, a)
             if v.status is Status.FAIL:
-                state.fail(v.witness, mask)
+                state.fail(v.witness, mask | 1 << i)
+            extend(mask | 1 << i, total, i + 1)
+
+    extend(0, None, 0)
     return state.report()
 
 
@@ -568,10 +579,15 @@ class APReduction:
 def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     """Find the longest member progression with difference m <= m_max.
 
-    Every residue class of every difference is scanned for its longest
-    unbroken streak of members.  Ties prefer the smallest difference,
-    then the smallest residue.  The members of the winning class become
-    the derived quotient set {(x - r) / m >= 1}.
+    Every residue class of every difference is searched for its longest
+    unbroken streak of members, all classes of one m at once on the
+    bitmap: with A_1 the bitmap and A_(a+b) = A_a & (A_b >> a*m), bit x of
+    A_L is set iff x, x + m, ..., x + (L - 1)*m are all members.  Doubling
+    L until A_L vanishes, then a binary search, finds the largest L with
+    A_L != 0 in O(log N) big-int steps per m; the set bits of that A_L
+    name the classes holding such a streak.  Ties prefer the smallest
+    difference, then the smallest residue.  The members of the winning
+    class become the derived quotient set {(x - r) / m >= 1}.
     """
     if m_max < 1:
         raise ValueError(f"difference bound must be >= 1, got {m_max}")
@@ -579,35 +595,31 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
         raise PreconditionFailed("window has no members to reduce")
     base, end = w.window.base, w.window.end
     N = w.window.length
-    # flat 0/1 lookup; indexing the bitmap integer directly would re-scan
-    # its limbs on every probe
-    raw = w.bits.to_bytes((N + 7) // 8, "little")
-    mem = bytearray(N)
-    for idx in range(N):
-        mem[idx] = (raw[idx >> 3] >> (idx & 7)) & 1
+    bits = w.bits
     best_len, best_m, best_r = 0, 0, 0
     for m in range(1, m_max + 1):
-        for r in range(m):
-            first = base + (r - base) % m
-            streak = longest = 0
-            for x in range(first - base, N, m):
-                if mem[x]:
-                    streak += 1
-                    if streak > longest:
-                        longest = streak
-                else:
-                    streak = 0
-            if longest > best_len:
-                best_len, best_m, best_r = longest, m, r
+        powers = [bits]  # powers[i] = A_(2**i)
+        while powers[-1]:
+            powers.append(powers[-1] & (powers[-1] >> (m << len(powers) - 1)))
+        longest = 1 << len(powers) - 2
+        starts = powers[-2]
+        for i in range(len(powers) - 3, -1, -1):
+            longer = starts & (powers[i] >> longest * m)
+            if longer:
+                starts, longest = longer, longest + (1 << i)
+        if longest > best_len:
+            comb, width = 1, m  # bits at offsets 0, m, 2m, ... below N
+            while width < N:
+                comb |= comb << width
+                width *= 2
+            r = next(x for x in range(m) if starts & (comb << (x - base) % m))
+            best_len, best_m, best_r = longest, m, r
     m, r = best_m, best_r
-    q_max = (end - r) // m
-    derived_bits = 0
-    first = base + (r - base) % m
-    for x in range(first, end + 1, m):
-        q = (x - r) // m
-        if q >= 1 and mem[x - base]:
-            derived_bits |= 1 << q
-    derived = ExplicitWindow(Window(0, q_max + 1), derived_bits)
+    first = (r - base) % m  # offset of the class's lowest cell
+    cells = format(bits, f"0{N}b")[::-1][first::m]
+    q_first = (base + first - r) // m
+    derived_bits = (int(cells[::-1], 2) << q_first) & ~1  # q >= 1 only
+    derived = ExplicitWindow(Window(0, (end - r) // m + 1), derived_bits)
     return APReduction(m, r, derived, best_len)
 
 

@@ -428,14 +428,34 @@ def test_reports_are_byte_identical_across_runs(capsys):
     assert proc.stdout == first
 
 
+NUMPY_FREE_CALLS = [
+    ["profile", "--set", "gen poly_runs 2", "--window", "0:4096"],
+    ["profile", "--set", "gen poly_runs 2", "--window", "0:4096", "--format", "csv"],
+    ["runs", "--set", "gen congruence 3 1", "--window", "1:1024", "--d", "2"],
+    # the odd numbers below 2048: 1024 runs, the most the staircase takes
+    ["profile", "--set", "gen congruence 2 1", "--window", "1:2047"],
+]
+# 1025 runs, one over the cut: the span loop loads numpy
+NUMPY_CALL = ["profile", "--set", "gen congruence 2 1", "--window", "1:2049"]
+
+
 def test_cli_import_leaves_numpy_unloaded():
+    # profiles of windows with few runs take the pure-Python route too
     src = str(Path(banachsum.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import banachsum.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = banachsum.cli.main(argv)\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, banachsum.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script, json.dumps(NUMPY_FREE_CALLS + [NUMPY_CALL])],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n" + "0 False\n" * len(NUMPY_FREE_CALLS) + "0 True\n"

@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachsum import construct
 from banachsum.construct import (
+    APReduction,
     BFamily,
     BSequence,
     SweepReport,
@@ -44,9 +47,11 @@ from banachsum.sumset import (
     Status,
     enumerate_subsets,
     family_sumset,
+    pairwise_sumset,
     run_sum,
     verify_containment,
 )
+from strategies import shaped_windows
 
 # ------------------------------------------------------------------ b-sequence
 
@@ -498,6 +503,25 @@ def test_family_fail_reports_lowest_selection_of_smallest_witness():
         assert verify_family(fam, a, brute_span).to_payload() == payload
 
 
+def test_family_bitmap_route_sums_each_selection_once(monkeypatch):
+    # one pairwise_sumset per selection of two or more nonempty components:
+    # 2**5 - 1 - 5 = 26, and with one component emptied 2**4 - 1 - 4 = 11
+    calls = []
+
+    def counting(b, c, cap):
+        calls.append(cap)
+        return pairwise_sumset(b, c, cap)
+
+    monkeypatch.setattr(construct, "pairwise_sumset", counting)
+    fam = build_family(build_b_sequence(Full(), [1] * 10), 5, "residue")
+    assert verify_family(fam, Full(), 64).passed
+    assert len(calls) == 26
+    calls.clear()
+    fam = dataclasses.replace(fam, sets=fam.sets[:2] + (RunList(()),) + fam.sets[3:])
+    assert verify_family(fam, Full(), 64).passed
+    assert len(calls) == 11
+
+
 @given(
     st.lists(st.integers(1, 3), min_size=2, max_size=5),
     st.integers(1, 3),
@@ -581,6 +605,58 @@ def test_reduce_dilates_back_inside(w, m_max):
     # and the derived set is exactly the pulled-back members
     members = [x for x in w.elements() if x % red.m == red.r and (x - red.r) // red.m >= 1]
     assert sorted(pulled.elements()) == members
+
+
+def reference_ap_reduce(w, m_max):
+    """ap_reduce by one Python loop per residue class and cell: the longest
+    streak of every class, ties to the smallest m, then the smallest r."""
+    if m_max < 1:
+        raise ValueError(f"difference bound must be >= 1, got {m_max}")
+    if w.bits == 0:
+        raise PreconditionFailed("window has no members to reduce")
+    base, end = w.window.base, w.window.end
+    N = w.window.length
+    raw = w.bits.to_bytes((N + 7) // 8, "little")
+    mem = bytearray(N)
+    for idx in range(N):
+        mem[idx] = (raw[idx >> 3] >> (idx & 7)) & 1
+    best_len, best_m, best_r = 0, 0, 0
+    for m in range(1, m_max + 1):
+        for r in range(m):
+            first = base + (r - base) % m
+            streak = longest = 0
+            for x in range(first - base, N, m):
+                if mem[x]:
+                    streak += 1
+                    if streak > longest:
+                        longest = streak
+                else:
+                    streak = 0
+            if longest > best_len:
+                best_len, best_m, best_r = longest, m, r
+    m, r = best_m, best_r
+    q_max = (end - r) // m
+    derived_bits = 0
+    first = base + (r - base) % m
+    for x in range(first, end + 1, m):
+        q = (x - r) // m
+        if q >= 1 and mem[x - base]:
+            derived_bits |= 1 << q
+    derived = ExplicitWindow(Window(0, q_max + 1), derived_bits)
+    return APReduction(m, r, derived, best_len)
+
+
+@given(shaped_windows(), st.sampled_from([1, 2, 10]))
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_per_residue_reference(w, m_max):
+    if w.bits == 0:
+        with pytest.raises(PreconditionFailed):
+            ap_reduce(w, m_max)
+        return
+    got, want = ap_reduce(w, m_max), reference_ap_reduce(w, m_max)
+    assert json.dumps(got.to_payload()) == json.dumps(want.to_payload())
+    assert got.derived.window == want.derived.window
+    assert got.derived.bits == want.derived.bits
 
 
 # ------------------------------------------------------------------ escape

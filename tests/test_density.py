@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachsum.density import (
+    _STAIRCASE_MAX_RUNS,
     DensityEstimate,
     WindowProfile,
+    _profile_from_runs,
+    _profile_from_spans,
     check_run_bound,
     check_subadditivity,
     density_estimate,
@@ -31,6 +34,7 @@ from banachsum.intset import (
     RunList,
     Window,
 )
+from strategies import shaped_windows
 
 
 @st.composite
@@ -38,38 +42,6 @@ def explicit_windows(draw, max_len=256):
     base = draw(st.integers(min_value=0, max_value=30))
     length = draw(st.integers(min_value=1, max_value=max_len))
     bits = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
-    if base == 0:
-        bits &= ~1
-    return ExplicitWindow(Window(base, length), bits)
-
-
-@st.composite
-def shaped_windows(draw, max_len=512):
-    """Windows of the shapes the span argument has to get right."""
-    shape = draw(st.sampled_from(
-        ["random", "runs", "empty", "full", "alternating", "edges"]))
-    base = draw(st.sampled_from([0, 1, draw(st.integers(2, 10**6))]))
-    length = draw(st.integers(min_value=1, max_value=max_len))
-    top = (1 << length) - 1
-    if shape == "random":
-        bits = draw(st.integers(min_value=0, max_value=top))
-    elif shape == "runs":
-        bits, off = 0, 0
-        for gap, run in draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
-                                      max_size=6)):
-            off += gap
-            bits |= ((1 << run) - 1) << off
-            off += run
-        bits &= top
-    elif shape == "empty":
-        bits = 0
-    elif shape == "full":
-        bits = top
-    elif shape == "alternating":
-        bits = int("10" * length, 2) >> (length + draw(st.integers(0, 1)))
-    else:
-        inner = draw(st.integers(min_value=0, max_value=top))
-        bits = inner | 1 | (1 << (length - 1))
     if base == 0:
         bits &= ~1
     return ExplicitWindow(Window(base, length), bits)
@@ -129,7 +101,33 @@ def test_density_smallest_argmin_on_ties():
 @given(shaped_windows())
 @settings(max_examples=80)
 def test_profile_matches_naive_everywhere(w):
-    assert f_profile(w).f == f_naive_all(w)
+    # every shaped window is under the route cut, so both routes are
+    # called by name
+    f = f_naive_all(w)
+    assert f_profile(w).f == f
+    assert _profile_from_runs(w) == f
+    assert _profile_from_spans(w) == f
+
+
+def windows_with_runs(R):
+    """Two windows of exactly R runs: single members two apart, and runs
+    of lengths 1..5 between gaps of 1..3."""
+    alternating = ExplicitWindow(Window(1, 2 * R), int("01" * R, 2))
+    bits, off = 0, 0
+    for i in range(R):
+        off += i % 3 + 1
+        bits |= ((1 << i % 5 + 1) - 1) << off
+        off += i % 5 + 1
+    return alternating, ExplicitWindow(Window(0, off + 2), bits)
+
+
+@pytest.mark.parametrize("R", [_STAIRCASE_MAX_RUNS, _STAIRCASE_MAX_RUNS + 1])
+def test_routes_agree_on_both_sides_of_the_cut(R):
+    for w in windows_with_runs(R):
+        assert len(w.runs()) == R
+        f = f_profile(w).f
+        assert f == _profile_from_runs(w) == _profile_from_spans(w)
+        assert f == f_naive_all(w)
 
 
 @given(explicit_windows(max_len=48))
