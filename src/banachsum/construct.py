@@ -587,7 +587,8 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     A_L != 0 in O(log N) big-int steps per m; the set bits of that A_L
     name the classes holding such a streak.  Ties prefer the smallest
     difference, then the smallest residue.  The members of the winning
-    class become the derived quotient set {(x - r) / m >= 1}.
+    class become the derived quotient set {(x - r) / m >= 1}, on a window
+    from the class's first quotient q >= 1 to its last.
     """
     if m_max < 1:
         raise ValueError(f"difference bound must be >= 1, got {m_max}")
@@ -618,8 +619,11 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     first = (r - base) % m  # offset of the class's lowest cell
     cells = format(bits, f"0{N}b")[::-1][first::m]
     q_first = (base + first - r) // m
-    derived_bits = (int(cells[::-1], 2) << q_first) & ~1  # q >= 1 only
-    derived = ExplicitWindow(Window(0, (end - r) // m + 1), derived_bits)
+    # the derived window spans the class's quotients q >= 1 in the window,
+    # at most N // m + 1 cells whatever the window's base
+    q_lo = max(q_first, 1)
+    derived_bits = int(cells[::-1], 2) >> (q_lo - q_first)
+    derived = ExplicitWindow(Window(q_lo, (end - r) // m - q_lo + 1), derived_bits)
     return APReduction(m, r, derived, best_len)
 
 

@@ -8,7 +8,9 @@ translation, and dilation with exact arbitrary-precision arithmetic, so
 queries against astronomically large elements stay cheap and correct.
 
 All values are immutable once constructed and safe to share across
-threads.  The integer 0 is never a member of any set here, even when an
+threads.  The one piece of state that changes, the run bracket PowRuns and
+PolyRuns remember between queries, is a cache that never changes an
+answer.  The integer 0 is never a member of any set here, even when an
 explicit window happens to cover it.
 """
 
@@ -481,7 +483,21 @@ class _IndexedRuns(IntSet):
 
     Subclasses supply strictly increasing run starts with run(i) of length
     i, and starts growing fast enough that consecutive runs never touch.
+
+    Every query finds its floor run through _floor_run, which remembers
+    the last run bracket it found: (start_i, i, start_(i+1)).  Since the
+    starts strictly increase, [start_i, start_(i+1)) holds exactly the x
+    whose floor run is i, so a query inside the bracket is answered by two
+    comparisons and a sweep pays one root or power per run it meets, not
+    one per query.  The bracket is a single tuple, read and replaced
+    whole: threads sharing an instance can at worst read each other's
+    bracket, which is still a true one.  It is set past the frozen
+    dataclass guard and is not a field, so equality, hashing, repr and
+    serialize_set never see it.
     """
+
+    # no x satisfies 0 <= x < 0, so the first query always misses
+    _bracket = (0, 0, 0)
 
     def _run(self, i: int) -> Run:
         raise NotImplementedError
@@ -489,8 +505,25 @@ class _IndexedRuns(IntSet):
     def _floor_run(self, x: int) -> tuple[int, int] | None:
         """(start, i) of the run i with the largest start <= x, or None.
 
-        A plain pair, not a Run: membership asks this once per query.
+        A plain pair, not a Run: membership asks this once per query.  A
+        query inside the remembered bracket costs two comparisons.  Any
+        other query pays _locate, a power search or a root, plus the next
+        start, derived from the start in linear time (one product by c, or
+        one sum of small multiples of the powers below i**p), and its
+        bracket becomes the remembered one.
         """
+        start, i, after = self._bracket
+        if start <= x < after:
+            return start, i
+        found = self._locate(x)
+        if found is None:
+            return None
+        object.__setattr__(self, "_bracket", found)
+        return found[0], found[1]
+
+    def _locate(self, x: int) -> tuple[int, int, int] | None:
+        """(start_i, i, start_(i+1)) for the floor run i of x, computed
+        from scratch, or None when x lies below run 1."""
         raise NotImplementedError
 
     def runs_disjoint_upto(self, i_max: int) -> bool:
@@ -581,20 +614,21 @@ class PowRuns(_IndexedRuns):
             return 1 << 62
         return int(i * math.log10(self.c)) + 1
 
-    def _floor_run(self, x: int) -> tuple[int, int] | None:
+    def _locate(self, x: int) -> tuple[int, int, int] | None:
         c = self.c
         if x < c:
             return None
         # one power from the estimate, then exact steps by c each way
         i = max(1, int((x.bit_length() - 1) / math.log2(c)))
         p = c ** i
-        while p * c <= x:
-            p *= c
+        after = p * c
+        while after <= x:
+            p, after = after, after * c
             i += 1
         while p > x:
-            p //= c
+            p, after = p // c, p
             i -= 1
-        return p, i
+        return p, i, after
 
 
 @dataclass(frozen=True)
@@ -613,11 +647,19 @@ class PolyRuns(_IndexedRuns):
     def _start_digits(self, i: int) -> int:
         return (self.p * i.bit_length() * 30103) // 100000 + 1
 
-    def _floor_run(self, x: int) -> tuple[int, int] | None:
+    def _locate(self, x: int) -> tuple[int, int, int] | None:
         if x < 1:
             return None
         i = nth_root_floor(x, self.p)
-        return i ** self.p, i
+        # start_(i+1) - start_i = sum of C(p, k) * i**k over k < p, whose
+        # powers are the steps to i**p itself, so the next start adds only
+        # products by small binomials: start + 2i + 1 for p = 2.  The
+        # chain begins at i itself, so for p = 2 it is i * i, a square.
+        start, step = i, 1
+        for k in range(1, self.p):
+            step += math.comb(self.p, k) * start
+            start *= i
+        return start, i, start + step
 
 
 @dataclass(frozen=True)
@@ -691,13 +733,17 @@ class AffineImage(IntSet):
         return None if e is None else e + self.offset
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        bits = 0
-        s_lo = max(1, -((self.offset - window.base) // self.m))
-        s_hi = (window.end - self.offset) // self.m
-        for s in range(s_lo, s_hi + 1):
-            if self.inner.member(s):
-                bits |= 1 << (self.m * s + self.offset - window.base)
-        return ExplicitWindow(window, bits)
+        """The inner bitmap over the preimage [s_lo, s_hi] of the window,
+        with its cells spread m apart by one string join for m >= 2."""
+        m = self.m
+        s_lo = max(1, -((self.offset - window.base) // m))
+        s_hi = (window.end - self.offset) // m
+        if s_lo > s_hi:
+            return ExplicitWindow(window, 0)
+        bits = self.inner.materialize(Window(s_lo, s_hi - s_lo + 1)).bits
+        if m >= 2:
+            bits = int(("0" * (m - 1)).join(format(bits, f"0{s_hi - s_lo + 1}b")), 2)
+        return ExplicitWindow(window, bits << (m * s_lo + self.offset - window.base))
 
 
 def _bit_offsets(x: int, base: int) -> Iterator[int]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachsum import construct
+from banachsum import construct, intset
 from banachsum.construct import (
     APReduction,
     BFamily,
@@ -41,6 +41,7 @@ from banachsum.intset import (
     Run,
     RunList,
     Window,
+    nth_root_floor,
 )
 from banachsum.sumset import (
     SUBSET_BUDGET_MAX,
@@ -429,6 +430,25 @@ def test_valid_sweeps_look_up_each_run_once():
     assert a.asked == list(seq.bs)
 
 
+@pytest.mark.parametrize("k", [13, 16])
+def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
+    """A fresh PolyRuns(2) remembers the bracket of the run it last met,
+    so the whole sweep, brute route included, takes one root per base.
+    Past k roots the counter raises at once, instead of letting a
+    root-per-query sweep run to its end."""
+    seq = build_b_sequence(PolyRuns(2), [1] * k)
+    roots = []
+
+    def counting(x, p):
+        roots.append(x)
+        assert len(roots) <= k, "more than one root per run"
+        return nth_root_floor(x, p)
+
+    monkeypatch.setattr(intset, "nth_root_floor", counting)
+    assert verify_b_sequence(seq, PolyRuns(2)).passed
+    assert len(roots) == k
+
+
 def reference_family(family, a, brute_span=2048):
     """Payload of the per-selection family check: every pick of one source
     run per selected component summed anew by run_sum and checked whole by
@@ -572,6 +592,15 @@ def test_reduce_on_full_window():
     assert sorted(red.derived.elements()) == list(range(1, 64))
 
 
+def test_reduce_window_does_not_grow_with_the_base():
+    N = 64
+    w = Full().materialize(Window(10**8, N))
+    red = ap_reduce(w, 1)
+    assert (red.m, red.r) == (1, 0)
+    assert red.derived.window.length <= N // red.m + 1
+    assert red.to_payload()["derived_set"] == f"run {10**8} {N}\n"
+
+
 def test_reduce_rejects_empty_window():
     with pytest.raises(PreconditionFailed):
         ap_reduce(ExplicitWindow(Window(0, 16), 0), 3)
@@ -638,11 +667,12 @@ def reference_ap_reduce(w, m_max):
     q_max = (end - r) // m
     derived_bits = 0
     first = base + (r - base) % m
+    q_lo = max((first - r) // m, 1)
     for x in range(first, end + 1, m):
         q = (x - r) // m
         if q >= 1 and mem[x - base]:
-            derived_bits |= 1 << q
-    derived = ExplicitWindow(Window(0, q_max + 1), derived_bits)
+            derived_bits |= 1 << (q - q_lo)
+    derived = ExplicitWindow(Window(q_lo, q_max - q_lo + 1), derived_bits)
     return APReduction(m, r, derived, best_len)
 
 

@@ -1,5 +1,9 @@
 """Set representations: membership, run search, affine maps, text format."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -424,6 +428,135 @@ def scan_run_end(s, x, horizon=600):
 @settings(max_examples=400)
 def test_run_end_at_matches_member_scan(s, x):
     assert s.run_end_at(x) == scan_run_end(s, x)
+
+
+@st.composite
+def nested_images(draw):
+    """One or two AffineImage layers over any base set, built with the raw
+    constructor so the nesting that AffineImage.of flattens stays."""
+    s = draw(base_sets)
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(1, 4))
+        t = draw(st.integers(-20, 30))
+        lo = s.min_element()
+        s = AffineImage(s, m, t if lo is None else max(t, 1 - m * lo))
+    return s
+
+
+@given(st.one_of(nested_images(), affine_images(base_sets)),
+       st.integers(0, 300), st.integers(1, 300))
+@settings(max_examples=300)
+def test_affine_materialize_matches_member_scan(s, base, length):
+    w = Window(base, length)
+    want = 0
+    for x in range(max(base, 1), w.end + 1):
+        if s.member(x):
+            want |= 1 << (x - base)
+    assert s.materialize(w) == ExplicitWindow(w, want)
+
+
+# ------------------------------------------------------- indexed run brackets
+
+indexed_generators = st.one_of(
+    st.integers(2, 5).map(PowRuns), st.integers(2, 4).map(PolyRuns)
+)
+
+
+def run_start(s, i):
+    return s.c ** i if isinstance(s, PowRuns) else i ** s.p
+
+
+def bracket_probes(s, i):
+    """The integers where run i's bracket [start_i, start_(i+1)) and the
+    run [start_i, start_i + i - 1] begin and end, from both sides."""
+    start, after = run_start(s, i), run_start(s, i + 1)
+    return [start - 1, start, start + i - 1, start + i, after - 1]
+
+
+def fresh_answer(s, query):
+    """query asked of a new, equal instance, whose bracket is empty."""
+    return query(type(s)(*dataclasses.astuple(s)))
+
+
+def answers(s, x, min_len):
+    return (
+        s.member(x),
+        s.run_end_at(x),
+        s.next_run(min_len, x),
+        s.first_gap(x, x + min_len),
+    )
+
+
+@given(
+    indexed_generators,
+    st.lists(
+        st.tuples(st.integers(1, 30), st.integers(0, 5), st.integers(1, 6)),
+        min_size=1, max_size=40,
+    ),
+    st.sampled_from(["drawn", "descending", "ascending"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_remembered_bracket_answers_like_a_fresh_instance(s, picks, order):
+    """One shared instance asked in an adversarial order (jumps between
+    runs, descending, every edge of a bracket, x < 1) answers every query
+    as a fresh instance does."""
+    queries = []
+    for i, edge, min_len in picks:
+        x = bracket_probes(s, i)[edge] if edge < 5 else 1 - min_len
+        queries.append((x, min_len))
+    if order != "drawn":
+        queries.sort(reverse=order == "descending")
+    for x, min_len in queries:
+        got = answers(s, x, min_len)
+        assert got == fresh_answer(s, lambda f: answers(f, x, min_len)), (x, min_len)
+        # and a remembered bracket is a whole one, not a conservative part
+        start, i, after = s._bracket
+        assert i == 0 or (start, after) == (run_start(s, i), run_start(s, i + 1))
+
+
+def test_shared_bracket_is_safe_across_threads():
+    """Two threads take turns on one instance, each in its own runs, so
+    every query of one replaces the other's bracket; then four threads run
+    free with a tiny switch interval.  Every answer equals a fresh
+    instance's."""
+    for s in (PolyRuns(2), PolyRuns(3), PowRuns(3)):
+        xs = [[x for i in runs for x in bracket_probes(s, i)]
+              for runs in ((9, 10, 11), (20, 3, 21), (5, 30, 1), (14, 2, 15))]
+        want = [[fresh_answer(s, lambda f: answers(f, x, 2)) for x in q] for q in xs]
+        turns = [threading.Semaphore(1), threading.Semaphore(0)]
+        wrong, done = [], []
+
+        def in_turn(t):
+            for x, w in zip(xs[t], want[t]):
+                if not turns[t].acquire(timeout=30):
+                    return
+                if answers(s, x, 2) != w:
+                    wrong.append((t, x))
+                turns[1 - t].release()
+            done.append(t)
+
+        def free(t):
+            for _ in range(50):
+                for x, w in zip(xs[t], want[t]):
+                    if answers(s, x, 2) != w:
+                        wrong.append((t, x))
+            done.append(t)
+
+        for body, n in ((in_turn, 2), (free, 4)):
+            done.clear()
+            threads = [threading.Thread(target=body, args=(t,)) for t in range(n)]
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(th.is_alive() for th in threads)
+            assert sorted(done) == list(range(n))
+        assert wrong == []
 
 
 # ------------------------------------------------------------------- text format
