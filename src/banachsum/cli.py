@@ -233,7 +233,7 @@ def _cmd_verify(args) -> int:
     with open(args.bseq, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh, parse_int=budget_int)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad base sequence file: {exc}") from None
     try:
         seq = BSequence.from_payload(payload)

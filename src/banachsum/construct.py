@@ -20,7 +20,6 @@ counterexample when one exists.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
@@ -35,9 +34,11 @@ from .intset import (
     ExplicitWindow,
     IntSet,
     PowRuns,
+    Record,
     Run,
     RunList,
     Window,
+    _comb,
     decimal_digits,
     serialize_set,
 )
@@ -72,8 +73,7 @@ __all__ = [
 DEFAULT_DIGIT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class BSequence:
+class BSequence(Record):
     """Base points b_j with run lengths ell_j and per-step run certificates.
 
     certificate j attests that the target set contains one unbroken run
@@ -82,24 +82,24 @@ class BSequence:
     subset verification reducible to j independent run checks.
     """
 
-    ells: tuple[int, ...]
-    bs: tuple[int, ...]
-    certificates: tuple[Run, ...]
+    _fields = ("ells", "bs", "certificates")
 
-    def __post_init__(self):
-        k = len(self.bs)
-        if len(self.ells) != k or len(self.certificates) != k:
+    def __init__(
+        self, ells: tuple[int, ...], bs: tuple[int, ...], certificates: tuple[Run, ...]
+    ):
+        k = len(bs)
+        if len(ells) != k or len(certificates) != k:
             raise ValueError("ells, bs, certificates must have equal length")
         if k == 0:
             raise ValueError("a base sequence needs at least one step")
         total = 0
         for j in range(k):
-            b, ell, cert = self.bs[j], self.ells[j], self.certificates[j]
+            b, ell, cert = bs[j], ells[j], certificates[j]
             if ell < 1:
                 raise ValueError(f"run length {ell} at step {j + 1} must be >= 1")
             if b < 1:
                 raise ValueError(f"base {b} at step {j + 1} must be >= 1")
-            if j > 0 and b < self.bs[j - 1] + self.ells[j - 1]:
+            if j > 0 and b < bs[j - 1] + ells[j - 1]:
                 raise ValueError(
                     f"base at step {j + 1} must clear the previous run entirely"
                 )
@@ -108,6 +108,9 @@ class BSequence:
                 raise ValueError(
                     f"certificate at step {j + 1} must cover [{b}, {total - 1}]"
                 )
+        object.__setattr__(self, "ells", ells)
+        object.__setattr__(self, "bs", bs)
+        object.__setattr__(self, "certificates", certificates)
 
     @property
     def k(self) -> int:
@@ -244,8 +247,7 @@ def build_b_sequence(
     return BSequence(tuple(ells[:k]), tuple(bs), tuple(certs))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Aggregate verdict over a sweep of containment checks.
 
     Fail dominates PartialWindow dominates Pass.  The witness is the
@@ -253,11 +255,21 @@ class SweepReport:
     produced it.
     """
 
-    status: Status
-    checked: int
-    witness: int | None = None
-    witness_subset: tuple[int, ...] | None = None
-    partial_count: int = 0
+    _fields = ("status", "checked", "witness", "witness_subset", "partial_count")
+
+    def __init__(
+        self,
+        status: Status,
+        checked: int,
+        witness: int | None = None,
+        witness_subset: tuple[int, ...] | None = None,
+        partial_count: int = 0,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_subset", witness_subset)
+        object.__setattr__(self, "partial_count", partial_count)
 
     @property
     def passed(self) -> bool:
@@ -440,8 +452,7 @@ def verify_b_sequence(
     return state.report()
 
 
-@dataclass(frozen=True)
-class BFamily:
+class BFamily(Record):
     """Disjoint component sets carved out of a base sequence's runs.
 
     index_sets[i] lists which run indices (1-based) feed component i + 1;
@@ -449,10 +460,19 @@ class BFamily:
     so selections of components sum run-by-run.
     """
 
-    k_sets: int
-    index_sets: tuple[tuple[int, ...], ...]
-    sets: tuple[RunList, ...]
-    source: BSequence
+    _fields = ("k_sets", "index_sets", "sets", "source")
+
+    def __init__(
+        self,
+        k_sets: int,
+        index_sets: tuple[tuple[int, ...], ...],
+        sets: tuple[RunList, ...],
+        source: BSequence,
+    ):
+        object.__setattr__(self, "k_sets", k_sets)
+        object.__setattr__(self, "index_sets", index_sets)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "source", source)
 
     def to_payload(self) -> dict:
         return {
@@ -552,8 +572,7 @@ def verify_family(
     return state.report()
 
 
-@dataclass(frozen=True)
-class APReduction:
+class APReduction(Record):
     """Strongest dilation structure found in a window.
 
     The window's members congruent to r mod m pull back to the quotient
@@ -562,10 +581,13 @@ class APReduction:
     longest unbroken progression with difference m that drove the choice.
     """
 
-    m: int
-    r: int
-    derived: ExplicitWindow
-    evidence_len: int
+    _fields = ("m", "r", "derived", "evidence_len")
+
+    def __init__(self, m: int, r: int, derived: ExplicitWindow, evidence_len: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "derived", derived)
+        object.__setattr__(self, "evidence_len", evidence_len)
 
     def to_payload(self) -> dict:
         return {
@@ -609,10 +631,7 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
             if longer:
                 starts, longest = longer, longest + (1 << i)
         if longest > best_len:
-            comb, width = 1, m  # bits at offsets 0, m, 2m, ... below N
-            while width < N:
-                comb |= comb << width
-                width *= 2
+            comb = _comb(m, (N - 1) // m + 1)  # bits at offsets 0, m, 2m, ... below N
             r = next(x for x in range(m) if starts & (comb << (x - base) % m))
             best_len, best_m, best_r = longest, m, r
     m, r = best_m, best_r
@@ -637,8 +656,7 @@ def escape_i0(t: int) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class EscapeCheck:
+class EscapeCheck(Record):
     """One rung of the doubling-escape ladder for run index i.
 
     The five inequalities chain the end of the shifted i-th run, the
@@ -647,13 +665,33 @@ class EscapeCheck:
     alone, one doubled element at a time.
     """
 
-    i: int
-    below_double: bool
-    double_lower: bool
-    double_upper: bool
-    gap_clearance: bool
-    shift_margin: bool
-    doubles_outside: bool
+    _fields = (
+        "i",
+        "below_double",
+        "double_lower",
+        "double_upper",
+        "gap_clearance",
+        "shift_margin",
+        "doubles_outside",
+    )
+
+    def __init__(
+        self,
+        i: int,
+        below_double: bool,
+        double_lower: bool,
+        double_upper: bool,
+        gap_clearance: bool,
+        shift_margin: bool,
+        doubles_outside: bool,
+    ):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "below_double", below_double)
+        object.__setattr__(self, "double_lower", double_lower)
+        object.__setattr__(self, "double_upper", double_upper)
+        object.__setattr__(self, "gap_clearance", gap_clearance)
+        object.__setattr__(self, "shift_margin", shift_margin)
+        object.__setattr__(self, "doubles_outside", doubles_outside)
 
     @property
     def chain_ok(self) -> bool:
@@ -666,13 +704,17 @@ class EscapeCheck:
         )
 
 
-@dataclass(frozen=True)
-class EscapeReport:
-    t: int
-    i0: int
-    checked: int
-    all_escaped: bool
-    checks: tuple[EscapeCheck, ...]
+class EscapeReport(Record):
+    _fields = ("t", "i0", "checked", "all_escaped", "checks")
+
+    def __init__(
+        self, t: int, i0: int, checked: int, all_escaped: bool, checks: tuple[EscapeCheck, ...]
+    ):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "i0", i0)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "all_escaped", all_escaped)
+        object.__setattr__(self, "checks", checks)
 
     def to_payload(self) -> dict:
         return {

@@ -20,19 +20,23 @@ is the number of c with L[c] <= n.  That costs O(N + R*M) for M members
 in a numpy loop; the worst case, alternating members, costs N**2/8.  The
 cut sits where the staircase's R**2 pairs cost as much as a fresh numpy
 import, so only profiles of windows with more than 2**10 runs load
-numpy, which is imported inside the functions that use it.  f_naive and
-f_naive_all are the independent slow paths kept for cross-checks.
+numpy, which is imported inside the functions that use it.  So is
+fractions, by the two functions that build a Fraction, so only a JSON
+profile loads it.  f_naive and f_naive_all are the independent slow
+paths kept for cross-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import BadLength, PreconditionFailed
-from .intset import Congruence, ExplicitWindow, Full, IntSet, PolyRuns, PowRuns
+from .intset import Congruence, ExplicitWindow, Full, IntSet, PolyRuns, PowRuns, Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "WindowProfile",
@@ -102,23 +106,25 @@ def f_naive_all(w: ExplicitWindow) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WindowProfile:
+class WindowProfile(Record):
     """Profile values for one window; f[0] is a 0 sentinel so f[n] indexes directly."""
 
-    window_base: int
-    window_length: int
-    f: tuple[int, ...]
+    _fields = ("window_base", "window_length", "f")
 
-    def __post_init__(self):
-        if len(self.f) != self.window_length + 1 or self.f[0] != 0:
+    def __init__(self, window_base: int, window_length: int, f: tuple[int, ...]):
+        if len(f) != window_length + 1 or f[0] != 0:
             raise ValueError("profile must hold one value per block length plus the 0 sentinel")
+        object.__setattr__(self, "window_base", window_base)
+        object.__setattr__(self, "window_length", window_length)
+        object.__setattr__(self, "f", f)
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    value: Fraction
-    argmin_n: int
+class DensityEstimate(Record):
+    _fields = ("value", "argmin_n")
+
+    def __init__(self, value: Fraction, argmin_n: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "argmin_n", argmin_n)
 
 
 # Run count up to which f_profile takes the staircase route.  On random
@@ -219,6 +225,8 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
 
 def density_estimate(profile: WindowProfile) -> DensityEstimate:
     """min f[n]/n over the window's block lengths, smallest minimizer kept."""
+    from fractions import Fraction
+
     f = profile.f
     best_f, best_n = f[1], 1
     for n in range(2, profile.window_length + 1):
@@ -270,18 +278,22 @@ def longest_run(w: ExplicitWindow) -> int:
     return length
 
 
-@dataclass(frozen=True)
-class RunBoundReport:
+class RunBoundReport(Record):
     """Outcome of checking d*f[n] < (d-1)*n + d at every block length.
 
     The strict bound is the exact integer form of f[n] < (1 - 1/d)*n + 1,
     which must hold whenever the set has no d consecutive members.
     """
 
-    d: int
-    longest_run: int
-    n_checked: int
-    failures: tuple[tuple[int, int], ...]
+    _fields = ("d", "longest_run", "n_checked", "failures")
+
+    def __init__(
+        self, d: int, longest_run: int, n_checked: int, failures: tuple[tuple[int, int], ...]
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "longest_run", longest_run)
+        object.__setattr__(self, "n_checked", n_checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -313,6 +325,8 @@ def forced_density(s: IntSet) -> Fraction | None:
     block maxima to track block length; a congruence class hits exactly
     one position in m.
     """
+    from fractions import Fraction
+
     if isinstance(s, (Full, PowRuns, PolyRuns)):
         return Fraction(1)
     if isinstance(s, Congruence):

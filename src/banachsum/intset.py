@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError
@@ -72,18 +71,56 @@ def nth_root_floor(x: int, p: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class Run:
+class Record:
+    """Immutable value with equality, hashing and repr over its fields.
+
+    A subclass names its fields in _fields and, after validating them,
+    stores them in its own __init__ with object.__setattr__, past the
+    guard below.  That writes the instance's attribute values in place;
+    storing through self.__dict__ would build a dict object for every
+    instance, 64 bytes more per Run on CPython 3.11.  Instances compare
+    equal when they are of the same class with equal fields, hash as
+    their field tuple and print as Run(start=1, length=2).  Assigning or
+    deleting an attribute raises AttributeError.  Instances keep their
+    __dict__, so copy and pickle restore it directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Run(Record):
     """The interval of consecutive integers [start, start + length - 1]."""
 
-    start: int
-    length: int
+    _fields = ("start", "length")
 
-    def __post_init__(self):
-        if self.start < 1:
-            raise ValueError(f"run start must be positive, got {self.start}")
-        if self.length < 1:
-            raise ValueError(f"run length must be >= 1, got {self.length}")
+    def __init__(self, start: int, length: int):
+        if start < 1:
+            raise ValueError(f"run start must be positive, got {start}")
+        if length < 1:
+            raise ValueError(f"run length must be >= 1, got {length}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
 
     @property
     def end(self) -> int:
@@ -96,18 +133,18 @@ class Run:
         return iter(range(self.start, self.end + 1))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """A finite evaluation region [base, base + length - 1] of the line."""
 
-    base: int
-    length: int
+    _fields = ("base", "length")
 
-    def __post_init__(self):
-        if self.base < 0:
-            raise ValueError(f"window base must be >= 0, got {self.base}")
-        if self.length < 1:
-            raise ValueError(f"window length must be >= 1, got {self.length}")
+    def __init__(self, base: int, length: int):
+        if base < 0:
+            raise ValueError(f"window base must be >= 0, got {base}")
+        if length < 1:
+            raise ValueError(f"window length must be >= 1, got {length}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "length", length)
 
     @property
     def end(self) -> int:
@@ -282,11 +319,7 @@ class ExplicitWindow(IntSet):
         if m == 1:
             return self.translate(r)
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
-        bits = 0
-        base = self.window.base
-        for x in self.elements():
-            bits |= 1 << ((x - base) * m)
-        return ExplicitWindow(w, bits)
+        return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         return _first_fit(self.runs(), min_len, lower_bound, "inside the window")
@@ -407,8 +440,7 @@ class RunList(IntSet):
         return f"RunList({list(self.runs)!r})"
 
 
-@dataclass(frozen=True)
-class Full(IntSet):
+class Full(Record, IntSet):
     """All positive integers."""
 
     def member(self, x: int) -> bool:
@@ -432,18 +464,18 @@ class Full(IntSet):
         return ExplicitWindow(window, ((1 << count) - 1) << (lo - window.base))
 
 
-@dataclass(frozen=True)
-class Congruence(IntSet):
+class Congruence(Record, IntSet):
     """Positive integers congruent to r modulo m."""
 
-    m: int
-    r: int
+    _fields = ("m", "r")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.m}")
-        if not 0 <= self.r < self.m:
-            raise ValueError(f"residue must lie in [0, {self.m - 1}], got {self.r}")
+    def __init__(self, m: int, r: int):
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        if not 0 <= r < m:
+            raise ValueError(f"residue must lie in [0, {m - 1}], got {r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
 
     def member(self, x: int) -> bool:
         return x >= 1 and x % self.m == self.r
@@ -468,14 +500,10 @@ class Congruence(IntSet):
         return None if self.m == 1 else x
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        if self.m == 1:
-            return Full().materialize(window)
         first = max(window.base, self.min_element())
         first += (self.r - first) % self.m
-        bits = 0
-        for x in range(first, window.end + 1, self.m):
-            bits |= 1 << (x - window.base)
-        return ExplicitWindow(window, bits)
+        count = (window.end - first) // self.m + 1
+        return ExplicitWindow(window, _comb(self.m, count) << (first - window.base))
 
 
 class _IndexedRuns(IntSet):
@@ -491,8 +519,8 @@ class _IndexedRuns(IntSet):
     comparisons and a sweep pays one root or power per run it meets, not
     one per query.  The bracket is a single tuple, read and replaced
     whole: threads sharing an instance can at worst read each other's
-    bracket, which is still a true one.  It is set past the frozen
-    dataclass guard and is not a field, so equality, hashing, repr and
+    bracket, which is still a true one.  It is set past Record's
+    assignment guard and is not a field, so equality, hashing, repr and
     serialize_set never see it.
     """
 
@@ -595,15 +623,15 @@ class _IndexedRuns(IntSet):
         return ExplicitWindow(window, bits)
 
 
-@dataclass(frozen=True)
-class PowRuns(_IndexedRuns):
+class PowRuns(Record, _IndexedRuns):
     """Runs [c**i, c**i + i - 1] for every i >= 1, with base c >= 2."""
 
-    c: int
+    _fields = ("c",)
 
-    def __post_init__(self):
-        if self.c < 2:
-            raise ValueError(f"base must be >= 2, got {self.c}")
+    def __init__(self, c: int):
+        if c < 2:
+            raise ValueError(f"base must be >= 2, got {c}")
+        object.__setattr__(self, "c", c)
 
     def _run(self, i: int) -> Run:
         return Run(self.c ** i, i)
@@ -631,15 +659,15 @@ class PowRuns(_IndexedRuns):
         return p, i, after
 
 
-@dataclass(frozen=True)
-class PolyRuns(_IndexedRuns):
+class PolyRuns(Record, _IndexedRuns):
     """Runs [i**p, i**p + i - 1] for every i >= 1, with exponent p >= 2."""
 
-    p: int
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"exponent must be >= 2, got {self.p}")
+    def __init__(self, p: int):
+        if p < 2:
+            raise ValueError(f"exponent must be >= 2, got {p}")
+        object.__setattr__(self, "p", p)
 
     def _run(self, i: int) -> Run:
         return Run(i ** self.p, i)
@@ -662,8 +690,7 @@ class PolyRuns(_IndexedRuns):
         return start, i, start + step
 
 
-@dataclass(frozen=True)
-class AffineImage(IntSet):
+class AffineImage(Record, IntSet):
     """The set {m*s + offset : s in inner}, for stride m >= 1.
 
     This is how translated or dilated generators are represented: run
@@ -671,18 +698,17 @@ class AffineImage(IntSet):
     and run queries still reduce exactly to queries on the inner set.
     """
 
-    inner: IntSet
-    m: int
-    offset: int
+    _fields = ("inner", "m", "offset")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"stride must be >= 1, got {self.m}")
-        lo = self.inner.min_element()
-        if lo is not None and self.m * lo + self.offset < 1:
-            raise NegativeResult(
-                f"element {lo} maps to {self.m * lo + self.offset}, below 1"
-            )
+    def __init__(self, inner: IntSet, m: int, offset: int):
+        if m < 1:
+            raise ValueError(f"stride must be >= 1, got {m}")
+        lo = inner.min_element()
+        if lo is not None and m * lo + offset < 1:
+            raise NegativeResult(f"element {lo} maps to {m * lo + offset}, below 1")
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def of(cls, inner: IntSet, m: int, offset: int) -> IntSet:
@@ -734,7 +760,7 @@ class AffineImage(IntSet):
 
     def materialize(self, window: Window) -> ExplicitWindow:
         """The inner bitmap over the preimage [s_lo, s_hi] of the window,
-        with its cells spread m apart by one string join for m >= 2."""
+        with its cells spread m apart for m >= 2."""
         m = self.m
         s_lo = max(1, -((self.offset - window.base) // m))
         s_hi = (window.end - self.offset) // m
@@ -742,7 +768,7 @@ class AffineImage(IntSet):
             return ExplicitWindow(window, 0)
         bits = self.inner.materialize(Window(s_lo, s_hi - s_lo + 1)).bits
         if m >= 2:
-            bits = int(("0" * (m - 1)).join(format(bits, f"0{s_hi - s_lo + 1}b")), 2)
+            bits = _spread(bits, s_hi - s_lo + 1, m)
         return ExplicitWindow(window, bits << (m * s_lo + self.offset - window.base))
 
 
@@ -758,6 +784,30 @@ def _bit_offsets(x: int, base: int) -> Iterator[int]:
             low = byte & -byte
             yield base + byte_idx * 8 + low.bit_length() - 1
             byte ^= low
+
+
+def _spread(bits: int, n: int, m: int) -> int:
+    """The n low cells of bits spread m >= 2 apart, bit i moving to bit
+    i*m, by one string join: linear in the n*m cells of the result."""
+    return int(("0" * (m - 1)).join(format(bits, f"0{n}b")), 2)
+
+
+def _comb(m: int, count: int) -> int:
+    """Bits at offsets 0, m, 2m, ..., (count - 1)*m, none for count < 1.
+
+    Each step shifts the comb past its own teeth and ors it in, so count
+    teeth cost O(log count) shift-ors of at most count*m bits.  The closed
+    form ((1 << m*count) - 1) // ((1 << m) - 1) divides by an m-bit
+    number, which is quadratic in m once m spans several machine words.
+    """
+    if count < 1:
+        return 0
+    comb, teeth = 1, 1
+    while teeth < count:
+        step = min(teeth, count - teeth)
+        comb |= comb << step * m
+        teeth += step
+    return comb
 
 
 def _first_fit(runs: Iterable[Run], min_len: int, lower_bound: int, where: str) -> Run:

@@ -10,11 +10,10 @@ a window cannot always decide.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, EmptySelection
-from .intset import ExplicitWindow, IntSet, Run, Window
+from .intset import ExplicitWindow, IntSet, Record, Run, Window
 
 __all__ = [
     "Status",
@@ -39,17 +38,24 @@ class Status(enum.Enum):
     PARTIAL_WINDOW = "PartialWindow"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one containment check.
 
     witness is the smallest offending element on Fail; evaluable records
     how much of the claim a window-limited target could actually decide.
     """
 
-    status: Status
-    witness: int | None = None
-    evaluable: tuple[int, int] | None = None
+    _fields = ("status", "witness", "evaluable")
+
+    def __init__(
+        self,
+        status: Status,
+        witness: int | None = None,
+        evaluable: tuple[int, int] | None = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "evaluable", evaluable)
 
     @property
     def passed(self) -> bool:

@@ -7,7 +7,6 @@ explicit [criterion N] line for -s runs.  All arithmetic is exact; there
 are no tolerances anywhere, only equalities and strict inequalities.
 """
 
-import dataclasses
 import json
 import random
 import time
@@ -16,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from banachsum.construct import (
+    BFamily,
     ap_reduce,
     build_b_sequence,
     build_family,
@@ -196,8 +196,11 @@ def test_criterion_6_family_end_to_end():
         assert report.passed
 
     family = build_family(seq, 3, "residue")
-    corrupted = dataclasses.replace(
-        family, sets=(family.sets[0], family.sets[0], family.sets[2])
+    corrupted = BFamily(
+        family.k_sets,
+        family.index_sets,
+        (family.sets[0], family.sets[0], family.sets[2]),
+        family.source,
     )
     with pytest.raises(DisjointnessViolation):
         verify_family(corrupted, a)

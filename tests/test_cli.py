@@ -5,11 +5,17 @@ on stdout plus the exit code; one test round-trips through a subprocess to
 pin down byte-level reproducibility of reports.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banachsum
 from banachsum.cli import WINDOW_BITS_BUDGET, main
@@ -167,12 +173,14 @@ def test_verify_round_trip_and_corruption(capsys, tmp_path):
 
 def test_verify_rejects_malformed_file(capsys, tmp_path):
     junk = tmp_path / "junk.json"
-    junk.write_text("not json", encoding="utf-8")
-    code, _, err = run_cli(
-        capsys, "verify", "--set", "gen full", "--bseq", str(junk)
-    )
-    assert code == 2
-    assert "error" in err
+    # the nested arrays overflow the JSON decoder's recursion
+    for text in ("not json", "[" * 100_000 + "]" * 100_000):
+        junk.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "verify", "--set", "gen full", "--bseq", str(junk)
+        )
+        assert code == 2
+        assert "error" in err
 
 
 def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
@@ -428,10 +436,16 @@ def test_reports_are_byte_identical_across_runs(capsys):
     assert proc.stdout == first
 
 
+# Calls in order: none prints a JSON profile before the last two, the
+# first calls that build a Fraction.
 NUMPY_FREE_CALLS = [
-    ["profile", "--set", "gen poly_runs 2", "--window", "0:4096"],
+    ["gen", "--set", "gen poly_runs 2"],
+    ["construct-b", "--set", "gen poly_runs 2", "--k", "4"],
+    ["escape", "--t", "3", "--i-max", "6"],
+    ["ap-reduce", "--set", "gen congruence 3 1", "--window", "0:256"],
     ["profile", "--set", "gen poly_runs 2", "--window", "0:4096", "--format", "csv"],
     ["runs", "--set", "gen congruence 3 1", "--window", "1:1024", "--d", "2"],
+    ["profile", "--set", "gen poly_runs 2", "--window", "0:4096"],
     # the odd numbers below 2048: 1024 runs, the most the staircase takes
     ["profile", "--set", "gen congruence 2 1", "--window", "1:2047"],
 ]
@@ -440,16 +454,21 @@ NUMPY_CALL = ["profile", "--set", "gen congruence 2 1", "--window", "1:2049"]
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # profiles of windows with few runs take the pure-Python route too
+    # profiles of windows with few runs take the pure-Python route too; no
+    # call without numpy loads dataclasses or inspect, and only a JSON
+    # profile loads fractions
     src = str(Path(banachsum.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, json, sys\n"
+        "def loaded(code):\n"
+        "    watched = ('dataclasses', 'fractions', 'inspect', 'numpy')\n"
+        "    print(code, *[m for m in watched if m in sys.modules])\n"
         "import banachsum.cli\n"
-        "print('numpy' in sys.modules)\n"
+        "loaded('import')\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = banachsum.cli.main(argv)\n"
-        "    print(code, 'numpy' in sys.modules)\n"
+        "    loaded(code)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(NUMPY_FREE_CALLS + [NUMPY_CALL])],
@@ -458,4 +477,123 @@ def test_cli_import_leaves_numpy_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout == "False\n" + "0 False\n" * len(NUMPY_FREE_CALLS) + "0 True\n"
+    *lines, last = proc.stdout.splitlines()
+    assert lines == ["import"] + ["0"] * (len(NUMPY_FREE_CALLS) - 2) + ["0 fractions"] * 2
+    # numpy itself may load inspect
+    assert last.split()[:2] == ["0", "fractions"] and "numpy" in last.split()
+
+
+# --------------------------------------------------------------------- fuzz
+
+FUZZ_SETS = [
+    "gen pow_runs 2", "gen pow_runs 4", "gen poly_runs 2", "gen poly_runs 3",
+    "gen full", "gen congruence 3 1", "gen congruence 1 0", "run 1 20;run 30 5",
+    "elem 5;elem 7", "", "gen pow_runs 1", "gen congruence 2", "run 1 0", "elem 0",
+    "run 1 5;run 3 2", "gen full;elem 3", "run x 1", "bogus",
+]
+_small = st.integers(-2, 12).map(str)
+# every option of every subcommand, with bounded values and some junk
+FUZZ_OPTIONS = {
+    "--set": st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(FUZZ_SETS) if i
+        else st.text("runelmgpowfc_ 0123456789-;#", max_size=20)
+    ),
+    "--input": st.sampled_from(["/no/such/file", "."]),
+    "--window": st.builds("{}:{}".format, st.integers(-1, 40), st.integers(-1, 300))
+    | st.sampled_from(["x", "1:2:3", ":"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--min-len": _small,
+    "--lower-bound": st.integers(-5, 100).map(str),
+    "--d": st.integers(-1, 6).map(str),
+    "--ells": st.sampled_from(["j", "1", "0", "2", "1,2", "1,2,3,4,5,6", ",", "a", " "]),
+    "--k": st.integers(-1, 6).map(str),
+    "--k-sets": st.integers(-1, 4).map(str),
+    "--scheme": st.sampled_from(["residue", "blocks", "zigzag"]),
+    "--brute-span": st.integers(-2, 64).map(str),
+    "--digit-budget": st.integers(-1, 200).map(str),
+    "--bseq": st.just("BSEQ"),
+    "--k-limit": _small,
+    "--m0": _small,
+    "--t": st.integers(-1, 50).map(str),
+    "--i-max": st.integers(-1, 20).map(str),
+    "-h": st.just(None),
+}
+# the options each subcommand takes, the ones it requires first
+FUZZ_COMMANDS = {
+    "profile": ["--set", "--window", "--format"],
+    "runs": ["--set", "--window", "--min-len", "--lower-bound", "--d"],
+    "construct-b": ["--set", "--ells", "--k", "--digit-budget"],
+    "family": ["--set", "--ells", "--k", "--k-sets", "--scheme", "--brute-span",
+               "--digit-budget"],
+    "verify": ["--set", "--bseq", "--k-limit", "--brute-span"],
+    "ap-reduce": ["--set", "--window", "--m0"],
+    "escape": ["--t", "--i-max"],
+    "gen": ["--set"],
+    "frobnicate": [],
+}
+_REQUIRED = {"--set", "--bseq", "--t", "--i-max"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one subcommand: its required options, some of its own,
+    and now and then one that belongs elsewhere or none at all."""
+    sub = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    own = FUZZ_COMMANDS[sub]
+    names = [n for n in own if n in _REQUIRED and draw(st.integers(0, 9))]
+    names += draw(st.lists(st.sampled_from(own), max_size=4)) if own else []
+    if not draw(st.integers(0, 4)):
+        names.append(draw(st.sampled_from(sorted(FUZZ_OPTIONS))))
+    argv = [sub]
+    for name in names:
+        value = draw(FUZZ_OPTIONS[name])
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-5, 60) | st.floats(allow_nan=False)
+    | st.text("0123456789-x", max_size=4)
+)
+_json = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["ells", "bs", "certificates", "start", "len"]),
+                      kids, max_size=5),
+    max_leaves=8,
+)
+
+
+@st.composite
+def bseq_payloads(draw):
+    """A base sequence payload of at most four steps, often slightly off."""
+    k = draw(st.integers(0, 4))
+    ints = st.integers(-1, 60)
+    entries = st.lists(ints | st.builds(str, ints), min_size=k, max_size=k)
+    payload = {
+        "ells": draw(st.lists(st.integers(-1, 5), min_size=k, max_size=k)),
+        "bs": draw(entries),
+        "certificates": [
+            {"start": start, "len": length}
+            for start, length in zip(draw(entries), draw(entries))
+        ],
+    }
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(_json)
+    return payload
+
+
+@given(
+    cli_argvs(),
+    st.builds(json.dumps, bseq_payloads() | _json) | st.just("not json"),
+)
+@settings(max_examples=400, deadline=None)
+def test_main_exits_with_a_documented_code(argv, bseq_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        bseq = Path(tmp, "bseq.json")
+        bseq.write_text(bseq_text)
+        argv = [str(bseq) if arg == "BSEQ" else arg for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv

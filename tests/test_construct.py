@@ -1,6 +1,5 @@
 """Builders and their verifiers: base sequences, families, reductions, escapes."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -362,6 +361,11 @@ def test_family_requires_sane_count():
         build_family(seq, 2, "zigzag")
 
 
+def with_sets(fam, sets):
+    """fam with its component sets replaced, index sets and source kept."""
+    return BFamily(fam.k_sets, fam.index_sets, sets, fam.source)
+
+
 def test_family_verification_passes():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1, 1], k=4)
     for k_sets in (1, 2, 3, 4):
@@ -374,9 +378,7 @@ def test_family_verification_passes():
 def test_family_disjointness_violation_fires():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1], k=3)
     fam = build_family(seq, 2, "residue")
-    corrupted = dataclasses.replace(
-        fam, sets=(fam.sets[0], RunList([Run(1, 2), *fam.sets[1].runs]))
-    )
+    corrupted = with_sets(fam, (fam.sets[0], RunList([Run(1, 2), *fam.sets[1].runs])))
     with pytest.raises(DisjointnessViolation):
         verify_family(corrupted, PolyRuns(2))
 
@@ -497,7 +499,7 @@ def family_cases(draw):
                               max_size=len(runs)))
         sets = tuple(RunList(r for r, o in zip(runs, owner) if o == i)
                      for i in range(fam.k_sets))
-        fam = dataclasses.replace(fam, sets=sets)
+        fam = with_sets(fam, sets)
     return fam, a, draw(st.sampled_from([0, 5, 64, 2048]))
 
 
@@ -537,7 +539,7 @@ def test_family_bitmap_route_sums_each_selection_once(monkeypatch):
     assert verify_family(fam, Full(), 64).passed
     assert len(calls) == 26
     calls.clear()
-    fam = dataclasses.replace(fam, sets=fam.sets[:2] + (RunList(()),) + fam.sets[3:])
+    fam = with_sets(fam, fam.sets[:2] + (RunList(()),) + fam.sets[3:])
     assert verify_family(fam, Full(), 64).passed
     assert len(calls) == 11
 

@@ -1,6 +1,5 @@
 """Set representations: membership, run search, affine maps, text format."""
 
-import dataclasses
 import sys
 import threading
 
@@ -146,6 +145,10 @@ def test_materialize_examples():
     assert sorted(pr.elements()) == [4, 16, 17]
     empty = RunList([]).materialize(Window(0, 32))
     assert empty.count() == 0
+    assert Congruence(1, 0).materialize(Window(0, 8)) == full8
+    wide = Congruence(1000, 7).materialize(Window(5, 5000))
+    assert list(wide.elements()) == [7, 1007, 2007, 3007, 4007]
+    assert Congruence(1000, 7).materialize(Window(8, 999)).count() == 0
 
 
 @given(generators, st.integers(0, 60), st.integers(1, 120))
@@ -208,10 +211,10 @@ def test_translate_membership_identity(s, t):
         assert shifted.member(x) == s.member(x - t)
 
 
-@given(run_lists, st.integers(1, 6), st.integers(0, 10))
+@given(run_lists | explicit_windows(), st.integers(1, 6), st.integers(0, 10))
 def test_dilate_membership_identity(s, m, r):
     d = s.dilate(m, r)
-    for y in range(0, 500):
+    for y in range(0, 1500):
         expect = y >= r and (y - r) % m == 0 and s.member((y - r) // m)
         assert d.member(y) == expect
 
@@ -475,7 +478,7 @@ def bracket_probes(s, i):
 
 def fresh_answer(s, query):
     """query asked of a new, equal instance, whose bracket is empty."""
-    return query(type(s)(*dataclasses.astuple(s)))
+    return query(PowRuns(s.c) if isinstance(s, PowRuns) else PolyRuns(s.p))
 
 
 def answers(s, x, min_len):
