@@ -45,7 +45,8 @@ from .errors import (
 from .intset import ExplicitWindow, IntSet, Window, parse_set, serialize_set
 from .sumset import Status
 
-# Largest window, in bits, that profile, runs and ap-reduce will materialize.
+# Largest window, in bits, that profile, runs and ap-reduce will materialize,
+# and that family's bitmap route, on [0, --brute-span], may span.
 WINDOW_BITS_BUDGET = 1 << 20
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
@@ -93,14 +94,17 @@ def _load_set(args) -> IntSet:
     return parse_set(text)
 
 
+def _check_window_bits(length: int) -> None:
+    if length > WINDOW_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"window of {length} bits exceeds the budget of {WINDOW_BITS_BUDGET} bits"
+        )
+
+
 def _load_window(args) -> tuple[IntSet, ExplicitWindow]:
     """The set and its bitmap on args.window, within WINDOW_BITS_BUDGET."""
     s = _load_set(args)
-    if args.window.length > WINDOW_BITS_BUDGET:
-        raise BudgetExceeded(
-            f"window of {args.window.length} bits exceeds the budget of "
-            f"{WINDOW_BITS_BUDGET} bits"
-        )
+    _check_window_bits(args.window.length)
     return s, s.materialize(args.window)
 
 
@@ -219,6 +223,10 @@ def _cmd_construct_b(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    # the bitmap route works on the window [0, brute_span]
+    if args.brute_span < 0:
+        raise PreconditionFailed(f"--brute-span must be >= 0, got {args.brute_span}")
+    _check_window_bits(args.brute_span + 1)
     s = _load_set(args)
     ells = _resolve_ells(args.ells, args.k)
     seq = build_b_sequence(s, ells, args.k, args.digit_budget)

@@ -13,8 +13,8 @@ Three builders live here, each paired with an independent verifier:
 A fourth block checks, for the quadruple-power run generator, that
 doubling an element of the i-th run escapes every translate of the set
 once i is large enough.  Verifiers never reuse the builder's reasoning:
-they recheck claims from raw membership queries and report the smallest
-counterexample when one exists.
+they recheck claims from set queries alone (member, run_end_at and
+materialize) and report the smallest counterexample when one exists.
 """
 
 from __future__ import annotations
@@ -314,17 +314,20 @@ class _MemberWalk:
     integer at most once per sweep.
 
     Stretches of members already walked are kept as disjoint, non-adjacent
-    intervals sorted by start, and the non-members that ended walks in a
-    set, so a walk skips whatever an earlier one covered.  A one-integer
-    interval is asked directly and not recorded: such claims hardly ever
-    repeat, and keeping them would only cost memory.
+    intervals sorted by start, in the lists starts and ends, and the
+    non-members that ended walks in a set, so a walk skips whatever an
+    earlier one covered.  _sweep reads the two lists to pass an interval
+    inside one stretch without calling first_gap at all; they are only
+    ever changed in place, so a reference to them stays current.  A
+    one-integer interval is asked directly and not recorded: such claims
+    hardly ever repeat, and keeping them would only cost memory.
     """
 
     def __init__(self, target: IntSet):
         self._member = target.member
         self._window = target.window if isinstance(target, ExplicitWindow) else None
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self._gaps: set[int] = set()
 
     def first_gap(self, lo: int, hi: int) -> int | None:
@@ -334,7 +337,7 @@ class _MemberWalk:
             lo, hi = max(lo, self._window.base), min(hi, self._window.end)
         if lo == hi:
             return None if self._member(lo) else lo
-        starts, ends, gaps, member = self._starts, self._ends, self._gaps, self._member
+        starts, ends, gaps, member = self.starts, self.ends, self._gaps, self._member
         x = lo
         while x <= hi:
             i = bisect_right(starts, x) - 1
@@ -355,7 +358,7 @@ class _MemberWalk:
 
     def _add(self, i: int, lo: int, hi: int) -> None:
         """Record members [lo, hi], which lie between intervals i and i + 1."""
-        starts, ends = self._starts, self._ends
+        starts, ends = self.starts, self.ends
         left = i >= 0 and ends[i] == lo - 1
         right = i + 1 < len(starts) and starts[i + 1] == hi + 1
         if left and right:
@@ -382,8 +385,9 @@ def _sweep(
     the run picked in its top part and passes on one comparison when it
     ends inside the target's run through that start, looked up once; any
     other sum goes to verify_containment.  The brute route walks sums of at
-    most brute_span integers with member() alone, through one _MemberWalk.
-    More than 2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
+    most brute_span integers with member() alone, through one _MemberWalk;
+    a sum inside a stretch of members the walk has already covered passes
+    on one bisection of its stretches, with no call.  More than 2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
     """
     fulls = [len(runs) for runs in parts]
     picks = prod(f + 1 for f in fulls) - 1
@@ -392,6 +396,7 @@ def _sweep(
             f"checking {picks} picks exceeds the budget of 2**{SUBSET_BUDGET_MAX} - 1"
         )
     walk = _MemberWalk(a)
+    known_lo, known_hi = walk.starts, walk.ends
     # rise_lo[p][d]: the move of lo when part p's digit rises to d and the
     # full digits below it drop to 0; rise_hi likewise for hi
     rise_lo, rise_hi, full_lo, full_hi = [], [], 0, 0
@@ -424,9 +429,12 @@ def _sweep(
             elif v.status is Status.FAIL:
                 state.fail(v.witness, mask())
         if hi - lo < brute_span:
-            witness = walk.first_gap(lo, hi)
-            if witness is not None:
-                state.fail(witness, mask())
+            # a sum inside a stretch of members already walked passes here
+            j = bisect_right(known_lo, lo) - 1
+            if j < 0 or hi > known_hi[j]:
+                witness = walk.first_gap(lo, hi)
+                if witness is not None:
+                    state.fail(witness, mask())
 
 
 def verify_b_sequence(
@@ -545,7 +553,10 @@ def verify_family(
     components' source runs, under its pick budget.  Short selections are
     rechecked by summing materialized component bitmaps and handing the
     sum to verify_containment; only its Fail counts, since sums a window
-    target cannot decide are not evidence either way.  The selections are
+    target cannot decide are not evidence either way.  Every part and
+    every sum lies on the window [0, brute_span], so a target other than a
+    window is materialized there once and each selection's check is one
+    AND with that bitmap.  The selections are
     walked depth first by increasing component: a selection's sum is the
     sum of the selection without its highest component plus that
     component, one pairwise_sumset each, with one sum per depth held at a
@@ -556,14 +567,18 @@ def verify_family(
     state = _SweepState()
     runs = [[family.source.run(j) for j in ix] for ix in family.index_sets]
     _sweep(runs, a, 0, state)
-    parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
+    window = Window(0, brute_span + 1)
+    parts = [rl.materialize(window) for rl in family.sets]
+    # every part and every capped sum lies on this window: a target that
+    # decides everywhere is materialized on it once, for all selections
+    target = a if isinstance(a, ExplicitWindow) else a.materialize(window)
 
     def extend(mask: int, acc: ExplicitWindow | None, low: int) -> None:
         for i in range(low, len(parts)):
             if not parts[i].bits:
                 continue
             total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
-            v = verify_containment(total, a)
+            v = verify_containment(total, target)
             if v.status is Status.FAIL:
                 state.fail(v.witness, mask | 1 << i)
             extend(mask | 1 << i, total, i + 1)
@@ -661,8 +676,9 @@ class EscapeCheck(Record):
 
     The five inequalities chain the end of the shifted i-th run, the
     doubled run, and the start of the shifted next run into one strict
-    ordering; doubles_outside rechecks the conclusion from membership
-    alone, one doubled element at a time.
+    ordering; doubles_outside rechecks the conclusion from the set alone:
+    the doubles, a comb of bits, ANDed with the set's bitmap on each
+    shifted window.
     """
 
     _fields = (
@@ -741,8 +757,8 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
     """Check that doubles of run i escape both shifts of the set, i0(t) <= i <= i_max.
 
     For each index the inequality chain is evaluated in exact arithmetic,
-    and independently every doubled element 2b of the run is tested for
-    membership of 2b - t and 2b + t in the set itself.
+    and independently the doubles are tested against the set's bitmap on
+    each shifted window, one AND per shift (see _escape_check).
     """
     i0 = escape_i0(t)
     if i_max < i0:
@@ -750,24 +766,39 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
             f"need i_max >= {i0} for shift {t}, got {i_max}"
         )
     gen = PowRuns(4)
-    checks = []
-    for i in range(i0, i_max + 1):
-        p, pn = 1 << 2 * i, 1 << 2 * (i + 1)
-        b_lo, b_hi = p, p + i - 1
-        outside = all(
-            not gen.member(2 * b - t) and not gen.member(2 * b + t)
-            for b in range(b_lo, b_hi + 1)
-        )
-        checks.append(
-            EscapeCheck(
-                i=i,
-                below_double=p + i + t < 2 * p,
-                double_lower=2 * p <= 2 * b_lo,
-                double_upper=2 * b_hi < 2 * p + 2 * i,
-                gap_clearance=2 * p + 2 * i < pn - 2 * t,
-                shift_margin=pn - 2 * t <= pn - t,
-                doubles_outside=outside,
-            )
-        )
+    checks = tuple(_escape_check(gen, t, i) for i in range(i0, i_max + 1))
     all_ok = all(c.chain_ok and c.doubles_outside for c in checks)
-    return EscapeReport(t, i0, len(checks), all_ok, tuple(checks))
+    return EscapeReport(t, i0, len(checks), all_ok, checks)
+
+
+def _escape_check(gen: PowRuns, t: int, i: int) -> EscapeCheck:
+    """Rung i of the ladder for shift t, on gen = PowRuns(4) for any i >= 1.
+
+    The doubles 2b of the run [4**i, 4**i + i - 1] are 2 * 4**i plus the
+    comb {0, 2, ..., 2i - 2}, so a shift by -t or +t meets the set exactly
+    when that comb ANDs nonzero with gen's bitmap on the window of 2i - 1
+    cells from 2 * 4**i - t or 2 * 4**i + t.  Cells below 0 hold no member
+    and are cut from window and comb alike.  For i >= i0(t) both windows
+    lie in the bracket [4**i, 4**(i + 1)), so gen locates it once per rung.
+    """
+    p, pn = 1 << 2 * i, 1 << 2 * (i + 1)
+    b_lo, b_hi = p, p + i - 1
+    doubles = _comb(2, i)
+    outside = True
+    for base in (2 * p - t, 2 * p + t):
+        cut = max(-base, 0)
+        if cut >= 2 * i - 1:
+            continue
+        near = gen.materialize(Window(base + cut, 2 * i - 1 - cut))
+        if near.bits & doubles >> cut:
+            outside = False
+            break
+    return EscapeCheck(
+        i=i,
+        below_double=p + i + t < 2 * p,
+        double_lower=2 * p <= 2 * b_lo,
+        double_upper=2 * b_hi < 2 * p + 2 * i,
+        gap_clearance=2 * p + 2 * i < pn - 2 * t,
+        shift_margin=pn - 2 * t <= pn - t,
+        doubles_outside=outside,
+    )

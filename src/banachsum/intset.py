@@ -422,12 +422,19 @@ class RunList(IntSet):
         return x - 1 if run is None else run.end
 
     def materialize(self, window: Window) -> ExplicitWindow:
+        """Visits only the runs that meet the window: from the run through
+        or after its base, found by bisection, to the last starting at or
+        before its end."""
         bits = 0
-        for run in self.runs:
-            lo = max(run.start, window.base, 1)
-            hi = min(run.end, window.end)
+        runs, base, end = self.runs, window.base, window.end
+        for i in range(max(bisect_right(self._starts, base) - 1, 0), len(runs)):
+            run = runs[i]
+            if run.start > end:
+                break
+            lo = max(run.start, base, 1)
+            hi = min(run.end, end)
             if lo <= hi:
-                bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
+                bits |= ((1 << (hi - lo + 1)) - 1) << (lo - base)
         return ExplicitWindow(window, bits)
 
     def __eq__(self, other) -> bool:

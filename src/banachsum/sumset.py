@@ -176,10 +176,12 @@ def verify_containment(
     """Is every element of the claim a member of the target?
 
     Fail always reports the smallest witness.  An interval claim costs one
-    first_gap call, that is one run_end_at query on the target.  When the
-    target is an ExplicitWindow, elements of the claim outside its window
-    are undecidable: if everything decidable passes but some of the claim
-    was out of reach, the verdict is PartialWindow with the decided span in
+    first_gap call, that is one run_end_at query on the target; a bitmap
+    claim one materialize of the target on the claim's window and one
+    AND, with no member call (see _verify_bitmap).  When the target is an
+    ExplicitWindow, elements of the claim outside its window are
+    undecidable: if everything decidable passes but some of the claim was
+    out of reach, the verdict is PartialWindow with the decided span in
     evaluable.  Every other target, an AffineImage of a window included,
     decides fully, so its verdict is Pass or Fail.  Passing bounds
     restricts the check to claim elements in [bounds[0], bounds[1]]; an
@@ -214,14 +216,23 @@ def verify_containment(
 
 
 def _verify_bitmap(claim: ExplicitWindow, target: IntSet) -> Verdict:
+    """The claim's cells the target lacks, claim.bits & ~target's bitmap
+    on the claim's window: one materialize and one AND, no member calls.
+    A window target decides only the cells inside its window, so the
+    misses are masked to those, and claim bits outside them make the
+    verdict PartialWindow when nothing inside fails."""
+    window = claim.window
+    missing = claim.bits & ~target.materialize(window).bits
+    undecided = 0
     bounds = _decidable_bounds(target)
-    undecided = False
-    for x in claim.elements():
-        if bounds is not None and not bounds[0] <= x <= bounds[1]:
-            undecided = True
-            continue
-        if not target.member(x):
-            return Verdict(Status.FAIL, witness=x)
+    if bounds is not None:
+        lo = max(bounds[0], window.base) - window.base
+        hi = min(bounds[1], window.end) - window.base
+        decidable = ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
+        missing &= decidable
+        undecided = claim.bits & ~decidable
+    if missing:
+        return Verdict(Status.FAIL, witness=window.base + (missing & -missing).bit_length() - 1)
     if undecided:
         return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
     return Verdict(Status.PASS)

@@ -301,6 +301,26 @@ def test_family_refuses_too_many_picks():
     assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
 
 
+def test_family_checks_brute_span_before_any_work(capsys):
+    # "run 1 5" holds no base sequence of k=8, so any build ends in
+    # NoSuitableRun: the span is refused before the build starts
+    common = ("family", "--set", "run 1 5", "--k", "8", "--brute-span")
+    code, out, err = run_cli(capsys, *common, "-1")
+    assert (code, out) == (2, "")
+    assert "--brute-span" in err and ">= 0" in err
+    # the bitmaps live on [0, brute_span], one cell more than the span
+    for span in (WINDOW_BITS_BUDGET, 10**9):
+        code, out, err = run_cli(capsys, *common, str(span))
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "error": "BudgetExceeded",
+            "detail": f"window of {span + 1} bits exceeds the budget of "
+                      f"{WINDOW_BITS_BUDGET} bits",
+        }
+    code, out, _ = run_cli(capsys, *common, str(WINDOW_BITS_BUDGET - 1))
+    assert code == 3 and json.loads(out)["error"] == "NoSuitableRun"
+
+
 def test_family_rejects_too_many_sets(capsys):
     code, _, err = run_cli(
         capsys, "family", "--set", "gen full", "--k", "2", "--k-sets", "5"

@@ -212,6 +212,39 @@ def test_sweep_matches_per_subset_reference(case):
     assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
 
 
+class MemberOnly(IntSet):
+    """inner's members behind a run query that vouches for everything, so
+    that only the brute route, which asks member(), can find a gap."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def member(self, x):
+        return self.inner.member(x)
+
+    def run_end_at(self, x):
+        return None
+
+
+@given(sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_brute_route_alone_matches_reference(case):
+    seq, a, k_limit, brute_span = case
+    a = MemberOnly(a)
+    got = verify_b_sequence(seq, a, k_limit, brute_span)
+    assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
+
+
+def test_brute_route_alone_finds_a_gap_just_past_a_walked_stretch():
+    # run 3's sum [10, 12] is walked first; the sum of runs 3 and 1,
+    # [11, 13], starts inside that stretch and ends on the gap at 13
+    seq = BSequence.from_entries((1, 2, 3), (1, 5, 10))
+    a = MemberOnly(RunList([Run(1, 12), Run(15, 100)]))
+    payload = {"status": "Fail", "checked": 7, "witness": "13", "witness_subset": [3, 1]}
+    assert reference_sweep(seq, a) == payload
+    assert verify_b_sequence(seq, a).to_payload() == payload
+
+
 def test_sweep_reference_examples():
     # sums of [1,1], [2,3], [4,6]: [1,1] [2,3] [3,4] [4,6] [5,7] [6,9] [7,10]
     seq = build_b_sequence(Full(), [1, 2, 3])
@@ -721,6 +754,122 @@ def test_escape_doubles_really_leave_translates():
             b = 4**i + rng.randrange(i)  # any element of the i-th run
             assert not gen.member(2 * b - t)
             assert not gen.member(2 * b + t)
+
+
+def reference_doubles_outside(t, i):
+    """Rung i's doubles_outside from member() alone: every double 2b of
+    the run [4**i, 4**i + i - 1] asked at 2b - t and at 2b + t."""
+    gen = PowRuns(4)
+    p = 4**i
+    return all(
+        not gen.member(2 * b - t) and not gen.member(2 * b + t)
+        for b in range(p, p + i)
+    )
+
+
+def reference_escape(t, i_max):
+    """verify_escape's payload with every rung's doubles asked one by one."""
+    i0 = escape_i0(t)
+    checks = []
+    for i in range(i0, i_max + 1):
+        p, pn = 4**i, 4 ** (i + 1)
+        checks.append({
+            "i": i,
+            "below_double": p + i + t < 2 * p,
+            "double_lower": True,
+            "double_upper": 2 * (p + i - 1) < 2 * p + 2 * i,
+            "gap_clearance": 2 * p + 2 * i < pn - 2 * t,
+            "shift_margin": pn - 2 * t <= pn - t,
+            "doubles_outside": reference_doubles_outside(t, i),
+        })
+    return {
+        "t": t,
+        "i0": i0,
+        "checked": len(checks),
+        "all_escaped": all(all(c.values()) for c in checks),
+        "checks": checks,
+    }
+
+
+@given(st.integers(0, 10**7), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_escape_matches_per_element_reference(t, extra):
+    i_max = escape_i0(t) + extra
+    assert verify_escape(t, i_max).to_payload() == reference_escape(t, i_max)
+
+
+def test_escape_rungs_below_threshold_match_reference():
+    # below i0(t) a double can land in a shift: run 1 is [4, 4], and
+    # 8 - 4 = 4 and 8 + 8 = 16 are members; for t > 2 * 4**i the lower
+    # shift's window starts below 0
+    gen = PowRuns(4)
+    assert construct._escape_check(gen, 4, 1).doubles_outside is False
+    assert construct._escape_check(gen, 8, 1).doubles_outside is False
+    landed = 0
+    for t in range(0, 300):
+        for i in range(1, escape_i0(t) + 2):
+            got = construct._escape_check(gen, t, i).doubles_outside
+            assert got == reference_doubles_outside(t, i), (t, i)
+            landed += not got
+    assert landed > 20
+
+
+def test_escape_rungs_with_shifts_past_the_doubles_match_reference():
+    # t near 2 * 4**i pushes the lower shift's window partly below 0,
+    # where window and comb lose their first cells
+    gen = PowRuns(4)
+    for i in range(1, 13):
+        for t in range(2 * 4**i - 2 * i, 2 * 4**i + 2 * i + 1):
+            got = construct._escape_check(gen, t, i).doubles_outside
+            assert got == reference_doubles_outside(t, i), (t, i)
+
+
+def refuse_member(self, x):
+    raise AssertionError(f"member({x}) asked")
+
+
+def test_escape_asks_no_member_question(monkeypatch):
+    """Each rung is one AND per shift against PowRuns(4)'s bitmap: not
+    one member() call for any of the 2i doubles of any rung."""
+    monkeypatch.setattr(PowRuns, "member", refuse_member)
+    report = verify_escape(404645, 400)
+    assert (report.i0, report.checked, report.all_escaped) == (10, 391, True)
+
+
+@pytest.mark.parametrize("scheme", ["residue", "blocks"])
+def test_family_materializes_a_full_target_once(monkeypatch, scheme):
+    """The bitmap route checks every selection against one bitmap of the
+    target on [0, brute_span]: one materialize, no member() call."""
+    fam = build_family(build_b_sequence(Full(), [1] * 9), 3, scheme)
+    windows = []
+    materialize = Full.materialize
+
+    def counting(self, window):
+        windows.append(window)
+        return materialize(self, window)
+
+    monkeypatch.setattr(Full, "materialize", counting)
+    monkeypatch.setattr(Full, "member", refuse_member)
+    assert verify_family(fam, Full(), 64).passed
+    assert windows == [Window(0, 65)]
+
+
+def test_full_sweep_skips_walked_stretches(monkeypatch):
+    """A brute-route sum inside a stretch of members already walked is
+    passed by _sweep itself: of the 65 535 picks of a Full k=16 sweep,
+    only a few hundred reach first_gap."""
+    seq = build_b_sequence(Full(), list(range(1, 17)))
+    calls = []
+    first_gap = _MemberWalk.first_gap
+
+    def counting(self, lo, hi):
+        calls.append((lo, hi))
+        return first_gap(self, lo, hi)
+
+    monkeypatch.setattr(_MemberWalk, "first_gap", counting)
+    report = verify_b_sequence(seq, Full())
+    assert report.passed and report.checked == 65535
+    assert len(calls) < 1000
 
 
 @given(st.integers(0, 10**9))

@@ -167,6 +167,48 @@ def test_materialize_runlist_pointwise(s, base, length):
         assert w.member(x) == s.member(x)
 
 
+@st.composite
+def long_lists_and_late_windows(draw):
+    """A list of 20 to 80 runs and a window starting past most of them."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 12)),
+                          min_size=20, max_size=80))
+    runs, pos = [], 0
+    for gap, n in pairs:
+        runs.append(Run(pos + gap, n))
+        pos += gap + n
+    s = RunList(runs)
+    base = draw(st.integers(runs[len(runs) * 3 // 4].start - 5, pos + 10))
+    return s, Window(base, draw(st.integers(1, 120)))
+
+
+class IndexLog(tuple):
+    """A tuple that records which indices were read."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+@given(long_lists_and_late_windows())
+@settings(max_examples=100)
+def test_materialize_long_runlist_late_window(case):
+    s, w = case
+    got = s.materialize(w)
+    for x in range(w.base, w.end + 1):
+        assert got.member(x) == s.member(x)
+    # only the runs meeting the window are read, and at most one on
+    # either side of them
+    meeting = [i for i, r in enumerate(s.runs) if r.start <= w.end and r.end >= w.base]
+    logged = IndexLog(s.runs)
+    logged.read = []
+    s.runs = logged
+    assert s.materialize(w) == got
+    lo = meeting[0] - 1 if meeting else -1
+    hi = meeting[-1] + 1 if meeting else len(logged)
+    assert logged.read and all(lo <= i <= hi for i in logged.read)
+    assert len(logged.read) <= len(meeting) + 2
+
+
 # ------------------------------------------------------------------- translate / dilate
 
 

@@ -324,6 +324,86 @@ def test_translated_window_fails_past_its_end():
     assert v == Verdict(Status.FAIL, witness=23)
 
 
+def reference_bitmap_verdict(claim, target):
+    """The per-element verdict: the claim's elements asked of member() in
+    ascending order, skipping those outside a window target's window."""
+    bounds = None
+    if isinstance(target, ExplicitWindow):
+        bounds = (target.window.base, target.window.end)
+    undecided = False
+    for x in claim.elements():
+        if bounds is not None and not bounds[0] <= x <= bounds[1]:
+            undecided = True
+            continue
+        if not target.member(x):
+            return Verdict(Status.FAIL, witness=x)
+    if undecided:
+        return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
+    return Verdict(Status.PASS)
+
+
+@st.composite
+def bitmap_claims(draw):
+    """A target and a bitmap claim: some of the target's members on the
+    claim's window plus a few other cells.  Against a window target the
+    claim's window starts anywhere from below the target's to past its
+    end, so claims cross either edge, both, or lie wholly outside."""
+    target = draw(st.one_of(non_window_targets(), windows))
+    if isinstance(target, ExplicitWindow):
+        tw = target.window
+        base = draw(st.integers(max(tw.base - 40, 0), tw.end + 5))
+    else:
+        base = draw(st.integers(0, 400))
+    length = draw(st.integers(1, 120))
+    have = sum(1 << off for off in range(length) if target.member(base + off))
+    bits = have & draw(st.integers(0, (1 << length) - 1))
+    for off in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        bits |= 1 << off
+    if base == 0:
+        bits &= ~1
+    return ExplicitWindow(Window(base, length), bits), target
+
+
+@given(bitmap_claims())
+@settings(max_examples=400)
+def test_bitmap_containment_matches_per_element_reference(case):
+    claim, target = case
+    assert verify_containment(claim, target) == reference_bitmap_verdict(claim, target)
+
+
+def test_bitmap_containment_examples():
+    # target window [10, 19] holding 12..15; claims cross its edges
+    target = from_elems([12, 13, 14, 15], Window(10, 10))
+    cases = [
+        (from_elems([12, 15], Window(10, 10)), Verdict(Status.PASS)),
+        (from_elems([13, 16, 18], Window(10, 10)), Verdict(Status.FAIL, witness=16)),
+        (from_elems([3, 12, 25], Window(0, 30)),
+         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
+        (from_elems([3, 11, 25], Window(0, 30)), Verdict(Status.FAIL, witness=11)),
+        (from_elems([20, 21], Window(20, 5)),
+         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
+        (ExplicitWindow(Window(0, 30), 0), Verdict(Status.PASS)),
+        (from_elems([1, 4], Window(0, 8)),
+         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
+        (from_elems([10, 12], Window(10, 4)), Verdict(Status.FAIL, witness=10)),
+    ]
+    for claim, want in cases:
+        assert reference_bitmap_verdict(claim, target) == want
+        assert verify_containment(claim, target) == want
+    # every other target decides the whole claim
+    claim = from_elems([4, 16, 17, 64, 66], Window(0, 100))
+    for target, want in [
+        (PowRuns(4), Verdict(Status.PASS)),
+        (Full(), Verdict(Status.PASS)),
+        (PolyRuns(3), Verdict(Status.FAIL, witness=4)),
+        (Congruence(2, 0), Verdict(Status.FAIL, witness=17)),
+        (AffineImage.of(PowRuns(4), 1, 1), Verdict(Status.FAIL, witness=4)),
+        (RunList([Run(4, 1), Run(16, 51)]), Verdict(Status.PASS)),
+    ]:
+        assert reference_bitmap_verdict(claim, target) == want
+        assert verify_containment(claim, target) == want
+
+
 def test_verdict_payload_schema():
     v = Verdict(Status.FAIL, witness=182)
     assert verdict_payload(v) == {
