@@ -13,8 +13,8 @@ Three builders live here, each paired with an independent verifier:
 A fourth block checks, for the quadruple-power run generator, that
 doubling an element of the i-th run escapes every translate of the set
 once i is large enough.  Verifiers never reuse the builder's reasoning:
-they recheck claims from set queries alone (member, run_end_at and
-materialize) and report the smallest counterexample when one exists.
+they recheck claims from set queries alone (member, run_end_at, next_run
+and materialize) and report the smallest counterexample when one exists.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ __all__ = [
     "verify_family",
     "APReduction",
     "ap_reduce",
+    "ESCAPE_I_MAX_BUDGET",
     "escape_i0",
     "EscapeCheck",
     "EscapeReport",
@@ -72,14 +73,22 @@ __all__ = [
 
 DEFAULT_DIGIT_BUDGET = 100_000
 
+# Largest rung index verify_escape checks: each rung works on integers of
+# about 2i bits, and the report lists every rung, so time and output grow
+# faster than i_max (on a 2-core x86-64 host: 0.19 s and 0.55 MB at 4096,
+# 6.6-7.8 s and 2.7 MB at 20 000).
+ESCAPE_I_MAX_BUDGET = 4096
+
 
 class BSequence(Record):
     """Base points b_j with run lengths ell_j and per-step run certificates.
 
     certificate j attests that the target set contains one unbroken run
     covering [b_j, sum_{i<=j} (b_i + ell_i) - 1].  That interval contains
-    every subset sumset whose largest index is j, which is what makes
-    subset verification reducible to j independent run checks.
+    the hull [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so
+    every subset sumset whose largest index is j: k run checks decide all
+    2**k - 1 subset claims.  verify_b_sequence makes those checks on the
+    hulls from the target alone; it never reads the certificates.
     """
 
     _fields = ("ells", "bs", "certificates")
@@ -387,7 +396,12 @@ def _sweep(
     other sum goes to verify_containment.  The brute route walks sums of at
     most brute_span integers with member() alone, through one _MemberWalk;
     a sum inside a stretch of members the walk has already covered passes
-    on one bisection of its stretches, with no call.  More than 2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
+    on one bisection of its stretches, with no call.  More than
+    2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
+
+    The verifiers call this only when _hulls_pass cannot vouch for every
+    pick: it finds the smallest witness and its first selection, and it
+    decides claims the hulls are too coarse for.
     """
     fulls = [len(runs) for runs in parts]
     picks = prod(f + 1 for f in fulls) - 1
@@ -437,6 +451,40 @@ def _sweep(
                     state.fail(witness, mask())
 
 
+def _hulls_pass(runs: Sequence[Run], a: IntSet, brute_span: int) -> bool:
+    """Whether a contains the hull of every top index, which proves every pick.
+
+    With e_i the end of runs[i], a pick whose highest run is runs[j] sums
+    to an interval inside the hull [start of runs[j], e_0 + ... + e_j], as
+    every start and end is positive.  A hull passes only when both run
+    queries vouch for it: run_end_at through its start reaches its end,
+    and next_run of its length from its start returns a run at that start.
+    A hull of at most brute_span integers must then also pass one
+    _MemberWalk, right after its run queries, so a PowRuns or PolyRuns
+    target answers all three within the bracket of that run.  The first
+    failing hull ends the check, and a hull a window target cannot decide
+    fails.  False proves nothing: the hulls are sufficient, not necessary,
+    and _sweep decides what they cannot.
+    """
+    walk = _MemberWalk(a)
+    reach = 0
+    for run in runs:
+        lo = run.start
+        reach += run.end
+        end = a.run_end_at(lo)
+        if end is not None and end < reach:
+            return False
+        try:
+            found = a.next_run(reach - lo + 1, lo)
+        except HorizonExceeded:
+            return False
+        if found is None or found.start != lo:
+            return False
+        if reach - lo < brute_span and walk.first_gap(lo, reach) is not None:
+            return False
+    return True
+
+
 def verify_b_sequence(
     seq: BSequence,
     a: IntSet,
@@ -446,17 +494,24 @@ def verify_b_sequence(
     """Recheck every nonempty subset's sumset against the target.
 
     The sumset of a subset's runs is the interval [sum of starts, sum of
-    ends].  The runs are the parts of one _sweep, one run each, so subsets
-    come in binary-counter order (see enumerate_subsets), and both of its
-    routes must agree with containment for a Pass.  On a valid sequence
-    that costs k run lookups, a few big-integer additions per subset, and
-    one membership query per distinct integer the brute route covers.
-    Raises BudgetExceeded before any work when k exceeds SUBSET_BUDGET_MAX.
+    ends], inside the hull of its top run, so when every hull passes
+    (_hulls_pass) all 2**k - 1 subsets pass: k run lookups per route and
+    one membership query per integer of the hulls of at most brute_span
+    integers.  Otherwise the runs are the parts of one _sweep, one run
+    each, so subsets come in binary-counter order (see enumerate_subsets),
+    and both of its routes must agree with containment for a Pass.  A
+    negative k_limit raises ValueError before any query; BudgetExceeded,
+    for k over SUBSET_BUDGET_MAX, comes only before that fallback.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
+    if k < 0:
+        raise ValueError(f"k_limit must be >= 0, got {k_limit}")
+    runs = [seq.run(j) for j in range(1, k + 1)]
+    if _hulls_pass(runs, a, brute_span):
+        return SweepReport(Status.PASS, (1 << k) - 1)
     check_subset_count(k)
     state = _SweepState()
-    _sweep([[seq.run(j)] for j in range(1, k + 1)], a, brute_span, state)
+    _sweep([[run] for run in runs], a, brute_span, state)
     return state.report()
 
 
@@ -549,24 +604,35 @@ def verify_family(
 
     For each nonempty selection of components, every way of picking one
     source run per selected component gives an interval that must lie in
-    the target: the prod(|ix_i| + 1) - 1 picks of one _sweep over the
-    components' source runs, under its pick budget.  Short selections are
-    rechecked by summing materialized component bitmaps and handing the
-    sum to verify_containment; only its Fail counts, since sums a window
-    target cannot decide are not evidence either way.  Every part and
-    every sum lies on the window [0, brute_span], so a target other than a
-    window is materialized there once and each selection's check is one
-    AND with that bitmap.  The selections are
-    walked depth first by increasing component: a selection's sum is the
-    sum of the selection without its highest component plus that
-    component, one pairwise_sumset each, with one sum per depth held at a
-    time.  A selection holding an empty component is skipped with all its
-    extensions.
+    the target: prod(|ix_i| + 1) - 1 picks in all.  Every pick is a subset
+    of the source runs, so when the source sequence's hulls pass both run
+    queries (_hulls_pass, with no member walk: the bitmap route below is
+    the second route) every pick passes.  Otherwise the picks are one
+    _sweep over the components' source runs, under its pick budget.  More
+    than SUBSET_BUDGET_MAX components raise BudgetExceeded before any
+    query, since the bitmap route takes 2**k_sets - 1 selections.
+
+    Short selections are rechecked by summing materialized component
+    bitmaps and handing the sum to verify_containment; only its Fail
+    counts, since sums a window target cannot decide are not evidence
+    either way.  Every part and every sum lies on the window [0,
+    brute_span], so a target other than a window is materialized there
+    once and each selection's check is one AND with that bitmap.  The
+    selections are walked depth first by increasing component: a
+    selection's sum is the sum of the selection without its highest
+    component plus that component, one pairwise_sumset each, with one sum
+    per depth held at a time.  A selection holding an empty component is
+    skipped with all its extensions.
     """
     _check_disjoint(family)
+    check_subset_count(family.k_sets)
     state = _SweepState()
-    runs = [[family.source.run(j) for j in ix] for ix in family.index_sets]
-    _sweep(runs, a, 0, state)
+    source = family.source
+    if _hulls_pass([source.run(j) for j in range(1, source.k + 1)], a, 0):
+        state.checked = prod(len(ix) + 1 for ix in family.index_sets) - 1
+    else:
+        runs = [[source.run(j) for j in ix] for ix in family.index_sets]
+        _sweep(runs, a, 0, state)
     window = Window(0, brute_span + 1)
     parts = [rl.materialize(window) for rl in family.sets]
     # every part and every capped sum lies on this window: a target that
@@ -758,8 +824,13 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
 
     For each index the inequality chain is evaluated in exact arithmetic,
     and independently the doubles are tested against the set's bitmap on
-    each shifted window, one AND per shift (see _escape_check).
+    each shifted window, one AND per shift (see _escape_check).  An i_max
+    over ESCAPE_I_MAX_BUDGET raises BudgetExceeded before the first rung.
     """
+    if i_max > ESCAPE_I_MAX_BUDGET:
+        raise BudgetExceeded(
+            f"rungs up to i_max = {i_max} exceed the budget of {ESCAPE_I_MAX_BUDGET}"
+        )
     i0 = escape_i0(t)
     if i_max < i0:
         raise PreconditionFailed(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError
 
@@ -322,7 +322,7 @@ class ExplicitWindow(IntSet):
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        return _first_fit(self.runs(), min_len, lower_bound, "inside the window")
+        return _first_fit(self.runs(), 0, min_len, lower_bound, "inside the window")
 
     def run_end_at(self, x: int) -> int:
         off = x - self.window.base
@@ -415,7 +415,10 @@ class RunList(IntSet):
         return RunList(Run(m * x + r, 1) for run in self.runs for x in run)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        return _first_fit(self.runs, min_len, lower_bound, "in the run list")
+        """Scans from the run through or after lower_bound, found by
+        bisection: every run before it ends below lower_bound."""
+        first = max(bisect_right(self._starts, lower_bound) - 1, 0)
+        return _first_fit(self.runs, first, min_len, lower_bound, "in the run list")
 
     def run_end_at(self, x: int) -> int:
         run = self._locate(x)
@@ -817,10 +820,13 @@ def _comb(m: int, count: int) -> int:
     return comb
 
 
-def _first_fit(runs: Iterable[Run], min_len: int, lower_bound: int, where: str) -> Run:
-    """next_run over a finite ascending list of maximal runs."""
+def _first_fit(
+    runs: Sequence[Run], first: int, min_len: int, lower_bound: int, where: str
+) -> Run:
+    """next_run over a finite ascending list of maximal runs, from runs[first] on."""
     _check_min_len(min_len)
-    for run in runs:
+    for i in range(first, len(runs)):
+        run = runs[i]
         b = max(run.start, lower_bound)
         if b + min_len - 1 <= run.end:
             return Run(b, min_len)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import banachsum
 from banachsum.cli import WINDOW_BITS_BUDGET, main
-from banachsum.construct import DEFAULT_DIGIT_BUDGET
+from banachsum.construct import BSequence, DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +171,31 @@ def test_verify_round_trip_and_corruption(capsys, tmp_path):
     assert verdict["witness_subset"] == [2]
 
 
+def test_verify_decides_a_valid_sequence_past_the_subset_budget(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "construct-b", "--set", "gen full", "--ells", "1", "--k", "30"
+    )
+    assert code == 0
+    path = tmp_path / "seq.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+    assert code == 0
+    assert json.loads(out) == {"status": "Pass", "checked": 2**30 - 1}
+
+
+def test_verify_refuses_a_failing_sequence_past_the_subset_budget(capsys, tmp_path):
+    # odd bases 1, 3, 5, ...: the hull of the second run already leaves
+    # PolyRuns(2), and the per-subset fallback would take 2**30 - 1 checks
+    seq = BSequence.from_entries((1,) * 30, tuple(range(1, 61, 2)))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(seq.to_payload()), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--set", "gen poly_runs 2", "--bseq", str(path)
+    )
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"] == "BudgetExceeded"
+
+
 def test_verify_rejects_malformed_file(capsys, tmp_path):
     junk = tmp_path / "junk.json"
     # the nested arrays overflow the JSON decoder's recursion
@@ -285,20 +310,15 @@ def test_family_command(capsys):
     assert payload["verification"]["status"] == "Pass"
 
 
-def test_family_refuses_too_many_picks():
-    # 20 components of 10 runs each ask for 11**20 - 1 picks; the refusal
-    # comes before any of them is checked (the timeout only guards a hang)
-    src = str(Path(banachsum.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "banachsum", "family", "--set", "gen full",
-         "--ells", "1", "--k", "200", "--k-sets", "20"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+def test_family_answers_many_picks_from_the_hulls(capsys):
+    # 8 components of 25 runs each make 26**8 - 1 picks, far over the pick
+    # budget; the greedy sequence's hulls pass, so no pick is swept
+    code, out, err = run_cli(
+        capsys, "family", "--set", "gen full", "--ells", "1", "--k", "200",
+        "--k-sets", "8",
     )
-    assert (proc.returncode, proc.stderr) == (3, "")
-    assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"] == {"status": "Pass", "checked": 26**8 - 1}
 
 
 def test_family_checks_brute_span_before_any_work(capsys):
@@ -368,6 +388,18 @@ def test_escape_command(capsys):
         "doubles_outside",
     ):
         assert first[key] is True
+
+
+def test_escape_refuses_rungs_over_the_budget(capsys):
+    code, out, err = run_cli(
+        capsys, "escape", "--t", "5", "--i-max", str(ESCAPE_I_MAX_BUDGET + 1)
+    )
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "detail": f"rungs up to i_max = {ESCAPE_I_MAX_BUDGET + 1} exceed the "
+                  f"budget of {ESCAPE_I_MAX_BUDGET}",
+    }
 
 
 # --------------------------------------------------------------------- gen

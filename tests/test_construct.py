@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banachsum import construct, intset
@@ -41,6 +41,7 @@ from banachsum.intset import (
     RunList,
     Window,
     nth_root_floor,
+    parse_set,
 )
 from banachsum.sumset import (
     SUBSET_BUDGET_MAX,
@@ -171,6 +172,9 @@ SWEEP_TARGETS = [
     Full().materialize(Window(3, 60)),
     RunList([Run(2, 30), Run(35, 100)]).materialize(Window(0, 90)),
     AffineImage.of(Full().materialize(Window(0, 80)), 1, 1),
+    # every subset sum of bases 1, 10, 100 with unit runs, but a hole
+    # inside the hull [100, 111] of the third run
+    RunList([Run(1, 1), Run(10, 2), Run(100, 2), Run(110, 2)]),
 ]
 
 
@@ -214,13 +218,17 @@ def test_sweep_matches_per_subset_reference(case):
 
 class MemberOnly(IntSet):
     """inner's members behind a run query that vouches for everything, so
-    that only the brute route, which asks member(), can find a gap."""
+    that only the brute route, which asks member(), can find a gap in a
+    sum, and only member() and next_run() in a hull."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def member(self, x):
         return self.inner.member(x)
+
+    def next_run(self, min_len, lower_bound=0):
+        return self.inner.next_run(min_len, lower_bound)
 
     def run_end_at(self, x):
         return None
@@ -233,6 +241,89 @@ def test_brute_route_alone_matches_reference(case):
     a = MemberOnly(a)
     got = verify_b_sequence(seq, a, k_limit, brute_span)
     assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
+
+
+class NextRunVouches(IntSet):
+    """inner behind a next_run that vouches for every run from its lower
+    bound: the mirror of MemberOnly."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def member(self, x):
+        return self.inner.member(x)
+
+    def next_run(self, min_len, lower_bound=0):
+        return Run(max(lower_bound, 1), min_len)
+
+    def run_end_at(self, x):
+        return self.inner.run_end_at(x)
+
+
+@given(sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_lying_next_run_cannot_change_the_verdict(case):
+    seq, a, k_limit, brute_span = case
+    a = NextRunVouches(a)
+    got = verify_b_sequence(seq, a, k_limit, brute_span)
+    assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
+
+
+class RunQueriesVouch(IntSet):
+    """inner's members behind run queries that both vouch for everything."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def member(self, x):
+        return self.inner.member(x)
+
+    def next_run(self, min_len, lower_bound=0):
+        return Run(max(lower_bound, 1), min_len)
+
+    def run_end_at(self, x):
+        return None
+
+
+@given(sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_member_walk_alone_decides_short_hulls(case):
+    # with both run queries lying, a hull of at most brute_span integers
+    # passes only on the member walk, which then finds what the per-subset
+    # brute route finds
+    seq, a, k_limit, _ = case
+    k = seq.k if k_limit is None else min(k_limit, seq.k)
+    brute_span = 10_000
+    # the top hull is the longest
+    top = sum(seq.run(j).end for j in range(1, k + 1)) - (seq.bs[k - 1] if k else 0)
+    assume(top < brute_span)
+    a = RunQueriesVouch(a)
+    got = verify_b_sequence(seq, a, k_limit, brute_span)
+    assert got.to_payload() == reference_sweep(seq, a, k_limit, brute_span)
+
+
+def test_hulls_are_sufficient_not_necessary(monkeypatch):
+    # the hull [100, 111] of the third run holds the hole 102, yet all
+    # seven subset sums 1, 10, 11, 100, 101, 110, 111 are members: the
+    # failing hull hands the claim to the per-subset sweep
+    seq = BSequence.from_entries((1, 1, 1), (1, 10, 100))
+    a = parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2")
+    assert not construct._hulls_pass([seq.run(j) for j in (1, 2, 3)], a, 0)
+    sweeps = []
+    sweep = construct._sweep
+
+    def counting(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(construct, "_sweep", counting)
+    payload = {"status": "Pass", "checked": 7}
+    assert reference_sweep(seq, a) == payload
+    assert verify_b_sequence(seq, a).to_payload() == payload
+    assert len(sweeps) == 1
+    fam = build_family(seq, 2, "residue")
+    assert verify_family(fam, a).to_payload() == reference_family(fam, a)
+    assert len(sweeps) == 2
 
 
 def test_brute_route_alone_finds_a_gap_just_past_a_walked_stretch():
@@ -265,17 +356,52 @@ class Untouchable(IntSet):
     def member(self, x):
         raise AssertionError(f"asked about {x}")
 
+    def next_run(self, min_len, lower_bound=0):
+        raise AssertionError(f"asked about {lower_bound}")
+
     def run_end_at(self, x):
         raise AssertionError(f"asked about {x}")
 
 
-def test_sweep_budget_is_checked_before_any_query():
+class RunQueriesOnly(IntSet):
+    """inner's run queries, counted, behind a member() that refuses."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = 0
+
+    def member(self, x):
+        raise AssertionError(f"member({x}) asked")
+
+    def next_run(self, min_len, lower_bound=0):
+        self.queries += 1
+        return self.inner.next_run(min_len, lower_bound)
+
+    def run_end_at(self, x):
+        self.queries += 1
+        return self.inner.run_end_at(x)
+
+
+def refuse_containment(claim, target):
+    raise AssertionError(f"verify_containment({claim}) asked")
+
+
+def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     k = SUBSET_BUDGET_MAX + 1
     seq = BSequence.from_entries((1,) * k, tuple(range(1, k + 1)))
-    with pytest.raises(BudgetExceeded):
-        verify_b_sequence(seq, Untouchable())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_limit must be >= 0"):
         verify_b_sequence(seq, Untouchable(), k_limit=-1)
+    # the hulls [1, 20000] and [20001, 40001] pass, [20002, 60003] fails,
+    # all too long for the member walk: the refusal of the 2**25 - 1
+    # subsets follows a few run queries, and no member() or
+    # verify_containment call
+    monkeypatch.setattr(construct, "verify_containment", refuse_containment)
+    long_first = BSequence.from_entries((20000,) + (1,) * (k - 1),
+                                        (1,) + tuple(range(20001, 20000 + k)))
+    a = RunQueriesOnly(RunList([Run(1, 40005)]))
+    with pytest.raises(BudgetExceeded):
+        verify_b_sequence(long_first, a)
+    assert 0 < a.queries <= k
     assert verify_b_sequence(seq, Full(), k_limit=3).checked == 7
 
 
@@ -424,19 +550,33 @@ def test_family_selection_budget():
         verify_family(fam, Full())
 
 
-def test_family_pick_budget_is_checked_before_any_query():
+def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
+    # the hulls of bases 1, 2, 3, ... end at 1, 3, 6, ...: the target's
+    # run [1, 5] passes two and fails the third, so the picks would go to
+    # the sweep, which refuses them after a few run queries, with no
+    # member() or verify_containment call
+    monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     # 20 components of two runs each: 3**20 - 1 picks
     seq = BSequence.from_entries((1,) * 40, tuple(range(1, 41)))
+    a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded):
-        verify_family(build_family(seq, 20, "residue"), Untouchable())
+        verify_family(build_family(seq, 20, "residue"), a)
+    assert 0 < a.queries <= seq.k
     # component sizes 96, 256 and 672 give 97 * 257 * 673 - 1 = 2**24
     # picks, one over the budget
     seq = BSequence.from_entries((1,) * 1024, tuple(range(1, 1025)))
     cuts = (0, 96, 352, 1024)
     index_sets = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:]))
     sets = tuple(RunList(seq.run(j) for j in ix) for ix in index_sets)
+    a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded):
-        verify_family(BFamily(3, index_sets, sets, seq), Untouchable())
+        verify_family(BFamily(3, index_sets, sets, seq), a)
+    assert 0 < a.queries <= seq.k
+    # more components than the bitmap route's selection budget are refused
+    # before the target is asked anything
+    seq = BSequence.from_entries((1,) * 25, tuple(range(1, 26)))
+    with pytest.raises(BudgetExceeded):
+        verify_family(build_family(seq, 25, "residue"), Untouchable())
 
 
 class CountingRunEnds(IntSet):
@@ -447,15 +587,17 @@ class CountingRunEnds(IntSet):
     def member(self, x):
         return self.inner.member(x)
 
+    def next_run(self, min_len, lower_bound=0):
+        return self.inner.next_run(min_len, lower_bound)
+
     def run_end_at(self, x):
         self.asked.append(x)
         return self.inner.run_end_at(x)
 
 
-def test_valid_sweeps_look_up_each_run_once():
-    # every sum of a valid sequence ends inside the target's run through
-    # the start of its top run, and so does every sum of a blocks family,
-    # whose top part holds its largest run
+def test_valid_sweeps_look_up_each_run_once(monkeypatch):
+    # the hull of each run of a valid sequence lies inside the target's run
+    # through its start, so verify and family both look up each run once
     seq = build_b_sequence(PolyRuns(2), [1, 2, 1, 3, 1, 2])
     a = CountingRunEnds(PolyRuns(2))
     assert verify_b_sequence(seq, a, brute_span=0).passed
@@ -463,12 +605,21 @@ def test_valid_sweeps_look_up_each_run_once():
     a.asked.clear()
     assert verify_family(build_family(seq, 2, "blocks"), a, brute_span=0).passed
     assert a.asked == list(seq.bs)
+    # with brute_span=0 not one member() call: the 65 535 subsets of a
+    # valid PolyRuns(2) k=16 sequence pass on 16 run_end_at calls
+    seq = build_b_sequence(PolyRuns(2), [1] * 16)
+    monkeypatch.setattr(PolyRuns, "member", refuse_member)
+    a = CountingRunEnds(PolyRuns(2))
+    assert verify_b_sequence(seq, a, brute_span=0).to_payload() == {
+        "status": "Pass", "checked": 2**16 - 1}
+    assert a.asked == list(seq.bs)
 
 
 @pytest.mark.parametrize("k", [13, 16])
 def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
     """A fresh PolyRuns(2) remembers the bracket of the run it last met,
-    so the whole sweep, brute route included, takes one root per base.
+    so the whole check, the member walk of the short hulls included,
+    takes one root per base.
     Past k roots the counter raises at once, instead of letting a
     root-per-query sweep run to its end."""
     seq = build_b_sequence(PolyRuns(2), [1] * k)
@@ -828,6 +979,18 @@ def refuse_member(self, x):
     raise AssertionError(f"member({x}) asked")
 
 
+def test_escape_rung_budget_is_checked_before_any_rung(monkeypatch):
+    def refuse_rung(gen, t, i):
+        raise AssertionError(f"rung {i} checked")
+
+    monkeypatch.setattr(construct, "_escape_check", refuse_rung)
+    with pytest.raises(BudgetExceeded):
+        verify_escape(5, construct.ESCAPE_I_MAX_BUDGET + 1)
+    # at the budget itself the rungs are checked
+    with pytest.raises(AssertionError, match="rung 2 checked"):
+        verify_escape(5, construct.ESCAPE_I_MAX_BUDGET)
+
+
 def test_escape_asks_no_member_question(monkeypatch):
     """Each rung is one AND per shift against PowRuns(4)'s bitmap: not
     one member() call for any of the 2i doubles of any rung."""
@@ -857,7 +1020,8 @@ def test_family_materializes_a_full_target_once(monkeypatch, scheme):
 def test_full_sweep_skips_walked_stretches(monkeypatch):
     """A brute-route sum inside a stretch of members already walked is
     passed by _sweep itself: of the 65 535 picks of a Full k=16 sweep,
-    only a few hundred reach first_gap."""
+    only a few hundred reach first_gap.  verify_b_sequence would pass this
+    valid sequence on its hulls, so the sweep is run directly."""
     seq = build_b_sequence(Full(), list(range(1, 17)))
     calls = []
     first_gap = _MemberWalk.first_gap
@@ -867,9 +1031,11 @@ def test_full_sweep_skips_walked_stretches(monkeypatch):
         return first_gap(self, lo, hi)
 
     monkeypatch.setattr(_MemberWalk, "first_gap", counting)
-    report = verify_b_sequence(seq, Full())
+    state = construct._SweepState()
+    construct._sweep([[seq.run(j)] for j in range(1, 17)], Full(), 10_000, state)
+    report = state.report()
     assert report.passed and report.checked == 65535
-    assert len(calls) < 1000
+    assert 16 < len(calls) < 1000
 
 
 @given(st.integers(0, 10**9))

@@ -392,6 +392,29 @@ def test_next_run_minimal_on_run_lists(s, min_len, lower_bound):
         assert any(not s.member(b + i) for i in range(min_len))
 
 
+def first_fit_scan(runs, min_len, lower_bound):
+    """next_run by a scan over every run from the first, or None."""
+    for run in runs:
+        b = max(run.start, lower_bound)
+        if b + min_len - 1 <= run.end:
+            return Run(b, min_len)
+    return None
+
+
+@given(run_lists, st.integers(1, 12), st.data())
+def test_run_list_next_run_matches_a_scan_over_all_runs(s, min_len, data):
+    # lower bounds at, inside and just past each run, and past the last one
+    edges = [x for r in s.runs for x in (r.start, r.start + r.length // 2, r.end + 1)]
+    top = (s.max_element() or 0) + 1
+    lower_bound = data.draw(st.sampled_from(edges + [0, top, top + 5]))
+    want = first_fit_scan(s.runs, min_len, lower_bound)
+    if want is None:
+        with pytest.raises(HorizonExceeded):
+            s.next_run(min_len, lower_bound)
+    else:
+        assert s.next_run(min_len, lower_bound) == want
+
+
 def test_generator_runs_disjoint():
     assert PowRuns(4).runs_disjoint_upto(64)
     assert PowRuns(2).runs_disjoint_upto(64)
