@@ -29,7 +29,6 @@ from .density import (
     density_estimate,
     f_profile,
     forced_density,
-    longest_run,
     profile_csv,
     profile_payload,
 )
@@ -191,10 +190,11 @@ def _cmd_profile(args) -> int:
 
 def _cmd_runs(args) -> int:
     s, w = _load_window(args)
+    bounds = list(zip(*w.run_bounds()))
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
-        "runs": [{"start": str(r.start), "len": r.length} for r in w.runs()],
-        "longest_run": longest_run(w),
+        "runs": [{"start": str(a), "len": b - a + 1} for a, b in bounds],
+        "longest_run": max((b - a + 1 for a, b in bounds), default=0),
     }
     if args.min_len is not None:
         check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)

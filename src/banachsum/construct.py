@@ -39,6 +39,7 @@ from .intset import (
     RunList,
     Window,
     _comb,
+    _streak,
     decimal_digits,
     serialize_set,
 )
@@ -684,14 +685,12 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
 
     Every residue class of every difference is searched for its longest
     unbroken streak of members, all classes of one m at once on the
-    bitmap: with A_1 the bitmap and A_(a+b) = A_a & (A_b >> a*m), bit x of
-    A_L is set iff x, x + m, ..., x + (L - 1)*m are all members.  Doubling
-    L until A_L vanishes, then a binary search, finds the largest L with
-    A_L != 0 in O(log N) big-int steps per m; the set bits of that A_L
-    name the classes holding such a streak.  Ties prefer the smallest
-    difference, then the smallest residue.  The members of the winning
-    class become the derived quotient set {(x - r) / m >= 1}, on a window
-    from the class's first quotient q >= 1 to its last.
+    bitmap: _streak finds the longest L in O(log N) big-int steps per m,
+    and the starts it returns name the classes holding such a streak.
+    Ties prefer the smallest difference, then the smallest residue.  The
+    members of the winning class become the derived quotient set
+    {(x - r) / m >= 1}, on a window from the class's first quotient
+    q >= 1 to its last.
     """
     if m_max < 1:
         raise ValueError(f"difference bound must be >= 1, got {m_max}")
@@ -702,15 +701,7 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     bits = w.bits
     best_len, best_m, best_r = 0, 0, 0
     for m in range(1, m_max + 1):
-        powers = [bits]  # powers[i] = A_(2**i)
-        while powers[-1]:
-            powers.append(powers[-1] & (powers[-1] >> (m << len(powers) - 1)))
-        longest = 1 << len(powers) - 2
-        starts = powers[-2]
-        for i in range(len(powers) - 3, -1, -1):
-            longer = starts & (powers[i] >> longest * m)
-            if longer:
-                starts, longest = longer, longest + (1 << i)
+        longest, starts = _streak(bits, m)
         if longest > best_len:
             comb = _comb(m, (N - 1) // m + 1)  # bits at offsets 0, m, 2m, ... below N
             r = next(x for x in range(m) if starts & (comb << (x - base) % m))

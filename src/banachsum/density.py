@@ -24,6 +24,12 @@ numpy, which is imported inside the functions that use it.  So is
 fractions, by the two functions that build a Fraction, so only a JSON
 profile loads it.  f_naive and f_naive_all are the independent slow
 paths kept for cross-checks.
+
+check_run_bound needs no profile at all.  A window with no d consecutive
+members meets the bound d*f[n] < (d - 1)*n + d at every n by pigeonhole,
+so the longest run alone decides it, found by two routes that must agree:
+the streak search of longest_run and the run starts and ends of the
+bitmap.
 """
 
 from __future__ import annotations
@@ -33,7 +39,16 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import BadLength, PreconditionFailed
-from .intset import Congruence, ExplicitWindow, Full, IntSet, PolyRuns, PowRuns, Record
+from .intset import (
+    Congruence,
+    ExplicitWindow,
+    Full,
+    IntSet,
+    PolyRuns,
+    PowRuns,
+    Record,
+    _streak,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -269,13 +284,12 @@ def fekete_qd_check(profile: WindowProfile, d: int) -> bool:
 
 
 def longest_run(w: ExplicitWindow) -> int:
-    """Length of the longest block of consecutive members in the window."""
-    x = w.bits
-    length = 0
-    while x:
-        x &= x >> 1
-        length += 1
-    return length
+    """Length of the longest block of consecutive members in the window.
+
+    The m = 1 case of intset._streak: O(log L) big-int ANDs for a longest
+    run of L members, against L for peeling one member per AND.
+    """
+    return _streak(w.bits, 1)[0]
 
 
 class RunBoundReport(Record):
@@ -283,6 +297,9 @@ class RunBoundReport(Record):
 
     The strict bound is the exact integer form of f[n] < (1 - 1/d)*n + 1,
     which must hold whenever the set has no d consecutive members.
+    check_run_bound builds a report only under that hypothesis, where the
+    bound is proved, so failures is always empty and ok always True; both
+    are kept for the layout of the `runs` report.
     """
 
     _fields = ("d", "longest_run", "n_checked", "failures")
@@ -301,21 +318,33 @@ class RunBoundReport(Record):
 
 
 def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
+    """The bound d*f[n] < (d - 1)*n + d at every n, for a window with no
+    run of d members (else PreconditionFailed).
+
+    No profile is needed: the bound follows by pigeonhole.  Any n
+    consecutive cells hold floor(n/d) disjoint blocks of d cells, and each
+    block holds a non-member, so f[n] <= n - floor(n/d) and
+    d*f[n] <= d*n - d*floor(n/d) = (d - 1)*n + (n mod d) < (d - 1)*n + d.
+    So the longest run alone decides the report.  It is found two ways,
+    by longest_run's streak search and as the widest pair of the bitmap's
+    run starts and ends; if they differ, that is a bug here, not a usage
+    error, and AssertionError names both values.
+    """
     if d < 2:
         raise BadLength(f"run bound needs d >= 2, got {d}")
     lr = longest_run(w)
+    starts, ends = w.run_bounds()
+    lr_bounds = max((e - s + 1 for s, e in zip(starts, ends)), default=0)
+    if lr != lr_bounds:
+        raise AssertionError(
+            f"longest run is {lr} by streak search but {lr_bounds} from the run bounds"
+        )
     if lr >= d:
         raise PreconditionFailed(
             f"window contains a run of {lr} consecutive members, so the "
             f"no-run-of-{d} hypothesis does not hold"
         )
-    profile = f_profile(w)
-    failures = tuple(
-        (n, profile.f[n])
-        for n in range(1, profile.window_length + 1)
-        if d * profile.f[n] >= (d - 1) * n + d
-    )
-    return RunBoundReport(d, lr, profile.window_length, failures)
+    return RunBoundReport(d, lr, w.window.length, ())
 
 
 def forced_density(s: IntSet) -> Fraction | None:

@@ -161,8 +161,10 @@ class IntSet:
 
     A subclass supplies member, run_end_at, next_run and min_element.
     run_end_at is the one run query: first_gap is derived from it here, and
-    translate and dilate default to an AffineImage, which finite
-    representations override with a set of their own kind.
+    translate and dilate default to an AffineImage.  ExplicitWindow
+    overrides both with a bitmap and RunList overrides translate with a run
+    list; a dilated RunList is an AffineImage, which materializes only the
+    window asked for.
     """
 
     def member(self, x: int) -> bool:
@@ -284,17 +286,20 @@ class ExplicitWindow(IntSet):
             return None
         return self.window.base + self.bits.bit_length() - 1
 
-    def runs(self) -> list[Run]:
-        """Maximal runs of members, ascending.
+    def run_bounds(self) -> tuple[list[int], list[int]]:
+        """First and last members of the maximal runs, ascending.
 
         A run starts at a member whose lower neighbour is absent and ends
         at one whose upper neighbour is absent, so the i-th start and the
         i-th end bound the i-th run.
         """
-        b = self.bits
-        starts = _bit_offsets(b & ~(b << 1), self.window.base)
-        ends = _bit_offsets(b & ~(b >> 1), self.window.base)
-        return [Run(s, e - s + 1) for s, e in zip(starts, ends)]
+        b, base = self.bits, self.window.base
+        starts = list(_bit_offsets(b & ~(b << 1), base))
+        return starts, list(_bit_offsets(b & ~(b >> 1), base))
+
+    def runs(self) -> list[Run]:
+        """Maximal runs of members, ascending."""
+        return [Run(s, e - s + 1) for s, e in zip(*self.run_bounds())]
 
     def to_run_list(self) -> "RunList":
         return RunList(self.runs())
@@ -406,13 +411,6 @@ class RunList(IntSet):
                 f"element {self.runs[0].start} shifted by {t} leaves the positive integers"
             )
         return RunList(Run(r.start + t, r.length) for r in self.runs)
-
-    def dilate(self, m: int, r: int = 0) -> "RunList":
-        _check_dilation(m, r)
-        if m == 1:
-            return self.translate(r)
-        # stride m >= 2 turns every element into its own run
-        return RunList(Run(m * x + r, 1) for run in self.runs for x in run)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         """Scans from the run through or after lower_bound, found by
@@ -818,6 +816,30 @@ def _comb(m: int, count: int) -> int:
         comb |= comb << step * m
         teeth += step
     return comb
+
+
+def _streak(bits: int, m: int) -> tuple[int, int]:
+    """Longest L with some x, x + m, ..., x + (L - 1)*m all set bits of
+    bits >= 0, and the bitmap of every such x; (0, 0) when bits is 0.
+
+    With A_1 = bits and A_(a+b) = A_a & (A_b >> a*m), bit x of A_L is set
+    iff the L cells from x on, m apart, are all set.  Doubling L until
+    A_L vanishes, then a binary search down the stored powers, finds the
+    largest L with A_L != 0 in O(log L) big-int steps.  For m = 1 this is
+    the longest run of consecutive set bits.
+    """
+    if not bits:
+        return 0, 0
+    powers = [bits]  # powers[i] = A_(2**i)
+    while powers[-1]:
+        powers.append(powers[-1] & (powers[-1] >> (m << len(powers) - 1)))
+    longest = 1 << len(powers) - 2
+    starts = powers[-2]
+    for i in range(len(powers) - 3, -1, -1):
+        longer = starts & (powers[i] >> longest * m)
+        if longer:
+            starts, longest = longer, longest + (1 << i)
+    return longest, starts
 
 
 def _first_fit(

@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,53 @@ def test_runs_search_refuses_starts_over_the_digit_budget(capsys):
     code, out, _ = run_cli(capsys, *argv, "--min-len", "20000")
     assert code == 0
     assert len(json.loads(out)["next_run"]["start"]) == 6021
+
+
+def dense_runs(n_runs):
+    """Runs of 1, 2 and 3 members between gaps of 1 and 2 cells, from 1 on."""
+    runs, pos = [], 1
+    for i in range(n_runs):
+        runs.append((pos, i % 3 + 1))
+        pos += i % 3 + 1 + i % 2 + 1
+    return runs, pos
+
+
+# more runs than the profile's staircase route takes (2**10)
+DENSE_RUNS, DENSE_LEN = dense_runs(1500)
+DENSE_ARGV = [
+    "runs",
+    "--set", ";".join(f"run {s} {n}" for s, n in DENSE_RUNS),
+    "--window", f"0:{DENSE_LEN}",
+    "--d", "4",
+]
+DENSE_OUT = json.dumps(
+    {
+        "window": {"base": 0, "length": DENSE_LEN},
+        "runs": [{"start": str(s), "len": n} for s, n in DENSE_RUNS],
+        "longest_run": 3,
+        "run_bound": {"d": 4, "longest_run": 3, "ok": True, "failures": []},
+    },
+    separators=(",", ":"),
+) + "\n"
+
+
+def test_runs_bound_on_a_run_dense_window_builds_no_profile(capsys, monkeypatch):
+    import banachsum.density as density
+
+    def no_profile(w):
+        raise AssertionError("f_profile called")
+
+    monkeypatch.setattr(density, "f_profile", no_profile)
+    assert run_cli(capsys, *DENSE_ARGV) == (0, DENSE_OUT, "")
+
+
+def test_runs_bound_route_disagreement_is_an_internal_error(monkeypatch):
+    # not a usage error with exit 2: the AssertionError leaves main
+    import banachsum.density as density
+
+    monkeypatch.setattr(density, "longest_run", lambda w: 0)
+    with pytest.raises(AssertionError, match="0 by streak search but 3 from the run bounds"):
+        main(DENSE_ARGV)
 
 
 # ----------------------------------------------------- construct and verify
@@ -533,6 +581,25 @@ def test_cli_import_leaves_numpy_unloaded():
     assert lines == ["import"] + ["0"] * (len(NUMPY_FREE_CALLS) - 2) + ["0 fractions"] * 2
     # numpy itself may load inspect
     assert last.split()[:2] == ["0", "fractions"] and "numpy" in last.split()
+
+
+def test_runs_bound_leaves_numpy_unloaded():
+    src = str(Path(banachsum.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import banachsum.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = banachsum.cli.main(json.loads(sys.argv[1]))\n"
+        "print(code, out.getvalue() == sys.argv[2], 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(DENSE_ARGV), DENSE_OUT],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "0 True False\n"
 
 
 # --------------------------------------------------------------------- fuzz

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banachsum.density import (
     _STAIRCASE_MAX_RUNS,
     DensityEstimate,
+    RunBoundReport,
     WindowProfile,
     _profile_from_runs,
     _profile_from_spans,
@@ -60,6 +61,37 @@ def clear_long_runs(w: ExplicitWindow, d: int) -> ExplicitWindow:
         else:
             streak = 0
     return ExplicitWindow(w.window, bits)
+
+
+def peel_longest_run(w: ExplicitWindow) -> int:
+    """Longest run by peeling one member off every run per AND, L
+    full-width ANDs for a longest run of L: the oracle for longest_run."""
+    x = w.bits
+    length = 0
+    while x:
+        x &= x >> 1
+        length += 1
+    return length
+
+
+def reference_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
+    """check_run_bound by exhaustion: the longest run by peeling, then the
+    bound tested at every block length of the full profile."""
+    if d < 2:
+        raise BadLength(f"run bound needs d >= 2, got {d}")
+    lr = peel_longest_run(w)
+    if lr >= d:
+        raise PreconditionFailed(
+            f"window contains a run of {lr} consecutive members, so the "
+            f"no-run-of-{d} hypothesis does not hold"
+        )
+    profile = f_profile(w)
+    failures = tuple(
+        (n, profile.f[n])
+        for n in range(1, profile.window_length + 1)
+        if d * profile.f[n] >= (d - 1) * n + d
+    )
+    return RunBoundReport(d, lr, profile.window_length, failures)
 
 
 ODDS8 = Congruence(2, 1).materialize(Window(0, 8))
@@ -194,6 +226,31 @@ def test_longest_run_examples():
     assert longest_run(ExplicitWindow(Window(0, 9), 0)) == 0
 
 
+@given(explicit_windows() | shaped_windows())
+@settings(max_examples=120)
+def test_longest_run_matches_peeling(w):
+    assert longest_run(w) == peel_longest_run(w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 13])
+def test_longest_run_at_powers_of_two(k):
+    # the doubling stops one step past the longest run, so runs of 2**k - 1,
+    # 2**k and 2**k + 1 members meet the binary search at both ends
+    for length in (2**k - 1, 2**k, 2**k + 1):
+        for other in (0, length - 1, length + 1):
+            bits = ((1 << length) - 1) << 1 | ((1 << other) - 1) << length + 2
+            w = ExplicitWindow(Window(0, length + other + 3), bits)
+            assert longest_run(w) == peel_longest_run(w) == max(length, other)
+
+
+def test_longest_run_of_the_widest_window():
+    # the CLI's widest window: peeling takes 2**20 ANDs here, the streak
+    # search about 40
+    n = 1 << 20
+    assert longest_run(Full().materialize(Window(0, n))) == n - 1
+    assert longest_run(Full().materialize(Window(7, n))) == n
+
+
 @given(explicit_windows())
 @settings(max_examples=60)
 def test_full_run_iff_density_one(w):
@@ -204,8 +261,56 @@ def test_full_run_iff_density_one(w):
 def test_run_bound_examples():
     report = check_run_bound(ODDS8, 2)
     assert report.ok and report.longest_run == 1
+    assert report == RunBoundReport(2, 1, 8, ())
     with pytest.raises(PreconditionFailed):
         check_run_bound(FULL8, 2)
+    with pytest.raises(BadLength):
+        check_run_bound(ODDS8, 1)
+
+
+@given(explicit_windows(), st.sampled_from([2, 3, 4, 8]))
+@settings(max_examples=80)
+def test_run_bound_matches_exhaustive_reference(w, d):
+    w = clear_long_runs(w, d)
+    assert check_run_bound(w, d) == reference_run_bound(w, d)
+
+
+@given(explicit_windows(), st.integers(2, 8), st.integers(0, 255))
+@settings(max_examples=80)
+def test_run_bound_refuses_like_reference(w, d, off):
+    # plant a run of d members; bit 0 of a window at 0 stays clear
+    lo = 1 if w.window.base == 0 else 0
+    assume(w.window.length - d >= lo)
+    off = lo + off % (w.window.length - d - lo + 1)
+    w = ExplicitWindow(w.window, w.bits | ((1 << d) - 1) << off)
+    with pytest.raises(PreconditionFailed) as got:
+        check_run_bound(w, d)
+    with pytest.raises(PreconditionFailed) as ref:
+        reference_run_bound(w, d)
+    assert str(got.value) == str(ref.value)
+
+
+def test_run_bound_needs_no_profile(monkeypatch):
+    # the pigeonhole proof replaces the profile, also over the staircase
+    # cut, where the profile would take numpy's span loop
+    import banachsum.density as density
+
+    def no_profile(w):
+        raise AssertionError("f_profile called")
+
+    for w in windows_with_runs(_STAIRCASE_MAX_RUNS + 1):
+        expected = reference_run_bound(w, 6)
+        monkeypatch.setattr(density, "f_profile", no_profile)
+        assert check_run_bound(w, 6) == expected
+        monkeypatch.undo()
+
+
+def test_run_bound_routes_must_agree(monkeypatch):
+    import banachsum.density as density
+
+    monkeypatch.setattr(density, "longest_run", lambda w: 2)
+    with pytest.raises(AssertionError, match="2 by streak search but 1 from the run bounds"):
+        check_run_bound(ODDS8, 4)
 
 
 @given(explicit_windows(), st.sampled_from([2, 4, 8]))

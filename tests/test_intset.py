@@ -237,8 +237,21 @@ def test_translate_splits_recombine():
 def test_dilate_examples():
     s = RunList.from_elements([1, 2, 3])
     assert s.dilate(1, 0) is s
-    assert sorted(s.dilate(7, 3).elements()) == [10, 17, 24]
-    assert RunList([]).dilate(5, 2).runs == ()
+    w = Window(0, 32)
+    assert list(s.dilate(7, 3).materialize(w).elements()) == [10, 17, 24]
+    assert list(RunList([]).dilate(5, 2).materialize(w).elements()) == []
+
+
+def test_run_list_dilate_stays_symbolic():
+    # 10**12 members at stride 2: the image answers by formula and
+    # materializes only the cells of the window asked for
+    s = RunList([Run(1, 10**12)]).dilate(2, 1)
+    assert isinstance(s, AffineImage)
+    top = 2 * 10**12 + 1
+    assert s.member(3) and s.member(top)
+    assert not any(s.member(x) for x in (1, 2, 4, top - 1, top + 2))
+    w = Window(top - 6, 8)
+    assert list(s.materialize(w).elements()) == [top - 6, top - 4, top - 2, top]
 
 
 @given(run_lists, st.integers(-5, 30))
