@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .construct import (
@@ -55,6 +56,7 @@ _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
 _SUM_DIGITS = 64
 # The largest limit sys.set_int_max_str_digits accepts (a C int).
 _MAX_STR_DIGITS = (1 << 31) - 1
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 def _emit(payload: dict) -> None:
@@ -190,11 +192,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_runs(args) -> int:
     s, w = _load_window(args)
-    bounds = list(zip(*w.run_bounds()))
+    starts, ends = w.run_bounds()
+    lengths = [b - a + 1 for a, b in zip(starts, ends)]
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
-        "runs": [{"start": str(a), "len": b - a + 1} for a, b in bounds],
-        "longest_run": max((b - a + 1 for a, b in bounds), default=0),
+        "runs": [{"start": str(a), "len": n} for a, n in zip(starts, lengths)],
+        "longest_run": max(lengths, default=0),
     }
     if args.min_len is not None:
         check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)
@@ -299,6 +302,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(
             min(max(limit, budget + _SUM_DIGITS), _MAX_STR_DIGITS)
         )
+    # numpy, imported only by profiles of many runs, starts one OpenBLAS
+    # thread per core at import; no command calls BLAS, so one thread
+    # saves that start-up.  A caller's own setting wins, and the variable
+    # is unset again on return, process-wide like the limit above.
+    pin_blas = _BLAS_THREADS not in os.environ
+    if pin_blas:
+        os.environ[_BLAS_THREADS] = "1"
     try:
         return _HANDLERS[args.subcommand](args)
     except DisjointnessViolation as exc:
@@ -312,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         sys.set_int_max_str_digits(limit)
+        if pin_blas:
+            os.environ.pop(_BLAS_THREADS, None)
 
 
 if __name__ == "__main__":

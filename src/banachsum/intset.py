@@ -8,16 +8,18 @@ translation, and dilation with exact arbitrary-precision arithmetic, so
 queries against astronomically large elements stay cheap and correct.
 
 All values are immutable once constructed and safe to share across
-threads.  The one piece of state that changes, the run bracket PowRuns and
-PolyRuns remember between queries, is a cache that never changes an
-answer.  The integer 0 is never a member of any set here, even when an
+threads.  The state that changes is caches that never change an answer:
+the run bracket PowRuns and PolyRuns remember between queries, the run
+bounds of an ExplicitWindow and the Run tuple of a RunList, each built on
+first use.  The integer 0 is never a member of any set here, even when an
 explicit window happens to cover it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError
@@ -245,7 +247,7 @@ class ExplicitWindow(IntSet):
     value, an ExplicitWindow contains exactly its set bits.
     """
 
-    __slots__ = ("window", "bits")
+    __slots__ = ("window", "bits", "_bounds")
 
     def __init__(self, window: Window, bits: int):
         if bits < 0 or bits >> window.length:
@@ -254,6 +256,7 @@ class ExplicitWindow(IntSet):
             raise ValueError("0 cannot be a member of a positive-integer set")
         self.window = window
         self.bits = bits
+        self._bounds = None
 
     @classmethod
     def from_elements(cls, window: Window, elements: Iterable[int]) -> "ExplicitWindow":
@@ -286,23 +289,29 @@ class ExplicitWindow(IntSet):
             return None
         return self.window.base + self.bits.bit_length() - 1
 
-    def run_bounds(self) -> tuple[list[int], list[int]]:
+    def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """First and last members of the maximal runs, ascending.
 
         A run starts at a member whose lower neighbour is absent and ends
         at one whose upper neighbour is absent, so the i-th start and the
-        i-th end bound the i-th run.
+        i-th end bound the i-th run.  The two scans of the bitmap run on
+        the first call; the tuples they give are kept for later calls.
         """
-        b, base = self.bits, self.window.base
-        starts = list(_bit_offsets(b & ~(b << 1), base))
-        return starts, list(_bit_offsets(b & ~(b >> 1), base))
+        if self._bounds is None:
+            b, base = self.bits, self.window.base
+            self._bounds = (
+                tuple(_bit_offsets(b & ~(b << 1), base)),
+                tuple(_bit_offsets(b & ~(b >> 1), base)),
+            )
+        return self._bounds
 
     def runs(self) -> list[Run]:
         """Maximal runs of members, ascending."""
         return [Run(s, e - s + 1) for s, e in zip(*self.run_bounds())]
 
     def to_run_list(self) -> "RunList":
-        return RunList(self.runs())
+        starts, ends = self.run_bounds()
+        return RunList._from_bounds(list(starts), list(ends))
 
     def translate(self, t: int) -> "ExplicitWindow":
         if t == 0:
@@ -327,7 +336,7 @@ class ExplicitWindow(IntSet):
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        return _first_fit(self.runs(), 0, min_len, lower_bound, "inside the window")
+        return _first_fit(*self.run_bounds(), 0, min_len, lower_bound, "inside the window")
 
     def run_end_at(self, x: int) -> int:
         off = x - self.window.base
@@ -364,85 +373,110 @@ class RunList(IntSet):
 
     Overlapping or adjacent input runs are merged at construction, so the
     stored runs are maximal and separated by gaps of at least one integer.
+    They are kept as two ascending int lists, the first and last members of
+    each run; ``runs``, the same runs as a tuple of Run, is built from them
+    on first access and cached.
     """
 
-    __slots__ = ("runs", "_starts")
+    __slots__ = ("_starts", "_ends", "_runs")
 
     def __init__(self, runs: Iterable[Run] = ()):
-        merged: list[Run] = []
-        for run in sorted(runs, key=lambda r: r.start):
-            if merged and run.start <= merged[-1].end + 1:
-                last = merged[-1]
-                new_end = max(last.end, run.end)
-                merged[-1] = Run(last.start, new_end - last.start + 1)
-            else:
-                merged.append(run)
-        self.runs = tuple(merged)
-        self._starts = [r.start for r in merged]
+        self._starts, self._ends, _ = _merge_spans(sorted((r.start, r.end) for r in runs))
+        self._runs = None
+
+    @classmethod
+    def _from_bounds(cls, starts: list[int], ends: list[int]) -> "RunList":
+        """The run list of maximal runs [starts[i], ends[i]], taken as given."""
+        rl = cls.__new__(cls)
+        rl._starts, rl._ends, rl._runs = starts, ends, None
+        return rl
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "RunList":
         return cls(Run(x, 1) for x in set(elements))
 
-    def _locate(self, x: int) -> Run | None:
-        i = bisect_right(self._starts, x) - 1
-        if i >= 0 and x <= self.runs[i].end:
-            return self.runs[i]
-        return None
+    @property
+    def runs(self) -> tuple[Run, ...]:
+        if self._runs is None:
+            self._runs = tuple(Run(s, e - s + 1) for s, e in zip(self._starts, self._ends))
+        return self._runs
 
     def member(self, x: int) -> bool:
-        return x >= 1 and self._locate(x) is not None
+        return self.run_end_at(x) >= x
 
     def elements(self) -> Iterator[int]:
-        for run in self.runs:
-            yield from run
+        for s, e in zip(self._starts, self._ends):
+            yield from range(s, e + 1)
 
     def min_element(self) -> int | None:
-        return self.runs[0].start if self.runs else None
+        return self._starts[0] if self._starts else None
 
     def max_element(self) -> int | None:
-        return self.runs[-1].end if self.runs else None
+        return self._ends[-1] if self._ends else None
 
     def translate(self, t: int) -> "RunList":
-        if t == 0 or not self.runs:
+        if t == 0 or not self._starts:
             return self
-        if self.runs[0].start + t < 1:
+        if self._starts[0] + t < 1:
             raise NegativeResult(
-                f"element {self.runs[0].start} shifted by {t} leaves the positive integers"
+                f"element {self._starts[0]} shifted by {t} leaves the positive integers"
             )
-        return RunList(Run(r.start + t, r.length) for r in self.runs)
+        return RunList._from_bounds(
+            [s + t for s in self._starts], [e + t for e in self._ends]
+        )
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         """Scans from the run through or after lower_bound, found by
         bisection: every run before it ends below lower_bound."""
         first = max(bisect_right(self._starts, lower_bound) - 1, 0)
-        return _first_fit(self.runs, first, min_len, lower_bound, "in the run list")
+        return _first_fit(
+            self._starts, self._ends, first, min_len, lower_bound, "in the run list"
+        )
 
     def run_end_at(self, x: int) -> int:
-        run = self._locate(x)
-        return x - 1 if run is None else run.end
+        i = bisect_right(self._starts, x) - 1
+        if i >= 0 and x <= self._ends[i]:
+            return self._ends[i]
+        return x - 1
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        """Visits only the runs that meet the window: from the run through
-        or after its base, found by bisection, to the last starting at or
-        before its end."""
-        bits = 0
-        runs, base, end = self.runs, window.base, window.end
-        for i in range(max(bisect_right(self._starts, base) - 1, 0), len(runs)):
-            run = runs[i]
-            if run.start > end:
-                break
-            lo = max(run.start, base, 1)
-            hi = min(run.end, end)
-            if lo <= hi:
-                bits |= ((1 << (hi - lo + 1)) - 1) << (lo - base)
+        """The runs meeting the window, found by bisection, each set as one
+        start bit and one past-end bit in two bytearrays.
+
+        Run i covers the bits from its start offset up to its past-end
+        offset, (1 << past_i) - (1 << start_i).  The runs are disjoint, so
+        the sum over i is the past-end bitmap minus the start bitmap, and
+        the cost is O(log runs + runs met + window bits).  Only the first
+        run met can start before the window and only the last can end
+        after it, so only those two are clipped.  Every start is >= 1, so
+        bit 0 stays clear at window base 0.
+        """
+        base, n = window.base, window.length
+        lo = bisect_left(self._ends, base)
+        hi = bisect_right(self._starts, window.end)
+        if lo >= hi:
+            return ExplicitWindow(window, 0)
+        offsets = [s - base for s in self._starts[lo:hi]]
+        pasts = [e + 1 - base for e in self._ends[lo:hi]]
+        offsets[0] = max(offsets[0], 0)
+        pasts[-1] = min(pasts[-1], n)
+        first, past = bytearray(n // 8 + 1), bytearray(n // 8 + 1)
+        for o in offsets:
+            first[o >> 3] |= 1 << (o & 7)
+        for o in pasts:
+            past[o >> 3] |= 1 << (o & 7)
+        bits = int.from_bytes(past, "little") - int.from_bytes(first, "little")
         return ExplicitWindow(window, bits)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RunList) and self.runs == other.runs
+        return (
+            isinstance(other, RunList)
+            and self._starts == other._starts
+            and self._ends == other._ends
+        )
 
     def __hash__(self) -> int:
-        return hash(self.runs)
+        return hash((tuple(self._starts), tuple(self._ends)))
 
     def __repr__(self) -> str:
         return f"RunList({list(self.runs)!r})"
@@ -843,14 +877,19 @@ def _streak(bits: int, m: int) -> tuple[int, int]:
 
 
 def _first_fit(
-    runs: Sequence[Run], first: int, min_len: int, lower_bound: int, where: str
+    starts: Sequence[int],
+    ends: Sequence[int],
+    first: int,
+    min_len: int,
+    lower_bound: int,
+    where: str,
 ) -> Run:
-    """next_run over a finite ascending list of maximal runs, from runs[first] on."""
+    """next_run over finite ascending maximal runs [starts[i], ends[i]],
+    from i = first on."""
     _check_min_len(min_len)
-    for i in range(first, len(runs)):
-        run = runs[i]
-        b = max(run.start, lower_bound)
-        if b + min_len - 1 <= run.end:
+    for i in range(first, len(starts)):
+        b = max(starts[i], lower_bound)
+        if b + min_len - 1 <= ends[i]:
             return Run(b, min_len)
     raise HorizonExceeded(
         f"no run of length {min_len} at or above {lower_bound} {where}"
@@ -880,39 +919,78 @@ def parse_set(text: str) -> IntSet:
     or ``gen full``.  ``#`` starts a comment; blank lines are ignored.  A
     generator directive must be the only directive in the text.  Declared
     runs may touch (they are merged) but must not overlap.
+
+    One pass over the lines collects (start, end, lineno) triples, one
+    stable sort by start orders them, so runs with equal starts keep their
+    line order, and one pass of _merge_spans merges them and finds the
+    first overlap: O(L log L) for L declared runs, with no Run built.
     """
-    declared: list[tuple[Run, int]] = []
+    spans: list[tuple[int, int, int]] = []
     gen: IntSet | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        head, args = parts[0], parts[1:]
         if gen is not None:
             raise ParseError("a generator must be the only directive", lineno)
-        if head == "run":
-            start, length = _parse_ints(args, 2, lineno)
-            declared.append((_make_run(start, length, lineno), lineno))
-        elif head == "elem":
-            (x,) = _parse_ints(args, 1, lineno)
-            declared.append((_make_run(x, 1, lineno), lineno))
-        elif head == "gen":
-            if declared:
+        head, args = parts[0], parts[1:]
+        if head == "gen":
+            if spans:
                 raise ParseError("a generator must be the only directive", lineno)
             gen = _parse_gen(args, lineno)
+            continue
+        if head == "run":
+            start, length = _parse_ints(args, 2, lineno)
+        elif head == "elem":
+            (start,) = _parse_ints(args, 1, lineno)
+            length = 1
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
+        if start < 1 or length < 1:
+            _make_run(start, length, lineno)  # raises Run's error on this line
+        spans.append((start, start + length - 1, lineno))
     if gen is not None:
         return gen
-    ordered = sorted(declared, key=lambda item: item[0].start)
-    for (prev, _), (cur, lineno) in zip(ordered, ordered[1:]):
-        if cur.start <= prev.end:
-            raise OverlapError(
-                f"run [{cur.start}, {cur.end}] overlaps run [{prev.start}, {prev.end}]",
-                lineno,
-            )
-    return RunList(run for run, _ in declared)
+    spans.sort(key=itemgetter(0))
+    starts, ends, clash = _merge_spans(spans)
+    if clash is not None:
+        (ps, pe, _), (s, e, lineno) = clash
+        raise OverlapError(f"run [{s}, {e}] overlaps run [{ps}, {pe}]", lineno)
+    return RunList._from_bounds(starts, ends)
+
+
+def _merge_spans(
+    spans: Iterable[tuple[int, ...]],
+) -> tuple[list[int], list[int], tuple | None]:
+    """Starts and ends of the maximal runs covering spans, given as
+    (start, end, ...) tuples with start >= 1, ascending by start, and the
+    first pair of consecutive spans that overlap, or None.
+
+    A span that touches or overlaps the run before it extends that run.
+    Until the first overlap the spans are disjoint, so the run before a
+    span ends where the span before it ends, and a span overlaps that run
+    exactly when it overlaps the span before it.
+    """
+    starts: list[int] = []
+    ends: list[int] = []
+    clash = None
+    last = -1  # end of the run being built; no start touches it
+    prev: tuple[int, ...] = ()
+    for span in spans:
+        s, e = span[0], span[1]
+        if s > last + 1:
+            starts.append(s)
+            ends.append(e)
+            last = e
+        else:
+            if s <= last and clash is None:
+                clash = (prev, span)
+            if e > last:
+                ends[-1] = last = e
+        prev = span
+    return starts, ends, clash
 
 
 def _parse_ints(args: list[str], n: int, lineno: int) -> list[int]:
@@ -964,9 +1042,9 @@ def serialize_set(s: IntSet) -> str:
     written as its runs (and parses back as the equal RunList).
     """
     if isinstance(s, RunList):
-        runs = s.runs
+        starts, ends = s._starts, s._ends
     elif isinstance(s, ExplicitWindow):
-        runs = tuple(s.runs())
+        starts, ends = s.run_bounds()
     elif isinstance(s, PowRuns):
         return f"gen pow_runs {s.c}\n"
     elif isinstance(s, PolyRuns):
@@ -978,7 +1056,6 @@ def serialize_set(s: IntSet) -> str:
     else:
         raise ValueError(f"no text form for {type(s).__name__}")
     lines = [
-        f"elem {r.start}" if r.length == 1 else f"run {r.start} {r.length}"
-        for r in runs
+        f"elem {a}" if a == b else f"run {a} {b - a + 1}" for a, b in zip(starts, ends)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -162,6 +162,54 @@ def test_runs_bound_route_disagreement_is_an_internal_error(monkeypatch):
         main(DENSE_ARGV)
 
 
+def test_runs_bound_scans_the_run_bounds_once(capsys, monkeypatch):
+    # the runs list and check_run_bound share one scan for starts and one
+    # for ends, and nothing from parsing to the report builds a Run
+    import banachsum.intset as intset
+
+    scans = []
+    bit_offsets = intset._bit_offsets
+
+    def counting_offsets(x, base):
+        scans.append(base)
+        return bit_offsets(x, base)
+
+    def no_run(self, *args):
+        raise AssertionError(f"Run{args} built")
+
+    monkeypatch.setattr(intset, "_bit_offsets", counting_offsets)
+    monkeypatch.setattr(intset.Run, "__init__", no_run)
+    assert run_cli(capsys, *DENSE_ARGV) == (0, DENSE_OUT, "")
+    assert len(scans) == 2
+
+
+DENSE_PROFILE_ARGV = ["profile", "--set", DENSE_ARGV[2], "--window", DENSE_ARGV[4]]
+
+
+def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
+    import banachsum.density as density
+
+    seen = []
+    spans = density._profile_from_spans
+
+    def spy(w):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return spans(w)
+
+    monkeypatch.setattr(density, "_profile_from_spans", spy)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, *DENSE_PROFILE_ARGV)
+    assert code == 0 and json.loads(out)["f"][:3] == [1, 2, 3]
+    assert seen == ["1"] and "OPENBLAS_NUM_THREADS" not in os.environ
+    # restored on an error exit too
+    assert run_cli(capsys, "profile", "--set", "run 0 1")[0] == 2
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    # a caller's own setting wins and is left alone
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert run_cli(capsys, *DENSE_PROFILE_ARGV)[0] == 0
+    assert seen == ["1", "4"] and os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+
 # ----------------------------------------------------- construct and verify
 
 

@@ -1,5 +1,6 @@
 """Set representations: membership, run search, affine maps, text format."""
 
+import random
 import sys
 import threading
 
@@ -13,6 +14,7 @@ from banachsum.errors import (
     OverlapError,
     ParseError,
 )
+from banachsum import intset
 from banachsum.intset import (
     AffineImage,
     Congruence,
@@ -28,6 +30,7 @@ from banachsum.intset import (
     parse_set,
     serialize_set,
 )
+from strategies import run_list_texts
 
 # ---------------------------------------------------------------- strategies
 
@@ -182,11 +185,19 @@ def long_lists_and_late_windows(draw):
 
 
 class IndexLog(tuple):
-    """A tuple that records which indices were read."""
+    """A tuple that logs its reads: single indices, as bisection makes
+    them, in probes; slices and iteration, as a scan makes them, in read."""
 
     def __getitem__(self, i):
-        self.read.append(i)
+        if isinstance(i, slice):
+            self.read.extend(range(*i.indices(len(self))))
+        else:
+            self.probes.append(i)
         return super().__getitem__(i)
+
+    def __iter__(self):
+        self.read.extend(range(len(self)))
+        return super().__iter__()
 
 
 @given(long_lists_and_late_windows())
@@ -196,17 +207,110 @@ def test_materialize_long_runlist_late_window(case):
     got = s.materialize(w)
     for x in range(w.base, w.end + 1):
         assert got.member(x) == s.member(x)
-    # only the runs meeting the window are read, and at most one on
-    # either side of them
+    # the scan reads only the runs meeting the window, and at most one on
+    # either side of them; finding them costs one bisection per list
     meeting = [i for i, r in enumerate(s.runs) if r.start <= w.end and r.end >= w.base]
-    logged = IndexLog(s.runs)
-    logged.read = []
-    s.runs = logged
+    logs = IndexLog(s._starts), IndexLog(s._ends)
+    for log in logs:
+        log.read, log.probes = [], []
+    s._starts, s._ends = logs
     assert s.materialize(w) == got
     lo = meeting[0] - 1 if meeting else -1
-    hi = meeting[-1] + 1 if meeting else len(logged)
-    assert logged.read and all(lo <= i <= hi for i in logged.read)
-    assert len(logged.read) <= len(meeting) + 2
+    hi = meeting[-1] + 1 if meeting else len(s.runs)
+    for log in logs:
+        assert set(meeting) <= set(log.read)
+        assert all(lo <= i <= hi for i in log.read)
+        assert len(log.read) <= len(meeting) + 2
+        assert len(log.probes) <= len(log).bit_length() + 1
+
+
+def reference_materialize(s: RunList, window: Window) -> ExplicitWindow:
+    """The bitmap as RunList.materialize built it before it set run
+    boundaries: one window-wide mask OR'd in per run, O(runs x window bits)."""
+    bits = 0
+    for run in s.runs:
+        lo = max(run.start, window.base, 1)
+        hi = min(run.end, window.end)
+        if lo <= hi:
+            bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
+    return ExplicitWindow(window, bits)
+
+
+@st.composite
+def run_lists_and_windows(draw):
+    """A run list and a window at base 0, cutting runs at both ends, wholly
+    before the first run, wholly after the last, or anywhere."""
+    s = draw(run_lists)
+    shape = draw(st.sampled_from(["base0", "cut", "before", "after", "any"]))
+    lo, hi = s.min_element() or 1, s.max_element() or 1
+    if shape == "base0":
+        return s, Window(0, draw(st.integers(1, hi + 20)))
+    if shape == "cut" and len(s.runs) >= 2:
+        first = draw(st.sampled_from(s.runs[:-1]))
+        last = draw(st.sampled_from([r for r in s.runs if r.start > first.end]))
+        base = draw(st.integers(first.start, first.end))
+        end = draw(st.integers(last.start, last.end))
+        return s, Window(base, end - base + 1)
+    if shape == "before":
+        base = draw(st.integers(0, lo - 1))
+        return s, Window(base, draw(st.integers(1, lo - base)))
+    if shape == "after":
+        return s, Window(draw(st.integers(hi + 1, hi + 50)), draw(st.integers(1, 64)))
+    return s, Window(draw(st.integers(0, hi + 20)), draw(st.integers(1, 500)))
+
+
+@given(run_lists_and_windows())
+@settings(max_examples=300)
+def test_materialize_matches_per_run_reference(case):
+    s, w = case
+    assert s.materialize(w) == reference_materialize(s, w)
+
+
+def dense_run_text(n_runs, seed=0):
+    """n_runs runs of 1 to 8 members between gaps of 1 to 4 cells, from 1 on."""
+    rng = random.Random(seed)
+    lines, pos = [], 1
+    for _ in range(n_runs):
+        n = rng.randint(1, 8)
+        lines.append(f"run {pos} {n}")
+        pos += n + rng.randint(1, 4)
+    return "\n".join(lines)
+
+
+def test_materialize_matches_reference_on_a_run_dense_budget_window():
+    # 160 000 runs reach past 2**20; the first 2**20-bit window that starts
+    # and ends inside a run, not at its edge
+    s = parse_set(dense_run_text(160_000))
+    base = next(
+        x for x in range(1, 1000)
+        if s.member(x - 1) and s.member(x) and s.member(x + (1 << 20) - 1)
+        and s.member(x + (1 << 20))
+    )
+    w = Window(base, 1 << 20)
+    meeting = sum(1 for r in s.runs if r.start <= w.end and r.end >= w.base)
+    assert meeting >= 10**5
+    assert s.materialize(w) == reference_materialize(s, w)
+
+
+def test_parse_and_materialize_build_no_run(monkeypatch):
+    built = []
+    init = Run.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    text = dense_run_text(2000)
+    monkeypatch.setattr(Run, "__init__", counting_init)
+    s = parse_set(text)
+    w = s.materialize(Window(0, 1 << 14))
+    starts, ends = w.run_bounds()
+    assert built == []
+    # the bounds are scanned once and kept as tuples, which no caller can change
+    assert type(starts) is tuple and type(ends) is tuple
+    assert w.run_bounds() is w.run_bounds()
+    # the patch counts: the cached Run tuple is built on first access
+    assert len(s.runs) == 2000 and len(built) == 2000
 
 
 # ------------------------------------------------------------------- translate / dilate
@@ -641,6 +745,119 @@ def test_shared_bracket_is_safe_across_threads():
 
 
 # ------------------------------------------------------------------- text format
+
+
+def reference_parse_set(text):
+    """parse_set as it was before it collected plain ints: one Run per
+    line, declared runs sorted by start to find overlaps, then sorted and
+    merged again.  A generator comes back as parse_set returns it, a run
+    list as its tuple of maximal runs."""
+    declared = []
+    gen = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        head, args = parts[0], parts[1:]
+        if gen is not None:
+            raise ParseError("a generator must be the only directive", lineno)
+        if head == "run":
+            start, length = _reference_ints(args, 2, lineno)
+            declared.append((_reference_run(start, length, lineno), lineno))
+        elif head == "elem":
+            (x,) = _reference_ints(args, 1, lineno)
+            declared.append((_reference_run(x, 1, lineno), lineno))
+        elif head == "gen":
+            if declared:
+                raise ParseError("a generator must be the only directive", lineno)
+            gen = intset._parse_gen(args, lineno)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    if gen is not None:
+        return gen
+    ordered = sorted(declared, key=lambda item: item[0].start)
+    for (prev, _), (cur, lineno) in zip(ordered, ordered[1:]):
+        if cur.start <= prev.end:
+            raise OverlapError(
+                f"run [{cur.start}, {cur.end}] overlaps run [{prev.start}, {prev.end}]",
+                lineno,
+            )
+    merged = []
+    for run, _ in ordered:
+        if merged and run.start <= merged[-1].end + 1:
+            last = merged[-1]
+            merged[-1] = Run(last.start, max(last.end, run.end) - last.start + 1)
+        else:
+            merged.append(run)
+    return tuple(merged)
+
+
+def _reference_ints(args, n, lineno):
+    if len(args) != n:
+        raise ParseError(f"expected {n} argument(s), got {len(args)}", lineno)
+    out = []
+    for a in args:
+        try:
+            out.append(int(a, 10))
+        except ValueError:
+            raise ParseError(f"not an integer: {a!r}", lineno) from None
+    return out
+
+
+def _reference_run(start, length, lineno):
+    try:
+        return Run(start, length)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc
+
+
+@given(run_list_texts())
+@settings(max_examples=400)
+def test_parse_set_matches_reference_parser(text):
+    want = parse_outcome(reference_parse_set, text)
+    got = parse_outcome(parse_set, text)
+    if isinstance(want, ParseError):
+        assert type(got) is type(want)
+        assert (str(got), got.lineno) == (str(want), want.lineno)
+    elif isinstance(want, tuple):
+        assert isinstance(got, RunList) and got.runs == want
+    else:
+        assert got == want
+
+
+def test_parse_set_matches_reference_parser_examples():
+    texts = [
+        "run 5 3\nrun 5 1",  # equal starts: the later line is the one reported
+        "run 5 1\nrun 5 3",
+        "run 10 2\nrun 4 7\nrun 1 2",  # unsorted, overlap found after sorting
+        "elem 3\nrun 1 2\nelem 4\nrun 6 1\nrun 8 2",  # adjacent runs merge
+        "run\t007 +3 # note\r\nelem 1_0\r\n\t\r\n",
+        "run 0 2",
+        "run 3 0",
+        "elem -4",
+        "run 3 x",
+        "run 3",
+        "elem 1\ngen full",
+        "gen full\n# only a comment\nelem 1",
+        "gen congruence 4 9",
+        "frob 1\nrun 1 0",
+        "",
+    ]
+    for text in texts:
+        want = parse_outcome(reference_parse_set, text)
+        got = parse_outcome(parse_set, text)
+        if isinstance(want, ParseError):
+            assert (type(got), str(got), got.lineno) == (type(want), str(want), want.lineno)
+        else:
+            assert (got.runs if isinstance(want, tuple) else got) == want
 
 
 def test_parse_examples():
