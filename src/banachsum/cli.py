@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .construct import (
     BSequence,
@@ -103,9 +104,11 @@ def _check_window_bits(length: int) -> None:
 
 
 def _load_window(args) -> tuple[IntSet, ExplicitWindow]:
-    """The set and its bitmap on args.window, within WINDOW_BITS_BUDGET."""
-    s = _load_set(args)
+    """The set and its bitmap on args.window, within WINDOW_BITS_BUDGET.
+
+    The budget is checked before the set is read or parsed."""
     _check_window_bits(args.window.length)
+    s = _load_set(args)
     return s, s.materialize(args.window)
 
 
@@ -326,5 +329,26 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.pop(_BLAS_THREADS, None)
 
 
+def run() -> NoReturn:
+    """Console entry point: ``main()``'s exit code, without interpreter teardown.
+
+    After ``main`` returns, stdout and stderr are flushed and the process
+    ends with ``os._exit``, so a call no longer runs module and object
+    teardown, finalizers (``__del__`` methods, weakref callbacks), or the
+    ``atexit`` handlers that other code registered (banachsum registers
+    none).  If a flush raises ``OSError``, the exit goes through
+    ``sys.exit`` instead, so the interpreter reports the failing stream as
+    it would after ``sys.exit(main())``.  An exception that escapes ``main``
+    is not caught: it ends the process with a traceback and exit code 1.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

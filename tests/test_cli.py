@@ -1,14 +1,18 @@
 """Command exercises through the argument-list entry point.
 
 Each test drives ``main`` directly with an argv list and inspects the JSON
-on stdout plus the exit code; one test round-trips through a subprocess to
-pin down byte-level reproducibility of reports.
+on stdout plus the exit code; the tests near the end run the package in a
+child process to pin down the bytes, the exit codes and the exit path of a
+real call.
 """
 
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +31,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+SRC = str(Path(banachsum.__file__).resolve().parents[1])
+# without PYTHONUNBUFFERED a child's stdout to a pipe is block-buffered, as
+# in most calls, so output that an exit path fails to flush goes missing
+CHILD_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": SRC,
+}
+
+
+def run_process(*args):
+    """A child interpreter on this package's sources, output as bytes."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=CHILD_ENV
+    )
 
 
 # ----------------------------------------------------------------- profile
@@ -530,18 +550,28 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "profile", "--input", "/no/such/file")[0] == 2
 
 
-def test_huge_window_is_a_budget_error(capsys):
+def test_huge_window_is_a_budget_error(capsys, monkeypatch, tmp_path):
+    # the budget is checked before the set is read or parsed
+    import banachsum.cli as cli
+
+    def no_parse(text):
+        raise AssertionError("set parsed before the window budget check")
+
+    monkeypatch.setattr(cli, "parse_set", no_parse)
     code, out, err = run_cli(
         capsys, "profile", "--set", "gen full", "--window", "0:300000000"
     )
     assert code == 3
     assert json.loads(out)["error"] == "BudgetExceeded"
     assert err == ""
+    path = tmp_path / "full.txt"
+    path.write_text("gen full\n", encoding="utf-8")
     over = f"1:{WINDOW_BITS_BUDGET + 1}"
-    for cmd in ("runs", "ap-reduce"):
-        code, out, _ = run_cli(capsys, cmd, "--set", "gen full", "--window", over)
-        assert code == 3
-        assert json.loads(out)["error"] == "BudgetExceeded"
+    for cmd in ("profile", "runs", "ap-reduce"):
+        for source in (("--set", "gen full"), ("--input", str(path))):
+            code, out, err = run_cli(capsys, cmd, *source, "--window", over)
+            assert (code, err) == (3, "")
+            assert json.loads(out)["error"] == "BudgetExceeded"
 
 
 def test_parse_errors_carry_line_numbers(capsys):
@@ -575,13 +605,124 @@ def test_reports_are_byte_identical_across_runs(capsys):
     assert code == 0
     assert first == second
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "banachsum", *argv],
-        capture_output=True,
-        text=True,
-        check=True,
+    proc = run_process("-m", "banachsum", *argv)
+    assert (proc.returncode, proc.stdout) == (0, first.encode())
+
+
+FAILING_SEQ = BSequence.from_entries((1,) * 3, (1, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--set", "gen full"],
+        # the hull of the second run leaves PolyRuns(2): a Fail verdict
+        ["verify", "--set", "gen poly_runs 2", "--bseq", "SEQ"],
+        ["profile", "--set", "run 4 3;run 0 2"],
+        ["profile", "--set", "gen full", "--window", "0:300000000"],
+        # about 1.4 MB, more than a pipe buffer holds
+        ["profile", "--set", "gen poly_runs 2", "--window", "0:65536",
+         "--format", "csv"],
+    ],
+    ids=["exit0", "exit1", "exit2", "exit3", "pipe-overflow"],
+)
+def test_process_matches_main(capsys, tmp_path, argv):
+    # python -m banachsum leaves through cli.run: same code, same bytes
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(FAILING_SEQ.to_payload()), encoding="utf-8")
+    argv = [str(seq) if arg == "SEQ" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    proc = run_process("-m", "banachsum", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode()
     )
-    assert proc.stdout == first
+    if argv[-1] == "csv":
+        assert len(proc.stdout) > 1 << 20
+
+
+def test_run_lets_an_escaping_exception_end_the_process():
+    script = (
+        "import banachsum.cli as cli\n"
+        "def boom():\n"
+        "    raise AssertionError('internal fault')\n"
+        "cli.main = boom\n"
+        "cli.run()\n"
+    )
+    proc = run_process("-c", script)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.startswith(b"Traceback (most recent call last):")
+    assert proc.stderr.endswith(b"AssertionError: internal fault\n")
+
+
+def test_run_flushes_unterminated_writes_on_both_streams():
+    script = (
+        "import sys\n"
+        "import banachsum.cli as cli\n"
+        "def partial():\n"
+        "    sys.stdout.write('out')\n"
+        "    sys.stderr.write('err')\n"
+        "    return 3\n"
+        "cli.main = partial\n"
+        "cli.run()\n"
+    )
+    proc = run_process("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"out", b"err")
+
+
+def test_run_reports_a_failing_flush_like_sys_exit():
+    # sys.exit hands the stream to the interpreter's own final flush
+    script = (
+        "import sys\n"
+        "import banachsum.cli as cli\n"
+        "class FailingStdout:\n"
+        "    def __init__(self, stream):\n"
+        "        self.stream = stream\n"
+        "    def write(self, text):\n"
+        "        return self.stream.write(text)\n"
+        "    def flush(self):\n"
+        "        raise OSError(28, 'No space left on device')\n"
+        "    def __repr__(self):\n"
+        "        return '<failing stdout>'\n"
+        "sys.stdout = FailingStdout(sys.stdout)\n"
+        "exit_by = sys.argv.pop(1)\n"
+        "if exit_by == 'run':\n"
+        "    cli.run()\n"
+        "sys.exit(cli.main())\n"
+    )
+    argv = ["gen", "--set", "gen full"]
+    by_run = run_process("-c", script, "run", *argv)
+    by_exit = run_process("-c", script, "sys.exit", *argv)
+    assert (by_run.returncode, by_run.stdout, by_run.stderr) == (
+        by_exit.returncode, by_exit.stdout, by_exit.stderr
+    )
+    assert by_run.returncode == 120
+    assert b"No space left on device" in by_run.stderr
+
+
+def test_run_skips_atexit_handlers():
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit handler ran\\n'))\n"
+        "runpy.run_module('banachsum', run_name='__main__')\n"
+    )
+    proc = run_process("-c", script, "gen", "--set", "gen full")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"gen full\n", b"")
+
+
+def test_console_script_calls_run():
+    import banachsum.cli as cli
+
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        match = re.search(r'^\[project\.scripts\]\s*banachsum = "(.+)"$', text, re.M)
+        entry = match.group(1)
+    else:
+        entry = tomllib.loads(text)["project"]["scripts"]["banachsum"]
+    module, _, attr = entry.partition(":")
+    assert functools.reduce(getattr, attr.split("."), importlib.import_module(module)) \
+        is cli.run
 
 
 # Calls in order: none prints a JSON profile before the last two, the
@@ -605,7 +746,6 @@ def test_cli_import_leaves_numpy_unloaded():
     # profiles of windows with few runs take the pure-Python route too; no
     # call without numpy loads dataclasses or inspect, and only a JSON
     # profile loads fractions
-    src = str(Path(banachsum.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, json, sys\n"
         "def loaded(code):\n"
@@ -623,7 +763,7 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=CHILD_ENV,
     )
     *lines, last = proc.stdout.splitlines()
     assert lines == ["import"] + ["0"] * (len(NUMPY_FREE_CALLS) - 2) + ["0 fractions"] * 2
@@ -632,7 +772,6 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_runs_bound_leaves_numpy_unloaded():
-    src = str(Path(banachsum.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, json, sys\n"
         "import banachsum.cli\n"
@@ -645,7 +784,7 @@ def test_runs_bound_leaves_numpy_unloaded():
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=CHILD_ENV,
     )
     assert proc.stdout == "0 True False\n"
 
