@@ -17,6 +17,7 @@ from typing import NoReturn
 from .construct import (
     BSequence,
     DEFAULT_DIGIT_BUDGET,
+    SUM_DIGITS,
     ap_reduce,
     budget_int,
     build_b_sequence,
@@ -52,9 +53,6 @@ WINDOW_BITS_BUDGET = 1 << 20
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
 
-# Headroom over the digit budget for int<->str conversions: certificate
-# lengths and witnesses are sums of bases, a few digits longer than any base.
-_SUM_DIGITS = 64
 # The largest limit sys.set_int_max_str_digits accepts (a C int).
 _MAX_STR_DIGITS = (1 << 31) - 1
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -77,23 +75,30 @@ def _window_arg(text: str) -> Window:
 def _resolve_ells(spec: str, k: int) -> list[int]:
     if spec == "j":
         return list(range(1, k + 1))
-    if "," in spec:
+    try:
+        if "," not in spec:
+            return [int(spec)] * k
         parts = [int(p) for p in spec.split(",") if p.strip()]
-        if len(parts) < k:
-            raise PreconditionFailed(
-                f"ells list has {len(parts)} entries but k={k}"
-            )
-        return parts[:k]
-    return [int(spec)] * k
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if len(parts) < k:
+        raise PreconditionFailed(f"ells list has {len(parts)} entries but k={k}")
+    return parts[:k]
+
+
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from None
 
 
 def _load_set(args) -> IntSet:
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = args.set.replace(";", "\n")
-    return parse_set(text)
+        return parse_set(_read_text(args.input))
+    return parse_set(args.set.replace(";", "\n"))
 
 
 def _check_window_bits(length: int) -> None:
@@ -244,11 +249,10 @@ def _cmd_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     s = _load_set(args)
-    with open(args.bseq, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh, parse_int=budget_int)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad base sequence file: {exc}") from None
+    try:
+        payload = json.loads(_read_text(args.bseq), parse_int=budget_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad base sequence file: {exc}") from None
     try:
         seq = BSequence.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -303,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     budget = getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET)
     if limit:
         sys.set_int_max_str_digits(
-            min(max(limit, budget + _SUM_DIGITS), _MAX_STR_DIGITS)
+            min(max(limit, budget + SUM_DIGITS), _MAX_STR_DIGITS)
         )
     # numpy, imported only by profiles of many runs, starts one OpenBLAS
     # thread per core at import; no command calls BLAS, so one thread
@@ -320,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except _EXIT_LIMIT as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 3
-    except (BanachsumError, ValueError, OSError) as exc:
+    except (BanachsumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 DEFAULT_DIGIT_BUDGET = 100_000
+# Digits allowed past a digit budget for sums of bases: certificate lengths
+# and witnesses are sums of bases, a few digits longer than any base.
+SUM_DIGITS = 64
 
 # Largest rung index verify_escape checks: each rung works on integers of
 # about 2i bits, and the report lists every rung, so time and output grow
@@ -199,7 +202,7 @@ def check_start_digits(
     start would need more than digit_budget digits: on fast-growing
     generators it can be too large to represent at all."""
     est = a.next_run_start_digits(min_len, lower_bound)
-    if est is not None and est > digit_budget + 64:
+    if est is not None and est > digit_budget + SUM_DIGITS:
         raise BudgetExceeded(
             f"{what} needs about {est} digits, over the budget of {digit_budget}"
         )
@@ -501,12 +504,13 @@ def verify_b_sequence(
     integers.  Otherwise the runs are the parts of one _sweep, one run
     each, so subsets come in binary-counter order (see enumerate_subsets),
     and both of its routes must agree with containment for a Pass.  A
-    negative k_limit raises ValueError before any query; BudgetExceeded,
-    for k over SUBSET_BUDGET_MAX, comes only before that fallback.
+    negative k_limit raises PreconditionFailed before any query;
+    BudgetExceeded, for k over SUBSET_BUDGET_MAX, comes only before that
+    fallback.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     if k < 0:
-        raise ValueError(f"k_limit must be >= 0, got {k_limit}")
+        raise PreconditionFailed(f"k_limit must be >= 0, got {k_limit}")
     runs = [seq.run(j) for j in range(1, k + 1)]
     if _hulls_pass(runs, a, brute_span):
         return SweepReport(Status.PASS, (1 << k) - 1)
@@ -693,7 +697,7 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     q >= 1 to its last.
     """
     if m_max < 1:
-        raise ValueError(f"difference bound must be >= 1, got {m_max}")
+        raise PreconditionFailed(f"difference bound must be >= 1, got {m_max}")
     if w.bits == 0:
         raise PreconditionFailed("window has no members to reduce")
     base, end = w.window.base, w.window.end
@@ -721,7 +725,7 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
 def escape_i0(t: int) -> int:
     """Smallest i >= 1 with 4**i - i > t."""
     if t < 0:
-        raise ValueError(f"shift must be >= 0, got {t}")
+        raise PreconditionFailed(f"shift must be >= 0, got {t}")
     i = 1
     while (1 << 2 * i) - i <= t:
         i += 1

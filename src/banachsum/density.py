@@ -39,16 +39,7 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import BadLength, PreconditionFailed
-from .intset import (
-    Congruence,
-    ExplicitWindow,
-    Full,
-    IntSet,
-    PolyRuns,
-    PowRuns,
-    Record,
-    _streak,
-)
+from .intset import ExplicitWindow, IntSet, Record, _streak
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -350,17 +341,13 @@ def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
 def forced_density(s: IntSet) -> Fraction | None:
     """Exact density when the representation pins it down, else None.
 
-    The run generators contain arbitrarily long runs, which forces the
-    block maxima to track block length; a congruence class hits exactly
-    one position in m.
+    Each generator states its own as _density, a (numerator, denominator)
+    pair; every other set leaves it None.
     """
     from fractions import Fraction
 
-    if isinstance(s, (Full, PowRuns, PolyRuns)):
-        return Fraction(1)
-    if isinstance(s, Congruence):
-        return Fraction(1, s.m)
-    return None
+    density = s._density
+    return None if density is None else Fraction(*density)
 
 
 def profile_payload(

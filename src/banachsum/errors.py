@@ -29,8 +29,8 @@ class BadLength(BanachsumError):
     """An interval length lies outside the window."""
 
 
-class PreconditionFailed(BanachsumError):
-    """An operation was called on input it explicitly rejects."""
+class PreconditionFailed(BanachsumError, ValueError):
+    """An operation was called on input it explicitly rejects; a ValueError too."""
 
 
 class EmptySelection(BanachsumError):

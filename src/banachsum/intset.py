@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError
+from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError, PreconditionFailed
 
 __all__ = [
     "Run",
@@ -169,12 +169,13 @@ class IntSet:
     window asked for.
     """
 
+    # (numerator, denominator) of the set's density when the representation
+    # pins it down, else None; read by density.forced_density
+    _density: tuple[int, int] | None = None
+
     def member(self, x: int) -> bool:
         """Exact membership; always False for x < 1."""
         raise NotImplementedError
-
-    def __contains__(self, x: int) -> bool:
-        return self.member(x)
 
     def translate(self, t: int) -> IntSet:
         """The set {x + t}; raises NegativeResult if any x + t < 1."""
@@ -258,15 +259,6 @@ class ExplicitWindow(IntSet):
         self.bits = bits
         self._bounds = None
 
-    @classmethod
-    def from_elements(cls, window: Window, elements: Iterable[int]) -> "ExplicitWindow":
-        bits = 0
-        for x in elements:
-            if not window.base <= x <= window.end:
-                raise ValueError(f"element {x} outside window")
-            bits |= 1 << (x - window.base)
-        return cls(window, bits)
-
     def member(self, x: int) -> bool:
         if x < 1 or not self.window.base <= x <= self.window.end:
             return False
@@ -283,11 +275,6 @@ class ExplicitWindow(IntSet):
         if self.bits == 0:
             return None
         return self.window.base + (self.bits & -self.bits).bit_length() - 1
-
-    def max_element(self) -> int | None:
-        if self.bits == 0:
-            return None
-        return self.window.base + self.bits.bit_length() - 1
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """First and last members of the maximal runs, ascending.
@@ -485,6 +472,8 @@ class RunList(IntSet):
 class Full(Record, IntSet):
     """All positive integers."""
 
+    _density = (1, 1)
+
     def member(self, x: int) -> bool:
         return x >= 1
 
@@ -518,6 +507,11 @@ class Congruence(Record, IntSet):
             raise ValueError(f"residue must lie in [0, {m - 1}], got {r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "r", r)
+
+    @property
+    def _density(self) -> tuple[int, int]:
+        # exactly one of any m consecutive integers is r modulo m
+        return 1, self.m
 
     def member(self, x: int) -> bool:
         return x >= 1 and x % self.m == self.r
@@ -568,6 +562,8 @@ class _IndexedRuns(IntSet):
 
     # no x satisfies 0 <= x < 0, so the first query always misses
     _bracket = (0, 0, 0)
+    # runs of every length force blocks of every length full
+    _density = (1, 1)
 
     def _run(self, i: int) -> Run:
         raise NotImplementedError
@@ -834,17 +830,19 @@ def _spread(bits: int, n: int, m: int) -> int:
     return int(("0" * (m - 1)).join(format(bits, f"0{n}b")), 2)
 
 
-def _comb(m: int, count: int) -> int:
-    """Bits at offsets 0, m, 2m, ..., (count - 1)*m, none for count < 1.
+def _comb(m: int, count: int, bits: int = 1) -> int:
+    """The or of bits shifted by 0, m, 2m, ..., (count - 1)*m, 0 for count < 1.
 
+    For bits = 1 that is the comb of bits at offsets 0, m, ..., (count - 1)*m.
     Each step shifts the comb past its own teeth and ors it in, so count
-    teeth cost O(log count) shift-ors of at most count*m bits.  The closed
-    form ((1 << m*count) - 1) // ((1 << m) - 1) divides by an m-bit
-    number, which is quadratic in m once m spans several machine words.
+    teeth cost O(log count) shift-ors of at most count*m bits plus the
+    width of bits.  The closed form ((1 << m*count) - 1) // ((1 << m) - 1)
+    divides by an m-bit number, which is quadratic in m once m spans
+    several machine words.
     """
     if count < 1:
         return 0
-    comb, teeth = 1, 1
+    comb, teeth = bits, 1
     while teeth < count:
         step = min(teeth, count - teeth)
         comb |= comb << step * m
@@ -898,7 +896,7 @@ def _first_fit(
 
 def _check_min_len(min_len: int) -> None:
     if min_len < 1:
-        raise ValueError(f"run length must be >= 1, got {min_len}")
+        raise PreconditionFailed(f"run length must be >= 1, got {min_len}")
 
 
 def _check_dilation(m: int, r: int) -> None:
@@ -908,17 +906,19 @@ def _check_dilation(m: int, r: int) -> None:
         raise ValueError(f"dilation shift must be >= 0, got {r}")
 
 
-_GEN_FORMS = {"pow_runs", "poly_runs", "congruence", "full"}
+# Each generator form by its name in the grammar: `gen <name>` followed by
+# one integer per field of the class, in _fields order.
+_GENERATORS = {"full": Full, "congruence": Congruence, "pow_runs": PowRuns, "poly_runs": PolyRuns}
 
 
 def parse_set(text: str) -> IntSet:
     """Parse the line-oriented set description grammar.
 
-    One directive per line: ``run <start> <len>``, ``elem <x>``,
-    ``gen pow_runs <c>``, ``gen poly_runs <p>``, ``gen congruence <m> <r>``,
-    or ``gen full``.  ``#`` starts a comment; blank lines are ignored.  A
-    generator directive must be the only directive in the text.  Declared
-    runs may touch (they are merged) but must not overlap.
+    One directive per line: ``run <start> <len>``, ``elem <x>``, or
+    ``gen <form> <ints>`` for a form of _GENERATORS.  ``#`` starts a
+    comment; blank lines are ignored.  A generator directive must be the
+    only directive in the text.  Declared runs may touch (they are merged)
+    but must not overlap.
 
     One pass over the lines collects (start, end, lineno) triples, one
     stable sort by start orders them, so runs with equal starts keep their
@@ -1013,24 +1013,12 @@ def _make_run(start: int, length: int, lineno: int) -> Run:
 
 
 def _parse_gen(args: list[str], lineno: int) -> IntSet:
-    if not args or args[0] not in _GEN_FORMS:
-        raise ParseError(
-            f"generator must be one of {sorted(_GEN_FORMS)}", lineno
-        )
-    form, rest = args[0], args[1:]
+    cls = _GENERATORS.get(args[0]) if args else None
+    if cls is None:
+        raise ParseError(f"generator must be one of {sorted(_GENERATORS)}", lineno)
+    values = _parse_ints(args[1:], len(cls._fields), lineno)
     try:
-        if form == "full":
-            if rest:
-                raise ParseError("gen full takes no arguments", lineno)
-            return Full()
-        if form == "pow_runs":
-            (c,) = _parse_ints(rest, 1, lineno)
-            return PowRuns(c)
-        if form == "poly_runs":
-            (p,) = _parse_ints(rest, 1, lineno)
-            return PolyRuns(p)
-        m, r = _parse_ints(rest, 2, lineno)
-        return Congruence(m, r)
+        return cls(*values)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 
@@ -1045,15 +1033,10 @@ def serialize_set(s: IntSet) -> str:
         starts, ends = s._starts, s._ends
     elif isinstance(s, ExplicitWindow):
         starts, ends = s.run_bounds()
-    elif isinstance(s, PowRuns):
-        return f"gen pow_runs {s.c}\n"
-    elif isinstance(s, PolyRuns):
-        return f"gen poly_runs {s.p}\n"
-    elif isinstance(s, Congruence):
-        return f"gen congruence {s.m} {s.r}\n"
-    elif isinstance(s, Full):
-        return "gen full\n"
     else:
+        for form, cls in _GENERATORS.items():
+            if isinstance(s, cls):
+                return " ".join(["gen", form, *map(str, s._values())]) + "\n"
         raise ValueError(f"no text form for {type(s).__name__}")
     lines = [
         f"elem {a}" if a == b else f"run {a} {b - a + 1}" for a, b in zip(starts, ends)

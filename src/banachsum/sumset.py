@@ -13,7 +13,7 @@ import enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, EmptySelection
-from .intset import ExplicitWindow, IntSet, Record, Run, Window
+from .intset import ExplicitWindow, IntSet, Record, Run, Window, _comb
 
 __all__ = [
     "Status",
@@ -67,9 +67,8 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
 
     Sums beyond cap are discarded; members of either set above cap still
     contribute the sums that land at or below it.  Each run [s, e] of b
-    adds c shifted by every x in it.  A block holding c under shifts
-    0..w-1, or'd with itself shifted by w, holds it under shifts 0..2w-1,
-    so a run costs about log2(e - s + 1) shift-ors instead of e - s + 1.
+    adds c shifted by every x in it, one _comb of c's bits: about
+    log2(e - s + 1) shift-ors instead of e - s + 1.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -83,12 +82,7 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
             break
         # shifts past cap only make sums past cap
         spread = min(run.end + cbase, cap) - lo + 1
-        block, width = cbits, 1
-        while width < spread:
-            step = min(width, spread - width)
-            block |= block << step
-            width += step
-        acc |= block << lo
+        acc |= _comb(1, spread, cbits) << lo
     return ExplicitWindow(Window(0, cap + 1), acc & out_mask)
 
 
@@ -168,11 +162,7 @@ def _decidable_bounds(a: IntSet) -> tuple[int, int] | None:
     return None
 
 
-def verify_containment(
-    claim: Run | ExplicitWindow,
-    target: IntSet,
-    bounds: tuple[int, int] | None = None,
-) -> Verdict:
+def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> Verdict:
     """Is every element of the claim a member of the target?
 
     Fail always reports the smallest witness.  An interval claim costs one
@@ -183,23 +173,9 @@ def verify_containment(
     undecidable: if everything decidable passes but some of the claim was
     out of reach, the verdict is PartialWindow with the decided span in
     evaluable.  Every other target, an AffineImage of a window included,
-    decides fully, so its verdict is Pass or Fail.  Passing bounds
-    restricts the check to claim elements in [bounds[0], bounds[1]]; an
-    empty intersection passes vacuously.
+    decides fully, so its verdict is Pass or Fail.
     """
-    if bounds is not None and isinstance(claim, Run):
-        lo = max(claim.start, bounds[0])
-        hi = min(claim.end, bounds[1])
-        if lo > hi:
-            return Verdict(Status.PASS)
-        claim = Run(lo, hi - lo + 1)
     if isinstance(claim, ExplicitWindow):
-        if bounds is not None:
-            base = max(claim.window.base, bounds[0], 0)
-            end = min(claim.window.end, bounds[1])
-            if base > end:
-                return Verdict(Status.PASS)
-            claim = claim.materialize(Window(base, end - base + 1))
         return _verify_bitmap(claim, target)
     # a window target decides the part of the claim inside its window,
     # every other target all of it

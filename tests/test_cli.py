@@ -574,6 +574,18 @@ def test_huge_window_is_a_budget_error(capsys, monkeypatch, tmp_path):
             assert json.loads(out)["error"] == "BudgetExceeded"
 
 
+def test_a_bare_value_error_is_an_internal_error(monkeypatch):
+    # parse and precondition errors exit 2; any other ValueError is a bug
+    import banachsum.cli as cli
+
+    def broken(args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "gen", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["gen", "--set", "gen full"])
+
+
 def test_parse_errors_carry_line_numbers(capsys):
     code, _, err = run_cli(capsys, "profile", "--set", "run 4 3;run 0 2")
     assert code == 2

@@ -27,6 +27,7 @@ from banachsum.density import (
 )
 from banachsum.errors import BadLength, PreconditionFailed
 from banachsum.intset import (
+    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
@@ -332,6 +333,8 @@ def test_forced_density_values():
     assert forced_density(PolyRuns(2)) == 1
     assert forced_density(Congruence(6, 1)) == Fraction(1, 6)
     assert forced_density(RunList.from_elements([3])) is None
+    assert forced_density(Full().materialize(Window(0, 8))) is None
+    assert forced_density(AffineImage(Full(), 2, 1)) is None
 
 
 def test_payload_and_csv_shapes():

@@ -889,15 +889,17 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_serialize_round_trips():
-    for s in (
-        PowRuns(4),
-        PolyRuns(3),
-        Congruence(7, 3),
-        Full(),
-        RunList([Run(4, 2), Run(9, 1)]),
-        RunList([]),
+    for s, text in (
+        (PowRuns(4), "gen pow_runs 4\n"),
+        (PolyRuns(3), "gen poly_runs 3\n"),
+        (Congruence(7, 3), "gen congruence 7 3\n"),
+        (Full(), "gen full\n"),
+        (RunList([Run(4, 2), Run(9, 1)]), "run 4 2\nelem 9\n"),
+        (RunList([]), ""),
     ):
-        assert parse_set(serialize_set(s)) == s
+        assert serialize_set(s) == text
+        assert parse_set(text) == s
+        assert serialize_set(parse_set(text)) == text
 
 
 @given(run_lists)

@@ -238,14 +238,6 @@ def test_containment_against_window_target():
     assert v.status is Status.FAIL and v.witness == 8
 
 
-def test_containment_bounds_restriction():
-    target = from_elems([3, 4, 5], Window(0, 12))
-    assert verify_containment(Run(3, 4), target, bounds=(3, 5)).passed
-    assert verify_containment(Run(3, 4), target, bounds=(7, 9)).passed
-    v = verify_containment(Run(3, 4), target, bounds=(6, 6))
-    assert v.status is Status.FAIL and v.witness == 6
-
-
 def test_containment_bitmap_claim():
     claim = from_elems([4, 16, 17], Window(0, 32))
     assert verify_containment(claim, PowRuns(4)).passed
