@@ -39,6 +39,7 @@ from .intset import (
     RunList,
     Window,
     _comb,
+    _merge_spans,
     _streak,
     decimal_digits,
     serialize_set,
@@ -121,9 +122,7 @@ class BSequence(Record):
                 raise ValueError(
                     f"certificate at step {j + 1} must cover [{b}, {total - 1}]"
                 )
-        object.__setattr__(self, "ells", ells)
-        object.__setattr__(self, "bs", bs)
-        object.__setattr__(self, "certificates", certificates)
+        super().__init__(ells, bs, certificates)
 
     @property
     def k(self) -> int:
@@ -269,20 +268,8 @@ class SweepReport(Record):
     """
 
     _fields = ("status", "checked", "witness", "witness_subset", "partial_count")
-
-    def __init__(
-        self,
-        status: Status,
-        checked: int,
-        witness: int | None = None,
-        witness_subset: tuple[int, ...] | None = None,
-        partial_count: int = 0,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_subset", witness_subset)
-        object.__setattr__(self, "partial_count", partial_count)
+    witness = witness_subset = None
+    partial_count = 0
 
     @property
     def passed(self) -> bool:
@@ -530,18 +517,6 @@ class BFamily(Record):
 
     _fields = ("k_sets", "index_sets", "sets", "source")
 
-    def __init__(
-        self,
-        k_sets: int,
-        index_sets: tuple[tuple[int, ...], ...],
-        sets: tuple[RunList, ...],
-        source: BSequence,
-    ):
-        object.__setattr__(self, "k_sets", k_sets)
-        object.__setattr__(self, "index_sets", index_sets)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "source", source)
-
     def to_payload(self) -> dict:
         return {
             "k_sets": self.k_sets,
@@ -587,17 +562,14 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
 
 
 def _check_disjoint(family: BFamily) -> None:
-    labeled = sorted(
-        (run.start, run.end, i)
-        for i, rl in enumerate(family.sets, 1)
-        for run in rl.runs
-    )
-    for (s1, e1, i1), (s2, e2, i2) in zip(labeled, labeled[1:]):
-        if s2 <= e1:
-            raise DisjointnessViolation(
-                f"component {i1} run [{s1}, {e1}] overlaps component {i2} "
-                f"run [{s2}, {e2}]"
-            )
+    _, _, clash = _merge_spans(sorted(
+        (run.start, run.end, i) for i, rl in enumerate(family.sets, 1) for run in rl.runs
+    ))
+    if clash is not None:
+        (s1, e1, i1), (s2, e2, i2) = clash
+        raise DisjointnessViolation(
+            f"component {i1} run [{s1}, {e1}] overlaps component {i2} run [{s2}, {e2}]"
+        )
 
 
 def verify_family(
@@ -669,12 +641,6 @@ class APReduction(Record):
 
     _fields = ("m", "r", "derived", "evidence_len")
 
-    def __init__(self, m: int, r: int, derived: ExplicitWindow, evidence_len: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "derived", derived)
-        object.__setattr__(self, "evidence_len", evidence_len)
-
     def to_payload(self) -> dict:
         return {
             "m": self.m,
@@ -691,10 +657,13 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     unbroken streak of members, all classes of one m at once on the
     bitmap: _streak finds the longest L in O(log N) big-int steps per m,
     and the starts it returns name the classes holding such a streak.
-    Ties prefer the smallest difference, then the smallest residue.  The
-    members of the winning class become the derived quotient set
-    {(x - r) / m >= 1}, on a window from the class's first quotient
-    q >= 1 to its last.
+    Ties prefer the smallest difference, then the smallest residue.  A
+    class of difference m holds at most (N - 1) // m + 1 of the window's N
+    cells, a count that never grows with m, so the search stops at the
+    first m whose classes cannot beat the best streak: by m = N at the
+    latest, whatever m_max.  The members of the winning class become the
+    derived quotient set {(x - r) / m >= 1}, on a window from the class's
+    first quotient q >= 1 to its last.
     """
     if m_max < 1:
         raise PreconditionFailed(f"difference bound must be >= 1, got {m_max}")
@@ -705,6 +674,8 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     bits = w.bits
     best_len, best_m, best_r = 0, 0, 0
     for m in range(1, m_max + 1):
+        if (N - 1) // m + 1 <= best_len:
+            break
         longest, starts = _streak(bits, m)
         if longest > best_len:
             comb = _comb(m, (N - 1) // m + 1)  # bits at offsets 0, m, 2m, ... below N
@@ -752,24 +723,6 @@ class EscapeCheck(Record):
         "doubles_outside",
     )
 
-    def __init__(
-        self,
-        i: int,
-        below_double: bool,
-        double_lower: bool,
-        double_upper: bool,
-        gap_clearance: bool,
-        shift_margin: bool,
-        doubles_outside: bool,
-    ):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "below_double", below_double)
-        object.__setattr__(self, "double_lower", double_lower)
-        object.__setattr__(self, "double_upper", double_upper)
-        object.__setattr__(self, "gap_clearance", gap_clearance)
-        object.__setattr__(self, "shift_margin", shift_margin)
-        object.__setattr__(self, "doubles_outside", doubles_outside)
-
     @property
     def chain_ok(self) -> bool:
         return (
@@ -784,33 +737,13 @@ class EscapeCheck(Record):
 class EscapeReport(Record):
     _fields = ("t", "i0", "checked", "all_escaped", "checks")
 
-    def __init__(
-        self, t: int, i0: int, checked: int, all_escaped: bool, checks: tuple[EscapeCheck, ...]
-    ):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "all_escaped", all_escaped)
-        object.__setattr__(self, "checks", checks)
-
     def to_payload(self) -> dict:
         return {
             "t": self.t,
             "i0": self.i0,
             "checked": self.checked,
             "all_escaped": self.all_escaped,
-            "checks": [
-                {
-                    "i": c.i,
-                    "below_double": c.below_double,
-                    "double_lower": c.double_lower,
-                    "double_upper": c.double_upper,
-                    "gap_clearance": c.gap_clearance,
-                    "shift_margin": c.shift_margin,
-                    "doubles_outside": c.doubles_outside,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(zip(c._fields, c._values())) for c in self.checks],
         }
 
 

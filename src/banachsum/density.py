@@ -120,17 +120,11 @@ class WindowProfile(Record):
     def __init__(self, window_base: int, window_length: int, f: tuple[int, ...]):
         if len(f) != window_length + 1 or f[0] != 0:
             raise ValueError("profile must hold one value per block length plus the 0 sentinel")
-        object.__setattr__(self, "window_base", window_base)
-        object.__setattr__(self, "window_length", window_length)
-        object.__setattr__(self, "f", f)
+        super().__init__(window_base, window_length, f)
 
 
 class DensityEstimate(Record):
     _fields = ("value", "argmin_n")
-
-    def __init__(self, value: Fraction, argmin_n: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "argmin_n", argmin_n)
 
 
 # Run count up to which f_profile takes the staircase route.  On random
@@ -294,14 +288,6 @@ class RunBoundReport(Record):
     """
 
     _fields = ("d", "longest_run", "n_checked", "failures")
-
-    def __init__(
-        self, d: int, longest_run: int, n_checked: int, failures: tuple[tuple[int, int], ...]
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "longest_run", longest_run)
-        object.__setattr__(self, "n_checked", n_checked)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -76,18 +76,46 @@ def nth_root_floor(x: int, p: int) -> int:
 class Record:
     """Immutable value with equality, hashing and repr over its fields.
 
-    A subclass names its fields in _fields and, after validating them,
-    stores them in its own __init__ with object.__setattr__, past the
-    guard below.  That writes the instance's attribute values in place;
-    storing through self.__dict__ would build a dict object for every
-    instance, 64 bytes more per Run on CPython 3.11.  Instances compare
-    equal when they are of the same class with equal fields, hash as
-    their field tuple and print as Run(start=1, length=2).  Assigning or
-    deleting an attribute raises AttributeError.  Instances keep their
-    __dict__, so copy and pickle restore it directly.
+    A subclass names its fields in _fields, once.  Record.__init__ binds
+    them like a signature: positional values first, then the rest by
+    name, with a class attribute of a field's name as its default.  Too
+    many values, an unknown name or a missing field without a default
+    raise TypeError.  Each value is stored with object.__setattr__, past
+    the guard below, which writes the instance's attribute values inline
+    on CPython 3.11; storing through self.__dict__ would build a dict
+    object for every instance, 64 bytes more per Run.  A subclass defines
+    its own __init__ only to check its values, then hands them to
+    super().__init__.  Instances compare equal when they are of the same
+    class with equal fields, hash as their field tuple and print as
+    Run(start=1, length=2).  Assigning or deleting an attribute raises
+    AttributeError.  Instances keep their __dict__, so copy and pickle
+    restore it directly.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            if len(values) > len(fields):
+                raise TypeError(
+                    f"{type(self).__name__} takes {len(fields)} field(s), got {len(values)}"
+                )
+            values = list(values)
+            for name in fields[len(values):]:
+                if name in named:
+                    values.append(named.pop(name))
+                elif hasattr(type(self), name):
+                    values.append(getattr(type(self), name))
+                else:
+                    raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            if named:
+                raise TypeError(
+                    f"{type(self).__name__} got unexpected or repeated field(s) "
+                    + ", ".join(map(repr, named))
+                )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -121,8 +149,7 @@ class Run(Record):
             raise ValueError(f"run start must be positive, got {start}")
         if length < 1:
             raise ValueError(f"run length must be >= 1, got {length}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "length", length)
+        super().__init__(start, length)
 
     @property
     def end(self) -> int:
@@ -145,8 +172,7 @@ class Window(Record):
             raise ValueError(f"window base must be >= 0, got {base}")
         if length < 1:
             raise ValueError(f"window length must be >= 1, got {length}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "length", length)
+        super().__init__(base, length)
 
     @property
     def end(self) -> int:
@@ -505,8 +531,7 @@ class Congruence(Record, IntSet):
             raise ValueError(f"modulus must be >= 1, got {m}")
         if not 0 <= r < m:
             raise ValueError(f"residue must lie in [0, {m - 1}], got {r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r", r)
+        super().__init__(m, r)
 
     @property
     def _density(self) -> tuple[int, int]:
@@ -669,7 +694,7 @@ class PowRuns(Record, _IndexedRuns):
     def __init__(self, c: int):
         if c < 2:
             raise ValueError(f"base must be >= 2, got {c}")
-        object.__setattr__(self, "c", c)
+        super().__init__(c)
 
     def _run(self, i: int) -> Run:
         return Run(self.c ** i, i)
@@ -705,7 +730,7 @@ class PolyRuns(Record, _IndexedRuns):
     def __init__(self, p: int):
         if p < 2:
             raise ValueError(f"exponent must be >= 2, got {p}")
-        object.__setattr__(self, "p", p)
+        super().__init__(p)
 
     def _run(self, i: int) -> Run:
         return Run(i ** self.p, i)
@@ -744,9 +769,7 @@ class AffineImage(Record, IntSet):
         lo = inner.min_element()
         if lo is not None and m * lo + offset < 1:
             raise NegativeResult(f"element {lo} maps to {m * lo + offset}, below 1")
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "offset", offset)
+        super().__init__(inner, m, offset)
 
     @classmethod
     def of(cls, inner: IntSet, m: int, offset: int) -> IntSet:

@@ -10,7 +10,7 @@ a window cannot always decide.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, EmptySelection
 from .intset import ExplicitWindow, IntSet, Record, Run, Window, _comb
@@ -20,13 +20,11 @@ __all__ = [
     "Verdict",
     "SUBSET_BUDGET_MAX",
     "pairwise_sumset",
-    "family_sumset",
     "run_sum",
     "check_subset_count",
     "subset_of",
     "enumerate_subsets",
     "verify_containment",
-    "verdict_payload",
 ]
 
 SUBSET_BUDGET_MAX = 24
@@ -46,16 +44,7 @@ class Verdict(Record):
     """
 
     _fields = ("status", "witness", "evaluable")
-
-    def __init__(
-        self,
-        status: Status,
-        witness: int | None = None,
-        evaluable: tuple[int, int] | None = None,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "evaluable", evaluable)
+    witness = evaluable = None
 
     @property
     def passed(self) -> bool:
@@ -84,26 +73,6 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
         spread = min(run.end + cbase, cap) - lo + 1
         acc |= _comb(1, spread, cbits) << lo
     return ExplicitWindow(Window(0, cap + 1), acc & out_mask)
-
-
-def family_sumset(
-    family: Sequence[ExplicitWindow], selection: Sequence[int], cap: int
-) -> ExplicitWindow:
-    """Iterated sumset of the selected (1-based) family members, capped.
-
-    A singleton selection returns that set unchanged.  Folding pairwise
-    with the cap at every step is sound because all members are positive:
-    a partial sum that already exceeds cap can only grow.
-    """
-    if not selection:
-        raise EmptySelection("sumset of an empty selection of sets")
-    parts = [family[i - 1] for i in selection]
-    if len(parts) == 1:
-        return parts[0]
-    acc = parts[0].materialize(Window(0, cap + 1))
-    for part in parts[1:]:
-        acc = pairwise_sumset(acc, part, cap)
-    return acc
 
 
 def run_sum(runs: Iterable[Run]) -> Run:
@@ -213,12 +182,3 @@ def _verify_bitmap(claim: ExplicitWindow, target: IntSet) -> Verdict:
         return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
     return Verdict(Status.PASS)
 
-
-def verdict_payload(v: Verdict) -> dict:
-    """JSON-ready form; witnesses may be huge, so they travel as strings."""
-    payload: dict = {"status": v.status.value}
-    if v.witness is not None:
-        payload["witness"] = str(v.witness)
-    if v.evaluable is not None:
-        payload["evaluable"] = [str(v.evaluable[0]), str(v.evaluable[1])]
-    return payload

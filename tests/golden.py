@@ -209,6 +209,7 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("family", "--set", full, "--brute-span", "2000000")
     call("family", "--set", full, "--scheme", "zigzag")
     call("ap-reduce", "--set", full, "--window", "0:64", "--m0", "0")
+    call("ap-reduce", "--set", poly2, "--window", "0:256", "--m0", "100000")
     call("ap-reduce", "--set", "run 100 2", "--window", "0:50")
     call("escape", "--t", "-1", "--i-max", "5")
     call("escape", "--t", "5", "--i-max", "1")

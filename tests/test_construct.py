@@ -47,11 +47,11 @@ from banachsum.sumset import (
     SUBSET_BUDGET_MAX,
     Status,
     enumerate_subsets,
-    family_sumset,
     pairwise_sumset,
     run_sum,
     verify_containment,
 )
+from oracles import family_sumset
 from strategies import shaped_windows
 
 # ------------------------------------------------------------------ b-sequence
@@ -538,8 +538,9 @@ def test_family_disjointness_violation_fires():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1], k=3)
     fam = build_family(seq, 2, "residue")
     corrupted = with_sets(fam, (fam.sets[0], RunList([Run(1, 2), *fam.sets[1].runs])))
-    with pytest.raises(DisjointnessViolation):
+    with pytest.raises(DisjointnessViolation) as exc:
         verify_family(corrupted, PolyRuns(2))
+    assert str(exc.value) == "component 1 run [1, 1] overlaps component 2 run [1, 2]"
 
 
 def test_family_selection_budget():
@@ -873,6 +874,50 @@ def test_reduce_matches_per_residue_reference(w, m_max):
     assert json.dumps(got.to_payload()) == json.dumps(want.to_payload())
     assert got.derived.window == want.derived.window
     assert got.derived.bits == want.derived.bits
+
+
+def every_m_choice(w, m_max):
+    """(evidence_len, m, r) of ap_reduce's search run through every m up to
+    m_max, with no stop: one _streak per difference."""
+    N, best = w.window.length, (0, 0, 0)
+    for m in range(1, m_max + 1):
+        longest, starts = intset._streak(w.bits, m)
+        if longest > best[0]:
+            comb = intset._comb(m, (N - 1) // m + 1)
+            r = next(x for x in range(m) if starts & (comb << (x - w.window.base) % m))
+            best = (longest, m, r)
+    return best
+
+
+@given(shaped_windows(max_len=256), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_stop_keeps_the_every_m_choice(w, data):
+    assume(w.bits)
+    m_max = data.draw(st.integers(1, w.window.length + 7))
+    red = ap_reduce(w, m_max)
+    assert (red.evidence_len, red.m, red.r) == every_m_choice(w, m_max)
+
+
+def test_reduce_stops_by_the_window_length(monkeypatch):
+    N = 512
+    windows = [
+        ExplicitWindow(Window(0, N), 1 << 200),
+        ExplicitWindow(Window(7, N), 1 | 1 << (N - 1)),
+        PolyRuns(2).materialize(Window(1000, N)),
+        Congruence(5, 2).materialize(Window(3, N)),
+    ]
+    calls = []
+
+    def counted(bits, m):
+        calls.append(m)
+        return intset._streak(bits, m)
+
+    monkeypatch.setattr(construct, "_streak", counted)
+    for w in windows:
+        calls.clear()
+        far = ap_reduce(w, 10**9)
+        assert len(calls) <= N
+        assert far.to_payload() == ap_reduce(w, N).to_payload()
 
 
 # ------------------------------------------------------------------ escape

@@ -20,12 +20,11 @@ from banachsum.sumset import (
     Status,
     Verdict,
     enumerate_subsets,
-    family_sumset,
     pairwise_sumset,
     run_sum,
-    verdict_payload,
     verify_containment,
 )
+from oracles import family_sumset
 
 
 def from_elems(xs, window=Window(0, 256)):
@@ -394,17 +393,3 @@ def test_bitmap_containment_examples():
     ]:
         assert reference_bitmap_verdict(claim, target) == want
         assert verify_containment(claim, target) == want
-
-
-def test_verdict_payload_schema():
-    v = Verdict(Status.FAIL, witness=182)
-    assert verdict_payload(v) == {
-        "status": "Fail",
-        "witness": "182",
-    }
-    v = Verdict(Status.PARTIAL_WINDOW, evaluable=(9, 11))
-    assert verdict_payload(v) == {
-        "status": "PartialWindow",
-        "evaluable": ["9", "11"],
-    }
-    assert verdict_payload(Verdict(Status.PASS)) == {"status": "Pass"}

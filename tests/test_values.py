@@ -4,7 +4,8 @@ Each row gives a class, the fields of one instance, its exact repr, an
 unequal instance of the same class, and the arguments its constructor
 refuses with their messages.  Every class must compare and hash by its
 field tuple, print its fields, refuse assignment and deletion, and come
-back equal from copy and pickle.
+back equal from copy and pickle.  Fields bind like a signature, positional
+values first, then by name, with the defaults of DEFAULTS.
 """
 
 import copy
@@ -54,6 +55,12 @@ CHECK_REPR = (
     "EscapeCheck(i=1, below_double=True, double_lower=True, double_upper=True, "
     "gap_clearance=True, shift_margin=True, doubles_outside=False)"
 )
+
+# fields a constructor may leave out, with the value each then takes
+DEFAULTS = {
+    Verdict: dict(witness=None, evaluable=None),
+    SweepReport: dict(witness=None, witness_subset=None, partial_count=0),
+}
 
 # (class, fields, repr, unequal instance, [(args, exception, message)])
 ROWS = [
@@ -227,8 +234,22 @@ def test_value_class(cls, fields, text, other, refusals):
             delattr(value, name)
     assert value == cls(**fields)
 
+    # fields bind like a signature: too many values, an unknown name or a
+    # missing field without a default are refused
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=None)
+    defaults = DEFAULTS.get(cls, {})
+    for name in fields:
+        rest = {k: v for k, v in fields.items() if k != name}
+        if name in defaults:
+            assert cls(**rest) == cls(**rest, **{name: defaults[name]})
+        else:
+            with pytest.raises(TypeError):
+                cls(**rest)
+    required = [v for k, v in fields.items() if k not in defaults]
+    assert cls(*required) == cls(*required, *defaults.values())
     for args, exc, message in refusals:
         with pytest.raises(exc) as info:
             cls(*args)
