@@ -50,6 +50,9 @@ from .sumset import Status
 # Largest window, in bits, that profile, runs and ap-reduce will materialize,
 # and that family's bitmap route, on [0, --brute-span], may span.
 WINDOW_BITS_BUDGET = 1 << 20
+# Largest --k that construct-b and family accept, checked before the run
+# lengths are listed.
+STEP_BUDGET = 1 << 16
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
 
@@ -73,6 +76,8 @@ def _window_arg(text: str) -> Window:
 
 
 def _resolve_ells(spec: str, k: int) -> list[int]:
+    if k > STEP_BUDGET:
+        raise BudgetExceeded(f"{k} steps exceed the budget of {STEP_BUDGET} steps")
     if spec == "j":
         return list(range(1, k + 1))
     try:

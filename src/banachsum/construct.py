@@ -262,14 +262,12 @@ def build_b_sequence(
 class SweepReport(Record):
     """Aggregate verdict over a sweep of containment checks.
 
-    Fail dominates PartialWindow dominates Pass.  The witness is the
-    smallest failing element seen anywhere, with the selection that
-    produced it.
+    Fail when any check fails, else Pass.  The witness is the smallest
+    failing element seen anywhere, with the selection that produced it.
     """
 
-    _fields = ("status", "checked", "witness", "witness_subset", "partial_count")
+    _fields = ("status", "checked", "witness", "witness_subset")
     witness = witness_subset = None
-    partial_count = 0
 
     @property
     def passed(self) -> bool:
@@ -280,8 +278,6 @@ class SweepReport(Record):
         if self.witness is not None:
             payload["witness"] = str(self.witness)
             payload["witness_subset"] = list(self.witness_subset or ())
-        if self.partial_count:
-            payload["partial_count"] = self.partial_count
         return payload
 
 
@@ -292,7 +288,7 @@ class _SweepState:
     enumerate_subsets order; report() builds that selection's tuple."""
 
     def __init__(self):
-        self.checked = self.partials = 0
+        self.checked = 0
         self.worst: tuple[int, int] | None = None
 
     def fail(self, witness: int, mask: int) -> None:
@@ -302,11 +298,8 @@ class _SweepState:
     def report(self) -> SweepReport:
         if self.worst is not None:
             witness, mask = self.worst
-            return SweepReport(
-                Status.FAIL, self.checked, witness, subset_of(mask), self.partials
-            )
-        status = Status.PARTIAL_WINDOW if self.partials else Status.PASS
-        return SweepReport(status, self.checked, partial_count=self.partials)
+            return SweepReport(Status.FAIL, self.checked, witness, subset_of(mask))
+        return SweepReport(Status.PASS, self.checked)
 
 
 class _MemberWalk:
@@ -325,16 +318,12 @@ class _MemberWalk:
 
     def __init__(self, target: IntSet):
         self._member = target.member
-        self._window = target.window if isinstance(target, ExplicitWindow) else None
         self.starts: list[int] = []
         self.ends: list[int] = []
         self._gaps: set[int] = set()
 
     def first_gap(self, lo: int, hi: int) -> int | None:
-        """Smallest x in [lo, hi] that is not a member, or None.  A window
-        target decides nothing outside its window, so nothing there is asked."""
-        if self._window is not None:
-            lo, hi = max(lo, self._window.base), min(hi, self._window.end)
+        """Smallest x in [lo, hi] that is not a member, or None."""
         if lo == hi:
             return None if self._member(lo) else lo
         starts, ends, gaps, member = self.starts, self.ends, self._gaps, self._member
@@ -429,9 +418,7 @@ def _sweep(
             reach = a.run_end_at(parts[p][d - 1].start)
         if reach is not None and hi > reach:
             v = verify_containment(Run(lo, hi - lo + 1), a)
-            if v.status is Status.PARTIAL_WINDOW:
-                state.partials += 1
-            elif v.status is Status.FAIL:
+            if v.status is Status.FAIL:
                 state.fail(v.witness, mask())
         if hi - lo < brute_span:
             # a sum inside a stretch of members already walked passes here
@@ -453,9 +440,9 @@ def _hulls_pass(runs: Sequence[Run], a: IntSet, brute_span: int) -> bool:
     A hull of at most brute_span integers must then also pass one
     _MemberWalk, right after its run queries, so a PowRuns or PolyRuns
     target answers all three within the bracket of that run.  The first
-    failing hull ends the check, and a hull a window target cannot decide
-    fails.  False proves nothing: the hulls are sufficient, not necessary,
-    and _sweep decides what they cannot.
+    failing hull ends the check, and so does a next_run that runs past a
+    finite target's last run (HorizonExceeded).  False proves nothing: the
+    hulls are sufficient, not necessary, and _sweep decides what they cannot.
     """
     walk = _MemberWalk(a)
     reach = 0
@@ -590,15 +577,13 @@ def verify_family(
     query, since the bitmap route takes 2**k_sets - 1 selections.
 
     Short selections are rechecked by summing materialized component
-    bitmaps and handing the sum to verify_containment; only its Fail
-    counts, since sums a window target cannot decide are not evidence
-    either way.  Every part and every sum lies on the window [0,
-    brute_span], so a target other than a window is materialized there
-    once and each selection's check is one AND with that bitmap.  The
-    selections are walked depth first by increasing component: a
-    selection's sum is the sum of the selection without its highest
-    component plus that component, one pairwise_sumset each, with one sum
-    per depth held at a time.  A selection holding an empty component is
+    bitmaps and handing the sum to verify_containment.  Every part and
+    every sum lies on the window [0, brute_span], so the target is
+    materialized there once and each selection's check is one AND with
+    that bitmap.  The selections are walked depth first by increasing
+    component: a selection's sum is the sum of the selection without its
+    highest component plus that component, one pairwise_sumset each, with
+    one sum per depth held at a time.  A selection holding an empty component is
     skipped with all its extensions.
     """
     _check_disjoint(family)
@@ -612,9 +597,7 @@ def verify_family(
         _sweep(runs, a, 0, state)
     window = Window(0, brute_span + 1)
     parts = [rl.materialize(window) for rl in family.sets]
-    # every part and every capped sum lies on this window: a target that
-    # decides everywhere is materialized on it once, for all selections
-    target = a if isinstance(a, ExplicitWindow) else a.materialize(window)
+    target = a.materialize(window)
 
     def extend(mask: int, acc: ExplicitWindow | None, low: int) -> None:
         for i in range(low, len(parts)):

@@ -287,7 +287,7 @@ class RunBoundReport(Record):
     are kept for the layout of the `runs` report.
     """
 
-    _fields = ("d", "longest_run", "n_checked", "failures")
+    _fields = ("d", "longest_run", "failures")
 
     @property
     def ok(self) -> bool:
@@ -321,7 +321,7 @@ def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
             f"window contains a run of {lr} consecutive members, so the "
             f"no-run-of-{d} hypothesis does not hold"
         )
-    return RunBoundReport(d, lr, w.window.length, ())
+    return RunBoundReport(d, lr, ())
 
 
 def forced_density(s: IntSet) -> Fraction | None:

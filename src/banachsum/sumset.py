@@ -3,8 +3,9 @@
 Pairwise sumsets of finite sets are computed by shift-or on bitmaps:
 adding x to every member of C is one shift of C's bitmap, and the union
 over x in B is an or.  Containment of a claimed interval or bitmap in a
-target set yields a three-way verdict, since a target known only inside
-a window cannot always decide.
+target set yields a two-way verdict, Pass or Fail with the smallest
+witness.  Every target decides every integer: a window target is the
+finite set of its set bits.
 """
 
 from __future__ import annotations
@@ -33,18 +34,14 @@ SUBSET_BUDGET_MAX = 24
 class Status(enum.Enum):
     PASS = "Pass"
     FAIL = "Fail"
-    PARTIAL_WINDOW = "PartialWindow"
 
 
 class Verdict(Record):
-    """Outcome of one containment check.
+    """Outcome of one containment check: witness is the smallest offending
+    element on Fail."""
 
-    witness is the smallest offending element on Fail; evaluable records
-    how much of the claim a window-limited target could actually decide.
-    """
-
-    _fields = ("status", "witness", "evaluable")
-    witness = evaluable = None
+    _fields = ("status", "witness")
+    witness = None
 
     @property
     def passed(self) -> bool:
@@ -125,60 +122,17 @@ def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
         yield subset_of(i)
 
 
-def _decidable_bounds(a: IntSet) -> tuple[int, int] | None:
-    if isinstance(a, ExplicitWindow):
-        return a.window.base, a.window.end
-    return None
-
-
 def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> Verdict:
     """Is every element of the claim a member of the target?
 
-    Fail always reports the smallest witness.  An interval claim costs one
+    Fail reports the smallest witness.  An interval claim costs one
     first_gap call, that is one run_end_at query on the target; a bitmap
-    claim one materialize of the target on the claim's window and one
-    AND, with no member call (see _verify_bitmap).  When the target is an
-    ExplicitWindow, elements of the claim outside its window are
-    undecidable: if everything decidable passes but some of the claim was
-    out of reach, the verdict is PartialWindow with the decided span in
-    evaluable.  Every other target, an AffineImage of a window included,
-    decides fully, so its verdict is Pass or Fail.
+    claim one materialize of the target on the claim's window and one AND,
+    claim.bits & ~target's bitmap, with no member call.
     """
     if isinstance(claim, ExplicitWindow):
-        return _verify_bitmap(claim, target)
-    # a window target decides the part of the claim inside its window,
-    # every other target all of it
-    lo, hi = _decidable_bounds(target) or (claim.start, claim.end)
-    in_lo, in_hi = max(claim.start, lo), min(claim.end, hi)
-    if in_lo <= in_hi:
-        witness = target.first_gap(in_lo, in_hi)
-        if witness is not None:
-            return Verdict(Status.FAIL, witness=witness)
-    if claim.start < lo or claim.end > hi:
-        span = (in_lo, in_hi) if in_lo <= in_hi else None
-        return Verdict(Status.PARTIAL_WINDOW, evaluable=span)
-    return Verdict(Status.PASS)
-
-
-def _verify_bitmap(claim: ExplicitWindow, target: IntSet) -> Verdict:
-    """The claim's cells the target lacks, claim.bits & ~target's bitmap
-    on the claim's window: one materialize and one AND, no member calls.
-    A window target decides only the cells inside its window, so the
-    misses are masked to those, and claim bits outside them make the
-    verdict PartialWindow when nothing inside fails."""
-    window = claim.window
-    missing = claim.bits & ~target.materialize(window).bits
-    undecided = 0
-    bounds = _decidable_bounds(target)
-    if bounds is not None:
-        lo = max(bounds[0], window.base) - window.base
-        hi = min(bounds[1], window.end) - window.base
-        decidable = ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
-        missing &= decidable
-        undecided = claim.bits & ~decidable
-    if missing:
-        return Verdict(Status.FAIL, witness=window.base + (missing & -missing).bit_length() - 1)
-    if undecided:
-        return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
-    return Verdict(Status.PASS)
-
+        missing = claim.bits & ~target.materialize(claim.window).bits
+        witness = claim.window.base + (missing & -missing).bit_length() - 1 if missing else None
+    else:
+        witness = target.first_gap(claim.start, claim.end)
+    return Verdict(Status.PASS if witness is None else Status.FAIL, witness=witness)

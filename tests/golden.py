@@ -200,6 +200,7 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     for ells in ("abc", "1,x", "", "1,2", "0"):
         call("construct-b", "--set", full, "--ells", ells, "--k", "3")
     call("construct-b", "--set", full, "--k", "0")
+    call("construct-b", "--set", full, "--ells", "1", "--k", "65537")
     call("verify", "--set", full, "--bseq", f"{d}/seq_full.json", "--k-limit", "-1")
     for name in ("not_json.json", "bad_payload.json", "huge.json", "latin1.json"):
         call("verify", "--set", full, "--bseq", f"{d}/{name}")

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banachsum
-from banachsum.cli import WINDOW_BITS_BUDGET, main
+from banachsum.cli import STEP_BUDGET, WINDOW_BITS_BUDGET, main
 from banachsum.construct import BSequence, DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
 
 
@@ -463,6 +463,26 @@ def test_family_rejects_too_many_sets(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["construct-b", "family"])
+def test_step_budget_is_checked_before_the_run_lengths(capsys, command):
+    over = str(STEP_BUDGET + 1)
+    for ells in ("1", "j", "1,2"):
+        code, out, err = run_cli(
+            capsys, command, "--set", "gen full", "--ells", ells, "--k", over
+        )
+        assert (code, err) == (3, "")
+        assert json.loads(out) == {
+            "error": "BudgetExceeded",
+            "detail": f"{over} steps exceed the budget of {STEP_BUDGET} steps",
+        }
+    # at the budget a too-short list is still a usage error
+    code, out, err = run_cli(
+        capsys, command, "--set", "gen full", "--ells", "1,2", "--k", str(STEP_BUDGET)
+    )
+    assert (code, out) == (2, "")
+    assert "ells list has 2 entries" in err
 
 
 # --------------------------------------------------------- reduce and escape

@@ -120,13 +120,14 @@ def test_verify_reports_smallest_witness():
     assert report.witness_subset == (2,)
 
 
-def test_verify_partial_window_target():
+def test_verify_window_target_is_finite():
     seq = build_b_sequence(Full(), [1, 1])
-    # sums reach 3 but this target can only decide up to 2
+    # sums reach 3, and a window target holds only its set bits, 1 and 2
     target = Full().materialize(Window(0, 3))
     report = verify_b_sequence(seq, target)
-    assert report.status is Status.PARTIAL_WINDOW
-    assert report.partial_count > 0
+    assert report.to_payload() == {
+        "status": "Fail", "checked": 3, "witness": "3", "witness_subset": [2, 1]
+    }
 
 
 def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
@@ -134,30 +135,20 @@ def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
     summed anew by run_sum, checked whole by verify_containment, then walked
     element by element with member()."""
     k = seq.k if k_limit is None else min(k_limit, seq.k)
-    checked = partials = 0
+    checked = 0
     witness = witness_subset = None
     for subset in enumerate_subsets(k):
         s = run_sum([seq.run(j) for j in subset])
         v = verify_containment(s, a)
         checked += 1
-        found = []
-        if v.status is Status.PARTIAL_WINDOW:
-            partials += 1
-        elif v.status is Status.FAIL:
-            found.append(v.witness)
+        found = [] if v.passed else [v.witness]
         if s.length <= brute_span:
-            lo, hi = s.start, s.end
-            if isinstance(a, ExplicitWindow):
-                lo, hi = max(lo, a.window.base), min(hi, a.window.end)
-            found += [x for x in range(lo, hi + 1) if not a.member(x)][:1]
+            found += [x for x in s if not a.member(x)][:1]
         for x in found:
             if witness is None or x < witness:
                 witness, witness_subset = x, subset
-    if witness is not None:
-        status = Status.FAIL
-    else:
-        status = Status.PARTIAL_WINDOW if partials else Status.PASS
-    return SweepReport(status, checked, witness, witness_subset, partials).to_payload()
+    status = Status.PASS if witness is None else Status.FAIL
+    return SweepReport(status, checked, witness, witness_subset).to_payload()
 
 
 SWEEP_TARGETS = [
@@ -168,7 +159,7 @@ SWEEP_TARGETS = [
     RunList([Run(1, 3), Run(5, 40), Run(47, 2), Run(52, 300)]),
     AffineImage.of(PolyRuns(2), 1, 2),
     AffineImage.of(RunList([Run(1, 200)]), 2, 1),
-    # windows that cut long sums short, decided inside only
+    # windows that cut long sums short: each is the finite set of its bits
     Full().materialize(Window(3, 60)),
     RunList([Run(2, 30), Run(35, 100)]).materialize(Window(0, 90)),
     AffineImage.of(Full().materialize(Window(0, 80)), 1, 1),
@@ -343,7 +334,7 @@ def test_sweep_reference_examples():
     cut = RunList([Run(1, 12)]).materialize(Window(0, 6))
     cases = [
         (Full(), {"status": "Pass", "checked": 7}),
-        (cut, {"status": "PartialWindow", "checked": 7, "partial_count": 4}),
+        (cut, {"status": "Fail", "checked": 7, "witness": "6", "witness_subset": [3]}),
         (Congruence(3, 1),
          {"status": "Fail", "checked": 7, "witness": "2", "witness_subset": [2]}),
     ]
@@ -640,8 +631,8 @@ def reference_family(family, a, brute_span=2048):
     """Payload of the per-selection family check: every pick of one source
     run per selected component summed anew by run_sum and checked whole by
     verify_containment, then the selection's component bitmaps summed and
-    checked, where only a Fail counts."""
-    checked = partials = 0
+    checked."""
+    checked = 0
     witness = witness_subset = None
     parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
     for sel in enumerate_subsets(family.k_sets):
@@ -649,22 +640,17 @@ def reference_family(family, a, brute_span=2048):
         for combo in itertools.product(*(family.index_sets[i - 1] for i in sel)):
             v = verify_containment(run_sum([family.source.run(j) for j in combo]), a)
             checked += 1
-            if v.status is Status.PARTIAL_WINDOW:
-                partials += 1
-            elif v.status is Status.FAIL:
+            if not v.passed:
                 found.append(v.witness)
         if all(parts[i - 1].bits for i in sel):
             v = verify_containment(family_sumset(parts, sel, brute_span), a)
-            if v.status is Status.FAIL:
+            if not v.passed:
                 found.append(v.witness)
         for x in found:
             if witness is None or x < witness:
                 witness, witness_subset = x, sel
-    if witness is not None:
-        status = Status.FAIL
-    else:
-        status = Status.PARTIAL_WINDOW if partials else Status.PASS
-    return SweepReport(status, checked, witness, witness_subset, partials).to_payload()
+    status = Status.PASS if witness is None else Status.FAIL
+    return SweepReport(status, checked, witness, witness_subset).to_payload()
 
 
 @st.composite

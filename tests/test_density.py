@@ -92,7 +92,7 @@ def reference_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
         for n in range(1, profile.window_length + 1)
         if d * profile.f[n] >= (d - 1) * n + d
     )
-    return RunBoundReport(d, lr, profile.window_length, failures)
+    return RunBoundReport(d, lr, failures)
 
 
 ODDS8 = Congruence(2, 1).materialize(Window(0, 8))
@@ -262,7 +262,7 @@ def test_full_run_iff_density_one(w):
 def test_run_bound_examples():
     report = check_run_bound(ODDS8, 2)
     assert report.ok and report.longest_run == 1
-    assert report == RunBoundReport(2, 1, 8, ())
+    assert report == RunBoundReport(2, 1, ())
     with pytest.raises(PreconditionFailed):
         check_run_bound(FULL8, 2)
     with pytest.raises(BadLength):

@@ -1,9 +1,10 @@
 """Sumsets, subset streams, and containment verdicts."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from banachsum.construct import BSequence, verify_b_sequence
 from banachsum.errors import BudgetExceeded, EmptySelection
 from banachsum.intset import (
     AffineImage,
@@ -25,6 +26,7 @@ from banachsum.sumset import (
     verify_containment,
 )
 from oracles import family_sumset
+from strategies import shaped_windows
 
 
 def from_elems(xs, window=Window(0, 256)):
@@ -228,11 +230,9 @@ def test_containment_against_window_target():
     assert verify_containment(Run(3, 3), target).passed
     v = verify_containment(Run(3, 4), target)
     assert v.status is Status.FAIL and v.witness == 6
-    # claim reaching past the window: decidable part passes, rest unknown
+    # a window holds only its set bits: past its end is a gap
     v = verify_containment(Run(9, 5), target)
-    assert v.status is Status.PARTIAL_WINDOW
-    assert v.evaluable == (9, 11)
-    # but an in-window miss beats undecidability
+    assert v.status is Status.FAIL and v.witness == 12
     v = verify_containment(Run(8, 6), target)
     assert v.status is Status.FAIL and v.witness == 8
 
@@ -317,19 +317,10 @@ def test_translated_window_fails_past_its_end():
 
 def reference_bitmap_verdict(claim, target):
     """The per-element verdict: the claim's elements asked of member() in
-    ascending order, skipping those outside a window target's window."""
-    bounds = None
-    if isinstance(target, ExplicitWindow):
-        bounds = (target.window.base, target.window.end)
-    undecided = False
+    ascending order."""
     for x in claim.elements():
-        if bounds is not None and not bounds[0] <= x <= bounds[1]:
-            undecided = True
-            continue
         if not target.member(x):
             return Verdict(Status.FAIL, witness=x)
-    if undecided:
-        return Verdict(Status.PARTIAL_WINDOW, evaluable=bounds)
     return Verdict(Status.PASS)
 
 
@@ -368,20 +359,17 @@ def test_bitmap_containment_examples():
     cases = [
         (from_elems([12, 15], Window(10, 10)), Verdict(Status.PASS)),
         (from_elems([13, 16, 18], Window(10, 10)), Verdict(Status.FAIL, witness=16)),
-        (from_elems([3, 12, 25], Window(0, 30)),
-         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
-        (from_elems([3, 11, 25], Window(0, 30)), Verdict(Status.FAIL, witness=11)),
-        (from_elems([20, 21], Window(20, 5)),
-         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
+        (from_elems([3, 12, 25], Window(0, 30)), Verdict(Status.FAIL, witness=3)),
+        (from_elems([3, 11, 25], Window(0, 30)), Verdict(Status.FAIL, witness=3)),
+        (from_elems([20, 21], Window(20, 5)), Verdict(Status.FAIL, witness=20)),
         (ExplicitWindow(Window(0, 30), 0), Verdict(Status.PASS)),
-        (from_elems([1, 4], Window(0, 8)),
-         Verdict(Status.PARTIAL_WINDOW, evaluable=(10, 19))),
+        (from_elems([1, 4], Window(0, 8)), Verdict(Status.FAIL, witness=1)),
         (from_elems([10, 12], Window(10, 4)), Verdict(Status.FAIL, witness=10)),
     ]
     for claim, want in cases:
         assert reference_bitmap_verdict(claim, target) == want
         assert verify_containment(claim, target) == want
-    # every other target decides the whole claim
+    # targets that are not windows
     claim = from_elems([4, 16, 17, 64, 66], Window(0, 100))
     for target, want in [
         (PowRuns(4), Verdict(Status.PASS)),
@@ -393,3 +381,46 @@ def test_bitmap_containment_examples():
     ]:
         assert reference_bitmap_verdict(claim, target) == want
         assert verify_containment(claim, target) == want
+
+
+@st.composite
+def one_set_cases(draw):
+    """A window, then a run claim and a bitmap claim that start anywhere
+    from 40 below the window to 40 past its end, so they cross either
+    edge or lie outside it, and a base sequence of 1 to 4 runs whose first
+    base lies from 20 below the window to just past it."""
+    w = draw(shaped_windows(max_len=128))
+    lo, hi = max(w.window.base - 40, 0), w.window.end + 40
+    run = Run(draw(st.integers(max(lo, 1), hi)), draw(st.integers(1, 60)))
+    base, length = draw(st.integers(lo, hi)), draw(st.integers(1, 120))
+    have = w.materialize(Window(base, length)).bits
+    bits = have & draw(st.integers(0, (1 << length) - 1))
+    for off in draw(st.lists(st.integers(0, length - 1), max_size=2)):
+        bits |= 1 << off
+    claim = ExplicitWindow(Window(base, length), bits & ~(base == 0))
+    ells = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    bs = [draw(st.integers(max(w.window.base - 20, 1), w.window.end + 5))]
+    for ell in ells[:-1]:
+        bs.append(bs[-1] + ell + draw(st.integers(0, 20)))
+    return w, run, claim, BSequence.from_entries(ells, bs)
+
+
+TEN_TO_17 = ExplicitWindow(Window(10, 8), 0xFF)
+
+
+@given(one_set_cases())
+@example((TEN_TO_17, Run(15, 6), from_elems([12, 19], Window(10, 12)),
+          BSequence.from_entries((1, 1), (12, 13))))
+@settings(max_examples=200)
+def test_one_set_one_verdict(case):
+    """A window, its run list and its identity affine image are one finite
+    set, so each claim gets one verdict: Fail at the smallest element that
+    is not a set bit, else Pass."""
+    w, run, claim, seq = case
+    forms = [w, w.to_run_list(), AffineImage(w, 1, 0)]
+    for c, elements in ((run, run), (claim, claim.elements())):
+        missing = next((x for x in elements if not w.member(x)), None)
+        want = Verdict(Status.PASS if missing is None else Status.FAIL, witness=missing)
+        assert [verify_containment(c, a) for a in forms] == [want] * 3
+    payloads = [verify_b_sequence(seq, a).to_payload() for a in forms]
+    assert payloads[1:] == payloads[:1] * 2

@@ -58,8 +58,8 @@ CHECK_REPR = (
 
 # fields a constructor may leave out, with the value each then takes
 DEFAULTS = {
-    Verdict: dict(witness=None, evaluable=None),
-    SweepReport: dict(witness=None, witness_subset=None, partial_count=0),
+    Verdict: dict(witness=None),
+    SweepReport: dict(witness=None, witness_subset=None),
 }
 
 # (class, fields, repr, unequal instance, [(args, exception, message)])
@@ -140,15 +140,15 @@ ROWS = [
     ),
     (
         RunBoundReport,
-        dict(d=2, longest_run=1, n_checked=4, failures=((3, 2),)),
-        "RunBoundReport(d=2, longest_run=1, n_checked=4, failures=((3, 2),))",
-        RunBoundReport(2, 1, 4, ()),
+        dict(d=2, longest_run=1, failures=((3, 2),)),
+        "RunBoundReport(d=2, longest_run=1, failures=((3, 2),))",
+        RunBoundReport(2, 1, ()),
         [],
     ),
     (
         Verdict,
-        dict(status=Status.FAIL, witness=5, evaluable=None),
-        "Verdict(status=<Status.FAIL: 'Fail'>, witness=5, evaluable=None)",
+        dict(status=Status.FAIL, witness=5),
+        "Verdict(status=<Status.FAIL: 'Fail'>, witness=5)",
         Verdict(Status.FAIL),
         [],
     ),
@@ -170,9 +170,9 @@ ROWS = [
     ),
     (
         SweepReport,
-        dict(status=Status.FAIL, checked=3, witness=7, witness_subset=(2, 1), partial_count=0),
+        dict(status=Status.FAIL, checked=3, witness=7, witness_subset=(2, 1)),
         "SweepReport(status=<Status.FAIL: 'Fail'>, checked=3, witness=7, "
-        "witness_subset=(2, 1), partial_count=0)",
+        "witness_subset=(2, 1))",
         SweepReport(Status.PASS, 3),
         [],
     ),
