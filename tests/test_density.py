@@ -342,11 +342,11 @@ def test_payload_and_csv_shapes():
     est = density_estimate(profile)
     payload = profile_payload(profile, est, forced_density(Congruence(2, 1)))
     assert payload["window"] == {"base": 0, "length": 8}
-    assert payload["f"] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert payload["f"] == (1, 1, 2, 2, 3, 3, 4, 4)
     assert payload["density"] == {"num": 1, "den": 2, "argmin": 2}
     assert payload["generator_density"] == {"num": 1, "den": 2}
 
-    csv = profile_csv(profile).splitlines()
+    csv = "".join(profile_csv(profile)).splitlines()
     assert csv[0] == "n,f,fn_over_n"
     assert csv[1] == "1,1,1/1"
     assert csv[2] == "2,1,1/2"
