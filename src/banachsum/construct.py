@@ -132,16 +132,6 @@ class BSequence(Record):
         """The j-th run (1-based)."""
         return Run(self.bs[j - 1], self.ells[j - 1])
 
-    @classmethod
-    def from_entries(cls, ells: Sequence[int], bs: Sequence[int]) -> "BSequence":
-        """Build with the canonical tight certificates."""
-        certs = []
-        total = 0
-        for b, ell in zip(bs, ells):
-            total += b + ell
-            certs.append(Run(b, total - b))
-        return cls(tuple(ells), tuple(bs), tuple(certs))
-
     def to_payload(self) -> dict:
         return {
             "ells": list(self.ells),

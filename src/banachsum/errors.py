@@ -5,10 +5,6 @@ class BanachsumError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class NegativeResult(BanachsumError):
-    """A shift would push some element out of the positive integers."""
-
-
 class HorizonExceeded(BanachsumError):
     """A finite representation ran out of search space without an answer."""
 

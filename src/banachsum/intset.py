@@ -3,9 +3,9 @@
 A set is either finite and explicit (a window bitmap or a list of runs of
 consecutive integers) or an infinite symbolic generator (all positive
 integers, a congruence class, or an indexed family of runs whose i-th run
-has length i).  Every representation answers membership, run search,
-translation, and dilation with exact arbitrary-precision arithmetic, so
-queries against astronomically large elements stay cheap and correct.
+has length i).  Every representation answers membership and run queries
+with exact arbitrary-precision arithmetic, so queries against
+astronomically large elements stay cheap and correct.
 
 All values are immutable once constructed and safe to share across
 threads.  The state that changes is caches that never change an answer:
@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import HorizonExceeded, NegativeResult, OverlapError, ParseError, PreconditionFailed
+from .errors import HorizonExceeded, OverlapError, ParseError, PreconditionFailed
 
 __all__ = [
     "Run",
@@ -34,7 +34,6 @@ __all__ = [
     "PolyRuns",
     "Congruence",
     "Full",
-    "AffineImage",
     "parse_set",
     "serialize_set",
     "nth_root_floor",
@@ -155,12 +154,6 @@ class Run(Record):
     def end(self) -> int:
         return self.start + self.length - 1
 
-    def __contains__(self, x: int) -> bool:
-        return self.start <= x <= self.end
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.start, self.end + 1))
-
 
 class Window(Record):
     """A finite evaluation region [base, base + length - 1] of the line."""
@@ -184,15 +177,12 @@ class IntSet:
 
     Subclasses fall in two groups.  Finite representations (ExplicitWindow,
     RunList) store their elements outright.  Symbolic representations
-    (Full, Congruence, PowRuns, PolyRuns, AffineImage) answer queries by
-    formula and may describe infinite sets.
+    (Full, Congruence, PowRuns, PolyRuns) answer queries by formula and may
+    describe infinite sets.
 
-    A subclass supplies member, run_end_at, next_run and min_element.
-    run_end_at is the one run query: first_gap is derived from it here, and
-    translate and dilate default to an AffineImage.  ExplicitWindow
-    overrides both with a bitmap and RunList overrides translate with a run
-    list; a dilated RunList is an AffineImage, which materializes only the
-    window asked for.
+    A subclass supplies member, run_end_at and next_run.  run_end_at is the
+    one run query: first_gap is derived from it here.  materialize defaults
+    to one member call per cell of the window.
     """
 
     # (numerator, denominator) of the set's density when the representation
@@ -202,15 +192,6 @@ class IntSet:
     def member(self, x: int) -> bool:
         """Exact membership; always False for x < 1."""
         raise NotImplementedError
-
-    def translate(self, t: int) -> IntSet:
-        """The set {x + t}; raises NegativeResult if any x + t < 1."""
-        return AffineImage.of(self, 1, t)
-
-    def dilate(self, m: int, r: int = 0) -> IntSet:
-        """The set {m*x + r} for m >= 1, r >= 0."""
-        _check_dilation(m, r)
-        return AffineImage.of(self, m, r)
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
         """Smallest-start run of min_len consecutive members at or above lower_bound.
@@ -254,9 +235,6 @@ class IntSet:
         """
         raise NotImplementedError
 
-    def min_element(self) -> int | None:
-        raise NotImplementedError
-
     def materialize(self, window: Window) -> "ExplicitWindow":
         """Exact bitmap of the intersection with the window."""
         bits = 0
@@ -290,17 +268,9 @@ class ExplicitWindow(IntSet):
             return False
         return bool((self.bits >> (x - self.window.base)) & 1)
 
-    def count(self) -> int:
-        return self.bits.bit_count()
-
     def elements(self) -> Iterator[int]:
         """Members in ascending order."""
         yield from _bit_offsets(self.bits, self.window.base)
-
-    def min_element(self) -> int | None:
-        if self.bits == 0:
-            return None
-        return self.window.base + (self.bits & -self.bits).bit_length() - 1
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """First and last members of the maximal runs, ascending.
@@ -326,25 +296,13 @@ class ExplicitWindow(IntSet):
         starts, ends = self.run_bounds()
         return RunList._from_bounds(list(starts), list(ends))
 
-    def translate(self, t: int) -> "ExplicitWindow":
-        if t == 0:
-            return self
-        lo = self.min_element()
-        if lo is not None and lo + t < 1:
-            raise NegativeResult(f"element {lo} shifted by {t} leaves the positive integers")
-        new_base = self.window.base + t
-        if new_base >= 0:
-            return ExplicitWindow(Window(new_base, self.window.length), self.bits)
-        # re-anchor at 0; the dropped low positions are all below any element
-        shift = -new_base
-        if shift >= self.window.length:
-            return ExplicitWindow(Window(0, 1), 0)
-        return ExplicitWindow(Window(0, self.window.length - shift), self.bits >> shift)
-
     def dilate(self, m: int, r: int = 0) -> "ExplicitWindow":
-        _check_dilation(m, r)
-        if m == 1:
-            return self.translate(r)
+        """The members x mapped to m*x + r, for m >= 1 and r >= 0, on the
+        window's image [m*base + r, m*end + r]."""
+        if m < 1:
+            raise ValueError(f"dilation factor must be >= 1, got {m}")
+        if r < 0:
+            raise ValueError(f"dilation shift must be >= 0, got {r}")
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
@@ -383,7 +341,7 @@ class ExplicitWindow(IntSet):
         return hash((self.window, self.bits))
 
     def __repr__(self) -> str:
-        return f"ExplicitWindow({self.window!r}, count={self.count()})"
+        return f"ExplicitWindow({self.window!r}, count={self.bits.bit_count()})"
 
 
 class RunList(IntSet):
@@ -409,10 +367,6 @@ class RunList(IntSet):
         rl._starts, rl._ends, rl._runs = starts, ends, None
         return rl
 
-    @classmethod
-    def from_elements(cls, elements: Iterable[int]) -> "RunList":
-        return cls(Run(x, 1) for x in set(elements))
-
     @property
     def runs(self) -> tuple[Run, ...]:
         if self._runs is None:
@@ -421,27 +375,6 @@ class RunList(IntSet):
 
     def member(self, x: int) -> bool:
         return self.run_end_at(x) >= x
-
-    def elements(self) -> Iterator[int]:
-        for s, e in zip(self._starts, self._ends):
-            yield from range(s, e + 1)
-
-    def min_element(self) -> int | None:
-        return self._starts[0] if self._starts else None
-
-    def max_element(self) -> int | None:
-        return self._ends[-1] if self._ends else None
-
-    def translate(self, t: int) -> "RunList":
-        if t == 0 or not self._starts:
-            return self
-        if self._starts[0] + t < 1:
-            raise NegativeResult(
-                f"element {self._starts[0]} shifted by {t} leaves the positive integers"
-            )
-        return RunList._from_bounds(
-            [s + t for s in self._starts], [e + t for e in self._ends]
-        )
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         """Scans from the run through or after lower_bound, found by
@@ -508,9 +441,6 @@ class Full(Record, IntSet):
     def member(self, x: int) -> bool:
         return x >= 1
 
-    def min_element(self) -> int:
-        return 1
-
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
         _check_min_len(min_len)
         return Run(max(lower_bound, 1), min_len)
@@ -527,7 +457,7 @@ class Full(Record, IntSet):
 
 
 class Congruence(Record, IntSet):
-    """Positive integers congruent to r modulo m."""
+    """Positive integers congruent to r modulo m; the least is r, or m when r = 0."""
 
     _fields = ("m", "r")
 
@@ -546,9 +476,6 @@ class Congruence(Record, IntSet):
     def member(self, x: int) -> bool:
         return x >= 1 and x % self.m == self.r
 
-    def min_element(self) -> int:
-        return self.r if self.r >= 1 else self.m
-
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
         _check_min_len(min_len)
         lb = max(lower_bound, 1)
@@ -557,7 +484,7 @@ class Congruence(Record, IntSet):
         if min_len >= 2:
             # two consecutive integers cannot share a residue mod m >= 2
             return None
-        lo = max(lb, self.min_element())
+        lo = max(lb, self.r or self.m)
         return Run(lo + (self.r - lo) % self.m, 1)
 
     def run_end_at(self, x: int) -> int | None:
@@ -566,7 +493,7 @@ class Congruence(Record, IntSet):
         return None if self.m == 1 else x
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        first = max(window.base, self.min_element())
+        first = max(window.base, self.r or self.m)
         first += (self.r - first) % self.m
         count = (window.end - first) // self.m + 1
         return ExplicitWindow(window, _comb(self.m, count) << (first - window.base))
@@ -622,19 +549,11 @@ class _IndexedRuns(IntSet):
         from scratch, or None when x lies below run 1."""
         raise NotImplementedError
 
-    def runs_disjoint_upto(self, i_max: int) -> bool:
-        return all(
-            self._run(i).end < self._run(i + 1).start for i in range(1, i_max + 1)
-        )
-
     def member(self, x: int) -> bool:
         if x < 1:
             return False
         below = self._floor_run(x)
         return below is not None and x < below[0] + below[1]
-
-    def min_element(self) -> int:
-        return self._run(1).start
 
     def _next_run_index(self, min_len: int, lower_bound: int) -> int | None:
         """Index of the run holding next_run's answer; None if it starts at
@@ -758,86 +677,6 @@ class PolyRuns(Record, _IndexedRuns):
         return start, i, start + step
 
 
-class AffineImage(Record, IntSet):
-    """The set {m*s + offset : s in inner}, for stride m >= 1.
-
-    This is how translated or dilated generators are represented: run
-    structure does not survive an affine map with m >= 2, but membership
-    and run queries still reduce exactly to queries on the inner set.
-    """
-
-    _fields = ("inner", "m", "offset")
-
-    def __init__(self, inner: IntSet, m: int, offset: int):
-        if m < 1:
-            raise ValueError(f"stride must be >= 1, got {m}")
-        lo = inner.min_element()
-        if lo is not None and m * lo + offset < 1:
-            raise NegativeResult(f"element {lo} maps to {m * lo + offset}, below 1")
-        super().__init__(inner, m, offset)
-
-    @classmethod
-    def of(cls, inner: IntSet, m: int, offset: int) -> IntSet:
-        if isinstance(inner, AffineImage):
-            return cls.of(inner.inner, m * inner.m, m * inner.offset + offset)
-        if m == 1 and offset == 0:
-            return inner
-        return cls(inner, m, offset)
-
-    def member(self, x: int) -> bool:
-        d = x - self.offset
-        return d > 0 and d % self.m == 0 and self.inner.member(d // self.m)
-
-    def min_element(self) -> int | None:
-        lo = self.inner.min_element()
-        return None if lo is None else self.m * lo + self.offset
-
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
-        _check_min_len(min_len)
-        if self.m == 1:
-            run = self.inner.next_run(min_len, max(lower_bound - self.offset, 0))
-            return None if run is None else Run(run.start + self.offset, min_len)
-        if min_len >= 2:
-            return None
-        s_min = max(1, -((self.offset - lower_bound) // self.m))
-        run = self.inner.next_run(1, s_min)
-        return None if run is None else Run(self.m * run.start + self.offset, 1)
-
-    def next_run_start_digits(self, min_len: int, lower_bound: int = 0) -> int | None:
-        _check_min_len(min_len)
-        if self.m == 1:
-            est = self.inner.next_run_start_digits(
-                min_len, max(lower_bound - self.offset, 0)
-            )
-        elif min_len >= 2:
-            return None
-        else:
-            s_min = max(1, -((self.offset - lower_bound) // self.m))
-            est = self.inner.next_run_start_digits(1, s_min)
-        if est is None:
-            return None
-        return max(est + decimal_digits(self.m), decimal_digits(abs(self.offset) + 1)) + 1
-
-    def run_end_at(self, x: int) -> int | None:
-        if self.m >= 2:
-            return x if self.member(x) else x - 1
-        e = self.inner.run_end_at(x - self.offset)
-        return None if e is None else e + self.offset
-
-    def materialize(self, window: Window) -> ExplicitWindow:
-        """The inner bitmap over the preimage [s_lo, s_hi] of the window,
-        with its cells spread m apart for m >= 2."""
-        m = self.m
-        s_lo = max(1, -((self.offset - window.base) // m))
-        s_hi = (window.end - self.offset) // m
-        if s_lo > s_hi:
-            return ExplicitWindow(window, 0)
-        bits = self.inner.materialize(Window(s_lo, s_hi - s_lo + 1)).bits
-        if m >= 2:
-            bits = _spread(bits, s_hi - s_lo + 1, m)
-        return ExplicitWindow(window, bits << (m * s_lo + self.offset - window.base))
-
-
 def _bit_offsets(x: int, base: int) -> Iterator[int]:
     """base + i for every set bit i of x >= 0, ascending.
 
@@ -853,8 +692,9 @@ def _bit_offsets(x: int, base: int) -> Iterator[int]:
 
 
 def _spread(bits: int, n: int, m: int) -> int:
-    """The n low cells of bits spread m >= 2 apart, bit i moving to bit
-    i*m, by one string join: linear in the n*m cells of the result."""
+    """The n low cells of bits spread m >= 1 apart, bit i moving to bit
+    i*m, by one string join: linear in the n*m cells of the result.  For
+    m = 1 the separator is empty and the cells come back in place."""
     return int(("0" * (m - 1)).join(format(bits, f"0{n}b")), 2)
 
 
@@ -925,13 +765,6 @@ def _first_fit(
 def _check_min_len(min_len: int) -> None:
     if min_len < 1:
         raise PreconditionFailed(f"run length must be >= 1, got {min_len}")
-
-
-def _check_dilation(m: int, r: int) -> None:
-    if m < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {m}")
-    if r < 0:
-        raise ValueError(f"dilation shift must be >= 0, got {r}")
 
 
 # Each generator form by its name in the grammar: `gen <name>` followed by

@@ -43,10 +43,6 @@ class Verdict(Record):
     _fields = ("status", "witness")
     witness = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status is Status.PASS
-
 
 def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitWindow:
     """All sums x + y (x in b, y in c) up to cap, as a bitmap on [0, cap].

@@ -230,6 +230,10 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("profile", "--set", poly2, "--window", f"1000000:{2 * S + 5}", "--format", "csv")
     call("runs", "--set", "gen congruence 2 1", "--window", f"0:{2 * S}", "--d", "2")
     call("runs", "--set", "gen congruence 2 1", "--window", f"0:{2 * S + 2}", "--d", "2")
+
+    # sweeps against congruence targets, one failing and one passing
+    call("verify", "--set", "gen congruence 3 1", "--bseq", f"{d}/seq_full.json")
+    call("verify", "--set", "gen congruence 1 0", "--bseq", f"{d}/seq_full.json")
     return files, calls
 
 

@@ -4,9 +4,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from banachsum.construct import BSequence
 from banachsum.errors import EmptySelection
-from banachsum.intset import ExplicitWindow, Window
+from banachsum.intset import ExplicitWindow, Run, Window
 from banachsum.sumset import pairwise_sumset
+
+
+def from_entries(ells: Sequence[int], bs: Sequence[int]) -> BSequence:
+    """The base sequence of the given run lengths and bases, with the
+    canonical tight certificates: step j covers [b_j, b_1 + l_1 + ... +
+    b_j + l_j - 1]."""
+    certs = []
+    total = 0
+    for b, ell in zip(bs, ells):
+        total += b + ell
+        certs.append(Run(b, total - b))
+    return BSequence(tuple(ells), tuple(bs), tuple(certs))
 
 
 def family_sumset(

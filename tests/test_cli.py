@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 import banachsum
 from banachsum import cli
 from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
-from banachsum.construct import BSequence, DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
+from banachsum.construct import DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
+from oracles import from_entries
 
 
 def run_cli(capsys, *argv):
@@ -304,7 +305,7 @@ def test_verify_decides_a_valid_sequence_past_the_subset_budget(capsys, tmp_path
 def test_verify_refuses_a_failing_sequence_past_the_subset_budget(capsys, tmp_path):
     # odd bases 1, 3, 5, ...: the hull of the second run already leaves
     # PolyRuns(2), and the per-subset fallback would take 2**30 - 1 checks
-    seq = BSequence.from_entries((1,) * 30, tuple(range(1, 61, 2)))
+    seq = from_entries((1,) * 30, tuple(range(1, 61, 2)))
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(seq.to_payload()), encoding="utf-8")
     code, out, err = run_cli(
@@ -683,7 +684,7 @@ def test_reports_are_byte_identical_across_runs(capsys):
     assert (proc.returncode, proc.stdout) == (0, first.encode())
 
 
-FAILING_SEQ = BSequence.from_entries((1,) * 3, (1, 3, 5))
+FAILING_SEQ = from_entries((1,) * 3, (1, 3, 5))
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from banachsum.errors import (
     PreconditionFailed,
 )
 from banachsum.intset import (
-    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
@@ -51,7 +50,7 @@ from banachsum.sumset import (
     run_sum,
     verify_containment,
 )
-from oracles import family_sumset
+from oracles import family_sumset, from_entries
 from strategies import shaped_windows
 
 # ------------------------------------------------------------------ b-sequence
@@ -90,10 +89,10 @@ def test_sequence_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         BSequence((1, 1), (1,), (Run(1, 1),))
     with pytest.raises(ValueError):
-        BSequence.from_entries((1, 1), (1, 1))  # second base inside first run
+        from_entries((1, 1), (1, 1))  # second base inside first run
     with pytest.raises(ValueError):
         BSequence((1,), (1,), (Run(2, 1),))  # certificate misses the base
-    ok = BSequence.from_entries((1, 1), (1, 2))
+    ok = from_entries((1, 1), (1, 2))
     assert ok.run(2) == Run(2, 1)
 
 
@@ -113,7 +112,7 @@ def test_verify_all_subsets_pass():
 
 
 def test_verify_reports_smallest_witness():
-    bad = BSequence.from_entries((1, 1, 1), (1, 8, 169))
+    bad = from_entries((1, 1, 1), (1, 8, 169))
     report = verify_b_sequence(bad, PolyRuns(2))
     assert report.status is Status.FAIL
     assert report.witness == 8
@@ -141,9 +140,9 @@ def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
         s = run_sum([seq.run(j) for j in subset])
         v = verify_containment(s, a)
         checked += 1
-        found = [] if v.passed else [v.witness]
+        found = [] if v.status is Status.PASS else [v.witness]
         if s.length <= brute_span:
-            found += [x for x in s if not a.member(x)][:1]
+            found += [x for x in range(s.start, s.end + 1) if not a.member(x)][:1]
         for x in found:
             if witness is None or x < witness:
                 witness, witness_subset = x, subset
@@ -156,13 +155,14 @@ SWEEP_TARGETS = [
     Congruence(1, 0),
     Congruence(3, 1),
     PolyRuns(2),
+    PowRuns(2),
     RunList([Run(1, 3), Run(5, 40), Run(47, 2), Run(52, 300)]),
-    AffineImage.of(PolyRuns(2), 1, 2),
-    AffineImage.of(RunList([Run(1, 200)]), 2, 1),
+    # isolated points: the odd numbers 3 to 401
+    RunList(Run(x, 1) for x in range(3, 402, 2)),
     # windows that cut long sums short: each is the finite set of its bits
     Full().materialize(Window(3, 60)),
     RunList([Run(2, 30), Run(35, 100)]).materialize(Window(0, 90)),
-    AffineImage.of(Full().materialize(Window(0, 80)), 1, 1),
+    ExplicitWindow(Window(1, 80), (1 << 80) - 2),  # 2 to 80; the cell 1 is clear
     # every subset sum of bases 1, 10, 100 with unit runs, but a hole
     # inside the hull [100, 111] of the third run
     RunList([Run(1, 1), Run(10, 2), Run(100, 2), Run(110, 2)]),
@@ -187,13 +187,13 @@ def sweep_cases(draw):
         ceil = seq.bs[j + 1] - seq.ells[j] if j + 1 < seq.k else seq.bs[j] + 50
         bs = list(seq.bs)
         bs[j] = draw(st.integers(floor, max(floor, ceil)))
-        seq = BSequence.from_entries(seq.ells, tuple(bs))
+        seq = from_entries(seq.ells, tuple(bs))
     if seq is None:
         bs, nxt = [], 1
         for ell in ells:
             bs.append(nxt + draw(st.integers(0, 40)))
             nxt = bs[-1] + ell
-        seq = BSequence.from_entries(tuple(ells), tuple(bs))
+        seq = from_entries(tuple(ells), tuple(bs))
     k_limit = draw(st.none() | st.integers(0, 7))
     brute_span = draw(st.sampled_from([0, 1, 3, 10_000]))
     return seq, a, k_limit, brute_span
@@ -297,7 +297,7 @@ def test_hulls_are_sufficient_not_necessary(monkeypatch):
     # the hull [100, 111] of the third run holds the hole 102, yet all
     # seven subset sums 1, 10, 11, 100, 101, 110, 111 are members: the
     # failing hull hands the claim to the per-subset sweep
-    seq = BSequence.from_entries((1, 1, 1), (1, 10, 100))
+    seq = from_entries((1, 1, 1), (1, 10, 100))
     a = parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2")
     assert not construct._hulls_pass([seq.run(j) for j in (1, 2, 3)], a, 0)
     sweeps = []
@@ -320,7 +320,7 @@ def test_hulls_are_sufficient_not_necessary(monkeypatch):
 def test_brute_route_alone_finds_a_gap_just_past_a_walked_stretch():
     # run 3's sum [10, 12] is walked first; the sum of runs 3 and 1,
     # [11, 13], starts inside that stretch and ends on the gap at 13
-    seq = BSequence.from_entries((1, 2, 3), (1, 5, 10))
+    seq = from_entries((1, 2, 3), (1, 5, 10))
     a = MemberOnly(RunList([Run(1, 12), Run(15, 100)]))
     payload = {"status": "Fail", "checked": 7, "witness": "13", "witness_subset": [3, 1]}
     assert reference_sweep(seq, a) == payload
@@ -379,7 +379,7 @@ def refuse_containment(claim, target):
 
 def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     k = SUBSET_BUDGET_MAX + 1
-    seq = BSequence.from_entries((1,) * k, tuple(range(1, k + 1)))
+    seq = from_entries((1,) * k, tuple(range(1, k + 1)))
     with pytest.raises(ValueError, match="k_limit must be >= 0"):
         verify_b_sequence(seq, Untouchable(), k_limit=-1)
     # the hulls [1, 20000] and [20001, 40001] pass, [20002, 60003] fails,
@@ -387,7 +387,7 @@ def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     # subsets follows a few run queries, and no member() or
     # verify_containment call
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
-    long_first = BSequence.from_entries((20000,) + (1,) * (k - 1),
+    long_first = from_entries((20000,) + (1,) * (k - 1),
                                         (1,) + tuple(range(20001, 20000 + k)))
     a = RunQueriesOnly(RunList([Run(1, 40005)]))
     with pytest.raises(BudgetExceeded):
@@ -488,11 +488,10 @@ def test_subset_sums_stay_inside_step_certificates(ells, pick):
 
 
 def test_family_split_examples():
-    seq = BSequence.from_entries((1, 1, 1, 1), (1, 2, 3, 4))
+    seq = from_entries((1, 1, 1, 1), (1, 2, 3, 4))
     fam = build_family(seq, 2, "residue")
     assert fam.index_sets == ((1, 3), (2, 4))
-    assert sorted(fam.sets[0].elements()) == [1, 3]
-    assert sorted(fam.sets[1].elements()) == [2, 4]
+    assert fam.sets == (RunList([Run(1, 1), Run(3, 1)]), RunList([Run(2, 1), Run(4, 1)]))
 
     whole = build_family(seq, 1, "residue")
     assert whole.index_sets == ((1, 2, 3, 4),)
@@ -502,7 +501,7 @@ def test_family_split_examples():
 
 
 def test_family_requires_sane_count():
-    seq = BSequence.from_entries((1, 1), (1, 2))
+    seq = from_entries((1, 1), (1, 2))
     with pytest.raises(PreconditionFailed):
         build_family(seq, 3)
     with pytest.raises(PreconditionFailed):
@@ -549,14 +548,14 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     # member() or verify_containment call
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     # 20 components of two runs each: 3**20 - 1 picks
-    seq = BSequence.from_entries((1,) * 40, tuple(range(1, 41)))
+    seq = from_entries((1,) * 40, tuple(range(1, 41)))
     a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded):
         verify_family(build_family(seq, 20, "residue"), a)
     assert 0 < a.queries <= seq.k
     # component sizes 96, 256 and 672 give 97 * 257 * 673 - 1 = 2**24
     # picks, one over the budget
-    seq = BSequence.from_entries((1,) * 1024, tuple(range(1, 1025)))
+    seq = from_entries((1,) * 1024, tuple(range(1, 1025)))
     cuts = (0, 96, 352, 1024)
     index_sets = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:]))
     sets = tuple(RunList(seq.run(j) for j in ix) for ix in index_sets)
@@ -566,7 +565,7 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     assert 0 < a.queries <= seq.k
     # more components than the bitmap route's selection budget are refused
     # before the target is asked anything
-    seq = BSequence.from_entries((1,) * 25, tuple(range(1, 26)))
+    seq = from_entries((1,) * 25, tuple(range(1, 26)))
     with pytest.raises(BudgetExceeded):
         verify_family(build_family(seq, 25, "residue"), Untouchable())
 
@@ -640,11 +639,11 @@ def reference_family(family, a, brute_span=2048):
         for combo in itertools.product(*(family.index_sets[i - 1] for i in sel)):
             v = verify_containment(run_sum([family.source.run(j) for j in combo]), a)
             checked += 1
-            if not v.passed:
+            if v.status is Status.FAIL:
                 found.append(v.witness)
         if all(parts[i - 1].bits for i in sel):
             v = verify_containment(family_sumset(parts, sel, brute_span), a)
-            if not v.passed:
+            if v.status is Status.FAIL:
                 found.append(v.witness)
         for x in found:
             if witness is None or x < witness:
@@ -687,7 +686,7 @@ def test_family_fail_reports_lowest_selection_of_smallest_witness():
     # The only hole, 22, lies in run 1 + run 2 (selection (2, 1)) and in
     # run 4 (selection (2,)); the sweep meets the pair first, but (2,)
     # comes first in enumerate_subsets order, so (2,) is reported.
-    seq = BSequence.from_entries((10, 9, 1, 4), (1, 12, 21, 22))
+    seq = from_entries((10, 9, 1, 4), (1, 12, 21, 22))
     fam = build_family(seq, 2, "residue")
     a = RunList([Run(1, 21), Run(23, 1000)])
     payload = {"status": "Fail", "checked": 8, "witness": "22", "witness_subset": [2]}
@@ -739,7 +738,7 @@ def test_family_pass_follows_from_sequence_pass(ells, k_sets, scheme, a):
 
 
 def window_of(elems, base, length):
-    return RunList.from_elements(elems).materialize(Window(base, length))
+    return RunList(Run(x, 1) for x in elems).materialize(Window(base, length))
 
 
 def test_reduce_recovers_planted_progression():

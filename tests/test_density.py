@@ -27,12 +27,12 @@ from banachsum.density import (
 )
 from banachsum.errors import BadLength, PreconditionFailed
 from banachsum.intset import (
-    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
     PolyRuns,
     PowRuns,
+    Run,
     RunList,
     Window,
 )
@@ -120,7 +120,7 @@ def test_density_examples():
     est = density_estimate(f_profile(ODDS8))
     assert est == DensityEstimate(Fraction(1, 2), 2)
     assert density_estimate(f_profile(FULL8)).value == 1
-    single = RunList.from_elements([5]).materialize(Window(0, 16))
+    single = RunList([Run(5, 1)]).materialize(Window(0, 16))
     est = density_estimate(f_profile(single))
     assert est.value == Fraction(1, 16) and est.argmin_n == 16
 
@@ -332,9 +332,8 @@ def test_forced_density_values():
     assert forced_density(PowRuns(4)) == 1
     assert forced_density(PolyRuns(2)) == 1
     assert forced_density(Congruence(6, 1)) == Fraction(1, 6)
-    assert forced_density(RunList.from_elements([3])) is None
+    assert forced_density(RunList([Run(3, 1)])) is None
     assert forced_density(Full().materialize(Window(0, 8))) is None
-    assert forced_density(AffineImage(Full(), 2, 1)) is None
 
 
 def test_payload_and_csv_shapes():

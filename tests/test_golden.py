@@ -1,8 +1,59 @@
-"""The CLI's bytes against the committed manifest (see golden.py)."""
+"""The CLI's bytes against the committed manifest (see golden.py), and
+which definitions of the package the manifest's calls enter."""
 
+import inspect
 import json
+import sys
+from pathlib import Path
 
+import banachsum
 from golden import COLUMNS, MANIFEST, changes, corpus, entry, replay
+
+# Every function and method of the package that no manifest call enters,
+# by the reason it stays.  The reachability test below asserts that the
+# unentered definitions are exactly these, so a definition that nothing
+# reaches fails it, and so does a stale name here.
+UNENTERED = {
+    "abstract stubs, and the per-member materialize default a subclass inherits": (
+        "intset.IntSet.member",
+        "intset.IntSet.run_end_at",
+        "intset.IntSet.next_run",
+        "intset.IntSet.materialize",
+        "intset._IndexedRuns._run",
+        "intset._IndexedRuns._locate",
+        "intset._IndexedRuns._start_digits",
+    ),
+    "value dunders: equality, hashing, repr and the assignment guard": (
+        "intset.Record.__hash__",
+        "intset.Record.__repr__",
+        "intset.Record.__setattr__",
+        "intset.Record.__delattr__",
+        "intset.ExplicitWindow.__eq__",
+        "intset.ExplicitWindow.__hash__",
+        "intset.ExplicitWindow.__repr__",
+        "intset.RunList.__eq__",
+        "intset.RunList.__hash__",
+        "intset.RunList.__repr__",
+    ),
+    "what tests/test_acceptance.py imports or calls": (
+        "density.f_naive",
+        "density.f_naive_all",
+        "density.check_subadditivity",
+        "density.fekete_qd_check",
+        "sumset.enumerate_subsets",
+        "construct.SweepReport.passed",
+        "intset.ExplicitWindow.dilate",
+        "intset.ExplicitWindow.elements",
+        "intset._spread",
+    ),
+    "looked up by name by bench/tracing.py": ("sumset.run_sum",),
+    "the console entry point, entered only by a real process": ("cli.run",),
+    "the run queries of a window, for library callers": (
+        "intset.ExplicitWindow.member",
+        "intset.ExplicitWindow.run_end_at",
+        "intset.ExplicitWindow.next_run",
+    ),
+}
 
 
 def test_cli_output_matches_the_manifest(tmp_path, monkeypatch):
@@ -29,3 +80,43 @@ def test_regeneration_lists_every_entry_that_moved():
         'added: ["new"]',
     ]
     assert changes(new, new) == []
+
+
+def definitions() -> dict[tuple[str, int, str], str]:
+    """Every function and method in the package's modules, keyed as a
+    profile hook sees its code (file, first line, qualified name) and
+    named module.qualname."""
+    found = {}
+    for path in sorted(Path(banachsum.__file__).parent.glob("*.py")):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if inspect.iscode(c))
+            # class bodies share no new locals; comprehensions and lambdas
+            # are named <...>
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+                key = (str(path), code.co_firstlineno, code.co_qualname)
+                found[key] = f"{path.stem}.{code.co_qualname}"
+    return found
+
+
+def test_every_unentered_definition_is_listed(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for _ in replay(tmp_path):
+            pass
+    finally:
+        sys.setprofile(previous)
+    unentered = {name for key, name in definitions().items() if key not in entered}
+    listed = {name for names in UNENTERED.values() for name in names}
+    assert sorted(unentered - listed) == [], "entered by no manifest call"
+    assert sorted(listed - unentered) == [], "listed but entered, or gone"

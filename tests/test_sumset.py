@@ -4,10 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banachsum.construct import BSequence, verify_b_sequence
+from banachsum.construct import verify_b_sequence
 from banachsum.errors import BudgetExceeded, EmptySelection
 from banachsum.intset import (
-    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
@@ -25,12 +24,12 @@ from banachsum.sumset import (
     run_sum,
     verify_containment,
 )
-from oracles import family_sumset
+from oracles import family_sumset, from_entries
 from strategies import shaped_windows
 
 
 def from_elems(xs, window=Window(0, 256)):
-    return RunList.from_elements(xs).materialize(window)
+    return RunList(Run(x, 1) for x in xs).materialize(window)
 
 
 def brute_sumset(b, c, cap):
@@ -176,7 +175,7 @@ def test_run_sum_matches_brute(pairs):
     runs = [Run(s, l) for s, l in pairs]
     want = {0}
     for r in runs:
-        want = {w + x for w in want for x in r}
+        want = {w + x for w in want for x in range(r.start, r.end + 1)}
     got = run_sum(runs)
     assert want == set(range(got.start, got.end + 1))
 
@@ -219,15 +218,15 @@ def test_containment_examples():
     assert v.status is Status.FAIL and v.witness == 182
 
     v = verify_containment(ExplicitWindow(Window(0, 16), 0), PowRuns(4))
-    assert v.passed
+    assert v.status is Status.PASS
 
     v = verify_containment(Run(64, 3), PowRuns(4))
-    assert v.passed
+    assert v.status is Status.PASS
 
 
 def test_containment_against_window_target():
     target = from_elems([3, 4, 5, 9, 10, 11], Window(0, 12))
-    assert verify_containment(Run(3, 3), target).passed
+    assert verify_containment(Run(3, 3), target).status is Status.PASS
     v = verify_containment(Run(3, 4), target)
     assert v.status is Status.FAIL and v.witness == 6
     # a window holds only its set bits: past its end is a gap
@@ -239,7 +238,7 @@ def test_containment_against_window_target():
 
 def test_containment_bitmap_claim():
     claim = from_elems([4, 16, 17], Window(0, 32))
-    assert verify_containment(claim, PowRuns(4)).passed
+    assert verify_containment(claim, PowRuns(4)).status is Status.PASS
     claim = from_elems([4, 15], Window(0, 32))
     v = verify_containment(claim, PowRuns(4))
     assert v.status is Status.FAIL and v.witness == 15
@@ -260,18 +259,22 @@ def test_containment_bitmap_claim():
 def test_containment_matches_membership_scan(start, length, target):
     claim = Run(start, length)
     v = verify_containment(claim, target)
-    missing = [x for x in claim if not target.member(x)]
+    missing = [x for x in range(start, claim.end + 1) if not target.member(x)]
     if missing:
         assert v.status is Status.FAIL
         assert v.witness == missing[0]
     else:
-        assert v.passed
+        assert v.status is Status.PASS
 
 
+# 40-cell windows, each spread m apart and shifted by r: the image of the
+# window's set under x -> m*x + r, itself a window
 windows = st.builds(
-    lambda base, bits: ExplicitWindow(Window(base, 40), bits & ~(base == 0)),
+    lambda base, bits, m, r: ExplicitWindow(Window(base, 40), bits & ~(base == 0)).dilate(m, r),
     st.integers(0, 60),
     st.integers(0, (1 << 40) - 1),
+    st.integers(1, 3),
+    st.integers(0, 30),
 )
 symbolic = st.one_of(
     st.integers(2, 4).map(PowRuns),
@@ -282,23 +285,12 @@ symbolic = st.one_of(
 )
 
 
-@st.composite
-def non_window_targets(draw):
-    """Every target but a bare window: symbolic sets, run lists, and
-    affine images of those and of windows, with stride 1 or more."""
-    inner = draw(st.one_of(symbolic, windows))
-    if isinstance(inner, ExplicitWindow) or draw(st.booleans()):
-        m, t = draw(st.integers(1, 3)), draw(st.integers(1, 30))
-        return AffineImage.of(inner, m, t)
-    return inner
-
-
-@given(non_window_targets(), st.integers(1, 300), st.integers(1, 40))
+@given(symbolic, st.integers(1, 300), st.integers(1, 40))
 @settings(max_examples=300)
 def test_containment_decides_non_window_targets(target, start, length):
     claim = Run(start, length)
     v = verify_containment(claim, target)
-    missing = next((x for x in claim if not target.member(x)), None)
+    missing = next((x for x in range(start, claim.end + 1) if not target.member(x)), None)
     if missing is None:
         assert v == Verdict(Status.PASS)
     else:
@@ -309,8 +301,9 @@ def test_translated_window_fails_past_its_end():
     # a window is exactly its set bits, so a shifted copy decides the
     # claim beyond the window too: the first position past it is a gap
     w = ExplicitWindow(Window(10, 8), (1 << 8) - 1)
-    target = AffineImage.of(w, 1, 5)
-    assert verify_containment(Run(15, 8), target).passed
+    target = w.dilate(1, 5)
+    assert target == ExplicitWindow(Window(15, 8), (1 << 8) - 1)
+    assert verify_containment(Run(15, 8), target).status is Status.PASS
     v = verify_containment(Run(20, 6), target)
     assert v == Verdict(Status.FAIL, witness=23)
 
@@ -330,7 +323,7 @@ def bitmap_claims(draw):
     claim's window plus a few other cells.  Against a window target the
     claim's window starts anywhere from below the target's to past its
     end, so claims cross either edge, both, or lie wholly outside."""
-    target = draw(st.one_of(non_window_targets(), windows))
+    target = draw(st.one_of(symbolic, windows))
     if isinstance(target, ExplicitWindow):
         tw = target.window
         base = draw(st.integers(max(tw.base - 40, 0), tw.end + 5))
@@ -376,7 +369,7 @@ def test_bitmap_containment_examples():
         (Full(), Verdict(Status.PASS)),
         (PolyRuns(3), Verdict(Status.FAIL, witness=4)),
         (Congruence(2, 0), Verdict(Status.FAIL, witness=17)),
-        (AffineImage.of(PowRuns(4), 1, 1), Verdict(Status.FAIL, witness=4)),
+        (PowRuns(3), Verdict(Status.FAIL, witness=4)),
         (RunList([Run(4, 1), Run(16, 51)]), Verdict(Status.PASS)),
     ]:
         assert reference_bitmap_verdict(claim, target) == want
@@ -402,7 +395,7 @@ def one_set_cases(draw):
     bs = [draw(st.integers(max(w.window.base - 20, 1), w.window.end + 5))]
     for ell in ells[:-1]:
         bs.append(bs[-1] + ell + draw(st.integers(0, 20)))
-    return w, run, claim, BSequence.from_entries(ells, bs)
+    return w, run, claim, from_entries(ells, bs)
 
 
 TEN_TO_17 = ExplicitWindow(Window(10, 8), 0xFF)
@@ -410,15 +403,15 @@ TEN_TO_17 = ExplicitWindow(Window(10, 8), 0xFF)
 
 @given(one_set_cases())
 @example((TEN_TO_17, Run(15, 6), from_elems([12, 19], Window(10, 12)),
-          BSequence.from_entries((1, 1), (12, 13))))
+          from_entries((1, 1), (12, 13))))
 @settings(max_examples=200)
 def test_one_set_one_verdict(case):
-    """A window, its run list and its identity affine image are one finite
-    set, so each claim gets one verdict: Fail at the smallest element that
-    is not a set bit, else Pass."""
+    """A window, its run list and its dilation by 1 are one finite set, so
+    each claim gets one verdict: Fail at the smallest element that is not a
+    set bit, else Pass."""
     w, run, claim, seq = case
-    forms = [w, w.to_run_list(), AffineImage(w, 1, 0)]
-    for c, elements in ((run, run), (claim, claim.elements())):
+    forms = [w, w.to_run_list(), w.dilate(1)]
+    for c, elements in ((run, range(run.start, run.end + 1)), (claim, claim.elements())):
         missing = next((x for x in elements if not w.member(x)), None)
         want = Verdict(Status.PASS if missing is None else Status.FAIL, witness=missing)
         assert [verify_containment(c, a) for a in forms] == [want] * 3

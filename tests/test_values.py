@@ -23,9 +23,7 @@ from banachsum.construct import (
     SweepReport,
 )
 from banachsum.density import DensityEstimate, RunBoundReport, WindowProfile
-from banachsum.errors import NegativeResult
 from banachsum.intset import (
-    AffineImage,
     Congruence,
     ExplicitWindow,
     Full,
@@ -36,8 +34,9 @@ from banachsum.intset import (
     Window,
 )
 from banachsum.sumset import Status, Verdict
+from oracles import from_entries
 
-SEQ = BSequence.from_entries((1, 2), (1, 3))
+SEQ = from_entries((1, 2), (1, 3))
 SEQ_REPR = (
     "BSequence(ells=(1, 2), bs=(1, 3), "
     "certificates=(Run(start=1, length=1), Run(start=3, length=4)))"
@@ -110,16 +109,6 @@ ROWS = [
         [((1,), ValueError, "exponent must be >= 2, got 1")],
     ),
     (
-        AffineImage,
-        dict(inner=PowRuns(2), m=3, offset=1),
-        "AffineImage(inner=PowRuns(c=2), m=3, offset=1)",
-        AffineImage(PowRuns(2), 3, 2),
-        [
-            ((Full(), 0, 0), ValueError, "stride must be >= 1, got 0"),
-            ((Full(), 1, -1), NegativeResult, "element 1 maps to 0, below 1"),
-        ],
-    ),
-    (
         WindowProfile,
         dict(window_base=0, window_length=2, f=(0, 1, 1)),
         "WindowProfile(window_base=0, window_length=2, f=(0, 1, 1))",
@@ -156,7 +145,7 @@ ROWS = [
         BSequence,
         dict(ells=(1, 2), bs=(1, 3), certificates=(Run(1, 1), Run(3, 4))),
         SEQ_REPR,
-        BSequence.from_entries((1, 2), (1, 4)),
+        from_entries((1, 2), (1, 4)),
         [
             (((1,), (1, 2), (Run(1, 1),)), ValueError,
              "ells, bs, certificates must have equal length"),
