@@ -48,7 +48,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .intset import ExplicitWindow, IntSet, Window, parse_set, serialize_set
-from .sumset import Status
 
 # Largest window, in bits, that profile, runs and ap-reduce will materialize,
 # and that family's bitmap route, on [0, --brute-span], may span.
@@ -287,7 +286,7 @@ def _cmd_family(args) -> int:
     family = build_family(seq, args.k_sets, args.scheme)
     report = verify_family(family, s, args.brute_span)
     _emit({"family": family.to_payload(), "verification": report.to_payload()})
-    return 0 if report.status is not Status.FAIL else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:
@@ -302,7 +301,7 @@ def _cmd_verify(args) -> int:
         raise ParseError(f"bad base sequence payload: {exc}") from None
     report = verify_b_sequence(seq, s, args.k_limit, args.brute_span)
     _emit(report.to_payload())
-    return 1 if report.status is Status.FAIL else 0
+    return 0 if report.passed else 1
 
 
 def _cmd_ap_reduce(args) -> int:
@@ -336,22 +335,18 @@ _HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # Integer/decimal conversions are bounded by the digit budget (the
-    # --digit-budget option where there is one) rather than by Python's
-    # default of 4300 digits, and only for the duration of this call.  The
-    # limit is process-wide: threads calling main at once share it.
-    limit = sys.get_int_max_str_digits()
-    budget = getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET)
+def _widen_digit_limit(limit: int, budget: int) -> None:
     if limit:
-        sys.set_int_max_str_digits(
-            min(max(limit, budget + SUM_DIGITS), _MAX_STR_DIGITS)
-        )
+        sys.set_int_max_str_digits(min(max(limit, budget + SUM_DIGITS), _MAX_STR_DIGITS))
+
+
+def main(argv: list[str] | None = None) -> int:
+    # Integer/decimal conversions, options included, are bounded by the digit
+    # budget (--digit-budget, once parsed, where there is one) rather than by
+    # Python's default of 4300 digits, and only for the duration of this call.
+    # The limit is process-wide: threads calling main at once share it.
+    limit = sys.get_int_max_str_digits()
+    _widen_digit_limit(limit, DEFAULT_DIGIT_BUDGET)
     # numpy, imported only by profiles of many runs, starts one OpenBLAS
     # thread per core at import; no command calls BLAS, so one thread
     # saves that start-up.  A caller's own setting wins, and the variable
@@ -360,7 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     if pin_blas:
         os.environ[_BLAS_THREADS] = "1"
     try:
+        args = _build_parser().parse_args(argv)
+        _widen_digit_limit(limit, getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET))
         return _HANDLERS[args.subcommand](args)
+    except SystemExit as exc:  # argparse: 2 for usage errors, 0 after --help
+        return int(exc.code or 0)
     except DisjointnessViolation as exc:
         _emit({"error": "DisjointnessViolation", "detail": str(exc)})
         return 1

@@ -80,8 +80,8 @@ SUM_DIGITS = 64
 
 # Largest rung index verify_escape checks: each rung works on integers of
 # about 2i bits, and the report lists every rung, so time and output grow
-# faster than i_max (on a 2-core x86-64 host: 0.19 s and 0.55 MB at 4096,
-# 6.6-7.8 s and 2.7 MB at 20 000).
+# faster than i_max (on a 2-core x86-64 host, in-process: 0.25 s and 0.22 MB
+# at 4096, about 7 s and 1.1 MB at 20 000).
 ESCAPE_I_MAX_BUDGET = 4096
 
 
@@ -252,22 +252,31 @@ def build_b_sequence(
 class SweepReport(Record):
     """Aggregate verdict over a sweep of containment checks.
 
-    Fail when any check fails, else Pass.  The witness is the smallest
-    failing element seen anywhere, with the selection that produced it.
+    Fail, when any check fails, is having a witness: the smallest failing
+    element seen anywhere, given with the selection that produced it.
     """
 
-    _fields = ("status", "checked", "witness", "witness_subset")
+    _fields = ("checked", "witness", "witness_subset")
     witness = witness_subset = None
+
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        if (self.witness is None) != (self.witness_subset is None):
+            raise TypeError("SweepReport takes a witness and its witness_subset together")
 
     @property
     def passed(self) -> bool:
-        return self.status is Status.PASS
+        return self.witness is None
+
+    @property
+    def status(self) -> Status:
+        return Status.PASS if self.witness is None else Status.FAIL
 
     def to_payload(self) -> dict:
         payload: dict = {"status": self.status.value, "checked": self.checked}
         if self.witness is not None:
             payload["witness"] = str(self.witness)
-            payload["witness_subset"] = list(self.witness_subset or ())
+            payload["witness_subset"] = list(self.witness_subset)
         return payload
 
 
@@ -288,8 +297,8 @@ class _SweepState:
     def report(self) -> SweepReport:
         if self.worst is not None:
             witness, mask = self.worst
-            return SweepReport(Status.FAIL, self.checked, witness, subset_of(mask))
-        return SweepReport(Status.PASS, self.checked)
+            return SweepReport(self.checked, witness, subset_of(mask))
+        return SweepReport(self.checked)
 
 
 class _MemberWalk:
@@ -407,9 +416,9 @@ def _sweep(
             # a non-member start reaches start - 1, below every sum
             reach = a.run_end_at(parts[p][d - 1].start)
         if reach is not None and hi > reach:
-            v = verify_containment(Run(lo, hi - lo + 1), a)
-            if v.status is Status.FAIL:
-                state.fail(v.witness, mask())
+            witness = verify_containment(Run(lo, hi - lo + 1), a)
+            if witness is not None:
+                state.fail(witness, mask())
         if hi - lo < brute_span:
             # a sum inside a stretch of members already walked passes here
             j = bisect_right(known_lo, lo) - 1
@@ -477,7 +486,7 @@ def verify_b_sequence(
         raise PreconditionFailed(f"k_limit must be >= 0, got {k_limit}")
     runs = [seq.run(j) for j in range(1, k + 1)]
     if _hulls_pass(runs, a, brute_span):
-        return SweepReport(Status.PASS, (1 << k) - 1)
+        return SweepReport((1 << k) - 1)
     check_subset_count(k)
     state = _SweepState()
     _sweep([[run] for run in runs], a, brute_span, state)
@@ -594,9 +603,9 @@ def verify_family(
             if not parts[i].bits:
                 continue
             total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
-            v = verify_containment(total, target)
-            if v.status is Status.FAIL:
-                state.fail(v.witness, mask | 1 << i)
+            witness = verify_containment(total, target)
+            if witness is not None:
+                state.fail(witness, mask | 1 << i)
             extend(mask | 1 << i, total, i + 1)
 
     extend(0, None, 0)
@@ -679,36 +688,34 @@ def escape_i0(t: int) -> int:
 class EscapeCheck(Record):
     """One rung of the doubling-escape ladder for run index i.
 
-    The five inequalities chain the end of the shifted i-th run, the
-    doubled run, and the start of the shifted next run into one strict
-    ordering; doubles_outside rechecks the conclusion from the set alone:
-    the doubles, a comb of bits, ANDed with the set's bitmap on each
-    shifted window.
+    below_double, 4**i - i > t, is the one link of the inequality chain
+    from the shifted i-th run past the doubled run to the shifted next run
+    that can fail: the others hold for t >= 0.  doubles_outside rechecks
+    the conclusion from the set alone: the doubles, a comb of bits, ANDed
+    with the set's bitmap on each shifted window.
     """
 
-    _fields = (
-        "i",
-        "below_double",
-        "double_lower",
-        "double_upper",
-        "gap_clearance",
-        "shift_margin",
-        "doubles_outside",
-    )
+    _fields = ("i", "below_double", "doubles_outside")
 
     @property
     def chain_ok(self) -> bool:
-        return (
-            self.below_double
-            and self.double_lower
-            and self.double_upper
-            and self.gap_clearance
-            and self.shift_margin
-        )
+        return self.below_double
 
 
 class EscapeReport(Record):
-    _fields = ("t", "i0", "checked", "all_escaped", "checks")
+    _fields = ("t", "checks")
+
+    @property
+    def i0(self) -> int:
+        return escape_i0(self.t)
+
+    @property
+    def checked(self) -> int:
+        return len(self.checks)
+
+    @property
+    def all_escaped(self) -> bool:
+        return all(c.below_double and c.doubles_outside for c in self.checks)
 
     def to_payload(self) -> dict:
         return {
@@ -738,9 +745,7 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
             f"need i_max >= {i0} for shift {t}, got {i_max}"
         )
     gen = PowRuns(4)
-    checks = tuple(_escape_check(gen, t, i) for i in range(i0, i_max + 1))
-    all_ok = all(c.chain_ok and c.doubles_outside for c in checks)
-    return EscapeReport(t, i0, len(checks), all_ok, checks)
+    return EscapeReport(t, tuple(_escape_check(gen, t, i) for i in range(i0, i_max + 1)))
 
 
 def _escape_check(gen: PowRuns, t: int, i: int) -> EscapeCheck:
@@ -753,8 +758,7 @@ def _escape_check(gen: PowRuns, t: int, i: int) -> EscapeCheck:
     and are cut from window and comb alike.  For i >= i0(t) both windows
     lie in the bracket [4**i, 4**(i + 1)), so gen locates it once per rung.
     """
-    p, pn = 1 << 2 * i, 1 << 2 * (i + 1)
-    b_lo, b_hi = p, p + i - 1
+    p = 1 << 2 * i
     doubles = _comb(2, i)
     outside = True
     for base in (2 * p - t, 2 * p + t):
@@ -765,12 +769,4 @@ def _escape_check(gen: PowRuns, t: int, i: int) -> EscapeCheck:
         if near.bits & doubles >> cut:
             outside = False
             break
-    return EscapeCheck(
-        i=i,
-        below_double=p + i + t < 2 * p,
-        double_lower=2 * p <= 2 * b_lo,
-        double_upper=2 * b_hi < 2 * p + 2 * i,
-        gap_clearance=2 * p + 2 * i < pn - 2 * t,
-        shift_margin=pn - 2 * t <= pn - t,
-        doubles_outside=outside,
-    )
+    return EscapeCheck(i, p - i > t, outside)

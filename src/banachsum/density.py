@@ -119,12 +119,16 @@ def f_naive_all(w: ExplicitWindow) -> tuple[int, ...]:
 class WindowProfile(Record):
     """Profile values for one window; f[0] is a 0 sentinel so f[n] indexes directly."""
 
-    _fields = ("window_base", "window_length", "f")
+    _fields = ("window_base", "f")
 
-    def __init__(self, window_base: int, window_length: int, f: tuple[int, ...]):
-        if len(f) != window_length + 1 or f[0] != 0:
-            raise ValueError("profile must hold one value per block length plus the 0 sentinel")
-        super().__init__(window_base, window_length, f)
+    def __init__(self, window_base: int, f: tuple[int, ...]):
+        if not f or f[0] != 0:
+            raise ValueError("profile must start with the 0 sentinel")
+        super().__init__(window_base, f)
+
+    @property
+    def window_length(self) -> int:
+        return len(self.f) - 1
 
 
 class DensityEstimate(Record):
@@ -155,7 +159,7 @@ def f_profile(w: ExplicitWindow) -> WindowProfile:
         f = _profile_from_runs(w)
     else:
         f = _profile_from_spans(w)
-    return WindowProfile(w.window.base, w.window.length, f)
+    return WindowProfile(w.window.base, f)
 
 
 def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
@@ -287,15 +291,13 @@ class RunBoundReport(Record):
     The strict bound is the exact integer form of f[n] < (1 - 1/d)*n + 1,
     which must hold whenever the set has no d consecutive members.
     check_run_bound builds a report only under that hypothesis, where the
-    bound is proved, so failures is always empty and ok always True; both
-    are kept for the layout of the `runs` report.
+    bound is proved, so ok and failures are constants, True and empty; the
+    `runs` report keeps both in its layout.
     """
 
-    _fields = ("d", "longest_run", "failures")
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    _fields = ("d", "longest_run")
+    ok = True
+    failures = ()
 
 
 def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
@@ -325,7 +327,7 @@ def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
             f"window contains a run of {lr} consecutive members, so the "
             f"no-run-of-{d} hypothesis does not hold"
         )
-    return RunBoundReport(d, lr, ())
+    return RunBoundReport(d, lr)
 
 
 def forced_density(s: IntSet) -> Fraction | None:

@@ -18,11 +18,12 @@ explicit window happens to cover it.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import HorizonExceeded, OverlapError, ParseError, PreconditionFailed
+from .errors import BudgetExceeded, HorizonExceeded, OverlapError, ParseError, PreconditionFailed
 
 __all__ = [
     "Run",
@@ -83,7 +84,7 @@ class Record:
     the guard below, which writes the instance's attribute values inline
     on CPython 3.11; storing through self.__dict__ would build a dict
     object for every instance, 64 bytes more per Run.  A subclass defines
-    its own __init__ only to check its values, then hands them to
+    its own __init__ only to check its values, around its call of
     super().__init__.  Instances compare equal when they are of the same
     class with equal fields, hash as their field tuple and print as
     Run(start=1, length=2).  Assigning or deleting an attribute raises
@@ -862,6 +863,11 @@ def _parse_ints(args: list[str], n: int, lineno: int) -> list[int]:
         try:
             out.append(int(a, 10))
         except ValueError:
+            digits = a[1:] if a[0] in "+-" else a
+            if digits.isdecimal():
+                # only the int/str digit limit refuses a decimal token
+                raise BudgetExceeded(f"line {lineno}: a number of {len(digits)} digits "
+                                     f"exceeds the limit of {sys.get_int_max_str_digits()}") from None
             raise ParseError(f"not an integer: {a!r}", lineno) from None
     return out
 

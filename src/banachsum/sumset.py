@@ -1,10 +1,10 @@
-"""Sumsets, subset enumeration, and containment verdicts.
+"""Sumsets, subset enumeration, and containment checks.
 
 Pairwise sumsets of finite sets are computed by shift-or on bitmaps:
 adding x to every member of C is one shift of C's bitmap, and the union
 over x in B is an or.  Containment of a claimed interval or bitmap in a
-target set yields a two-way verdict, Pass or Fail with the smallest
-witness.  Every target decides every integer: a window target is the
+target set yields its smallest element outside the target, the witness,
+or None.  Every target decides every integer: a window target is the
 finite set of its set bits.
 """
 
@@ -14,11 +14,10 @@ import enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, EmptySelection
-from .intset import ExplicitWindow, IntSet, Record, Run, Window, _comb
+from .intset import ExplicitWindow, IntSet, Run, Window, _comb
 
 __all__ = [
     "Status",
-    "Verdict",
     "SUBSET_BUDGET_MAX",
     "pairwise_sumset",
     "run_sum",
@@ -34,14 +33,6 @@ SUBSET_BUDGET_MAX = 24
 class Status(enum.Enum):
     PASS = "Pass"
     FAIL = "Fail"
-
-
-class Verdict(Record):
-    """Outcome of one containment check: witness is the smallest offending
-    element on Fail."""
-
-    _fields = ("status", "witness")
-    witness = None
 
 
 def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitWindow:
@@ -118,17 +109,15 @@ def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
         yield subset_of(i)
 
 
-def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> Verdict:
-    """Is every element of the claim a member of the target?
+def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> int | None:
+    """The smallest element of the claim outside the target, or None when
+    every element is a member.
 
-    Fail reports the smallest witness.  An interval claim costs one
-    first_gap call, that is one run_end_at query on the target; a bitmap
-    claim one materialize of the target on the claim's window and one AND,
-    claim.bits & ~target's bitmap, with no member call.
+    An interval claim costs one first_gap call, that is one run_end_at
+    query on the target; a bitmap claim one materialize of the target on the
+    claim's window and one AND, claim.bits & ~target's bitmap, no member call.
     """
     if isinstance(claim, ExplicitWindow):
         missing = claim.bits & ~target.materialize(claim.window).bits
-        witness = claim.window.base + (missing & -missing).bit_length() - 1 if missing else None
-    else:
-        witness = target.first_gap(claim.start, claim.end)
-    return Verdict(Status.PASS if witness is None else Status.FAIL, witness=witness)
+        return claim.window.base + (missing & -missing).bit_length() - 1 if missing else None
+    return target.first_gap(claim.start, claim.end)

@@ -103,6 +103,7 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
         "bad_payload.json": json.dumps({**bseq, "bs": [True]}),
         "huge.json": json.dumps({**bseq, "bs": ["1" * 100_001]}),
         "latin1.json": b'{"\xff": 1}',
+        "huge_elem.txt": f"elem 1{'0' * 200_000}\n",
     }
     files = {k: v.encode() if isinstance(v, str) else v for k, v in files.items()}
     calls: list[tuple[list[str], str | None]] = []
@@ -234,6 +235,12 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     # sweeps against congruence targets, one failing and one passing
     call("verify", "--set", "gen congruence 3 1", "--bseq", f"{d}/seq_full.json")
     call("verify", "--set", "gen congruence 1 0", "--bseq", f"{d}/seq_full.json")
+
+    # integers past Python's default limit of 4300 digits: an option takes
+    # one, and set text past the digit budget is a budget error
+    call("runs", "--set", poly2, "--window", "0:8", "--min-len", "2",
+         "--lower-bound", "1" + "0" * 5000)
+    call("gen", "--input", f"{d}/huge_elem.txt")
     return files, calls
 
 

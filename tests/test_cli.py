@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import banachsum
 from banachsum import cli
 from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
-from banachsum.construct import DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET
+from banachsum.construct import DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET, SUM_DIGITS
 from oracles import from_entries
 
 
@@ -410,6 +410,45 @@ def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
             assert json.loads(stdout)["error"] == "BudgetExceeded"
 
 
+def test_options_take_integers_past_4300_digits(capsys):
+    # options are parsed under the raised limit too, and every return,
+    # argparse's usage exit included, restores the caller's limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        bound = "1" + "0" * 5000  # (10**2500)**2, the start of a PolyRuns(2) run
+        code, out, err = run_cli(
+            capsys, "runs", "--set", "gen poly_runs 2", "--window", f"{bound}:8",
+            "--min-len", "2", "--lower-bound", bound,
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_int=str)
+        assert payload["window"]["base"] == bound
+        assert payload["next_run"] == {"start": bound, "len": "2"}
+        assert sys.get_int_max_str_digits() == 4300
+        code, _, err = run_cli(capsys, "runs", "--set", "gen full", "--window", "nope")
+        assert code == 2 and "BASE:LENGTH" in err
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_set_text_numbers_over_the_digit_limit_are_budget_errors(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"elem 1\nelem -{'1' * 200_001}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "--input", str(path))
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "detail": "line 2: a number of 200001 digits exceeds the limit of "
+        f"{DEFAULT_DIGIT_BUDGET + SUM_DIGITS}",
+    }
+    # a token that is no decimal number stays a usage error
+    path.write_text(f"elem 1{'0' * 200_000}x\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "--input", str(path))
+    assert (code, out) == (2, "") and "not an integer" in err
+
+
 # ------------------------------------------------------------------ family
 
 
@@ -516,17 +555,7 @@ def test_escape_command(capsys):
     assert payload["checked"] == 7
     assert payload["all_escaped"] is True
     assert len(payload["checks"]) == 7
-    first = payload["checks"][0]
-    assert first["i"] == 2
-    for key in (
-        "below_double",
-        "double_lower",
-        "double_upper",
-        "gap_clearance",
-        "shift_margin",
-        "doubles_outside",
-    ):
-        assert first[key] is True
+    assert payload["checks"][0] == {"i": 2, "below_double": True, "doubles_outside": True}
 
 
 def test_escape_refuses_rungs_over_the_budget(capsys):

@@ -77,7 +77,8 @@ def peel_longest_run(w: ExplicitWindow) -> int:
 
 def reference_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
     """check_run_bound by exhaustion: the longest run by peeling, then the
-    bound tested at every block length of the full profile."""
+    bound tested at every block length of the full profile, which must hold
+    at each, as the report's constant ok and empty failures state."""
     if d < 2:
         raise BadLength(f"run bound needs d >= 2, got {d}")
     lr = peel_longest_run(w)
@@ -92,7 +93,8 @@ def reference_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
         for n in range(1, profile.window_length + 1)
         if d * profile.f[n] >= (d - 1) * n + d
     )
-    return RunBoundReport(d, lr, failures)
+    assert failures == RunBoundReport.failures, failures
+    return RunBoundReport(d, lr)
 
 
 ODDS8 = Congruence(2, 1).materialize(Window(0, 8))
@@ -127,7 +129,7 @@ def test_density_examples():
 
 def test_density_smallest_argmin_on_ties():
     # f = (1, 2): both n give ratio 1; the smaller n wins
-    est = density_estimate(WindowProfile(0, 2, (0, 1, 2)))
+    est = density_estimate(WindowProfile(0, (0, 1, 2)))
     assert est.argmin_n == 1
 
 
@@ -188,7 +190,7 @@ def test_subadditivity_exhaustive(w):
 
 
 def test_subadditivity_flags_bad_profile():
-    assert check_subadditivity(WindowProfile(0, 2, (0, 0, 5))) == [(1, 1, 5)]
+    assert check_subadditivity(WindowProfile(0, (0, 0, 5))) == [(1, 1, 5)]
 
 
 def test_fekete_examples():
@@ -262,7 +264,7 @@ def test_full_run_iff_density_one(w):
 def test_run_bound_examples():
     report = check_run_bound(ODDS8, 2)
     assert report.ok and report.longest_run == 1
-    assert report == RunBoundReport(2, 1, ())
+    assert report == RunBoundReport(2, 1)
     with pytest.raises(PreconditionFailed):
         check_run_bound(FULL8, 2)
     with pytest.raises(BadLength):

@@ -41,7 +41,7 @@ UNENTERED = {
         "density.check_subadditivity",
         "density.fekete_qd_check",
         "sumset.enumerate_subsets",
-        "construct.SweepReport.passed",
+        "construct.EscapeCheck.chain_ok",
         "intset.ExplicitWindow.dilate",
         "intset.ExplicitWindow.elements",
         "intset._spread",

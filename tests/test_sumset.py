@@ -1,4 +1,4 @@
-"""Sumsets, subset streams, and containment verdicts."""
+"""Sumsets, subset streams, and containment witnesses."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +17,6 @@ from banachsum.intset import (
     Window,
 )
 from banachsum.sumset import (
-    Status,
-    Verdict,
     enumerate_subsets,
     pairwise_sumset,
     run_sum,
@@ -210,38 +208,29 @@ def test_enumerate_matches_reference_recursion(k):
     assert len(set(got)) == len(got)
 
 
-# ------------------------------------------------------------------ verdicts
+# ------------------------------------------------------------------ witnesses
 
 
 def test_containment_examples():
-    v = verify_containment(Run(178, 15), PolyRuns(2))
-    assert v.status is Status.FAIL and v.witness == 182
-
-    v = verify_containment(ExplicitWindow(Window(0, 16), 0), PowRuns(4))
-    assert v.status is Status.PASS
-
-    v = verify_containment(Run(64, 3), PowRuns(4))
-    assert v.status is Status.PASS
+    assert verify_containment(Run(178, 15), PolyRuns(2)) == 182
+    assert verify_containment(ExplicitWindow(Window(0, 16), 0), PowRuns(4)) is None
+    assert verify_containment(Run(64, 3), PowRuns(4)) is None
 
 
 def test_containment_against_window_target():
     target = from_elems([3, 4, 5, 9, 10, 11], Window(0, 12))
-    assert verify_containment(Run(3, 3), target).status is Status.PASS
-    v = verify_containment(Run(3, 4), target)
-    assert v.status is Status.FAIL and v.witness == 6
+    assert verify_containment(Run(3, 3), target) is None
+    assert verify_containment(Run(3, 4), target) == 6
     # a window holds only its set bits: past its end is a gap
-    v = verify_containment(Run(9, 5), target)
-    assert v.status is Status.FAIL and v.witness == 12
-    v = verify_containment(Run(8, 6), target)
-    assert v.status is Status.FAIL and v.witness == 8
+    assert verify_containment(Run(9, 5), target) == 12
+    assert verify_containment(Run(8, 6), target) == 8
 
 
 def test_containment_bitmap_claim():
     claim = from_elems([4, 16, 17], Window(0, 32))
-    assert verify_containment(claim, PowRuns(4)).status is Status.PASS
+    assert verify_containment(claim, PowRuns(4)) is None
     claim = from_elems([4, 15], Window(0, 32))
-    v = verify_containment(claim, PowRuns(4))
-    assert v.status is Status.FAIL and v.witness == 15
+    assert verify_containment(claim, PowRuns(4)) == 15
 
 
 @given(
@@ -258,13 +247,8 @@ def test_containment_bitmap_claim():
 @settings(max_examples=80)
 def test_containment_matches_membership_scan(start, length, target):
     claim = Run(start, length)
-    v = verify_containment(claim, target)
     missing = [x for x in range(start, claim.end + 1) if not target.member(x)]
-    if missing:
-        assert v.status is Status.FAIL
-        assert v.witness == missing[0]
-    else:
-        assert v.status is Status.PASS
+    assert verify_containment(claim, target) == (missing[0] if missing else None)
 
 
 # 40-cell windows, each spread m apart and shifted by r: the image of the
@@ -289,12 +273,8 @@ symbolic = st.one_of(
 @settings(max_examples=300)
 def test_containment_decides_non_window_targets(target, start, length):
     claim = Run(start, length)
-    v = verify_containment(claim, target)
     missing = next((x for x in range(start, claim.end + 1) if not target.member(x)), None)
-    if missing is None:
-        assert v == Verdict(Status.PASS)
-    else:
-        assert v == Verdict(Status.FAIL, witness=missing)
+    assert verify_containment(claim, target) == missing
 
 
 def test_translated_window_fails_past_its_end():
@@ -303,18 +283,14 @@ def test_translated_window_fails_past_its_end():
     w = ExplicitWindow(Window(10, 8), (1 << 8) - 1)
     target = w.dilate(1, 5)
     assert target == ExplicitWindow(Window(15, 8), (1 << 8) - 1)
-    assert verify_containment(Run(15, 8), target).status is Status.PASS
-    v = verify_containment(Run(20, 6), target)
-    assert v == Verdict(Status.FAIL, witness=23)
+    assert verify_containment(Run(15, 8), target) is None
+    assert verify_containment(Run(20, 6), target) == 23
 
 
-def reference_bitmap_verdict(claim, target):
-    """The per-element verdict: the claim's elements asked of member() in
-    ascending order."""
-    for x in claim.elements():
-        if not target.member(x):
-            return Verdict(Status.FAIL, witness=x)
-    return Verdict(Status.PASS)
+def reference_bitmap_witness(claim, target):
+    """The per-element witness: the first of the claim's elements, asked of
+    member() in ascending order, that is not a member, or None."""
+    return next((x for x in claim.elements() if not target.member(x)), None)
 
 
 @st.composite
@@ -343,36 +319,36 @@ def bitmap_claims(draw):
 @settings(max_examples=400)
 def test_bitmap_containment_matches_per_element_reference(case):
     claim, target = case
-    assert verify_containment(claim, target) == reference_bitmap_verdict(claim, target)
+    assert verify_containment(claim, target) == reference_bitmap_witness(claim, target)
 
 
 def test_bitmap_containment_examples():
     # target window [10, 19] holding 12..15; claims cross its edges
     target = from_elems([12, 13, 14, 15], Window(10, 10))
     cases = [
-        (from_elems([12, 15], Window(10, 10)), Verdict(Status.PASS)),
-        (from_elems([13, 16, 18], Window(10, 10)), Verdict(Status.FAIL, witness=16)),
-        (from_elems([3, 12, 25], Window(0, 30)), Verdict(Status.FAIL, witness=3)),
-        (from_elems([3, 11, 25], Window(0, 30)), Verdict(Status.FAIL, witness=3)),
-        (from_elems([20, 21], Window(20, 5)), Verdict(Status.FAIL, witness=20)),
-        (ExplicitWindow(Window(0, 30), 0), Verdict(Status.PASS)),
-        (from_elems([1, 4], Window(0, 8)), Verdict(Status.FAIL, witness=1)),
-        (from_elems([10, 12], Window(10, 4)), Verdict(Status.FAIL, witness=10)),
+        (from_elems([12, 15], Window(10, 10)), None),
+        (from_elems([13, 16, 18], Window(10, 10)), 16),
+        (from_elems([3, 12, 25], Window(0, 30)), 3),
+        (from_elems([3, 11, 25], Window(0, 30)), 3),
+        (from_elems([20, 21], Window(20, 5)), 20),
+        (ExplicitWindow(Window(0, 30), 0), None),
+        (from_elems([1, 4], Window(0, 8)), 1),
+        (from_elems([10, 12], Window(10, 4)), 10),
     ]
     for claim, want in cases:
-        assert reference_bitmap_verdict(claim, target) == want
+        assert reference_bitmap_witness(claim, target) == want
         assert verify_containment(claim, target) == want
     # targets that are not windows
     claim = from_elems([4, 16, 17, 64, 66], Window(0, 100))
     for target, want in [
-        (PowRuns(4), Verdict(Status.PASS)),
-        (Full(), Verdict(Status.PASS)),
-        (PolyRuns(3), Verdict(Status.FAIL, witness=4)),
-        (Congruence(2, 0), Verdict(Status.FAIL, witness=17)),
-        (PowRuns(3), Verdict(Status.FAIL, witness=4)),
-        (RunList([Run(4, 1), Run(16, 51)]), Verdict(Status.PASS)),
+        (PowRuns(4), None),
+        (Full(), None),
+        (PolyRuns(3), 4),
+        (Congruence(2, 0), 17),
+        (PowRuns(3), 4),
+        (RunList([Run(4, 1), Run(16, 51)]), None),
     ]:
-        assert reference_bitmap_verdict(claim, target) == want
+        assert reference_bitmap_witness(claim, target) == want
         assert verify_containment(claim, target) == want
 
 
@@ -407,13 +383,12 @@ TEN_TO_17 = ExplicitWindow(Window(10, 8), 0xFF)
 @settings(max_examples=200)
 def test_one_set_one_verdict(case):
     """A window, its run list and its dilation by 1 are one finite set, so
-    each claim gets one verdict: Fail at the smallest element that is not a
-    set bit, else Pass."""
+    each claim gets one witness: the smallest element that is not a set
+    bit, else None."""
     w, run, claim, seq = case
     forms = [w, w.to_run_list(), w.dilate(1)]
     for c, elements in ((run, range(run.start, run.end + 1)), (claim, claim.elements())):
         missing = next((x for x in elements if not w.member(x)), None)
-        want = Verdict(Status.PASS if missing is None else Status.FAIL, witness=missing)
-        assert [verify_containment(c, a) for a in forms] == [want] * 3
+        assert [verify_containment(c, a) for a in forms] == [missing] * 3
     payloads = [verify_b_sequence(seq, a).to_payload() for a in forms]
     assert payloads[1:] == payloads[:1] * 2

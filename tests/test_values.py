@@ -33,7 +33,7 @@ from banachsum.intset import (
     RunList,
     Window,
 )
-from banachsum.sumset import Status, Verdict
+from banachsum.sumset import Status
 from oracles import from_entries
 
 SEQ = from_entries((1, 2), (1, 3))
@@ -41,23 +41,12 @@ SEQ_REPR = (
     "BSequence(ells=(1, 2), bs=(1, 3), "
     "certificates=(Run(start=1, length=1), Run(start=3, length=4)))"
 )
-CHECK = dict(
-    i=1,
-    below_double=True,
-    double_lower=True,
-    double_upper=True,
-    gap_clearance=True,
-    shift_margin=True,
-    doubles_outside=False,
-)
-CHECK_REPR = (
-    "EscapeCheck(i=1, below_double=True, double_lower=True, double_upper=True, "
-    "gap_clearance=True, shift_margin=True, doubles_outside=False)"
-)
+CHECK = dict(i=1, below_double=True, doubles_outside=False)
+CHECK_REPR = "EscapeCheck(i=1, below_double=True, doubles_outside=False)"
+UNPAIRED = "SweepReport takes a witness and its witness_subset together"
 
 # fields a constructor may leave out, with the value each then takes
 DEFAULTS = {
-    Verdict: dict(witness=None),
     SweepReport: dict(witness=None, witness_subset=None),
 }
 
@@ -110,14 +99,12 @@ ROWS = [
     ),
     (
         WindowProfile,
-        dict(window_base=0, window_length=2, f=(0, 1, 1)),
-        "WindowProfile(window_base=0, window_length=2, f=(0, 1, 1))",
-        WindowProfile(0, 2, (0, 1, 2)),
+        dict(window_base=0, f=(0, 1, 1)),
+        "WindowProfile(window_base=0, f=(0, 1, 1))",
+        WindowProfile(0, (0, 1, 2)),
         [
-            ((0, 2, (0, 1)), ValueError,
-             "profile must hold one value per block length plus the 0 sentinel"),
-            ((0, 1, (1, 1)), ValueError,
-             "profile must hold one value per block length plus the 0 sentinel"),
+            ((0, ()), ValueError, "profile must start with the 0 sentinel"),
+            ((0, (1, 1)), ValueError, "profile must start with the 0 sentinel"),
         ],
     ),
     (
@@ -129,16 +116,9 @@ ROWS = [
     ),
     (
         RunBoundReport,
-        dict(d=2, longest_run=1, failures=((3, 2),)),
-        "RunBoundReport(d=2, longest_run=1, failures=((3, 2),))",
-        RunBoundReport(2, 1, ()),
-        [],
-    ),
-    (
-        Verdict,
-        dict(status=Status.FAIL, witness=5),
-        "Verdict(status=<Status.FAIL: 'Fail'>, witness=5)",
-        Verdict(Status.FAIL),
+        dict(d=2, longest_run=1),
+        "RunBoundReport(d=2, longest_run=1)",
+        RunBoundReport(2, 0),
         [],
     ),
     (
@@ -159,11 +139,10 @@ ROWS = [
     ),
     (
         SweepReport,
-        dict(status=Status.FAIL, checked=3, witness=7, witness_subset=(2, 1)),
-        "SweepReport(status=<Status.FAIL: 'Fail'>, checked=3, witness=7, "
-        "witness_subset=(2, 1))",
-        SweepReport(Status.PASS, 3),
-        [],
+        dict(checked=3, witness=None, witness_subset=None),
+        "SweepReport(checked=3, witness=None, witness_subset=None)",
+        SweepReport(3, 7, (2, 1)),
+        [((3, 7), TypeError, UNPAIRED), ((3, None, (2, 1)), TypeError, UNPAIRED)],
     ),
     (
         BFamily,
@@ -190,9 +169,9 @@ ROWS = [
     (EscapeCheck, CHECK, CHECK_REPR, EscapeCheck(**{**CHECK, "i": 2}), []),
     (
         EscapeReport,
-        dict(t=0, i0=1, checked=1, all_escaped=False, checks=(EscapeCheck(**CHECK),)),
-        f"EscapeReport(t=0, i0=1, checked=1, all_escaped=False, checks=({CHECK_REPR},))",
-        EscapeReport(0, 1, 1, True, (EscapeCheck(**CHECK),)),
+        dict(t=0, checks=(EscapeCheck(**CHECK),)),
+        f"EscapeReport(t=0, checks=({CHECK_REPR},))",
+        EscapeReport(1, (EscapeCheck(**CHECK),)),
         [],
     ),
 ]
@@ -246,3 +225,25 @@ def test_value_class(cls, fields, text, other, refusals):
 
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+def test_restated_fields_are_derived_not_stored():
+    """A field that restates others is a property of them, so the shapes
+    that stored such a field are refused, and the derived values follow the
+    stored ones."""
+    for cls, args in [
+        (SweepReport, (Status.FAIL, 3)),
+        (WindowProfile, (0, 2, (0, 1, 1))),
+        (RunBoundReport, (2, 1, ())),
+        (EscapeReport, (0, 1, 1, True, ())),
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args)
+    passed, failed = SweepReport(3), SweepReport(3, 7, (2, 1))
+    assert (passed.status, passed.passed) == (Status.PASS, True)
+    assert (failed.status, failed.passed) == (Status.FAIL, False)
+    assert WindowProfile(0, (0, 1, 1)).window_length == 2
+    assert (RunBoundReport(2, 1).ok, RunBoundReport(2, 1).failures) == (True, ())
+    report = EscapeReport(5, (EscapeCheck(2, True, True), EscapeCheck(3, True, False)))
+    assert (report.i0, report.checked, report.all_escaped) == (2, 2, False)
+    assert EscapeReport(5, report.checks[:1]).all_escaped
