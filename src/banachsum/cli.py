@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .intset import ExplicitWindow, IntSet, Window, parse_set, serialize_set
+from .intset import ExplicitWindow, IntSet, Window, _echo, parse_set, serialize_set
 
 # Largest window, in bits, that profile, runs and ap-reduce will materialize,
 # and that family's bitmap route, on [0, --brute-span], may span.
@@ -102,13 +102,22 @@ def _write_array(write, values) -> None:
     write("]")
 
 
+def _int_arg(text: str) -> int:
+    """int(text); a refused token gets argparse's own message for
+    type=int, with the token cut as _echo cuts it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 def _window_arg(text: str) -> Window:
     try:
         base_s, len_s = text.split(":", 1)
         return Window(int(base_s), int(len_s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"window must look like BASE:LENGTH, got {text!r} ({exc})"
+            f"window must look like BASE:LENGTH, got {_echo(text)} ({exc})"
         ) from None
 
 
@@ -189,39 +198,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", help="run structure in a window; optional run search")
     _add_set_args(p)
     _add_window_arg(p)
-    p.add_argument("--min-len", type=int, help="search for a run of this length")
-    p.add_argument("--lower-bound", type=int, default=0)
-    p.add_argument("--d", type=int, help="check the no-run-of-d density bound")
+    p.add_argument("--min-len", type=_int_arg, help="search for a run of this length")
+    p.add_argument("--lower-bound", type=_int_arg, default=0)
+    p.add_argument("--d", type=_int_arg, help="check the no-run-of-d density bound")
 
     p = sub.add_parser("construct-b", help="greedy base sequence inside a set")
     _add_set_args(p)
     p.add_argument("--ells", default="j", help='"j", a constant, or a comma list')
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--digit-budget", type=int, default=DEFAULT_DIGIT_BUDGET)
+    p.add_argument("--k", type=_int_arg, default=8)
+    p.add_argument("--digit-budget", type=_int_arg, default=DEFAULT_DIGIT_BUDGET)
 
     p = sub.add_parser("family", help="build and verify a disjoint component family")
     _add_set_args(p)
     p.add_argument("--ells", default="j")
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--k-sets", type=int, default=2)
+    p.add_argument("--k", type=_int_arg, default=8)
+    p.add_argument("--k-sets", type=_int_arg, default=2)
     p.add_argument("--scheme", choices=("residue", "blocks"), default="residue")
-    p.add_argument("--brute-span", type=int, default=2048)
-    p.add_argument("--digit-budget", type=int, default=DEFAULT_DIGIT_BUDGET)
+    p.add_argument("--brute-span", type=_int_arg, default=2048)
+    p.add_argument("--digit-budget", type=_int_arg, default=DEFAULT_DIGIT_BUDGET)
 
     p = sub.add_parser("verify", help="recheck a stored base sequence against a set")
     _add_set_args(p)
     p.add_argument("--bseq", required=True, help="path to a base sequence JSON file")
-    p.add_argument("--k-limit", type=int)
-    p.add_argument("--brute-span", type=int, default=10_000)
+    p.add_argument("--k-limit", type=_int_arg)
+    p.add_argument("--brute-span", type=_int_arg, default=10_000)
 
     p = sub.add_parser("ap-reduce", help="strongest dilation structure in a window")
     _add_set_args(p)
     _add_window_arg(p)
-    p.add_argument("--m0", type=int, default=10, help="largest difference to try")
+    p.add_argument("--m0", type=_int_arg, default=10, help="largest difference to try")
 
     p = sub.add_parser("escape", help="doubling-escape checks on the power-run set")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--i-max", type=int, required=True)
+    p.add_argument("--t", type=_int_arg, required=True)
+    p.add_argument("--i-max", type=_int_arg, required=True)
 
     p = sub.add_parser("gen", help="echo a set description in canonical form")
     _add_set_args(p)
@@ -256,13 +265,7 @@ def _cmd_runs(args) -> int:
             None if found is None else {"start": str(found.start), "len": found.length}
         )
     if args.d is not None:
-        report = check_run_bound(w, args.d)
-        payload["run_bound"] = {
-            "d": report.d,
-            "longest_run": report.longest_run,
-            "ok": report.ok,
-            "failures": [[n, f] for n, f in report.failures],
-        }
+        payload["run_bound"] = check_run_bound(w, args.d).to_payload()
     _emit(payload)
     return 0
 

@@ -508,7 +508,7 @@ class BFamily(Record):
             "k_sets": self.k_sets,
             "index_sets": [list(ix) for ix in self.index_sets],
             "sets": [
-                [{"start": str(r.start), "len": r.length} for r in rl.runs]
+                [{"start": str(s), "len": e - s + 1} for s, e in zip(*rl.run_bounds())]
                 for rl in self.sets
             ],
         }
@@ -549,7 +549,7 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
 
 def _check_disjoint(family: BFamily) -> None:
     _, _, clash = _merge_spans(sorted(
-        (run.start, run.end, i) for i, rl in enumerate(family.sets, 1) for run in rl.runs
+        (s, e, i) for i, rl in enumerate(family.sets, 1) for s, e in zip(*rl.run_bounds())
     ))
     if clash is not None:
         (s1, e1, i1), (s2, e2, i2) = clash
@@ -628,7 +628,7 @@ class APReduction(Record):
             "m": self.m,
             "r": self.r,
             "evidence_len": self.evidence_len,
-            "derived_set": serialize_set(self.derived.to_run_list()),
+            "derived_set": serialize_set(self.derived),
         }
 
 

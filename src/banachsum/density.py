@@ -176,17 +176,12 @@ def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
     n = g_(k+1) + c_k, so each piece is one list.extend.
     """
     N = w.window.length
-    cells = format(w.bits, f"0{N}b")[::-1]
+    starts, ends = w.run_bounds()
     counts = [0]  # counts[r]: members in the runs before run r
     gaps = []  # gaps[r]: non-members from run 0's start to run r's start
-    start = first = cells.find("1")
-    while start >= 0:
-        end = cells.find("0", start)
-        if end < 0:
-            end = N
-        gaps.append(start - first - counts[-1])
-        counts.append(counts[-1] + end - start)
-        start = cells.find("1", end)
+    for start, end in zip(starts, ends):
+        gaps.append(start - starts[0] - counts[-1])
+        counts.append(counts[-1] + end - start + 1)
     best = [0] * (gaps[-1] + 1 if gaps else 1)  # best[G]: largest C(r, j) with G(r, j) = G
     for r, (g0, c0) in enumerate(zip(gaps, counts)):
         for g, c in zip(gaps[r:], counts[r + 1 :]):
@@ -298,6 +293,10 @@ class RunBoundReport(Record):
     _fields = ("d", "longest_run")
     ok = True
     failures = ()
+
+    def to_payload(self) -> dict:
+        return {"d": self.d, "longest_run": self.longest_run, "ok": self.ok,
+                "failures": list(self.failures)}
 
 
 def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:

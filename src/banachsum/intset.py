@@ -9,9 +9,10 @@ astronomically large elements stay cheap and correct.
 
 All values are immutable once constructed and safe to share across
 threads.  The state that changes is caches that never change an answer:
-the run bracket PowRuns and PolyRuns remember between queries, the run
-bounds of an ExplicitWindow and the Run tuple of a RunList, each built on
-first use.  The integer 0 is never a member of any set here, even when an
+the run bracket PowRuns and PolyRuns remember between queries and the
+run bounds of an ExplicitWindow, built on first use.  A finite set lists
+its runs one way, run_bounds(), and answers run queries from it by
+bisection.  The integer 0 is never a member of any set here, even when an
 explicit window happens to cover it.
 """
 
@@ -270,32 +271,35 @@ class ExplicitWindow(IntSet):
         return bool((self.bits >> (x - self.window.base)) & 1)
 
     def elements(self) -> Iterator[int]:
-        """Members in ascending order."""
-        yield from _bit_offsets(self.bits, self.window.base)
+        """Members in ascending order, one str.find per member over the
+        bits written lowest first: no Python step per clear bit."""
+        cells, base = format(self.bits, "b")[::-1], self.window.base
+        i = cells.find("1")
+        while i >= 0:
+            yield base + i
+            i = cells.find("1", i + 1)
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """First and last members of the maximal runs, ascending.
+        """(starts, ends), the first and last members of the maximal runs,
+        as two ascending tuples.
 
-        A run starts at a member whose lower neighbour is absent and ends
-        at one whose upper neighbour is absent, so the i-th start and the
-        i-th end bound the i-th run.  The two scans of the bitmap run on
-        the first call; the tuples they give are kept for later calls.
+        The bits, written lowest first, are scanned once on the first call
+        by str.find, two calls per run and no Python step per cell; the
+        tuples are kept for later calls.
         """
         if self._bounds is None:
-            b, base = self.bits, self.window.base
-            self._bounds = (
-                tuple(_bit_offsets(b & ~(b << 1), base)),
-                tuple(_bit_offsets(b & ~(b >> 1), base)),
-            )
+            cells, base = format(self.bits, "b")[::-1], self.window.base
+            starts, ends = [], []
+            start = cells.find("1")
+            while start >= 0:
+                past = cells.find("0", start)
+                if past < 0:  # the run holds the top bit
+                    past = len(cells)
+                starts.append(base + start)
+                ends.append(base + past - 1)
+                start = cells.find("1", past)
+            self._bounds = (tuple(starts), tuple(ends))
         return self._bounds
-
-    def runs(self) -> list[Run]:
-        """Maximal runs of members, ascending."""
-        return [Run(s, e - s + 1) for s, e in zip(*self.run_bounds())]
-
-    def to_run_list(self) -> "RunList":
-        starts, ends = self.run_bounds()
-        return RunList._from_bounds(list(starts), list(ends))
 
     def dilate(self, m: int, r: int = 0) -> "ExplicitWindow":
         """The members x mapped to m*x + r, for m >= 1 and r >= 0, on the
@@ -308,15 +312,10 @@ class ExplicitWindow(IntSet):
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        return _first_fit(*self.run_bounds(), 0, min_len, lower_bound, "inside the window")
+        return _first_fit(*self.run_bounds(), min_len, lower_bound, "inside the window")
 
     def run_end_at(self, x: int) -> int:
-        off = x - self.window.base
-        if off < 0:
-            return x - 1
-        tail = self.bits >> off
-        ones = (~tail & (tail + 1)).bit_length() - 1
-        return x + ones - 1
+        return _run_end_at(*self.run_bounds(), x)
 
     def materialize(self, window: Window) -> "ExplicitWindow":
         """The bits on [lo, hi], the overlap of the two windows, moved to
@@ -350,46 +349,35 @@ class RunList(IntSet):
 
     Overlapping or adjacent input runs are merged at construction, so the
     stored runs are maximal and separated by gaps of at least one integer.
-    They are kept as two ascending int lists, the first and last members of
-    each run; ``runs``, the same runs as a tuple of Run, is built from them
-    on first access and cached.
+    They are kept as run_bounds() gives them: two ascending tuples, the
+    first and last members of each run.
     """
 
-    __slots__ = ("_starts", "_ends", "_runs")
+    __slots__ = ("_bounds",)
 
     def __init__(self, runs: Iterable[Run] = ()):
-        self._starts, self._ends, _ = _merge_spans(sorted((r.start, r.end) for r in runs))
-        self._runs = None
+        starts, ends, _ = _merge_spans(sorted((r.start, r.end) for r in runs))
+        self._bounds = (tuple(starts), tuple(ends))
 
     @classmethod
     def _from_bounds(cls, starts: list[int], ends: list[int]) -> "RunList":
         """The run list of maximal runs [starts[i], ends[i]], taken as given."""
         rl = cls.__new__(cls)
-        rl._starts, rl._ends, rl._runs = starts, ends, None
+        rl._bounds = (tuple(starts), tuple(ends))
         return rl
 
-    @property
-    def runs(self) -> tuple[Run, ...]:
-        if self._runs is None:
-            self._runs = tuple(Run(s, e - s + 1) for s, e in zip(self._starts, self._ends))
-        return self._runs
+    def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(starts, ends) of the maximal runs, as ExplicitWindow.run_bounds."""
+        return self._bounds
 
     def member(self, x: int) -> bool:
         return self.run_end_at(x) >= x
 
     def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        """Scans from the run through or after lower_bound, found by
-        bisection: every run before it ends below lower_bound."""
-        first = max(bisect_right(self._starts, lower_bound) - 1, 0)
-        return _first_fit(
-            self._starts, self._ends, first, min_len, lower_bound, "in the run list"
-        )
+        return _first_fit(*self._bounds, min_len, lower_bound, "in the run list")
 
     def run_end_at(self, x: int) -> int:
-        i = bisect_right(self._starts, x) - 1
-        if i >= 0 and x <= self._ends[i]:
-            return self._ends[i]
-        return x - 1
+        return _run_end_at(*self._bounds, x)
 
     def materialize(self, window: Window) -> ExplicitWindow:
         """The runs meeting the window, found by bisection, each set as one
@@ -404,12 +392,13 @@ class RunList(IntSet):
         bit 0 stays clear at window base 0.
         """
         base, n = window.base, window.length
-        lo = bisect_left(self._ends, base)
-        hi = bisect_right(self._starts, window.end)
+        starts, ends = self._bounds
+        lo = bisect_left(ends, base)
+        hi = bisect_right(starts, window.end)
         if lo >= hi:
             return ExplicitWindow(window, 0)
-        offsets = [s - base for s in self._starts[lo:hi]]
-        pasts = [e + 1 - base for e in self._ends[lo:hi]]
+        offsets = [s - base for s in starts[lo:hi]]
+        pasts = [e + 1 - base for e in ends[lo:hi]]
         offsets[0] = max(offsets[0], 0)
         pasts[-1] = min(pasts[-1], n)
         first, past = bytearray(n // 8 + 1), bytearray(n // 8 + 1)
@@ -421,17 +410,13 @@ class RunList(IntSet):
         return ExplicitWindow(window, bits)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RunList)
-            and self._starts == other._starts
-            and self._ends == other._ends
-        )
+        return isinstance(other, RunList) and self._bounds == other._bounds
 
     def __hash__(self) -> int:
-        return hash((tuple(self._starts), tuple(self._ends)))
+        return hash(self._bounds)
 
     def __repr__(self) -> str:
-        return f"RunList({list(self.runs)!r})"
+        return f"RunList({[Run(s, e - s + 1) for s, e in zip(*self._bounds)]!r})"
 
 
 class Full(Record, IntSet):
@@ -678,20 +663,6 @@ class PolyRuns(Record, _IndexedRuns):
         return start, i, start + step
 
 
-def _bit_offsets(x: int, base: int) -> Iterator[int]:
-    """base + i for every set bit i of x >= 0, ascending.
-
-    Walks the bytes of x up to its highest set bit, so the cost is linear
-    in x.bit_length(), not in the width of the window x came from.
-    """
-    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    for byte_idx, byte in enumerate(data):
-        while byte:
-            low = byte & -byte
-            yield base + byte_idx * 8 + low.bit_length() - 1
-            byte ^= low
-
-
 def _spread(bits: int, n: int, m: int) -> int:
     """The n low cells of bits spread m >= 1 apart, bit i moving to bit
     i*m, by one string join: linear in the n*m cells of the result.  For
@@ -743,18 +714,31 @@ def _streak(bits: int, m: int) -> tuple[int, int]:
     return longest, starts
 
 
+def _run_end_at(starts: Sequence[int], ends: Sequence[int], x: int) -> int:
+    """run_end_at over finite ascending maximal runs [starts[i], ends[i]]:
+    only the run with the largest start <= x, found by bisection, can
+    hold x."""
+    i = bisect_right(starts, x) - 1
+    if i >= 0 and x <= ends[i]:
+        return ends[i]
+    return x - 1
+
+
 def _first_fit(
     starts: Sequence[int],
     ends: Sequence[int],
-    first: int,
     min_len: int,
     lower_bound: int,
     where: str,
 ) -> Run:
-    """next_run over finite ascending maximal runs [starts[i], ends[i]],
-    from i = first on."""
+    """next_run over finite ascending maximal runs [starts[i], ends[i]].
+
+    The scan begins at the run with the largest start <= lower_bound,
+    found by bisection, since every run before it ends below lower_bound;
+    where names the set in the HorizonExceeded message.
+    """
     _check_min_len(min_len)
-    for i in range(first, len(starts)):
+    for i in range(max(bisect_right(starts, lower_bound) - 1, 0), len(starts)):
         b = max(starts[i], lower_bound)
         if b + min_len - 1 <= ends[i]:
             return Run(b, min_len)
@@ -809,7 +793,7 @@ def parse_set(text: str) -> IntSet:
             (start,) = _parse_ints(args, 1, lineno)
             length = 1
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+            raise ParseError(f"unknown directive {_echo(head)}", lineno)
         if start < 1 or length < 1:
             _make_run(start, length, lineno)  # raises Run's error on this line
         spans.append((start, start + length - 1, lineno))
@@ -868,8 +852,17 @@ def _parse_ints(args: list[str], n: int, lineno: int) -> list[int]:
                 # only the int/str digit limit refuses a decimal token
                 raise BudgetExceeded(f"line {lineno}: a number of {len(digits)} digits "
                                      f"exceeds the limit of {sys.get_int_max_str_digits()}") from None
-            raise ParseError(f"not an integer: {a!r}", lineno) from None
+            raise ParseError(f"not an integer: {_echo(a)}", lineno) from None
     return out
+
+
+def _echo(token: str) -> str:
+    """The repr of token for an error message.  A token of more than 200
+    characters, the cut CPython's int() makes in its own message, shows
+    its first 200, then an ellipsis and its length."""
+    if len(token) <= 200:
+        return repr(token)
+    return f"{token[:200]!r}… ({len(token)} characters)"
 
 
 def _make_run(start: int, length: int, lineno: int) -> Run:
@@ -896,16 +889,12 @@ def serialize_set(s: IntSet) -> str:
     RunList and generator forms round-trip exactly; an ExplicitWindow is
     written as its runs (and parses back as the equal RunList).
     """
-    if isinstance(s, RunList):
-        starts, ends = s._starts, s._ends
-    elif isinstance(s, ExplicitWindow):
-        starts, ends = s.run_bounds()
-    else:
-        for form, cls in _GENERATORS.items():
-            if isinstance(s, cls):
-                return " ".join(["gen", form, *map(str, s._values())]) + "\n"
-        raise ValueError(f"no text form for {type(s).__name__}")
-    lines = [
-        f"elem {a}" if a == b else f"run {a} {b - a + 1}" for a, b in zip(starts, ends)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    if isinstance(s, (RunList, ExplicitWindow)):
+        lines = [
+            f"elem {a}" if a == b else f"run {a} {b - a + 1}" for a, b in zip(*s.run_bounds())
+        ]
+        return "\n".join(lines) + ("\n" if lines else "")
+    for form, cls in _GENERATORS.items():
+        if isinstance(s, cls):
+            return " ".join(["gen", form, *map(str, s._values())]) + "\n"
+    raise ValueError(f"no text form for {type(s).__name__}")

@@ -49,12 +49,12 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
     cbits = c.bits
     cbase = c.window.base
     acc = 0
-    for run in b.runs():
-        lo = run.start + cbase
+    for start, end in zip(*b.run_bounds()):
+        lo = start + cbase
         if lo > cap:
             break
         # shifts past cap only make sums past cap
-        spread = min(run.end + cbase, cap) - lo + 1
+        spread = min(end + cbase, cap) - lo + 1
         acc |= _comb(1, spread, cbits) << lo
     return ExplicitWindow(Window(0, cap + 1), acc & out_mask)
 

@@ -241,6 +241,15 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("runs", "--set", poly2, "--window", "0:8", "--min-len", "2",
          "--lower-bound", "1" + "0" * 5000)
     call("gen", "--input", f"{d}/huge_elem.txt")
+
+    # a bad token of more than 200 characters is quoted cut after 200,
+    # with its length: as an option, a window, a number in set text and a
+    # directive
+    long = f"1{'0' * 250}x"
+    call("runs", "--set", full, "--window", "0:8", "--lower-bound", long)
+    call("runs", "--set", full, "--window", f"{long}:8")
+    call("gen", "--set", f"elem {long}")
+    call("gen", "--set", f"x{long}")
     return files, calls
 
 

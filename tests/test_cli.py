@@ -186,24 +186,24 @@ def test_runs_bound_route_disagreement_is_an_internal_error(monkeypatch):
 
 
 def test_runs_bound_scans_the_run_bounds_once(capsys, monkeypatch):
-    # the runs list and check_run_bound share one scan for starts and one
-    # for ends, and nothing from parsing to the report builds a Run
+    # the runs list and check_run_bound share one scan of the bitmap, and
+    # nothing from parsing to the report builds a Run
     import banachsum.intset as intset
 
     scans = []
-    bit_offsets = intset._bit_offsets
+    run_bounds = intset.ExplicitWindow.run_bounds
 
-    def counting_offsets(x, base):
-        scans.append(base)
-        return bit_offsets(x, base)
+    def counting_bounds(self):
+        scans.append(self._bounds is None)
+        return run_bounds(self)
 
     def no_run(self, *args):
         raise AssertionError(f"Run{args} built")
 
-    monkeypatch.setattr(intset, "_bit_offsets", counting_offsets)
+    monkeypatch.setattr(intset.ExplicitWindow, "run_bounds", counting_bounds)
     monkeypatch.setattr(intset.Run, "__init__", no_run)
     assert run_cli(capsys, *DENSE_ARGV) == (0, DENSE_OUT, "")
-    assert len(scans) == 2
+    assert scans == [True, False]
 
 
 DENSE_PROFILE_ARGV = ["profile", "--set", DENSE_ARGV[2], "--window", DENSE_ARGV[4]]
@@ -447,6 +447,39 @@ def test_set_text_numbers_over_the_digit_limit_are_budget_errors(capsys, tmp_pat
     path.write_text(f"elem 1{'0' * 200_000}x\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "gen", "--input", str(path))
     assert (code, out) == (2, "") and "not an integer" in err
+
+
+LONG_TOKEN = f"1{'0' * 200_000}x"
+
+
+def shown(token):
+    """A token as a usage error quotes it: whole up to 200 characters, as
+    CPython's int() cuts its own message, else cut with its length."""
+    if len(token) <= 200:
+        return repr(token)
+    return f"{token[:200]!r}… ({len(token)} characters)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["runs", "--set", "gen full", "--lower-bound", LONG_TOKEN],
+     f"argument --lower-bound: invalid int value: {shown(LONG_TOKEN)}\n"),
+    (["runs", "--set", "gen full", "--window", f"{LONG_TOKEN}:8"],
+     f"argument --window: window must look like BASE:LENGTH, got {shown(LONG_TOKEN + ':8')} ("),
+    (["gen", "--set", f"elem {LONG_TOKEN}"],
+     f"error: line 1: not an integer: {shown(LONG_TOKEN)}\n"),
+    (["gen", "--set", f"x{LONG_TOKEN}"],
+     f"error: line 1: unknown directive {shown('x' + LONG_TOKEN)}\n"),
+    # up to 200 characters a token keeps argparse's own wording for type=int
+    (["construct-b", "--set", "gen full", "--k", "1" * 199 + "x"],
+     f"argument --k: invalid int value: {'1' * 199 + 'x'!r}\n"),
+    (["escape", "--i-max", "3", "--t", "1" * 200 + "x"],
+     f"argument --t: invalid int value: {shown('1' * 200 + 'x')}\n"),
+])
+def test_over_long_bad_tokens_are_cut_in_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    # the reason in parentheses after a window is int()'s, already cut
+    assert message in err and len(err) < 1024
 
 
 # ------------------------------------------------------------------ family

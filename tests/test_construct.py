@@ -537,7 +537,9 @@ def test_family_verification_passes():
 def test_family_disjointness_violation_fires():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1], k=3)
     fam = build_family(seq, 2, "residue")
-    corrupted = with_sets(fam, (fam.sets[0], RunList([Run(1, 2), *fam.sets[1].runs])))
+    starts, ends = fam.sets[1].run_bounds()
+    runs = [Run(1, 2), *(Run(s, e - s + 1) for s, e in zip(starts, ends))]
+    corrupted = with_sets(fam, (fam.sets[0], RunList(runs)))
     with pytest.raises(DisjointnessViolation) as exc:
         verify_family(corrupted, PolyRuns(2))
     assert str(exc.value) == "component 1 run [1, 1] overlaps component 2 run [1, 2]"

@@ -216,14 +216,15 @@ def test_materialize_long_runlist_late_window(case):
         assert got.member(x) == s.member(x)
     # the scan reads only the runs meeting the window, and at most one on
     # either side of them; finding them costs one bisection per list
-    meeting = [i for i, r in enumerate(s.runs) if r.start <= w.end and r.end >= w.base]
-    logs = IndexLog(s._starts), IndexLog(s._ends)
+    starts, ends = s.run_bounds()
+    meeting = [i for i, (a, b) in enumerate(zip(starts, ends)) if a <= w.end and b >= w.base]
+    logs = IndexLog(starts), IndexLog(ends)
     for log in logs:
         log.read, log.probes = [], []
-    s._starts, s._ends = logs
+    s._bounds = logs
     assert s.materialize(w) == got
     lo = meeting[0] - 1 if meeting else -1
-    hi = meeting[-1] + 1 if meeting else len(s.runs)
+    hi = meeting[-1] + 1 if meeting else len(starts)
     for log in logs:
         assert set(meeting) <= set(log.read)
         assert all(lo <= i <= hi for i in log.read)
@@ -235,9 +236,9 @@ def reference_materialize(s: RunList, window: Window) -> ExplicitWindow:
     """The bitmap as RunList.materialize built it before it set run
     boundaries: one window-wide mask OR'd in per run, O(runs x window bits)."""
     bits = 0
-    for run in s.runs:
-        lo = max(run.start, window.base, 1)
-        hi = min(run.end, window.end)
+    for start, end in zip(*s.run_bounds()):
+        lo = max(start, window.base, 1)
+        hi = min(end, window.end)
         if lo <= hi:
             bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
     return ExplicitWindow(window, bits)
@@ -249,14 +250,15 @@ def run_lists_and_windows(draw):
     before the first run, wholly after the last, or anywhere."""
     s = draw(run_lists)
     shape = draw(st.sampled_from(["base0", "cut", "before", "after", "any"]))
-    lo, hi = (s.runs[0].start, s.runs[-1].end) if s.runs else (1, 1)
+    starts, ends = s.run_bounds()
+    lo, hi = (starts[0], ends[-1]) if starts else (1, 1)
     if shape == "base0":
         return s, Window(0, draw(st.integers(1, hi + 20)))
-    if shape == "cut" and len(s.runs) >= 2:
-        first = draw(st.sampled_from(s.runs[:-1]))
-        last = draw(st.sampled_from([r for r in s.runs if r.start > first.end]))
-        base = draw(st.integers(first.start, first.end))
-        end = draw(st.integers(last.start, last.end))
+    if shape == "cut" and len(starts) >= 2:
+        first = draw(st.sampled_from(range(len(starts) - 1)))
+        last = draw(st.sampled_from(range(first + 1, len(starts))))
+        base = draw(st.integers(starts[first], ends[first]))
+        end = draw(st.integers(starts[last], ends[last]))
         return s, Window(base, end - base + 1)
     if shape == "before":
         base = draw(st.integers(0, lo - 1))
@@ -270,7 +272,14 @@ def run_lists_and_windows(draw):
 @settings(max_examples=300)
 def test_materialize_matches_per_run_reference(case):
     s, w = case
-    assert s.materialize(w) == reference_materialize(s, w)
+    got = s.materialize(w)
+    assert got == reference_materialize(s, w)
+    # the bitmap's runs are the list's runs clipped to the window
+    clipped = [
+        (max(a, w.base), min(b, w.end)) for a, b in zip(*s.run_bounds())
+        if a <= w.end and b >= w.base
+    ]
+    assert got.run_bounds() == (tuple(a for a, _ in clipped), tuple(b for _, b in clipped))
 
 
 def dense_run_text(n_runs, seed=0):
@@ -294,7 +303,7 @@ def test_materialize_matches_reference_on_a_run_dense_budget_window():
         and s.member(x + (1 << 20))
     )
     w = Window(base, 1 << 20)
-    meeting = sum(1 for r in s.runs if r.start <= w.end and r.end >= w.base)
+    meeting = sum(1 for a, b in zip(*s.run_bounds()) if a <= w.end and b >= w.base)
     assert meeting >= 10**5
     assert s.materialize(w) == reference_materialize(s, w)
 
@@ -311,13 +320,15 @@ def test_parse_and_materialize_build_no_run(monkeypatch):
     monkeypatch.setattr(Run, "__init__", counting_init)
     s = parse_set(text)
     w = s.materialize(Window(0, 1 << 14))
-    starts, ends = w.run_bounds()
+    bounds = [s.run_bounds(), w.run_bounds()]
     assert built == []
-    # the bounds are scanned once and kept as tuples, which no caller can change
-    assert type(starts) is tuple and type(ends) is tuple
-    assert w.run_bounds() is w.run_bounds()
-    # the patch counts: the cached Run tuple is built on first access
-    assert len(s.runs) == 2000 and len(built) == 2000
+    # the bounds are kept as tuples, which no caller can change, and the
+    # window's are scanned once
+    for starts, ends in bounds:
+        assert type(starts) is tuple and type(ends) is tuple
+    assert len(bounds[0][0]) == 2000 and w.run_bounds() is bounds[1]
+    # the patch counts: repr builds one Run per run
+    assert repr(s).count("Run(") == 2000 and len(built) == 2000
 
 
 # ------------------------------------------------------------------- dilate
@@ -460,7 +471,8 @@ def test_next_run_minimal_on_run_lists(s, min_len, lower_bound):
     try:
         found = s.next_run(min_len, lower_bound)
     except HorizonExceeded:
-        hi = (s.runs[-1].end if s.runs else 0) + min_len + 1
+        ends = s.run_bounds()[1]
+        hi = (ends[-1] if ends else 0) + min_len + 1
         for b in range(max(lower_bound, 1), hi):
             assert any(not s.member(b + i) for i in range(min_len))
         return
@@ -470,11 +482,11 @@ def test_next_run_minimal_on_run_lists(s, min_len, lower_bound):
         assert any(not s.member(b + i) for i in range(min_len))
 
 
-def first_fit_scan(runs, min_len, lower_bound):
+def first_fit_scan(starts, ends, min_len, lower_bound):
     """next_run by a scan over every run from the first, or None."""
-    for run in runs:
-        b = max(run.start, lower_bound)
-        if b + min_len - 1 <= run.end:
+    for start, end in zip(starts, ends):
+        b = max(start, lower_bound)
+        if b + min_len - 1 <= end:
             return Run(b, min_len)
     return None
 
@@ -482,10 +494,11 @@ def first_fit_scan(runs, min_len, lower_bound):
 @given(run_lists, st.integers(1, 12), st.data())
 def test_run_list_next_run_matches_a_scan_over_all_runs(s, min_len, data):
     # lower bounds at, inside and just past each run, and past the last one
-    edges = [x for r in s.runs for x in (r.start, r.start + r.length // 2, r.end + 1)]
-    top = (s.runs[-1].end if s.runs else 0) + 1
+    starts, ends = s.run_bounds()
+    edges = [x for a, b in zip(starts, ends) for x in (a, a + (b - a + 1) // 2, b + 1)]
+    top = (ends[-1] if ends else 0) + 1
     lower_bound = data.draw(st.sampled_from(edges + [0, top, top + 5]))
-    want = first_fit_scan(s.runs, min_len, lower_bound)
+    want = first_fit_scan(starts, ends, min_len, lower_bound)
     if want is None:
         with pytest.raises(HorizonExceeded):
             s.next_run(min_len, lower_bound)
@@ -504,8 +517,10 @@ def test_generator_runs_disjoint():
 @given(st.lists(runs, max_size=10))
 def test_runlist_normalization(run_items):
     rl = RunList(run_items)
-    for a, b in zip(rl.runs, rl.runs[1:]):
-        assert a.end + 1 < b.start  # sorted, disjoint, gap >= 1
+    starts, ends = rl.run_bounds()
+    assert all(a <= b for a, b in zip(starts, ends))
+    for end, start in zip(ends, starts[1:]):
+        assert end + 1 < start  # sorted, disjoint, gap >= 1
     want = set()
     for r in run_items:
         want.update(range(r.start, r.end + 1))
@@ -514,28 +529,43 @@ def test_runlist_normalization(run_items):
 
 def test_runlist_merges_adjacent_and_overlapping():
     rl = RunList([Run(4, 2), Run(6, 1), Run(5, 3)])
-    assert rl.runs == (Run(4, 4),)
+    assert rl.run_bounds() == ((4,), (7,))
 
 
-@given(explicit_windows())
-def test_window_runs_reconstruct_elements(w):
+@given(explicit_windows(), st.integers(1, 5))
+def test_window_runs_reconstruct_elements(w, min_len):
     got = []
-    for r in w.runs():
-        got.extend(range(r.start, r.end + 1))
+    for start, end in zip(*w.run_bounds()):
+        got.extend(range(start, end + 1))
     assert got == sorted(w.elements())
-    assert w.to_run_list().runs == tuple(w.runs())
+    # the run list of the same members answers every run query alike, up
+    # to the name of the set in a HorizonExceeded message
+    rl = RunList(Run(x, 1) for x in w.elements())
+    assert rl.run_bounds() == w.run_bounds()
+    for x in range(w.window.end + 3):
+        assert rl.run_end_at(x) == w.run_end_at(x)
+        answers = []
+        for s in (rl, w):
+            try:
+                answers.append(s.next_run(min_len, x))
+            except HorizonExceeded as exc:
+                answers.append(str(exc).replace("inside the window", "in the run list"))
+        assert answers[0] == answers[1]
+        if isinstance(answers[0], str):
+            assert answers[0] == f"no run of length {min_len} at or above {x} in the run list"
 
 
 @given(explicit_windows())
 def test_window_runs_match_bit_scan(w):
-    want, streak = [], 0
+    starts, ends, streak = [], [], 0
     for off in range(w.window.length + 1):
         if off < w.window.length and (w.bits >> off) & 1:
             streak += 1
         elif streak:
-            want.append(Run(w.window.base + off - streak, streak))
+            starts.append(w.window.base + off - streak)
+            ends.append(w.window.base + off - 1)
             streak = 0
-    assert w.runs() == want
+    assert w.run_bounds() == (tuple(starts), tuple(ends))
 
 
 @given(explicit_windows(), st.integers(0, 250), st.integers(0, 250))
@@ -741,6 +771,11 @@ def reference_parse_set(text):
     return tuple(merged)
 
 
+def bounds_of(runs):
+    """run_bounds() of a run list whose runs are the Runs given."""
+    return tuple(r.start for r in runs), tuple(r.end for r in runs)
+
+
 def _reference_ints(args, n, lineno):
     if len(args) != n:
         raise ParseError(f"expected {n} argument(s), got {len(args)}", lineno)
@@ -776,7 +811,7 @@ def test_parse_set_matches_reference_parser(text):
         assert type(got) is type(want)
         assert (str(got), got.lineno) == (str(want), want.lineno)
     elif isinstance(want, tuple):
-        assert isinstance(got, RunList) and got.runs == want
+        assert isinstance(got, RunList) and got.run_bounds() == bounds_of(want)
     else:
         assert got == want
 
@@ -804,8 +839,10 @@ def test_parse_set_matches_reference_parser_examples():
         got = parse_outcome(parse_set, text)
         if isinstance(want, ParseError):
             assert (type(got), str(got), got.lineno) == (type(want), str(want), want.lineno)
+        elif isinstance(want, tuple):
+            assert got.run_bounds() == bounds_of(want)
         else:
-            assert (got.runs if isinstance(want, tuple) else got) == want
+            assert got == want
 
 
 def test_parse_examples():
@@ -818,7 +855,7 @@ def test_parse_examples():
 
 def test_parse_comments_blank_lines_merge():
     rl = parse_set("# header\nrun 4 2\n\nelem 6  # trailing note\n")
-    assert rl.runs == (Run(4, 3),)
+    assert rl.run_bounds() == ((4,), (6,))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -857,7 +894,8 @@ def test_serialize_round_trips_random(rl):
 
 def test_serialize_window_as_runs():
     w = ExplicitWindow(Window(3, 6), 0b011011)
-    assert parse_set(serialize_set(w)) == w.to_run_list()
+    assert serialize_set(w) == "run 3 2\nrun 6 2\n"
+    assert parse_set(serialize_set(w)).run_bounds() == w.run_bounds()
 
 
 def test_serialize_rejects_affine_wrappers():

@@ -386,7 +386,7 @@ def test_one_set_one_verdict(case):
     each claim gets one witness: the smallest element that is not a set
     bit, else None."""
     w, run, claim, seq = case
-    forms = [w, w.to_run_list(), w.dilate(1)]
+    forms = [w, RunList(Run(s, e - s + 1) for s, e in zip(*w.run_bounds())), w.dilate(1)]
     for c, elements in ((run, range(run.start, run.end + 1)), (claim, claim.elements())):
         missing = next((x for x in elements if not w.member(x)), None)
         assert [verify_containment(c, a) for a in forms] == [missing] * 3
