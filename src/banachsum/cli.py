@@ -47,7 +47,16 @@ from .errors import (
     ParseError,
     PreconditionFailed,
 )
-from .intset import ExplicitWindow, IntSet, Window, _echo, parse_set, serialize_set
+from .intset import (
+    ExplicitWindow,
+    IntSet,
+    Window,
+    _echo,
+    from_decimal,
+    parse_set,
+    serialize_set,
+    to_decimal,
+)
 
 # Largest window, in bits, that profile, runs and ap-reduce will materialize,
 # and that family's bitmap route, on [0, --brute-span], may span.
@@ -58,13 +67,22 @@ STEP_BUDGET = 1 << 16
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
 
-# The largest limit sys.set_int_max_str_digits accepts (a C int).
-_MAX_STR_DIGITS = (1 << 31) - 1
-_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
-
 
 def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
+    """Compact JSON of value.  json.dumps refuses an integer past the
+    interpreter's int/str digit limit with ValueError; then the value is
+    written again with every integer in it converted by to_decimal, to the
+    same bytes."""
+    try:
+        return json.dumps(value, separators=(",", ":"))
+    except ValueError:
+        if type(value) is int:
+            return to_decimal(value)
+        if isinstance(value, dict):
+            return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ",".join(map(_dumps, value)) + "]"
+        raise
 
 
 def _emit(payload: dict) -> None:
@@ -103,10 +121,10 @@ def _write_array(write, values) -> None:
 
 
 def _int_arg(text: str) -> int:
-    """int(text); a refused token gets argparse's own message for
+    """from_decimal(text); a refused token gets argparse's own message for
     type=int, with the token cut as _echo cuts it."""
     try:
-        return int(text)
+        return from_decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
@@ -114,7 +132,7 @@ def _int_arg(text: str) -> int:
 def _window_arg(text: str) -> Window:
     try:
         base_s, len_s = text.split(":", 1)
-        return Window(int(base_s), int(len_s))
+        return Window(from_decimal(base_s), from_decimal(len_s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"window must look like BASE:LENGTH, got {_echo(text)} ({exc})"
@@ -123,13 +141,13 @@ def _window_arg(text: str) -> Window:
 
 def _resolve_ells(spec: str, k: int) -> list[int]:
     if k > STEP_BUDGET:
-        raise BudgetExceeded(f"{k} steps exceed the budget of {STEP_BUDGET} steps")
+        raise BudgetExceeded(f"{_echo(k)} steps exceed the budget of {STEP_BUDGET} steps")
     if spec == "j":
         return list(range(1, k + 1))
     try:
         if "," not in spec:
-            return [int(spec)] * k
-        parts = [int(p) for p in spec.split(",") if p.strip()]
+            return [from_decimal(spec)] * k
+        parts = [from_decimal(p) for p in spec.split(",") if p.strip()]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if len(parts) < k:
@@ -147,15 +165,18 @@ def _read_text(path: str) -> str:
 
 
 def _load_set(args) -> IntSet:
-    if args.input is not None:
-        return parse_set(_read_text(args.input))
-    return parse_set(args.set.replace(";", "\n"))
+    """The set of --set or --input.  A number in its text may have as many
+    digits as the digit budget, where the command has one, and SUM_DIGITS
+    more, but never fewer than at the default budget."""
+    budget = max(getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET), DEFAULT_DIGIT_BUDGET)
+    text = args.set.replace(";", "\n") if args.input is None else _read_text(args.input)
+    return parse_set(text, budget + SUM_DIGITS)
 
 
 def _check_window_bits(length: int) -> None:
     if length > WINDOW_BITS_BUDGET:
         raise BudgetExceeded(
-            f"window of {length} bits exceeds the budget of {WINDOW_BITS_BUDGET} bits"
+            f"window of {_echo(length)} bits exceeds the budget of {WINDOW_BITS_BUDGET} bits"
         )
 
 
@@ -183,6 +204,24 @@ def _add_window_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_choice_arg(
+    p: argparse.ArgumentParser, option: str, choices: tuple[str, ...], default: str
+) -> None:
+    """An option that takes one of choices.  Its type= function refuses
+    any other token with argparse's own `invalid choice` message, the token
+    cut as _echo cuts it; choices= only sets the usage text."""
+
+    def choice(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {_echo(text)} (choose from {listed})"
+            )
+        return text
+
+    p.add_argument(option, type=choice, choices=choices, default=default)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="banachsum",
@@ -193,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="windowed occupancy profile and density")
     _add_set_args(p)
     _add_window_arg(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_choice_arg(p, "--format", ("json", "csv"), "json")
 
     p = sub.add_parser("runs", help="run structure in a window; optional run search")
     _add_set_args(p)
@@ -213,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ells", default="j")
     p.add_argument("--k", type=_int_arg, default=8)
     p.add_argument("--k-sets", type=_int_arg, default=2)
-    p.add_argument("--scheme", choices=("residue", "blocks"), default="residue")
+    _add_choice_arg(p, "--scheme", ("residue", "blocks"), "residue")
     p.add_argument("--brute-span", type=_int_arg, default=2048)
     p.add_argument("--digit-budget", type=_int_arg, default=DEFAULT_DIGIT_BUDGET)
 
@@ -255,14 +294,14 @@ def _cmd_runs(args) -> int:
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
         # rows are built as _emit writes them, a slice at a time
-        "runs": ({"start": str(a), "len": b - a + 1} for a, b in zip(starts, ends)),
+        "runs": ({"start": to_decimal(a), "len": b - a + 1} for a, b in zip(starts, ends)),
         "longest_run": max((b - a + 1 for a, b in zip(starts, ends)), default=0),
     }
     if args.min_len is not None:
         check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)
         found = s.next_run(args.min_len, args.lower_bound)
         payload["next_run"] = (
-            None if found is None else {"start": str(found.start), "len": found.length}
+            None if found is None else {"start": to_decimal(found.start), "len": found.length}
         )
     if args.d is not None:
         payload["run_bound"] = check_run_bound(w, args.d).to_payload()
@@ -281,7 +320,7 @@ def _cmd_construct_b(args) -> int:
 def _cmd_family(args) -> int:
     # the bitmap route works on the window [0, brute_span]
     if args.brute_span < 0:
-        raise PreconditionFailed(f"--brute-span must be >= 0, got {args.brute_span}")
+        raise PreconditionFailed(f"--brute-span must be >= 0, got {_echo(args.brute_span)}")
     _check_window_bits(args.brute_span + 1)
     s = _load_set(args)
     ells = _resolve_ells(args.ells, args.k)
@@ -338,28 +377,12 @@ _HANDLERS = {
 }
 
 
-def _widen_digit_limit(limit: int, budget: int) -> None:
-    if limit:
-        sys.set_int_max_str_digits(min(max(limit, budget + SUM_DIGITS), _MAX_STR_DIGITS))
-
-
 def main(argv: list[str] | None = None) -> int:
-    # Integer/decimal conversions, options included, are bounded by the digit
-    # budget (--digit-budget, once parsed, where there is one) rather than by
-    # Python's default of 4300 digits, and only for the duration of this call.
-    # The limit is process-wide: threads calling main at once share it.
-    limit = sys.get_int_max_str_digits()
-    _widen_digit_limit(limit, DEFAULT_DIGIT_BUDGET)
-    # numpy, imported only by profiles of many runs, starts one OpenBLAS
-    # thread per core at import; no command calls BLAS, so one thread
-    # saves that start-up.  A caller's own setting wins, and the variable
-    # is unset again on return, process-wide like the limit above.
-    pin_blas = _BLAS_THREADS not in os.environ
-    if pin_blas:
-        os.environ[_BLAS_THREADS] = "1"
+    """Run one command and return its exit code.  Integers cross into and
+    out of the call through intset's decimal codec, so the answer depends
+    on argv alone: no process-wide setting is read or changed."""
     try:
         args = _build_parser().parse_args(argv)
-        _widen_digit_limit(limit, getattr(args, "digit_budget", DEFAULT_DIGIT_BUDGET))
         return _HANDLERS[args.subcommand](args)
     except SystemExit as exc:  # argparse: 2 for usage errors, 0 after --help
         return int(exc.code or 0)
@@ -372,10 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except (BanachsumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(limit)
-        if pin_blas:
-            os.environ.pop(_BLAS_THREADS, None)
 
 
 def run() -> NoReturn:
@@ -389,7 +408,12 @@ def run() -> NoReturn:
     ``sys.exit`` instead, so the interpreter reports the failing stream as
     it would after ``sys.exit(main())``.  An exception that escapes ``main``
     is not caught: it ends the process with a traceback and exit code 1.
+
+    numpy, imported only by profiles of many runs, starts one OpenBLAS
+    thread per core at import; no command calls BLAS, so the process pins
+    one thread, which saves that start-up.  A caller's own setting wins.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     try:
         sys.stdout.flush()

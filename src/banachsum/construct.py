@@ -39,10 +39,13 @@ from .intset import (
     RunList,
     Window,
     _comb,
+    _echo,
     _merge_spans,
     _streak,
     decimal_digits,
+    from_decimal,
     serialize_set,
+    to_decimal,
 )
 from .sumset import (
     SUBSET_BUDGET_MAX,
@@ -110,9 +113,9 @@ class BSequence(Record):
         for j in range(k):
             b, ell, cert = bs[j], ells[j], certificates[j]
             if ell < 1:
-                raise ValueError(f"run length {ell} at step {j + 1} must be >= 1")
+                raise ValueError(f"run length {_echo(ell)} at step {j + 1} must be >= 1")
             if b < 1:
-                raise ValueError(f"base {b} at step {j + 1} must be >= 1")
+                raise ValueError(f"base {_echo(b)} at step {j + 1} must be >= 1")
             if j > 0 and b < bs[j - 1] + ells[j - 1]:
                 raise ValueError(
                     f"base at step {j + 1} must clear the previous run entirely"
@@ -120,7 +123,7 @@ class BSequence(Record):
             total += b + ell
             if cert.start > b or cert.end < total - 1:
                 raise ValueError(
-                    f"certificate at step {j + 1} must cover [{b}, {total - 1}]"
+                    f"certificate at step {j + 1} must cover [{_echo(b)}, {_echo(total - 1)}]"
                 )
         super().__init__(ells, bs, certificates)
 
@@ -135,9 +138,9 @@ class BSequence(Record):
     def to_payload(self) -> dict:
         return {
             "ells": list(self.ells),
-            "bs": [str(b) for b in self.bs],
+            "bs": [to_decimal(b) for b in self.bs],
             "certificates": [
-                {"start": str(c.start), "len": c.length} for c in self.certificates
+                {"start": to_decimal(c.start), "len": c.length} for c in self.certificates
             ],
         }
 
@@ -165,14 +168,14 @@ class BSequence(Record):
 
 
 def budget_int(text: str) -> int:
-    """int(text), refusing text longer than DEFAULT_DIGIT_BUDGET before
-    converting it; usable as json.load's parse_int."""
+    """from_decimal(text), refusing text longer than DEFAULT_DIGIT_BUDGET
+    before converting it; usable as json.load's parse_int."""
     if len(text) > DEFAULT_DIGIT_BUDGET:
         raise BudgetExceeded(
             f"a number of {len(text)} digits exceeds the budget of "
             f"{DEFAULT_DIGIT_BUDGET} digits"
         )
-    return int(text)
+    return from_decimal(text)
 
 
 def _exact_int(value, what: str, text: bool = False) -> int:
@@ -181,7 +184,15 @@ def _exact_int(value, what: str, text: bool = False) -> int:
         return value
     if text and type(value) is str:
         return budget_int(value)
-    raise TypeError(f"{what} must be an integer, got {value!r}")
+    # a string is cut as _echo cuts it; a value that is no scalar is named
+    # by its type, since its repr can be as long as the file
+    if isinstance(value, str):
+        shown = _echo(value)
+    elif value is None or isinstance(value, (bool, float)):
+        shown = repr(value)
+    else:
+        shown = f"a {type(value).__name__}"
+    raise TypeError(f"{what} must be an integer, got {shown}")
 
 
 def check_start_digits(
@@ -193,7 +204,7 @@ def check_start_digits(
     est = a.next_run_start_digits(min_len, lower_bound)
     if est is not None and est > digit_budget + SUM_DIGITS:
         raise BudgetExceeded(
-            f"{what} needs about {est} digits, over the budget of {digit_budget}"
+            f"{what} needs about {est} digits, over the budget of {_echo(digit_budget)}"
         )
 
 
@@ -213,9 +224,11 @@ def build_b_sequence(
     if k is None:
         k = len(ells)
     if k < 1:
-        raise PreconditionFailed(f"need at least one step, got k={k}")
+        raise PreconditionFailed(f"need at least one step, got k={_echo(k)}")
     if len(ells) < k:
-        raise PreconditionFailed(f"{k} steps need {k} run lengths, got {len(ells)}")
+        raise PreconditionFailed(
+            f"{_echo(k)} steps need {_echo(k)} run lengths, got {len(ells)}"
+        )
     if any(ell < 1 for ell in ells[:k]):
         raise PreconditionFailed("every run length must be >= 1")
     bs: list[int] = []
@@ -230,18 +243,18 @@ def build_b_sequence(
             found = a.next_run(need, lb)
         except HorizonExceeded as exc:
             raise NoSuitableRun(
-                f"step {j}: target exhausted looking for a run of {need} "
-                f"at or above {lb}"
+                f"step {j}: target exhausted looking for a run of {_echo(need)} "
+                f"at or above {_echo(lb)}"
             ) from exc
         if found is None:
             raise NoSuitableRun(
-                f"step {j}: target provably has no run of {need} at or above {lb}"
+                f"step {j}: target provably has no run of {_echo(need)} at or above {_echo(lb)}"
             )
         b = found.start
         if decimal_digits(b) > digit_budget:
             raise BudgetExceeded(
                 f"step {j}: base has {decimal_digits(b)} digits, over the "
-                f"budget of {digit_budget}"
+                f"budget of {_echo(digit_budget)}"
             )
         bs.append(b)
         certs.append(Run(b, need))
@@ -275,7 +288,7 @@ class SweepReport(Record):
     def to_payload(self) -> dict:
         payload: dict = {"status": self.status.value, "checked": self.checked}
         if self.witness is not None:
-            payload["witness"] = str(self.witness)
+            payload["witness"] = to_decimal(self.witness)
             payload["witness_subset"] = list(self.witness_subset)
         return payload
 
@@ -483,7 +496,7 @@ def verify_b_sequence(
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     if k < 0:
-        raise PreconditionFailed(f"k_limit must be >= 0, got {k_limit}")
+        raise PreconditionFailed(f"k_limit must be >= 0, got {_echo(k_limit)}")
     runs = [seq.run(j) for j in range(1, k + 1)]
     if _hulls_pass(runs, a, brute_span):
         return SweepReport((1 << k) - 1)
@@ -508,7 +521,7 @@ class BFamily(Record):
             "k_sets": self.k_sets,
             "index_sets": [list(ix) for ix in self.index_sets],
             "sets": [
-                [{"start": str(s), "len": e - s + 1} for s, e in zip(*rl.run_bounds())]
+                [{"start": to_decimal(s), "len": e - s + 1} for s, e in zip(*rl.run_bounds())]
                 for rl in self.sets
             ],
         }
@@ -524,7 +537,7 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
     k = seq.k
     if not 1 <= k_sets <= k:
         raise PreconditionFailed(
-            f"component count must lie in [1, {k}], got {k_sets}"
+            f"component count must lie in [1, {k}], got {_echo(k_sets)}"
         )
     if scheme == "residue":
         index_sets = tuple(
@@ -554,7 +567,8 @@ def _check_disjoint(family: BFamily) -> None:
     if clash is not None:
         (s1, e1, i1), (s2, e2, i2) = clash
         raise DisjointnessViolation(
-            f"component {i1} run [{s1}, {e1}] overlaps component {i2} run [{s2}, {e2}]"
+            f"component {i1} run [{_echo(s1)}, {_echo(e1)}] overlaps "
+            f"component {i2} run [{_echo(s2)}, {_echo(e2)}]"
         )
 
 
@@ -648,7 +662,7 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     first quotient q >= 1 to its last.
     """
     if m_max < 1:
-        raise PreconditionFailed(f"difference bound must be >= 1, got {m_max}")
+        raise PreconditionFailed(f"difference bound must be >= 1, got {_echo(m_max)}")
     if w.bits == 0:
         raise PreconditionFailed("window has no members to reduce")
     base, end = w.window.base, w.window.end
@@ -676,10 +690,15 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
 
 
 def escape_i0(t: int) -> int:
-    """Smallest i >= 1 with 4**i - i > t."""
+    """Smallest i >= 1 with 4**i - i > t.
+
+    4**i - i increases with i.  The search starts at i = bit_length(t) // 2,
+    where 4**(i - 1) <= t / 2 for i >= 2, so nothing smaller qualifies, and
+    4**(i + 1) - (i + 1) > t: at most one step up is taken.
+    """
     if t < 0:
-        raise PreconditionFailed(f"shift must be >= 0, got {t}")
-    i = 1
+        raise PreconditionFailed(f"shift must be >= 0, got {_echo(t)}")
+    i = max(t.bit_length() // 2, 1)
     while (1 << 2 * i) - i <= t:
         i += 1
     return i
@@ -737,12 +756,12 @@ def verify_escape(t: int, i_max: int) -> EscapeReport:
     """
     if i_max > ESCAPE_I_MAX_BUDGET:
         raise BudgetExceeded(
-            f"rungs up to i_max = {i_max} exceed the budget of {ESCAPE_I_MAX_BUDGET}"
+            f"rungs up to i_max = {_echo(i_max)} exceed the budget of {ESCAPE_I_MAX_BUDGET}"
         )
     i0 = escape_i0(t)
     if i_max < i0:
         raise PreconditionFailed(
-            f"need i_max >= {i0} for shift {t}, got {i_max}"
+            f"need i_max >= {i0} for shift {_echo(t)}, got {_echo(i_max)}"
         )
     gen = PowRuns(4)
     return EscapeReport(t, tuple(_escape_check(gen, t, i) for i in range(i0, i_max + 1)))

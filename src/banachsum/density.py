@@ -39,7 +39,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BadLength, PreconditionFailed
-from .intset import ExplicitWindow, IntSet, Record, _streak
+from .intset import ExplicitWindow, IntSet, Record, _echo, _streak
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -83,7 +83,7 @@ def f_naive(w: ExplicitWindow, n: int) -> int:
     """
     N = w.window.length
     if not 1 <= n <= N:
-        raise BadLength(f"block length must lie in [1, {N}], got {n}")
+        raise BadLength(f"block length must lie in [1, {N}], got {_echo(n)}")
     mask = (1 << n) - 1
     best = 0
     bits = w.bits
@@ -262,7 +262,7 @@ def fekete_qd_check(profile: WindowProfile, d: int) -> bool:
     """True iff f[n] <= (n // d) * f[d] + f[n % d] for all n in [d, N]."""
     N = profile.window_length
     if not 1 <= d <= N:
-        raise BadLength(f"divisor must lie in [1, {N}], got {d}")
+        raise BadLength(f"divisor must lie in [1, {N}], got {_echo(d)}")
     import numpy as np
 
     f = np.asarray(profile.f, dtype=np.int64)
@@ -313,7 +313,7 @@ def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
     error, and AssertionError names both values.
     """
     if d < 2:
-        raise BadLength(f"run bound needs d >= 2, got {d}")
+        raise BadLength(f"run bound needs d >= 2, got {_echo(d)}")
     lr = longest_run(w)
     starts, ends = w.run_bounds()
     lr_bounds = max((e - s + 1 for s, e in zip(starts, ends)), default=0)

@@ -14,12 +14,17 @@ run bounds of an ExplicitWindow, built on first use.  A finite set lists
 its runs one way, run_bounds(), and answers run queries from it by
 bisection.  The integer 0 is never a member of any set here, even when an
 explicit window happens to cover it.
+
+This module also holds the one decimal codec of the package: to_decimal
+and from_decimal turn integers into decimal text and back, whatever the
+interpreter's int/str digit limit, so no call depends on or changes that
+process-wide setting.  Text of more than DECIMAL_DIGIT_LIMIT digits is
+refused unless a caller names a larger limit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -40,7 +45,19 @@ __all__ = [
     "serialize_set",
     "nth_root_floor",
     "decimal_digits",
+    "DECIMAL_DIGIT_LIMIT",
+    "to_decimal",
+    "from_decimal",
 ]
+
+# Most digits from_decimal accepts by default: the default digit budget of
+# construct, 100 000, plus the 64 digits it allows sums of bases past it.
+DECIMAL_DIGIT_LIMIT = 100_064
+# Digits per builtin int() or str() call inside the codec.  The
+# interpreter's int/str digit limit, whatever it is set to, never applies
+# to 640 digits or fewer.
+_LEAF_DIGITS = 512
+_LEAF = 10**_LEAF_DIGITS
 
 
 def decimal_digits(x: int) -> int:
@@ -48,6 +65,77 @@ def decimal_digits(x: int) -> int:
     if x < 10:
         return 1
     return (x.bit_length() * 30103) // 100000 + 1
+
+
+def to_decimal(x: int) -> str:
+    """str(x), built from builtin str() calls of at most _LEAF_DIGITS digits.
+
+    A long x is split by divmod at a power 10**(_LEAF_DIGITS * 2**j), the
+    powers found by squaring, and each part in turn, down to leaves below
+    10**_LEAF_DIGITS; every part but the highest is zero-filled.
+    """
+    if abs(x) < _LEAF:
+        return str(x)
+    if x < 0:
+        return "-" + to_decimal(-x)
+    powers = [_LEAF]
+    # square until the square of the last power exceeds x
+    while 2 * powers[-1].bit_length() - 1 <= x.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    return _decimal(x, powers, len(powers), False)
+
+
+def _decimal(x: int, powers: list[int], j: int, pad: bool) -> str:
+    """The digits of 0 <= x < 10**(_LEAF_DIGITS << j), zero-filled to that
+    many digits when pad is true."""
+    if j == 0:
+        text = str(x)
+        return text.zfill(_LEAF_DIGITS) if pad else text
+    hi, lo = divmod(x, powers[j - 1])
+    if not (hi or pad):
+        return _decimal(lo, powers, j - 1, False)
+    return _decimal(hi, powers, j - 1, pad) + _decimal(lo, powers, j - 1, True)
+
+
+def from_decimal(text: str, limit: int = DECIMAL_DIGIT_LIMIT) -> int:
+    """int(text) for text of at most limit digits, else ValueError.
+
+    The grammar is int()'s in base 10: surrounding whitespace, one sign,
+    Unicode decimal digits and single underscores between digits; a
+    refused text gets int()'s own message.  Digits are counted as int()
+    counts them, without sign, whitespace and underscores.  Long text is
+    split at the powers of ten that to_decimal uses, so no builtin int()
+    call sees more than _LEAF_DIGITS digits.
+    """
+    if len(text) <= _LEAF_DIGITS <= limit:
+        return int(text)
+    digits = text.strip()
+    sign = digits[:1]
+    if sign in ("+", "-"):
+        digits = digits[1:]
+    if "_" in digits and digits[0] != "_" and digits[-1] != "_" and "__" not in digits:
+        digits = digits.replace("_", "")
+    if not digits.isdecimal():
+        raise ValueError(f"invalid literal for int() with base 10: {repr(text)[:200]}")
+    if len(digits) > limit:
+        raise ValueError(f"a number of {len(digits)} digits exceeds the limit of {limit}")
+    powers = [_LEAF]
+    while _LEAF_DIGITS << len(powers) < len(digits):
+        powers.append(powers[-1] * powers[-1])
+    value = _from_digits(digits, powers)
+    return -value if sign == "-" else value
+
+
+def _from_digits(digits: str, powers: list[int]) -> int:
+    """The value of a string of decimal digits: its last _LEAF_DIGITS << j
+    digits, for the largest j that leaves some before them, and those
+    before them, joined by one product with powers[j]."""
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    j = ((len(digits) - 1) // _LEAF_DIGITS).bit_length() - 1
+    width = _LEAF_DIGITS << j
+    high, low = digits[:-width], digits[-width:]
+    return _from_digits(high, powers) * powers[j] + _from_digits(low, powers)
 
 
 def nth_root_floor(x: int, p: int) -> int:
@@ -147,9 +235,9 @@ class Run(Record):
 
     def __init__(self, start: int, length: int):
         if start < 1:
-            raise ValueError(f"run start must be positive, got {start}")
+            raise ValueError(f"run start must be positive, got {_echo(start)}")
         if length < 1:
-            raise ValueError(f"run length must be >= 1, got {length}")
+            raise ValueError(f"run length must be >= 1, got {_echo(length)}")
         super().__init__(start, length)
 
     @property
@@ -164,9 +252,9 @@ class Window(Record):
 
     def __init__(self, base: int, length: int):
         if base < 0:
-            raise ValueError(f"window base must be >= 0, got {base}")
+            raise ValueError(f"window base must be >= 0, got {_echo(base)}")
         if length < 1:
-            raise ValueError(f"window length must be >= 1, got {length}")
+            raise ValueError(f"window length must be >= 1, got {_echo(length)}")
         super().__init__(base, length)
 
     @property
@@ -305,9 +393,9 @@ class ExplicitWindow(IntSet):
         """The members x mapped to m*x + r, for m >= 1 and r >= 0, on the
         window's image [m*base + r, m*end + r]."""
         if m < 1:
-            raise ValueError(f"dilation factor must be >= 1, got {m}")
+            raise ValueError(f"dilation factor must be >= 1, got {_echo(m)}")
         if r < 0:
-            raise ValueError(f"dilation shift must be >= 0, got {r}")
+            raise ValueError(f"dilation shift must be >= 0, got {_echo(r)}")
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
@@ -449,9 +537,9 @@ class Congruence(Record, IntSet):
 
     def __init__(self, m: int, r: int):
         if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
+            raise ValueError(f"modulus must be >= 1, got {_echo(m)}")
         if not 0 <= r < m:
-            raise ValueError(f"residue must lie in [0, {m - 1}], got {r}")
+            raise ValueError(f"residue must lie in [0, {_echo(m - 1)}], got {_echo(r)}")
         super().__init__(m, r)
 
     @property
@@ -603,7 +691,7 @@ class PowRuns(Record, _IndexedRuns):
 
     def __init__(self, c: int):
         if c < 2:
-            raise ValueError(f"base must be >= 2, got {c}")
+            raise ValueError(f"base must be >= 2, got {_echo(c)}")
         super().__init__(c)
 
     def _run(self, i: int) -> Run:
@@ -639,7 +727,7 @@ class PolyRuns(Record, _IndexedRuns):
 
     def __init__(self, p: int):
         if p < 2:
-            raise ValueError(f"exponent must be >= 2, got {p}")
+            raise ValueError(f"exponent must be >= 2, got {_echo(p)}")
         super().__init__(p)
 
     def _run(self, i: int) -> Run:
@@ -743,13 +831,13 @@ def _first_fit(
         if b + min_len - 1 <= ends[i]:
             return Run(b, min_len)
     raise HorizonExceeded(
-        f"no run of length {min_len} at or above {lower_bound} {where}"
+        f"no run of length {_echo(min_len)} at or above {_echo(lower_bound)} {where}"
     )
 
 
 def _check_min_len(min_len: int) -> None:
     if min_len < 1:
-        raise PreconditionFailed(f"run length must be >= 1, got {min_len}")
+        raise PreconditionFailed(f"run length must be >= 1, got {_echo(min_len)}")
 
 
 # Each generator form by its name in the grammar: `gen <name>` followed by
@@ -757,14 +845,15 @@ def _check_min_len(min_len: int) -> None:
 _GENERATORS = {"full": Full, "congruence": Congruence, "pow_runs": PowRuns, "poly_runs": PolyRuns}
 
 
-def parse_set(text: str) -> IntSet:
+def parse_set(text: str, digit_limit: int = DECIMAL_DIGIT_LIMIT) -> IntSet:
     """Parse the line-oriented set description grammar.
 
     One directive per line: ``run <start> <len>``, ``elem <x>``, or
     ``gen <form> <ints>`` for a form of _GENERATORS.  ``#`` starts a
     comment; blank lines are ignored.  A generator directive must be the
     only directive in the text.  Declared runs may touch (they are merged)
-    but must not overlap.
+    but must not overlap.  A decimal number of more than digit_limit
+    digits raises BudgetExceeded.
 
     One pass over the lines collects (start, end, lineno) triples, one
     stable sort by start orders them, so runs with equal starts keep their
@@ -785,12 +874,12 @@ def parse_set(text: str) -> IntSet:
         if head == "gen":
             if spans:
                 raise ParseError("a generator must be the only directive", lineno)
-            gen = _parse_gen(args, lineno)
+            gen = _parse_gen(args, lineno, digit_limit)
             continue
         if head == "run":
-            start, length = _parse_ints(args, 2, lineno)
+            start, length = _parse_ints(args, 2, lineno, digit_limit)
         elif head == "elem":
-            (start,) = _parse_ints(args, 1, lineno)
+            (start,) = _parse_ints(args, 1, lineno, digit_limit)
             length = 1
         else:
             raise ParseError(f"unknown directive {_echo(head)}", lineno)
@@ -803,7 +892,9 @@ def parse_set(text: str) -> IntSet:
     starts, ends, clash = _merge_spans(spans)
     if clash is not None:
         (ps, pe, _), (s, e, lineno) = clash
-        raise OverlapError(f"run [{s}, {e}] overlaps run [{ps}, {pe}]", lineno)
+        raise OverlapError(
+            f"run [{_echo(s)}, {_echo(e)}] overlaps run [{_echo(ps)}, {_echo(pe)}]", lineno
+        )
     return RunList._from_bounds(starts, ends)
 
 
@@ -839,27 +930,31 @@ def _merge_spans(
     return starts, ends, clash
 
 
-def _parse_ints(args: list[str], n: int, lineno: int) -> list[int]:
+def _parse_ints(args: list[str], n: int, lineno: int, digit_limit: int) -> list[int]:
     if len(args) != n:
         raise ParseError(f"expected {n} argument(s), got {len(args)}", lineno)
     out = []
     for a in args:
         try:
-            out.append(int(a, 10))
+            out.append(from_decimal(a, digit_limit))
         except ValueError:
             digits = a[1:] if a[0] in "+-" else a
             if digits.isdecimal():
-                # only the int/str digit limit refuses a decimal token
+                # only the digit limit refuses a decimal token
                 raise BudgetExceeded(f"line {lineno}: a number of {len(digits)} digits "
-                                     f"exceeds the limit of {sys.get_int_max_str_digits()}") from None
+                                     f"exceeds the limit of {digit_limit}") from None
             raise ParseError(f"not an integer: {_echo(a)}", lineno) from None
     return out
 
 
-def _echo(token: str) -> str:
-    """The repr of token for an error message.  A token of more than 200
-    characters, the cut CPython's int() makes in its own message, shows
-    its first 200, then an ellipsis and its length."""
+def _echo(token: str | int) -> str:
+    """A token as an error message quotes it: a string by its repr, an
+    integer in decimal.  A token of more than 200 characters, the cut
+    CPython's int() makes in its own message, shows its first 200, then an
+    ellipsis and its length."""
+    if isinstance(token, int):
+        text = to_decimal(token)
+        return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
     if len(token) <= 200:
         return repr(token)
     return f"{token[:200]!r}… ({len(token)} characters)"
@@ -872,11 +967,13 @@ def _make_run(start: int, length: int, lineno: int) -> Run:
         raise ParseError(str(exc), lineno) from None
 
 
-def _parse_gen(args: list[str], lineno: int) -> IntSet:
+def _parse_gen(
+    args: list[str], lineno: int, digit_limit: int = DECIMAL_DIGIT_LIMIT
+) -> IntSet:
     cls = _GENERATORS.get(args[0]) if args else None
     if cls is None:
         raise ParseError(f"generator must be one of {sorted(_GENERATORS)}", lineno)
-    values = _parse_ints(args[1:], len(cls._fields), lineno)
+    values = _parse_ints(args[1:], len(cls._fields), lineno, digit_limit)
     try:
         return cls(*values)
     except ValueError as exc:
@@ -891,10 +988,11 @@ def serialize_set(s: IntSet) -> str:
     """
     if isinstance(s, (RunList, ExplicitWindow)):
         lines = [
-            f"elem {a}" if a == b else f"run {a} {b - a + 1}" for a, b in zip(*s.run_bounds())
+            f"elem {to_decimal(a)}" if a == b else f"run {to_decimal(a)} {to_decimal(b - a + 1)}"
+            for a, b in zip(*s.run_bounds())
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     for form, cls in _GENERATORS.items():
         if isinstance(s, cls):
-            return " ".join(["gen", form, *map(str, s._values())]) + "\n"
+            return " ".join(["gen", form, *map(to_decimal, s._values())]) + "\n"
     raise ValueError(f"no text form for {type(s).__name__}")

@@ -250,6 +250,9 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("runs", "--set", full, "--window", f"{long}:8")
     call("gen", "--set", f"elem {long}")
     call("gen", "--set", f"x{long}")
+    # and as a choice of --format or --scheme
+    call("profile", "--set", full, "--format", long)
+    call("family", "--set", full, "--scheme", long)
     return files, calls
 
 

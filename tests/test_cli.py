@@ -27,6 +27,7 @@ import banachsum
 from banachsum import cli
 from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
 from banachsum.construct import DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET, SUM_DIGITS
+from banachsum.intset import DECIMAL_DIGIT_LIMIT
 from oracles import from_entries
 
 
@@ -212,6 +213,8 @@ DENSE_PROFILE_ARGV = ["profile", "--set", DENSE_ARGV[2], "--window", DENSE_ARGV[
 def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
     import banachsum.density as density
 
+    # in-process, main reads and changes no environment variable: the
+    # dense profile takes the numpy route under the caller's setting
     seen = []
     spans = density._profile_from_spans
 
@@ -221,16 +224,27 @@ def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
 
     monkeypatch.setattr(density, "_profile_from_spans", spy)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
     code, out, _ = run_cli(capsys, *DENSE_PROFILE_ARGV)
     assert code == 0 and json.loads(out)["f"][:3] == [1, 2, 3]
-    assert seen == ["1"] and "OPENBLAS_NUM_THREADS" not in os.environ
-    # restored on an error exit too
+    assert seen == [None] and dict(os.environ) == before
     assert run_cli(capsys, "profile", "--set", "run 0 1")[0] == 2
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    # a caller's own setting wins and is left alone
+    assert dict(os.environ) == before
+    # run(), the console entry point, owns the process: it pins one thread
+    # before main, and a caller's own setting wins
+    calls = []
+
+    def fake_main():
+        calls.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return 3
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.os, "_exit", calls.append)
+    cli.run()
+    assert calls == ["1", 3]
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    assert run_cli(capsys, *DENSE_PROFILE_ARGV)[0] == 0
-    assert seen == ["1", "4"] and os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    cli.run()
+    assert calls == ["1", 3, "4", 3]
 
 
 # ----------------------------------------------------- construct and verify
@@ -351,6 +365,15 @@ def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
         )
         assert (code, stdout) == (2, ""), (where, key, value)
         assert "must be an integer" in err
+    # a long string is cut, and a list is named, not printed: its repr could
+    # be as long as the file, or past the interpreter's int/str limit
+    for value, shown in (("1" * 100_000, "… (100000 characters)\n"),
+                         (["BIG"], "got a list\n")):
+        payload = json.loads(out)
+        payload["ells"][0] = value
+        path.write_text(json.dumps(payload).replace('"BIG"', "7" * 5000), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+        assert (code, stdout) == (2, "") and err.endswith(shown) and len(err) < 1024
     # the untouched payload still verifies
     path.write_text(json.dumps(good), encoding="utf-8")
     code, _, _ = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
@@ -375,9 +398,9 @@ def test_bases_past_4300_digits_round_trip(capsys, tmp_path):
         )
         assert code == 0
         assert json.loads(out) == {"status": "Pass", "checked": 2**14 - 1}
-        # the raised limit lasts for one call only
+        # main never changes the limit
         assert sys.get_int_max_str_digits() == 4300
-        # a budget past what the interpreter's limit can hold is still a budget
+        # a budget past any int/str limit the interpreter accepts is still a budget
         code, _, _ = run_cli(
             capsys, "construct-b", "--set", "gen full", "--k", "2",
             "--digit-budget", str(10**12),
@@ -411,8 +434,8 @@ def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
 
 
 def test_options_take_integers_past_4300_digits(capsys):
-    # options are parsed under the raised limit too, and every return,
-    # argparse's usage exit included, restores the caller's limit
+    # options go through the decimal codec too, and no return, argparse's
+    # usage exit included, has changed the caller's limit
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -449,6 +472,36 @@ def test_set_text_numbers_over_the_digit_limit_are_budget_errors(capsys, tmp_pat
     assert (code, out) == (2, "") and "not an integer" in err
 
 
+def test_set_text_digit_limit_follows_the_digit_budget(capsys):
+    # max(--digit-budget, DEFAULT_DIGIT_BUDGET) + SUM_DIGITS digits, and
+    # options take as many as at the default budget
+    assert DECIMAL_DIGIT_LIMIT == DEFAULT_DIGIT_BUDGET + SUM_DIGITS
+    elem = "1" + "0" * 149_999
+    code, out, err = run_cli(
+        capsys, "construct-b", "--set", f"elem {elem}", "--k", "1", "--digit-budget", "200000"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bs"] == [elem]
+    for budget in ([], ["--digit-budget", "10"]):
+        code, out, _ = run_cli(capsys, "construct-b", "--set", f"elem {elem}", "--k", "1", *budget)
+        assert code == 3 and json.loads(out)["detail"].endswith(
+            f"exceeds the limit of {DEFAULT_DIGIT_BUDGET + SUM_DIGITS}"
+        )
+
+
+@pytest.mark.parametrize("digits", ["0", "300000"])
+def test_the_interpreter_digit_limit_changes_no_answer(tmp_path, digits):
+    # the set-text limit is the CLI's own, whatever PYTHONINTMAXSTRDIGITS says
+    path = tmp_path / "huge_elem.txt"
+    path.write_text(f"elem 1{'0' * 200_000}\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "banachsum", "gen", "--input", str(path)],
+        capture_output=True, env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": digits},
+    )
+    assert (proc.returncode, proc.stderr) == (3, b"")
+    assert json.loads(proc.stdout)["error"] == "BudgetExceeded"
+
+
 LONG_TOKEN = f"1{'0' * 200_000}x"
 
 
@@ -458,6 +511,15 @@ def shown(token):
     if len(token) <= 200:
         return repr(token)
     return f"{token[:200]!r}… ({len(token)} characters)"
+
+
+def cut(digits):
+    """An integer's decimal digits as a message quotes them: cut as shown
+    cuts a token, with no quotes."""
+    return f"{digits[:200]}… ({len(digits)} characters)"
+
+
+LONG_INT = "1" + "0" * 99_999
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -474,6 +536,24 @@ def shown(token):
      f"argument --k: invalid int value: {'1' * 199 + 'x'!r}\n"),
     (["escape", "--i-max", "3", "--t", "1" * 200 + "x"],
      f"argument --t: invalid int value: {shown('1' * 200 + 'x')}\n"),
+    # a choice, argparse's own wording up to 200 characters too
+    (["profile", "--set", "gen full", "--format", LONG_TOKEN],
+     f"argument --format: invalid choice: {shown(LONG_TOKEN)} (choose from 'json', 'csv')\n"),
+    (["family", "--set", "gen full", "--scheme", "y" * 200],
+     f"argument --scheme: invalid choice: {'y' * 200!r} (choose from 'residue', 'blocks')\n"),
+    # an integer that parsed but is out of range, quoted by a value error
+    (["gen", "--set", f"run -{LONG_INT} 2"],
+     f"error: line 1: run start must be positive, got {cut('-' + LONG_INT)}\n"),
+    (["gen", "--set", f"gen congruence {LONG_INT} {LONG_INT}"],
+     f"error: line 1: residue must lie in [0, {cut('9' * 99_999)}], got {cut(LONG_INT)}\n"),
+    (["family", "--set", "gen full", "--k", "8", "--k-sets", f"{LONG_INT}0"],
+     f"error: component count must lie in [1, 8], got {cut(LONG_INT + '0')}\n"),
+    (["escape", "--t", f"-{LONG_INT}0", "--i-max", "3"],
+     f"error: shift must be >= 0, got {cut('-' + LONG_INT + '0')}\n"),
+    (["escape", "--t", f"{LONG_INT}0", "--i-max", "10"],
+     f"error: need i_max >= 166097 for shift {cut(LONG_INT + '0')}, got 10\n"),
+    (["runs", "--set", "gen full", "--d", f"-{LONG_INT}"],
+     f"error: run bound needs d >= 2, got {cut('-' + LONG_INT)}\n"),
 ])
 def test_over_long_bad_tokens_are_cut_in_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -732,6 +812,21 @@ def test_emit_writes_the_bytes_of_one_json_dumps(capsys, n):
                "s": "x\u00e9", "n": None, "rows": rows}
     cli._emit({**payload, "rows": iter(rows)})
     assert capsys.readouterr().out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_emit_writes_integers_past_the_int_str_limit(capsys):
+    big = 7**6000  # 5 071 digits
+    payload = {"window": {"base": big, "length": 8}, "ells": [1, -big, True],
+               "checked": big, "rows": [{"start": "1", "len": big}] * 3, "ok": None}
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        cli._emit({**payload, "rows": iter(payload["rows"])})
+        sys.set_int_max_str_digits(0)
+        want = json.dumps(payload, separators=(",", ":")) + "\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert capsys.readouterr().out == want
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

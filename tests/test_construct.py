@@ -3,9 +3,10 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banachsum import construct, intset
@@ -39,6 +40,7 @@ from banachsum.intset import (
     Run,
     RunList,
     Window,
+    from_decimal,
     nth_root_floor,
     parse_set,
 )
@@ -215,6 +217,23 @@ def test_sweep_matches_reference_past_the_int_str_limit():
     got = verify_b_sequence(bad, PowRuns(2))
     assert (got.witness.bit_length(), got.witness_subset) == (32785, (3, 2, 1))
     assert got == reference_sweep(bad, PowRuns(2))
+
+
+def test_sweep_payload_past_the_int_str_limit():
+    # to_payload writes the witness through intset's decimal codec, so a
+    # library caller gets it under the interpreter's default limit
+    seq = build_b_sequence(PowRuns(2), [3, 4, 1])
+    bad = from_entries(seq.ells, seq.bs[:2] + (seq.bs[2] + 7,))
+    report = verify_b_sequence(bad, PowRuns(2))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        payload = report.to_payload()
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(payload["witness"]) == 9869
+    assert from_decimal(payload["witness"]) == report.witness
+    assert payload["witness_subset"] == [3, 2, 1]
 
 
 class MemberOnly(IntSet):
@@ -925,6 +944,25 @@ def test_escape_threshold_examples():
     assert escape_i0(100) == 4
     with pytest.raises(ValueError):
         escape_i0(-1)
+
+
+def escape_i0_by_steps(t):
+    """The smallest i >= 1 with 4**i - i > t, trying every i from 1 up."""
+    i = 1
+    while (1 << 2 * i) - i <= t:
+        i += 1
+    return i
+
+
+# the shifts on both sides of the step at i: 4**i - i - 1, 4**i - i, 4**i - i + 1
+boundaries = st.builds(lambda i, d: (1 << 2 * i) - i + d, st.integers(1, 4000), st.integers(-1, 1))
+
+
+@given(boundaries | st.integers(0, 10**3000))
+@example((1 << 2 * 166_096) - 166_096)  # a shift of 100 000 digits
+@settings(deadline=None)
+def test_escape_i0_matches_the_stepping_loop(t):
+    assert escape_i0(t) == escape_i0_by_steps(t)
 
 
 def test_escape_reports():

@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import banachsum
 from golden import COLUMNS, MANIFEST, changes, corpus, entry, replay
 
@@ -65,6 +67,28 @@ def test_cli_output_matches_the_manifest(tmp_path, monkeypatch):
         *_, code, _, err = got
         assert entry(*got) == want
         assert code == 2 or err == "", (want["argv"], err)
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_manifest_holds_at_any_interpreter_digit_limit(tmp_path, monkeypatch, limit):
+    # the CLI neither reads nor sets the interpreter's int/str digit limit,
+    # and answers the same at the default limit and with none
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+
+    def refuse(*args):
+        raise AssertionError("the int/str digit limit was read or set")
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", refuse)
+            patch.setattr(sys, "get_int_max_str_digits", refuse)
+            got = [entry(*r) for r in replay(tmp_path)]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == manifest
 
 
 def test_regeneration_lists_every_entry_that_moved():

@@ -1,5 +1,7 @@
-"""Set representations: membership, run search, dilation, text format."""
+"""Set representations: membership, run search, dilation, text format,
+and the decimal codec."""
 
+import contextlib
 import random
 import sys
 import threading
@@ -16,6 +18,7 @@ from banachsum.errors import (
 )
 from banachsum import intset
 from banachsum.intset import (
+    DECIMAL_DIGIT_LIMIT,
     Congruence,
     ExplicitWindow,
     Full,
@@ -26,9 +29,11 @@ from banachsum.intset import (
     RunList,
     Window,
     decimal_digits,
+    from_decimal,
     nth_root_floor,
     parse_set,
     serialize_set,
+    to_decimal,
 )
 from strategies import run_list_texts
 
@@ -907,3 +912,101 @@ def test_serialize_rejects_affine_wrappers():
 
     with pytest.raises(ValueError, match="no text form for Odd"):
         serialize_set(Odd())
+
+
+# ------------------------------------------------------------------- decimal codec
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """The interpreter's int/str digit limit set to digits inside the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# lengths, in digits, at and around the codec's splits: 512 * 2**j
+SPLIT_DIGITS = [n + d for n in (512, 1024, 2048, 4096, 65536) for d in (-1, 0, 1)]
+
+
+@st.composite
+def long_ints(draw):
+    """Signed integers of up to 10**5 digits: random ones, and powers of
+    ten one off, whose long runs of zeros or nines fill whole chunks."""
+    digits = draw(st.integers(1, 5000) | st.integers(1, 100_000) | st.sampled_from(SPLIT_DIGITS))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        x = rng.randrange(10 ** (digits - 1), 10**digits)
+    else:
+        x = 10 ** (digits - 1) + draw(st.integers(-1, 1))
+    return x * draw(st.sampled_from((1, -1)))
+
+
+@st.composite
+def spelled(draw, x):
+    """A text int() reads as x: single underscores between digits, some
+    digits written in another script, a sign, surrounding whitespace."""
+    with int_str_limit(0):
+        text = str(abs(x))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        cuts = sorted(rng.sample(range(1, len(text)), min(len(text) - 1, 20)))
+        text = "_".join(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
+    if draw(st.booleans()):
+        # ARABIC-INDIC digits are decimal digits to int()
+        text = text.translate({ord(c): 0x660 + int(c) for c in "0123456789"})
+    sign = "-" if x < 0 else draw(st.sampled_from(("", "+")))
+    space = draw(st.sampled_from(("", " ", "\t\n ", "\u2003")))
+    return f"{space}{sign}{text}{space[::-1]}"
+
+
+@given(st.data(), long_ints())
+@settings(max_examples=40, deadline=None)
+def test_decimal_codec_round_trips_and_agrees_with_the_builtins(data, x):
+    text = data.draw(spelled(x))
+    with int_str_limit(0):
+        want_text, want_value = str(x), int(text)
+    assert want_value == x
+    assert to_decimal(x) == want_text
+    assert from_decimal(want_text) == x
+    assert from_decimal(text) == x
+
+
+def test_decimal_codec_needs_no_digit_limit_above_the_smallest():
+    # 640 digits is the smallest limit the interpreter accepts
+    x = -random.Random(5).getrandbits(332_000)  # about 10**5 digits
+    with int_str_limit(0):
+        want = str(x)
+    with int_str_limit(640):
+        assert to_decimal(x) == want
+        assert from_decimal(want) == x
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "+", "-", "1" * 600 + "x", "1" * 300 + " " + "1" * 300, "_" + "1" * 600,
+    "1" * 600 + "_", "1" * 300 + "__" + "1" * 300, "+-" + "1" * 600, "- " + "1" * 600,
+    "1" * 600 + "\x00",
+])
+def test_from_decimal_refuses_what_int_refuses_with_its_message(text):
+    with int_str_limit(0), pytest.raises(ValueError) as builtin:
+        int(text)
+    with pytest.raises(ValueError) as codec:
+        from_decimal(text)
+    assert str(codec.value) == str(builtin.value)
+
+
+def test_from_decimal_counts_digits_as_int_does():
+    at_limit = "1" * DECIMAL_DIGIT_LIMIT
+    with int_str_limit(0):
+        assert from_decimal(f" -{at_limit}\n") == -int(at_limit)
+        # underscores, a sign and whitespace are not digits
+        spaced = "_".join(at_limit)
+        assert from_decimal(f"+{spaced}") == int(at_limit)
+    with pytest.raises(ValueError, match=f"of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds"):
+        from_decimal(at_limit + "1")
+    with pytest.raises(ValueError, match="of 6 digits exceeds the limit of 5"):
+        from_decimal("123456", 5)
+    assert from_decimal("12345", 5) == 12345
