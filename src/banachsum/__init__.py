@@ -1,117 +1,25 @@
 """Exact run-structured integer sets, windowed density profiles, and
-verified sumset constructions."""
+verified sumset constructions.
 
-from .errors import (
-    BadLength,
-    BanachsumError,
-    BudgetExceeded,
-    DisjointnessViolation,
-    EmptySelection,
-    HorizonExceeded,
-    NoSuitableRun,
-    OverlapError,
-    ParseError,
-    PreconditionFailed,
-)
-from .intset import (
-    Congruence,
-    ExplicitWindow,
-    Full,
-    IntSet,
-    PolyRuns,
-    PowRuns,
-    Run,
-    RunList,
-    Window,
-    parse_set,
-    serialize_set,
-)
-from .density import (
-    DensityEstimate,
-    RunBoundReport,
-    WindowProfile,
-    check_run_bound,
-    check_subadditivity,
-    density_estimate,
-    f_naive,
-    f_profile,
-    fekete_qd_check,
-    forced_density,
-    longest_run,
-)
-from .sumset import (
-    Status,
-    enumerate_subsets,
-    pairwise_sumset,
-    run_sum,
-    verify_containment,
-)
-from .construct import (
-    APReduction,
-    BFamily,
-    BSequence,
-    EscapeReport,
-    SweepReport,
-    ap_reduce,
-    build_b_sequence,
-    build_family,
-    escape_i0,
-    verify_b_sequence,
-    verify_escape,
-    verify_family,
-)
+The package exports the public names of its modules, each listed once in
+its module's __all__.  The modules are imported in the order they import
+one another, so none is loaded before it is needed.
+"""
+
+from .errors import *
+from .intset import *
+from .density import *
+from .sumset import *
+from .construct import *
 
 __version__ = "0.1.0"
 
+# importing a submodule binds it in this namespace by its own name
 __all__ = [
-    "BanachsumError",
-    "HorizonExceeded",
-    "ParseError",
-    "OverlapError",
-    "BadLength",
-    "PreconditionFailed",
-    "EmptySelection",
-    "BudgetExceeded",
-    "NoSuitableRun",
-    "DisjointnessViolation",
-    "Run",
-    "Window",
-    "IntSet",
-    "ExplicitWindow",
-    "RunList",
-    "PowRuns",
-    "PolyRuns",
-    "Congruence",
-    "Full",
-    "parse_set",
-    "serialize_set",
-    "WindowProfile",
-    "DensityEstimate",
-    "RunBoundReport",
-    "f_naive",
-    "f_profile",
-    "density_estimate",
-    "check_subadditivity",
-    "fekete_qd_check",
-    "longest_run",
-    "check_run_bound",
-    "forced_density",
-    "Status",
-    "pairwise_sumset",
-    "run_sum",
-    "enumerate_subsets",
-    "verify_containment",
-    "BSequence",
-    "build_b_sequence",
-    "SweepReport",
-    "verify_b_sequence",
-    "BFamily",
-    "build_family",
-    "verify_family",
-    "APReduction",
-    "ap_reduce",
-    "escape_i0",
-    "EscapeReport",
-    "verify_escape",
+    *errors.__all__,
+    *intset.__all__,
+    *density.__all__,
+    *sumset.__all__,
+    *construct.__all__,
     "__version__",
 ]

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BanachsumError",
+    "HorizonExceeded",
+    "ParseError",
+    "OverlapError",
+    "BadLength",
+    "PreconditionFailed",
+    "EmptySelection",
+    "BudgetExceeded",
+    "NoSuitableRun",
+    "DisjointnessViolation",
+]
+
 
 class BanachsumError(Exception):
     """Base class for every error this package raises on purpose."""

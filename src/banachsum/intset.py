@@ -1,19 +1,22 @@
 """Exact representations of sets of positive integers built from runs.
 
 A set is either finite and explicit (a window bitmap or a list of runs of
-consecutive integers) or an infinite symbolic generator (all positive
-integers, a congruence class, or an indexed family of runs whose i-th run
-has length i).  Every representation answers membership and run queries
-with exact arbitrary-precision arithmetic, so queries against
-astronomically large elements stay cheap and correct.
+consecutive integers) or an infinite symbolic generator (a congruence
+class, with all positive integers as the class 0 mod 1, or an indexed
+family of runs whose i-th run has length i).  Every representation
+answers membership and run queries with exact arbitrary-precision
+arithmetic, so queries against astronomically large elements stay cheap
+and correct.
 
 All values are immutable once constructed and safe to share across
 threads.  The state that changes is caches that never change an answer:
 the run bracket PowRuns and PolyRuns remember between queries and the
 run bounds of an ExplicitWindow, built on first use.  A finite set lists
 its runs one way, run_bounds(), and answers run queries from it by
-bisection.  The integer 0 is never a member of any set here, even when an
-explicit window happens to cover it.
+bisection.  Run lists and run generators turn the runs that meet a window
+into its bitmap one way, _fill; a bitmap turns back into runs one way,
+run_bounds().  The integer 0 is never a member of any set here, even when
+an explicit window happens to cover it.
 
 This module also holds the one decimal codec of the package: to_decimal
 and from_decimal turn integers into decimal text and back, whatever the
@@ -218,7 +221,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -226,6 +229,17 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _repr(value) -> str:
+    """repr(value), with every int, alone or inside nested tuples, written
+    by to_decimal, so no int is too long to print."""
+    if isinstance(value, int):
+        return to_decimal(value)
+    if isinstance(value, tuple):
+        items = ", ".join(map(_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
 
 
 class Run(Record):
@@ -267,8 +281,8 @@ class IntSet:
 
     Subclasses fall in two groups.  Finite representations (ExplicitWindow,
     RunList) store their elements outright.  Symbolic representations
-    (Full, Congruence, PowRuns, PolyRuns) answer queries by formula and may
-    describe infinite sets.
+    (Congruence, with Full its class 0 mod 1, PowRuns, PolyRuns) answer
+    queries by formula and may describe infinite sets.
 
     A subclass supplies member, run_end_at and next_run.  run_end_at is the
     one run query: first_gap is derived from it here.  materialize defaults
@@ -359,13 +373,9 @@ class ExplicitWindow(IntSet):
         return bool((self.bits >> (x - self.window.base)) & 1)
 
     def elements(self) -> Iterator[int]:
-        """Members in ascending order, one str.find per member over the
-        bits written lowest first: no Python step per clear bit."""
-        cells, base = format(self.bits, "b")[::-1], self.window.base
-        i = cells.find("1")
-        while i >= 0:
-            yield base + i
-            i = cells.find("1", i + 1)
+        """Members in ascending order, run by run from run_bounds()."""
+        for start, end in zip(*self.run_bounds()):
+            yield from range(start, end + 1)
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(starts, ends), the first and last members of the maximal runs,
@@ -468,34 +478,12 @@ class RunList(IntSet):
         return _run_end_at(*self._bounds, x)
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        """The runs meeting the window, found by bisection, each set as one
-        start bit and one past-end bit in two bytearrays.
-
-        Run i covers the bits from its start offset up to its past-end
-        offset, (1 << past_i) - (1 << start_i).  The runs are disjoint, so
-        the sum over i is the past-end bitmap minus the start bitmap, and
-        the cost is O(log runs + runs met + window bits).  Only the first
-        run met can start before the window and only the last can end
-        after it, so only those two are clipped.  Every start is >= 1, so
-        bit 0 stays clear at window base 0.
-        """
-        base, n = window.base, window.length
+        """The runs meeting the window, found by bisection, set by _fill:
+        O(log runs + runs met + window bits)."""
         starts, ends = self._bounds
-        lo = bisect_left(ends, base)
+        lo = bisect_left(ends, window.base)
         hi = bisect_right(starts, window.end)
-        if lo >= hi:
-            return ExplicitWindow(window, 0)
-        offsets = [s - base for s in starts[lo:hi]]
-        pasts = [e + 1 - base for e in ends[lo:hi]]
-        offsets[0] = max(offsets[0], 0)
-        pasts[-1] = min(pasts[-1], n)
-        first, past = bytearray(n // 8 + 1), bytearray(n // 8 + 1)
-        for o in offsets:
-            first[o >> 3] |= 1 << (o & 7)
-        for o in pasts:
-            past[o >> 3] |= 1 << (o & 7)
-        bits = int.from_bytes(past, "little") - int.from_bytes(first, "little")
-        return ExplicitWindow(window, bits)
+        return _fill(window, starts[lo:hi], ends[lo:hi])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RunList) and self._bounds == other._bounds
@@ -505,29 +493,6 @@ class RunList(IntSet):
 
     def __repr__(self) -> str:
         return f"RunList({[Run(s, e - s + 1) for s, e in zip(*self._bounds)]!r})"
-
-
-class Full(Record, IntSet):
-    """All positive integers."""
-
-    _density = (1, 1)
-
-    def member(self, x: int) -> bool:
-        return x >= 1
-
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        _check_min_len(min_len)
-        return Run(max(lower_bound, 1), min_len)
-
-    def run_end_at(self, x: int) -> int | None:
-        return None if x >= 1 else x - 1
-
-    def materialize(self, window: Window) -> ExplicitWindow:
-        lo = max(window.base, 1)
-        if lo > window.end:
-            return ExplicitWindow(window, 0)
-        count = window.end - lo + 1
-        return ExplicitWindow(window, ((1 << count) - 1) << (lo - window.base))
 
 
 class Congruence(Record, IntSet):
@@ -562,7 +527,9 @@ class Congruence(Record, IntSet):
         return Run(lo + (self.r - lo) % self.m, 1)
 
     def run_end_at(self, x: int) -> int | None:
-        if not self.member(x):
+        # the residue is tested here, not through member, so the run route
+        # stays apart from the membership route
+        if x < 1 or x % self.m != self.r:
             return x - 1
         return None if self.m == 1 else x
 
@@ -571,6 +538,19 @@ class Congruence(Record, IntSet):
         first += (self.r - first) % self.m
         count = (window.end - first) // self.m + 1
         return ExplicitWindow(window, _comb(self.m, count) << (first - window.base))
+
+
+class Full(Congruence):
+    """All positive integers: the congruence 0 mod 1 under its own name.
+
+    It answers every query as Congruence(1, 0) does, prints as Full(),
+    serializes as `gen full` and is not equal to Congruence(1, 0), whose
+    class differs.
+    """
+
+    _fields = ()
+    m, r = 1, 0
+    __init__ = Record.__init__
 
 
 class _IndexedRuns(IntSet):
@@ -665,23 +645,25 @@ class _IndexedRuns(IntSet):
         return max(below[0] + below[1] - 1, x - 1)
 
     def materialize(self, window: Window) -> ExplicitWindow:
-        bits = 0
+        """The runs meeting the window, listed by index from the floor run
+        of its base, set by _fill.  The floor run is left out when it ends
+        below the window; every later run starts inside or past it."""
         below = self._floor_run(window.base)
         i = 1 if below is None else below[1]
-        prev_end = None
+        starts, ends = [], []
+        prev_end = 0
         while True:
             run = self._run(i)
             if run.start > window.end:
                 break
-            if prev_end is not None and prev_end >= run.start:
+            if prev_end >= run.start:
                 raise AssertionError(f"runs {i - 1} and {i} are not disjoint")
-            lo = max(run.start, window.base)
-            hi = min(run.end, window.end)
-            if lo <= hi:
-                bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
             prev_end = run.end
+            if prev_end >= window.base:
+                starts.append(run.start)
+                ends.append(prev_end)
             i += 1
-        return ExplicitWindow(window, bits)
+        return _fill(window, starts, ends)
 
 
 class PowRuns(Record, _IndexedRuns):
@@ -749,6 +731,33 @@ class PolyRuns(Record, _IndexedRuns):
             step += math.comb(self.p, k) * start
             start *= i
         return start, i, start + step
+
+
+def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> ExplicitWindow:
+    """The bitmap on window of the ascending disjoint runs [starts[i],
+    ends[i]], each of which meets the window, each set as one start bit and
+    one past-end bit in two bytearrays.
+
+    Run i covers the bits from its start offset up to its past-end offset,
+    (1 << past_i) - (1 << start_i).  The runs are disjoint, so the sum over
+    i is the past-end bitmap minus the start bitmap: O(runs + window bits).
+    Only the first run can start before the window and only the last can
+    end after it, so only those two are clipped.  Every start is >= 1, so
+    bit 0 stays clear at window base 0.
+    """
+    if not starts:
+        return ExplicitWindow(window, 0)
+    base, n = window.base, window.length
+    offsets = [s - base for s in starts]
+    pasts = [e + 1 - base for e in ends]
+    offsets[0] = max(offsets[0], 0)
+    pasts[-1] = min(pasts[-1], n)
+    first, past = bytearray(n // 8 + 1), bytearray(n // 8 + 1)
+    for o in offsets:
+        first[o >> 3] |= 1 << (o & 7)
+    for o in pasts:
+        past[o >> 3] |= 1 << (o & 7)
+    return ExplicitWindow(window, int.from_bytes(past, "little") - int.from_bytes(first, "little"))
 
 
 def _spread(bits: int, n: int, m: int) -> int:

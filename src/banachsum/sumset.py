@@ -14,7 +14,7 @@ import enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, EmptySelection
-from .intset import ExplicitWindow, IntSet, Run, Window, _comb
+from .intset import ExplicitWindow, IntSet, Run, Window, _comb, _echo
 
 __all__ = [
     "Status",
@@ -44,7 +44,7 @@ def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitW
     log2(e - s + 1) shift-ors instead of e - s + 1.
     """
     if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+        raise ValueError(f"cap must be >= 0, got {_echo(cap)}")
     out_mask = (1 << (cap + 1)) - 1
     cbits = c.bits
     cbase = c.window.base
@@ -80,10 +80,10 @@ def check_subset_count(k: int) -> None:
     before any subset is looked at.
     """
     if k < 0:
-        raise ValueError(f"subset count needs k >= 0, got {k}")
+        raise ValueError(f"subset count needs k >= 0, got {_echo(k)}")
     if k > SUBSET_BUDGET_MAX:
         raise BudgetExceeded(
-            f"enumerating 2**{k} - 1 subsets exceeds the budget of 2**{SUBSET_BUDGET_MAX}"
+            f"enumerating 2**{_echo(k)} - 1 subsets exceeds the budget of 2**{SUBSET_BUDGET_MAX}"
         )
 
 

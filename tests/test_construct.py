@@ -1101,6 +1101,19 @@ def test_family_materializes_a_full_target_once(monkeypatch, scheme):
     assert windows == [Window(0, 65)]
 
 
+@pytest.mark.parametrize("target, bs, want", [
+    (Congruence(3, 0), (3, 6, 12), SweepReport(7)),
+    (Congruence(3, 1), (1, 4), SweepReport(3, 5, (2, 1))),
+])
+def test_run_route_asks_a_congruence_target_no_member_question(monkeypatch, target, bs, want):
+    """With brute_span 0 only the run route decides: run_end_at, next_run
+    and first_gap answer from the residue, not through member(), so the two
+    routes stay independent on a congruence target of modulus >= 2."""
+    seq = from_entries((1,) * len(bs), bs)
+    monkeypatch.setattr(Congruence, "member", refuse_member)
+    assert verify_b_sequence(seq, target, brute_span=0) == want
+
+
 def test_full_sweep_skips_walked_stretches(monkeypatch):
     """A brute-route sum inside a stretch of members already walked is
     passed by _sweep itself: of the 65 535 picks of a Full k=16 sweep,

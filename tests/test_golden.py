@@ -28,6 +28,7 @@ UNENTERED = {
     "value dunders: equality, hashing, repr and the assignment guard": (
         "intset.Record.__hash__",
         "intset.Record.__repr__",
+        "intset._repr",
         "intset.Record.__setattr__",
         "intset.Record.__delattr__",
         "intset.ExplicitWindow.__eq__",

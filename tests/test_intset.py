@@ -8,7 +8,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banachsum.errors import (
@@ -17,6 +17,7 @@ from banachsum.errors import (
     ParseError,
 )
 from banachsum import intset
+from banachsum.density import forced_density
 from banachsum.intset import (
     DECIMAL_DIGIT_LIMIT,
     Congruence,
@@ -116,6 +117,28 @@ def test_zero_is_never_a_member():
     for s in (Full(), Congruence(5, 0), PowRuns(2), PolyRuns(2), RunList([Run(1, 3)])):
         assert not s.member(0)
         assert not s.member(-4)
+
+
+HUGE = 10**5000
+
+
+def test_full_answers_as_the_congruence_zero_mod_one():
+    """Full is Congruence(1, 0) under its own name: every query, at x <= 0
+    and far past 10**5000 too, gets the same answer from both."""
+    full, one = Full(), Congruence(1, 0)
+    for x in (-HUGE, -3, 0, 1, 2, 97, HUGE, HUGE + 1):
+        for query in (
+            lambda s: s.member(x),
+            lambda s: s.run_end_at(x),
+            lambda s: s.first_gap(x, x + 5),
+            lambda s: s.next_run(3, x),
+            lambda s: s.next_run_start_digits(3, x),
+            lambda s: s.materialize(Window(max(x, 0), 70)),
+        ):
+            assert query(full) == query(one), x
+    assert forced_density(full) == forced_density(one) == 1
+    assert full != one and repr(full) == "Full()"
+    assert serialize_set(full) == "gen full\n" and parse_set("gen full") == full
 
 
 def test_congruence_rejects_bad_residue():
@@ -311,6 +334,41 @@ def test_materialize_matches_reference_on_a_run_dense_budget_window():
     meeting = sum(1 for a, b in zip(*s.run_bounds()) if a <= w.end and b >= w.base)
     assert meeting >= 10**5
     assert s.materialize(w) == reference_materialize(s, w)
+
+
+def reference_indexed_materialize(s, window: Window) -> ExplicitWindow:
+    """The bitmap as PowRuns and PolyRuns built it before they listed their
+    runs for one bitmap builder: runs taken by index from run 1, one
+    window-wide mask OR'd in per run that meets the window."""
+    bits, i = 0, 1
+    while (run := s._run(i)).start <= window.end:
+        lo = max(run.start, window.base)
+        hi = min(run.end, window.end)
+        if lo <= hi:
+            bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
+        i += 1
+    return ExplicitWindow(window, bits)
+
+
+@st.composite
+def gap_windows(draw):
+    """A run generator and a window whose base lies in the gap after run i,
+    from the cell just past the run to the next start, so the floor run of
+    the base ends below the window, one or more cells below."""
+    s = draw(st.one_of(st.integers(2, 5).map(PowRuns), st.integers(2, 4).map(PolyRuns)))
+    i = draw(st.integers(1, 12 if isinstance(s, PolyRuns) else 6))
+    run, after = s._run(i), s._run(i + 1).start
+    base = draw(st.integers(run.end + 1, after))
+    return s, Window(base, draw(st.integers(1, 3 * (after - run.start) + 2)))
+
+
+@given(gap_windows())
+@example((PolyRuns(2), Window(0, 1 << 20)))
+@example((PowRuns(2), Window(0, 1 << 20)))
+@settings(max_examples=300)
+def test_generator_materialize_matches_per_run_reference(case):
+    s, w = case
+    assert s.materialize(w) == reference_indexed_materialize(s, w)
 
 
 def test_parse_and_materialize_build_no_run(monkeypatch):
