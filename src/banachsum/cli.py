@@ -18,8 +18,6 @@ from typing import NoReturn
 
 from .construct import (
     BSequence,
-    DEFAULT_DIGIT_BUDGET,
-    SUM_DIGITS,
     ap_reduce,
     budget_int,
     build_b_sequence,
@@ -48,6 +46,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .intset import (
+    DEFAULT_DIGIT_BUDGET,
+    SUM_DIGITS,
     ExplicitWindow,
     IntSet,
     Window,

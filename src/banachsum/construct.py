@@ -31,6 +31,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .intset import (
+    DEFAULT_DIGIT_BUDGET,
+    SUM_DIGITS,
     ExplicitWindow,
     IntSet,
     PowRuns,
@@ -49,7 +51,6 @@ from .intset import (
 )
 from .sumset import (
     SUBSET_BUDGET_MAX,
-    Status,
     check_subset_count,
     pairwise_sumset,
     subset_of,
@@ -57,7 +58,6 @@ from .sumset import (
 )
 
 __all__ = [
-    "DEFAULT_DIGIT_BUDGET",
     "BSequence",
     "budget_int",
     "check_start_digits",
@@ -75,11 +75,6 @@ __all__ = [
     "EscapeReport",
     "verify_escape",
 ]
-
-DEFAULT_DIGIT_BUDGET = 100_000
-# Digits allowed past a digit budget for sums of bases: certificate lengths
-# and witnesses are sums of bases, a few digits longer than any base.
-SUM_DIGITS = 64
 
 # Largest rung index verify_escape checks: each rung works on integers of
 # about 2i bits, and the report lists every rung, so time and output grow
@@ -281,12 +276,8 @@ class SweepReport(Record):
     def passed(self) -> bool:
         return self.witness is None
 
-    @property
-    def status(self) -> Status:
-        return Status.PASS if self.witness is None else Status.FAIL
-
     def to_payload(self) -> dict:
-        payload: dict = {"status": self.status.value, "checked": self.checked}
+        payload: dict = {"status": "Pass" if self.passed else "Fail", "checked": self.checked}
         if self.witness is not None:
             payload["witness"] = to_decimal(self.witness)
             payload["witness_subset"] = list(self.witness_subset)
@@ -585,19 +576,17 @@ def verify_family(
     of the source runs, so when the source sequence's hulls pass both run
     queries (_hulls_pass, with no member walk: the bitmap route below is
     the second route) every pick passes.  Otherwise the picks are one
-    _sweep over the components' source runs, under its pick budget.  More
-    than SUBSET_BUDGET_MAX components raise BudgetExceeded before any
-    query, since the bitmap route takes 2**k_sets - 1 selections.
+    _sweep over the components' source runs, under its pick budget.
 
-    Short selections are rechecked by summing materialized component
-    bitmaps and handing the sum to verify_containment.  Every part and
-    every sum lies on the window [0, brute_span], so the target is
-    materialized there once and each selection's check is one AND with
-    that bitmap.  The selections are walked depth first by increasing
-    component: a selection's sum is the sum of the selection without its
-    highest component plus that component, one pairwise_sumset each, with
-    one sum per depth held at a time.  A selection holding an empty component is
-    skipped with all its extensions.
+    The bitmap route rechecks every selection's sum on the window
+    [0, brute_span] in one fold over the components: below[i + 1] =
+    below[i] | part_i | (part_i + below[i]), one pairwise_sumset each,
+    holds the sums of every nonempty selection of the first i + 1, so one
+    verify_containment of the last against the target's bitmap decides
+    them all.  Its witness w is the smallest witness of each selection
+    whose sum holds w, and _least_mask names the first of them.  More than
+    SUBSET_BUDGET_MAX components raise BudgetExceeded before any query:
+    that bounds the k_sets + 1 bitmaps of brute_span + 1 bits kept for it.
     """
     _check_disjoint(family)
     check_subset_count(family.k_sets)
@@ -610,20 +599,31 @@ def verify_family(
         _sweep(runs, a, 0, state)
     window = Window(0, brute_span + 1)
     parts = [rl.materialize(window) for rl in family.sets]
-    target = a.materialize(window)
-
-    def extend(mask: int, acc: ExplicitWindow | None, low: int) -> None:
-        for i in range(low, len(parts)):
-            if not parts[i].bits:
-                continue
-            total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
-            witness = verify_containment(total, target)
-            if witness is not None:
-                state.fail(witness, mask | 1 << i)
-            extend(mask | 1 << i, total, i + 1)
-
-    extend(0, None, 0)
+    below = [ExplicitWindow(window, 0)]
+    for part in parts:
+        grown = pairwise_sumset(part, below[-1], brute_span)
+        below.append(ExplicitWindow(window, below[-1].bits | part.bits | grown.bits))
+    witness = verify_containment(below[-1], a.materialize(window))
+    if witness is not None:
+        state.fail(witness, _least_mask(parts, below, witness))
     return state.report()
+
+
+def _least_mask(parts: Sequence[ExplicitWindow], below: Sequence[ExplicitWindow], w: int) -> int:
+    """The least mask whose selection of parts sums to a set holding w: the
+    top part is the least i with w in below[i + 1]; going down, part i is
+    taken only when w lies neither in the sum of the parts taken nor in
+    that sum plus below[i].  Sums are capped at w: at most two
+    pairwise_sumset calls a step."""
+    top = next(i for i in range(len(parts)) if below[i + 1].bits >> w & 1)
+    mask, total = 1 << top, parts[top]
+    for i in range(top - 1, -1, -1):
+        if total.bits >> w & 1:
+            break
+        if not pairwise_sumset(total, below[i], w).bits >> w & 1:
+            mask |= 1 << i
+            total = pairwise_sumset(parts[i], total, w)
+    return mask
 
 
 class APReduction(Record):

@@ -48,14 +48,19 @@ __all__ = [
     "serialize_set",
     "nth_root_floor",
     "decimal_digits",
+    "DEFAULT_DIGIT_BUDGET",
+    "SUM_DIGITS",
     "DECIMAL_DIGIT_LIMIT",
     "to_decimal",
     "from_decimal",
 ]
 
-# Most digits from_decimal accepts by default: the default digit budget of
-# construct, 100 000, plus the 64 digits it allows sums of bases past it.
-DECIMAL_DIGIT_LIMIT = 100_064
+# Digits a base may have by default, and digits allowed past a digit budget
+# for sums of bases: certificate lengths and witnesses are sums of bases, a
+# few digits longer than any base.  from_decimal accepts both by default.
+DEFAULT_DIGIT_BUDGET = 100_000
+SUM_DIGITS = 64
+DECIMAL_DIGIT_LIMIT = DEFAULT_DIGIT_BUDGET + SUM_DIGITS
 # Digits per builtin int() or str() call inside the codec.  The
 # interpreter's int/str digit limit, whatever it is set to, never applies
 # to 640 digits or fewer.

@@ -10,14 +10,12 @@ finite set of its set bits.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, EmptySelection
 from .intset import ExplicitWindow, IntSet, Run, Window, _comb, _echo
 
 __all__ = [
-    "Status",
     "SUBSET_BUDGET_MAX",
     "pairwise_sumset",
     "run_sum",
@@ -28,11 +26,6 @@ __all__ = [
 ]
 
 SUBSET_BUDGET_MAX = 24
-
-
-class Status(enum.Enum):
-    PASS = "Pass"
-    FAIL = "Fail"
 
 
 def pairwise_sumset(b: ExplicitWindow, c: ExplicitWindow, cap: int) -> ExplicitWindow:

@@ -24,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banachsum
-from banachsum import cli
+from banachsum import cli, construct
 from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
-from banachsum.construct import DEFAULT_DIGIT_BUDGET, ESCAPE_I_MAX_BUDGET, SUM_DIGITS
-from banachsum.intset import DECIMAL_DIGIT_LIMIT
+from banachsum.construct import ESCAPE_I_MAX_BUDGET
+from banachsum.intset import DEFAULT_DIGIT_BUDGET, SUM_DIGITS
 from oracles import from_entries
 
 
@@ -475,7 +475,6 @@ def test_set_text_numbers_over_the_digit_limit_are_budget_errors(capsys, tmp_pat
 def test_set_text_digit_limit_follows_the_digit_budget(capsys):
     # max(--digit-budget, DEFAULT_DIGIT_BUDGET) + SUM_DIGITS digits, and
     # options take as many as at the default budget
-    assert DECIMAL_DIGIT_LIMIT == DEFAULT_DIGIT_BUDGET + SUM_DIGITS
     elem = "1" + "0" * 149_999
     code, out, err = run_cli(
         capsys, "construct-b", "--set", f"elem {elem}", "--k", "1", "--digit-budget", "200000"
@@ -581,15 +580,28 @@ def test_family_command(capsys):
     assert payload["verification"]["status"] == "Pass"
 
 
-def test_family_answers_many_picks_from_the_hulls(capsys):
+def test_family_answers_many_picks_from_the_hulls(capsys, monkeypatch):
     # 8 components of 25 runs each make 26**8 - 1 picks, far over the pick
-    # budget; the greedy sequence's hulls pass, so no pick is swept
-    code, out, err = run_cli(
-        capsys, "family", "--set", "gen full", "--ells", "1", "--k", "200",
-        "--k-sets", "8",
-    )
-    assert (code, err) == (0, "")
-    assert json.loads(out)["verification"] == {"status": "Pass", "checked": 26**8 - 1}
+    # budget; the greedy sequence's hulls pass, so no pick is swept.  The
+    # bitmap route folds the components in one pairwise_sumset each, so 24
+    # components of 8 or 9 runs take 24 calls, not one per selection
+    calls = []
+    sumset = construct.pairwise_sumset
+
+    def counting(b, c, cap):
+        calls.append(cap)
+        return sumset(b, c, cap)
+
+    monkeypatch.setattr(construct, "pairwise_sumset", counting)
+    for k_sets, checked in (8, 26**8 - 1), (24, 10**8 * 9**16 - 1):
+        calls.clear()
+        code, out, err = run_cli(
+            capsys, "family", "--set", "gen full", "--ells", "1", "--k", "200",
+            "--k-sets", str(k_sets),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verification"] == {"status": "Pass", "checked": checked}
+        assert len(calls) == k_sets
 
 
 def test_family_checks_brute_span_before_any_work(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -46,7 +47,6 @@ from banachsum.intset import (
 )
 from banachsum.sumset import (
     SUBSET_BUDGET_MAX,
-    Status,
     enumerate_subsets,
     pairwise_sumset,
     run_sum,
@@ -109,14 +109,14 @@ def test_payload_round_trip():
 def test_verify_all_subsets_pass():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1])
     report = verify_b_sequence(seq, PolyRuns(2))
-    assert report.status is Status.PASS
+    assert report.passed
     assert report.checked == 7
 
 
 def test_verify_reports_smallest_witness():
     bad = from_entries((1, 1, 1), (1, 8, 169))
     report = verify_b_sequence(bad, PolyRuns(2))
-    assert report.status is Status.FAIL
+    assert not report.passed
     assert report.witness == 8
     assert report.witness_subset == (2,)
 
@@ -550,7 +550,7 @@ def test_family_verification_passes():
         for scheme in ("residue", "blocks"):
             fam = build_family(seq, k_sets, scheme)
             report = verify_family(fam, PolyRuns(2))
-            assert report.status is Status.PASS, (k_sets, scheme)
+            assert report.passed, (k_sets, scheme)
 
 
 def test_family_disjointness_violation_fires():
@@ -594,8 +594,8 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     with pytest.raises(BudgetExceeded):
         verify_family(BFamily(3, index_sets, sets, seq), a)
     assert 0 < a.queries <= seq.k
-    # more components than the bitmap route's selection budget are refused
-    # before the target is asked anything
+    # more than SUBSET_BUDGET_MAX components are refused before the target
+    # is asked anything
     seq = from_entries((1,) * 25, tuple(range(1, 26)))
     with pytest.raises(BudgetExceeded):
         verify_family(build_family(seq, 25, "residue"), Untouchable())
@@ -703,12 +703,108 @@ def family_cases(draw):
     return fam, a, draw(st.sampled_from([0, 5, 64, 2048]))
 
 
+def walk_family(family, a, brute_span=2048):
+    """verify_family with its bitmap route as a walk over the selections:
+    the same run route, then every selection of nonempty components
+    depth first by increasing component, its sum the sum of the selection
+    without its highest component plus that component, one
+    pairwise_sumset each, checked against the target's bitmap."""
+    construct._check_disjoint(family)
+    state = construct._SweepState()
+    source = family.source
+    if construct._hulls_pass([source.run(j) for j in range(1, source.k + 1)], a, 0):
+        state.checked = math.prod(len(ix) + 1 for ix in family.index_sets) - 1
+    else:
+        runs = [[source.run(j) for j in ix] for ix in family.index_sets]
+        construct._sweep(runs, a, 0, state)
+    window = Window(0, brute_span + 1)
+    parts = [rl.materialize(window) for rl in family.sets]
+    target = a.materialize(window)
+
+    def extend(mask, acc, low):
+        for i in range(low, len(parts)):
+            if not parts[i].bits:
+                continue
+            total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
+            witness = verify_containment(total, target)
+            if witness is not None:
+                state.fail(witness, mask | 1 << i)
+            extend(mask | 1 << i, total, i + 1)
+
+    extend(0, None, 0)
+    return state.report()
+
+
+@st.composite
+def multi_hole_families(draw):
+    """A family of 2 to 6 components of short disjoint runs, one of them
+    emptied or not, whose target lacks one to three sums of two or more
+    components that no component holds, so every failing selection has
+    two or more components.  The source runs lie above brute_span, inside
+    the target, so its hulls pass and the bitmap route alone can fail."""
+    k_sets = draw(st.integers(2, 6))
+    counts = [draw(st.integers(1, 3)) for _ in range(k_sets)]
+    if k_sets > 2 and draw(st.booleans()):
+        counts[draw(st.integers(0, k_sets - 1))] = 0
+    owners = draw(st.permutations([i for i, n in enumerate(counts) for _ in range(n)]))
+    members, pos = [[] for _ in range(k_sets)], 0
+    for owner in owners:
+        pos += draw(st.integers(1, 12))
+        members[owner].append(Run(pos, draw(st.integers(1, 6))))
+        pos = members[owner][-1].end
+    tops = sorted(runs[-1].end for runs in members if runs)
+    # the two largest tops sum past every component's members
+    brute_span = draw(st.integers(tops[-1] + tops[-2], sum(tops) + 20))
+    sets = tuple(RunList(runs) for runs in members)
+    parts = [rl.materialize(Window(0, brute_span + 1)) for rl in sets]
+    singles = multi = 0
+    for sel in enumerate_subsets(k_sets):
+        bits = family_sumset(parts, sel, brute_span).bits
+        if len(sel) == 1:
+            singles |= bits
+        else:
+            multi |= bits
+    open_sums = multi & ~singles
+    holes = sorted(draw(st.lists(
+        st.sampled_from([x for x in range(brute_span + 1) if open_sums >> x & 1]),
+        min_size=1, max_size=3, unique=True,
+    )))
+    seq = from_entries((1,) * k_sets, tuple(brute_span + 2 * j + 1 for j in range(k_sets)))
+    cuts = [0, *holes, sum(seq.bs) + 1]
+    a = RunList(Run(lo + 1, hi - lo - 1) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1)
+    return with_sets(build_family(seq, k_sets, "residue"), sets), a, brute_span
+
+
+def family_with_counted_sums(fam, a, brute_span):
+    """verify_family's report and its number of pairwise_sumset calls."""
+    calls = []
+
+    def counting(b, c, cap):
+        calls.append(cap)
+        return pairwise_sumset(b, c, cap)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "pairwise_sumset", counting)
+        return verify_family(fam, a, brute_span), len(calls)
+
+
 @given(family_cases())
 @settings(max_examples=300, deadline=None)
 def test_family_matches_per_selection_reference(case):
     fam, a, brute_span = case
-    got = verify_family(fam, a, brute_span)
-    assert got == reference_family(fam, a, brute_span)
+    got, sums = family_with_counted_sums(fam, a, brute_span)
+    assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
+    assert fam.k_sets <= sums <= 3 * fam.k_sets
+
+
+@given(multi_hole_families())
+@settings(max_examples=300, deadline=None)
+def test_family_names_the_first_selection_of_several_components(case):
+    fam, a, brute_span = case
+    got, sums = family_with_counted_sums(fam, a, brute_span)
+    assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
+    assert len(got.witness_subset) >= 2
+    assert fam.k_sets < sums <= 3 * fam.k_sets
 
 
 def test_family_fail_reports_lowest_selection_of_smallest_witness():
@@ -725,23 +821,15 @@ def test_family_fail_reports_lowest_selection_of_smallest_witness():
         assert verify_family(fam, a, brute_span).to_payload() == payload
 
 
-def test_family_bitmap_route_sums_each_selection_once(monkeypatch):
-    # one pairwise_sumset per selection of two or more nonempty components:
-    # 2**5 - 1 - 5 = 26, and with one component emptied 2**4 - 1 - 4 = 11
-    calls = []
-
-    def counting(b, c, cap):
-        calls.append(cap)
-        return pairwise_sumset(b, c, cap)
-
-    monkeypatch.setattr(construct, "pairwise_sumset", counting)
+def test_family_bitmap_route_sums_each_component_once():
+    # one pairwise_sumset per component, emptied or not: 5 either way, where
+    # walk_family makes one per selection of two or more nonempty
+    # components, 2**5 - 1 - 5 = 26, or 2**4 - 1 - 4 = 11 with one emptied
     fam = build_family(build_b_sequence(Full(), [1] * 10), 5, "residue")
-    assert verify_family(fam, Full(), 64).passed
-    assert len(calls) == 26
-    calls.clear()
-    fam = with_sets(fam, fam.sets[:2] + (RunList(()),) + fam.sets[3:])
-    assert verify_family(fam, Full(), 64).passed
-    assert len(calls) == 11
+    emptied = with_sets(fam, fam.sets[:2] + (RunList(()),) + fam.sets[3:])
+    for family in fam, emptied:
+        report, sums = family_with_counted_sums(family, Full(), 64)
+        assert report.passed and sums == 5
 
 
 @given(
@@ -760,8 +848,8 @@ def test_family_pass_follows_from_sequence_pass(ells, k_sets, scheme, a):
         k_sets = seq.k
     seq_report = verify_b_sequence(seq, a)
     fam_report = verify_family(build_family(seq, k_sets, scheme), a)
-    if seq_report.status is Status.PASS:
-        assert fam_report.status is Status.PASS
+    if seq_report.passed:
+        assert fam_report.passed
 
 
 # ------------------------------------------------------------------ reduction

@@ -51,6 +51,8 @@ UNENTERED = {
     ),
     "looked up by name by bench/tracing.py": ("sumset.run_sum",),
     "the console entry point, entered only by a real process": ("cli.run",),
+    "names the selection of a family that fails the bitmap route, which a "
+    "greedy family never does": ("construct._least_mask",),
     "the run queries of a window, for library callers": (
         "intset.ExplicitWindow.member",
         "intset.ExplicitWindow.run_end_at",
