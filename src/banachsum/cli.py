@@ -59,7 +59,7 @@ from .intset import (
 )
 
 # Largest window, in bits, that profile, runs and ap-reduce will materialize,
-# and that family's bitmap route, on [0, --brute-span], may span.
+# and that the bitmap route of family and verify, on [0, --brute-span], may span.
 WINDOW_BITS_BUDGET = 1 << 20
 # Largest --k that construct-b and family accept, checked before the run
 # lengths are listed.
@@ -178,6 +178,14 @@ def _check_window_bits(length: int) -> None:
         raise BudgetExceeded(
             f"window of {_echo(length)} bits exceeds the budget of {WINDOW_BITS_BUDGET} bits"
         )
+
+
+def _check_brute_span(span: int) -> None:
+    """Refuse a --brute-span that is negative or whose window [0, span]
+    exceeds WINDOW_BITS_BUDGET, before the set is read or parsed."""
+    if span < 0:
+        raise PreconditionFailed(f"--brute-span must be >= 0, got {_echo(span)}")
+    _check_window_bits(span + 1)
 
 
 def _load_window(args) -> tuple[IntSet, ExplicitWindow]:
@@ -318,10 +326,7 @@ def _cmd_construct_b(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    # the bitmap route works on the window [0, brute_span]
-    if args.brute_span < 0:
-        raise PreconditionFailed(f"--brute-span must be >= 0, got {_echo(args.brute_span)}")
-    _check_window_bits(args.brute_span + 1)
+    _check_brute_span(args.brute_span)
     s = _load_set(args)
     ells = _resolve_ells(args.ells, args.k)
     seq = build_b_sequence(s, ells, args.k, args.digit_budget)
@@ -332,6 +337,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_brute_span(args.brute_span)
     s = _load_set(args)
     try:
         payload = json.loads(_read_text(args.bseq), parse_int=budget_int)

@@ -13,14 +13,13 @@ Three builders live here, each paired with an independent verifier:
 A fourth block checks, for the quadruple-power run generator, that
 doubling an element of the i-th run escapes every translate of the set
 once i is large enough.  Verifiers never reuse the builder's reasoning:
-they recheck claims from set queries alone (member, run_end_at, next_run
-and materialize) and report the smallest counterexample when one exists.
+they recheck claims from set queries alone (run_end_at and materialize)
+and report the smallest counterexample when one exists.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 from .errors import (
@@ -90,8 +89,9 @@ class BSequence(Record):
     covering [b_j, sum_{i<=j} (b_i + ell_i) - 1].  That interval contains
     the hull [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so
     every subset sumset whose largest index is j: k run checks decide all
-    2**k - 1 subset claims.  verify_b_sequence makes those checks on the
-    hulls from the target alone; it never reads the certificates.
+    2**k - 1 subset claims.  verify_b_sequence's search makes those checks
+    at its first level from the target alone; it never reads the
+    certificates.
     """
 
     _fields = ("ells", "bs", "certificates")
@@ -284,186 +284,123 @@ class SweepReport(Record):
         return payload
 
 
-class _SweepState:
-    """Folds individual verdicts into the aggregate.  A failure is kept as
-    the smallest (witness, mask), bit p - 1 of mask set when part p took
+def _report(checked: int, *failures: tuple[int, int] | None) -> SweepReport:
+    """The report of checked claims whose routes found failures: the least
+    (witness, mask) of them all, bit p - 1 of mask set when part p took
     part, so a tie on the witness goes to the first selection in
-    enumerate_subsets order; report() builds that selection's tuple."""
-
-    def __init__(self):
-        self.checked = 0
-        self.worst: tuple[int, int] | None = None
-
-    def fail(self, witness: int, mask: int) -> None:
-        if self.worst is None or (witness, mask) < self.worst:
-            self.worst = (witness, mask)
-
-    def report(self) -> SweepReport:
-        if self.worst is not None:
-            witness, mask = self.worst
-            return SweepReport(self.checked, witness, subset_of(mask))
-        return SweepReport(self.checked)
+    enumerate_subsets order."""
+    found = [f for f in failures if f is not None]
+    if not found:
+        return SweepReport(checked)
+    witness, mask = min(found)
+    return SweepReport(checked, witness, subset_of(mask))
 
 
-class _MemberWalk:
-    """Smallest non-member of an interval, asking the target about each
-    integer at most once per sweep.
+def _least_failure(
+    parts: Sequence[Sequence[Run]], a: IntSet, certify: bool = False
+) -> tuple[int, int] | None | bool:
+    """The least (witness, mask) over every pick of at most one run per
+    part, at least one run in all, or None when every pick passes.
 
-    Stretches of members already walked are kept as disjoint, non-adjacent
-    intervals sorted by start, in the lists starts and ends, and the
-    non-members that ended walks in a set, so a walk skips whatever an
-    earlier one covered.  _sweep reads the two lists to pass an interval
-    inside one stretch without calling first_gap at all; they are only
-    ever changed in place, so a reference to them stays current.  A
-    one-integer interval is asked directly and not recorded: such claims
-    hardly ever repeat, and keeping them would only cost memory.
+    A pick sums to [sum of starts, sum of ends], and its witness is what
+    verify_containment finds of that interval outside a.  The picks are
+    searched depth first as a tree.  A node fixes the choice of each part
+    from p up, none or one run, and every pick below it sums inside
+    [low, hi + rest[p]]: hi sums the fixed ends, rest[p] the largest run
+    end of each part below p, and low is the sum of the fixed starts, or
+    the least start below p when nothing is fixed yet.  One run_end_at(low)
+    that reaches the top of that range passes the whole subtree; a leaf's
+    sum goes to verify_containment.  "None" is tried before a part's runs,
+    and a node whose (low, mask) is not below the least failure found so
+    far is cut: its picks have witnesses of at least low and masks of at
+    least its own.  The node that would bring the count to
+    2**SUBSET_BUDGET_MAX, read at call time, raises BudgetExceeded before
+    it asks a anything; internal nodes count too, so a tree that must be
+    visited whole holds up to twice its picks.
+
+    With certify no pick is looked at: the search returns False at the
+    first node that fixes a run and does not pass its subtree on its one
+    run query, and None when there is no such node.  The hulls of a base
+    sequence are those nodes, so, each part one run, it visits at most
+    2 * len(parts) + 1 nodes.
     """
-
-    def __init__(self, target: IntSet):
-        self._member = target.member
-        self.starts: list[int] = []
-        self.ends: list[int] = []
-        self._gaps: set[int] = set()
-
-    def first_gap(self, lo: int, hi: int) -> int | None:
-        """Smallest x in [lo, hi] that is not a member, or None."""
-        if lo == hi:
-            return None if self._member(lo) else lo
-        starts, ends, gaps, member = self.starts, self.ends, self._gaps, self._member
-        x = lo
-        while x <= hi:
-            i = bisect_right(starts, x) - 1
-            if i >= 0 and x <= ends[i]:
-                x = ends[i] + 1
-                continue
-            stop = hi if i + 1 == len(starts) else min(hi, starts[i + 1] - 1)
-            y = x
-            while y <= stop and y not in gaps and member(y):
-                y += 1
-            if y > x:
-                self._add(i, x, y - 1)
-            if y <= stop:
-                gaps.add(y)
-                return y
-            x = y
-        return None
-
-    def _add(self, i: int, lo: int, hi: int) -> None:
-        """Record members [lo, hi], which lie between intervals i and i + 1."""
-        starts, ends = self.starts, self.ends
-        left = i >= 0 and ends[i] == lo - 1
-        right = i + 1 < len(starts) and starts[i + 1] == hi + 1
-        if left and right:
-            ends[i] = ends.pop(i + 1)
-            del starts[i + 1]
-        elif left:
-            ends[i] = hi
-        elif right:
-            starts[i + 1] = lo
-        else:
-            starts.insert(i + 1, lo)
-            ends.insert(i + 1, hi)
-
-
-def _sweep(
-    parts: Sequence[Sequence[Run]], a: IntSet, brute_span: int, state: _SweepState
-) -> None:
-    """Check [sum of starts, sum of ends] against a for every pick of at
-    most one run per part, at least one run in all, in mixed-radix counter
-    order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): digit 0 leaves a part
-    out, digit d picks its d-th run, and part 1's digit changes fastest.
-    A step raises one digit and drops the full digits below it to 0, so
-    both sums move by one precomputed difference.  A sum starts at or above
-    the run picked in its top part and passes on one comparison when it
-    ends inside the target's run through that start, looked up once; any
-    other sum goes to verify_containment.  The brute route walks sums of at
-    most brute_span integers with member() alone, through one _MemberWalk;
-    a sum inside a stretch of members the walk has already covered passes
-    on one bisection of its stretches, with no call.  More than
-    2**SUBSET_BUDGET_MAX - 1 picks raise BudgetExceeded first.
-
-    The verifiers call this only when _hulls_pass cannot vouch for every
-    pick: it finds the smallest witness and its first selection, and it
-    decides claims the hulls are too coarse for.
-    """
-    fulls = [len(runs) for runs in parts]
-    picks = prod(f + 1 for f in fulls) - 1
-    if picks >> SUBSET_BUDGET_MAX:
-        raise BudgetExceeded(
-            f"checking {picks} picks exceeds the budget of 2**{SUBSET_BUDGET_MAX} - 1"
-        )
-    walk = _MemberWalk(a)
-    known_lo, known_hi = walk.starts, walk.ends
-    # rise_lo[p][d]: the move of lo when part p's digit rises to d and the
-    # full digits below it drop to 0; rise_hi likewise for hi
-    rise_lo, rise_hi, full_lo, full_hi = [], [], 0, 0
+    budget = SUBSET_BUDGET_MAX
+    rest, least = [0], [None]
     for runs in parts:
-        starts, ends = [0] + [r.start for r in runs], [0] + [r.end for r in runs]
-        rise_lo.append([x - y - full_lo for x, y in zip(starts, [0] + starts)])
-        rise_hi.append([x - y - full_hi for x, y in zip(ends, [0] + ends)])
-        full_lo, full_hi = full_lo + starts[-1], full_hi + ends[-1]
-    digits = [0] * len(parts)
-    def mask() -> int:
-        return sum(1 << q for q, d in enumerate(digits) if d)
-    lo, hi, top = 0, 0, -1  # the current pick's sums and its top part
-    state.checked += picks
-    for _ in range(picks):
-        p = 0
-        while digits[p] == fulls[p]:
-            digits[p] = 0
-            p += 1
-        d = digits[p] = digits[p] + 1
-        lo += rise_lo[p][d]
-        hi += rise_hi[p][d]
-        if p >= top:
-            top = p
-            # a non-member start reaches start - 1, below every sum
-            reach = a.run_end_at(parts[p][d - 1].start)
-        if reach is not None and hi > reach:
+        rest.append(rest[-1] + max((r.end for r in runs), default=0))
+        starts = [r.start for r in runs]
+        if least[-1] is not None:
+            starts.append(least[-1])
+        least.append(min(starts, default=None))
+    best = None
+    nodes = 0
+    stack = [(len(parts), 0, 0, 0)]  # (p, sum of starts, sum of ends, mask)
+    while stack:
+        p, lo, hi, mask = stack.pop()
+        nodes += 1
+        if nodes >> budget:
+            raise BudgetExceeded(
+                f"checking the picks needs more than the budget of 2**{budget} - 1 search nodes"
+            )
+        low = lo if mask else least[p]
+        if low is None or best is not None and (low, mask) >= best:
+            continue
+        if p == 0 and not certify:
             witness = verify_containment(Run(lo, hi - lo + 1), a)
-            if witness is not None:
-                state.fail(witness, mask())
-        if hi - lo < brute_span:
-            # a sum inside a stretch of members already walked passes here
-            j = bisect_right(known_lo, lo) - 1
-            if j < 0 or hi > known_hi[j]:
-                witness = walk.first_gap(lo, hi)
-                if witness is not None:
-                    state.fail(witness, mask())
+            if witness is not None and (best is None or (witness, mask) < best):
+                best = (witness, mask)
+            continue
+        reach = a.run_end_at(low)
+        if reach is not None and reach < hi + rest[p]:
+            if certify and mask:
+                return False
+            bit = 1 << (p - 1)
+            stack.extend(
+                (p - 1, lo + r.start, hi + r.end, mask | bit) for r in reversed(parts[p - 1])
+            )
+            stack.append((p - 1, lo, hi, mask))
+    return best
 
 
-def _hulls_pass(runs: Sequence[Run], a: IntSet, brute_span: int) -> bool:
-    """Whether a contains the hull of every top index, which proves every pick.
+def _grow(below: ExplicitWindow, part: ExplicitWindow, cap: int) -> ExplicitWindow:
+    """The sums of every nonempty selection of the sets folded into below,
+    then part, on [0, cap]: below | part | (part + below)."""
+    grown = pairwise_sumset(part, below, cap)
+    return ExplicitWindow(below.window, below.bits | part.bits | grown.bits)
 
-    With e_i the end of runs[i], a pick whose highest run is runs[j] sums
-    to an interval inside the hull [start of runs[j], e_0 + ... + e_j], as
-    every start and end is positive.  A hull passes only when both run
-    queries vouch for it: run_end_at through its start reaches its end,
-    and next_run of its length from its start returns a run at that start.
-    A hull of at most brute_span integers must then also pass one
-    _MemberWalk, right after its run queries, so a PowRuns or PolyRuns
-    target answers all three within the bracket of that run.  The first
-    failing hull ends the check, and so does a next_run that runs past a
-    finite target's last run (HorizonExceeded).  False proves nothing: the
-    hulls are sufficient, not necessary, and _sweep decides what they cannot.
+
+def _fold_failure(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> tuple[int, int] | None:
+    """The least (witness, mask) of the sums of every nonempty selection of
+    sets on the window [0, brute_span], or None when a holds them all.
+
+    One fold over the sets' bitmaps keeps only the union of the sums of
+    every nonempty selection of the sets so far, so one verify_containment
+    of the last union against a's bitmap, materialized once, decides them
+    all, with a set's bitmap and two unions alive at a time.  A set adds
+    its sums with the union, one pairwise_sumset.  Once the union holds
+    every integer of [full, brute_span], a set's members from full up and
+    all their sums lie there, so a set is materialized below full only,
+    and not summed when it has no member there, or when its least member
+    finds the union full from there on, which lowers full.  Its witness w
+    is the smallest witness of each selection whose sum holds w, and
+    _least_mask names the first of them.
     """
-    walk = _MemberWalk(a)
-    reach = 0
-    for run in runs:
-        lo = run.start
-        reach += run.end
-        end = a.run_end_at(lo)
-        if end is not None and end < reach:
-            return False
-        try:
-            found = a.next_run(reach - lo + 1, lo)
-        except HorizonExceeded:
-            return False
-        if found is None or found.start != lo:
-            return False
-        if reach - lo < brute_span and walk.first_gap(lo, reach) is not None:
-            return False
-    return True
+    window = Window(0, brute_span + 1)
+    union = ExplicitWindow(window, 0)
+    full = brute_span + 1
+    for s in sets:
+        part = s.materialize(Window(0, full))
+        least = (part.bits & -part.bits).bit_length() - 1
+        if least < 0:
+            continue
+        if (union.bits >> least).bit_count() > brute_span - least:
+            full = least
+        else:
+            union = _grow(union, part, brute_span)
+    witness = verify_containment(union, a.materialize(window))
+    if witness is None:
+        return None
+    return witness, _least_mask(sets, witness)
 
 
 def verify_b_sequence(
@@ -475,26 +412,24 @@ def verify_b_sequence(
     """Recheck every nonempty subset's sumset against the target.
 
     The sumset of a subset's runs is the interval [sum of starts, sum of
-    ends], inside the hull of its top run, so when every hull passes
-    (_hulls_pass) all 2**k - 1 subsets pass: k run lookups per route and
-    one membership query per integer of the hulls of at most brute_span
-    integers.  Otherwise the runs are the parts of one _sweep, one run
-    each, so subsets come in binary-counter order (see enumerate_subsets),
-    and both of its routes must agree with containment for a Pass.  A
-    negative k_limit raises PreconditionFailed before any query;
-    BudgetExceeded, for k over SUBSET_BUDGET_MAX, comes only before that
-    fallback.
+    ends].  Two routes decide all 2**k - 1 of them: _least_failure, with
+    one run per part, from run queries, and _fold_failure, on the window
+    [0, brute_span], from the target's bitmap there.  The bases increase,
+    so the runs that start in that window are the first ones, and only
+    they are folded.  The report takes the least failure of either route,
+    its subset the first in binary-counter order (see enumerate_subsets)
+    among those sharing the witness.  A negative k_limit raises
+    PreconditionFailed before any query.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     if k < 0:
         raise PreconditionFailed(f"k_limit must be >= 0, got {_echo(k_limit)}")
     runs = [seq.run(j) for j in range(1, k + 1)]
-    if _hulls_pass(runs, a, brute_span):
-        return SweepReport((1 << k) - 1)
-    check_subset_count(k)
-    state = _SweepState()
-    _sweep([[run] for run in runs], a, brute_span, state)
-    return state.report()
+    return _report(
+        (1 << k) - 1,
+        _least_failure([[run] for run in runs], a),
+        _fold_failure([RunList([run]) for run in runs if run.start <= brute_span], a, brute_span),
+    )
 
 
 class BFamily(Record):
@@ -573,56 +508,67 @@ def verify_family(
     For each nonempty selection of components, every way of picking one
     source run per selected component gives an interval that must lie in
     the target: prod(|ix_i| + 1) - 1 picks in all.  Every pick is a subset
-    of the source runs, so when the source sequence's hulls pass both run
-    queries (_hulls_pass, with no member walk: the bitmap route below is
-    the second route) every pick passes.  Otherwise the picks are one
-    _sweep over the components' source runs, under its pick budget.
-
-    The bitmap route rechecks every selection's sum on the window
-    [0, brute_span] in one fold over the components: below[i + 1] =
-    below[i] | part_i | (part_i + below[i]), one pairwise_sumset each,
-    holds the sums of every nonempty selection of the first i + 1, so one
-    verify_containment of the last against the target's bitmap decides
-    them all.  Its witness w is the smallest witness of each selection
-    whose sum holds w, and _least_mask names the first of them.  More than
-    SUBSET_BUDGET_MAX components raise BudgetExceeded before any query:
-    that bounds the k_sets + 1 bitmaps of brute_span + 1 bits kept for it.
+    of the source runs, so the run route first certifies the source runs,
+    one per part, which a greedy sequence passes in at most 2k + 1 nodes
+    and no pick; only when that certificate fails does _least_failure
+    search the picks themselves, the components' source runs as its
+    parts.  The second route is _fold_failure over the component sets on
+    [0, brute_span].  More than SUBSET_BUDGET_MAX components raise
+    BudgetExceeded before any query.
     """
     _check_disjoint(family)
     check_subset_count(family.k_sets)
-    state = _SweepState()
     source = family.source
-    if _hulls_pass([source.run(j) for j in range(1, source.k + 1)], a, 0):
-        state.checked = prod(len(ix) + 1 for ix in family.index_sets) - 1
-    else:
-        runs = [[source.run(j) for j in ix] for ix in family.index_sets]
-        _sweep(runs, a, 0, state)
-    window = Window(0, brute_span + 1)
-    parts = [rl.materialize(window) for rl in family.sets]
-    below = [ExplicitWindow(window, 0)]
-    for part in parts:
-        grown = pairwise_sumset(part, below[-1], brute_span)
-        below.append(ExplicitWindow(window, below[-1].bits | part.bits | grown.bits))
-    witness = verify_containment(below[-1], a.materialize(window))
-    if witness is not None:
-        state.fail(witness, _least_mask(parts, below, witness))
-    return state.report()
+    found = _least_failure([[source.run(j)] for j in range(1, source.k + 1)], a, certify=True)
+    if found is not None:
+        found = _least_failure([[source.run(j) for j in ix] for ix in family.index_sets], a)
+    return _report(
+        prod(len(ix) + 1 for ix in family.index_sets) - 1,
+        found,
+        _fold_failure(family.sets, a, brute_span),
+    )
 
 
-def _least_mask(parts: Sequence[ExplicitWindow], below: Sequence[ExplicitWindow], w: int) -> int:
-    """The least mask whose selection of parts sums to a set holding w: the
-    top part is the least i with w in below[i + 1]; going down, part i is
-    taken only when w lies neither in the sum of the parts taken nor in
-    that sum plus below[i].  Sums are capped at w: at most two
-    pairwise_sumset calls a step."""
-    top = next(i for i in range(len(parts)) if below[i + 1].bits >> w & 1)
-    mask, total = 1 << top, parts[top]
+def _least_mask(sets: Sequence[IntSet], w: int) -> int:
+    """The least mask whose selection of sets sums to a set holding w.
+
+    below[i], the sums of every nonempty selection of the first i sets,
+    is folded again on [0, w], since no sum past w can hold it.  The top
+    set is the least i with w in below[i + 1]; going down, set i is taken
+    only when w lies neither in the sum of the sets taken nor in that sum
+    plus below[i]: at most two pairwise_sumset calls a step.  The descent
+    reads below[i] in reverse, so the fold keeps every step-th of them as
+    a mark, step about the square root of the number of sets, and the
+    stretch of below[i] from the last mark to top; each earlier stretch is
+    rebuilt from its mark when the descent reaches it.  So about
+    2 * sqrt(len(sets)) bitmaps of w + 1 bits are kept at most, and the
+    fold and the rebuilds make at most 2 * top + 1 sums.
+    """
+    window = Window(0, w + 1)
+    step = isqrt(len(sets)) + 1
+    marks: list[ExplicitWindow] = []  # below[0], below[step], below[2 * step], ...
+    stretch: list[ExplicitWindow] = []  # below[i // step * step] .. below[i]
+    below = ExplicitWindow(window, 0)
+    for top, s in enumerate(sets):
+        if top % step == 0:
+            marks.append(below)
+            stretch.clear()
+        stretch.append(below)
+        below = _grow(below, s.materialize(window), w)
+        if below.bits >> w & 1:
+            break
+    stretch.pop()  # below[top]: no set below top reads it
+    mask, total = 1 << top, sets[top].materialize(window)
     for i in range(top - 1, -1, -1):
         if total.bits >> w & 1:
             break
-        if not pairwise_sumset(total, below[i], w).bits >> w & 1:
+        if not stretch:
+            stretch.append(marks[i // step])
+            for j in range(i // step * step, i):
+                stretch.append(_grow(stretch[-1], sets[j].materialize(window), w))
+        if not pairwise_sumset(total, stretch.pop(), w).bits >> w & 1:
             mask |= 1 << i
-            total = pairwise_sumset(parts[i], total, w)
+            total = pairwise_sumset(sets[i].materialize(window), total, w)
     return mask
 
 

@@ -745,10 +745,10 @@ def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> Explici
 
     Run i covers the bits from its start offset up to its past-end offset,
     (1 << past_i) - (1 << start_i).  The runs are disjoint, so the sum over
-    i is the past-end bitmap minus the start bitmap: O(runs + window bits).
-    Only the first run can start before the window and only the last can
-    end after it, so only those two are clipped.  Every start is >= 1, so
-    bit 0 stays clear at window base 0.
+    i is the past-end bitmap minus the start bitmap: O(runs + bits up to
+    the last run's end).  Only the first run can start before the window
+    and only the last can end after it, so only those two are clipped.
+    Every start is >= 1, so bit 0 stays clear at window base 0.
     """
     if not starts:
         return ExplicitWindow(window, 0)
@@ -757,7 +757,7 @@ def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> Explici
     pasts = [e + 1 - base for e in ends]
     offsets[0] = max(offsets[0], 0)
     pasts[-1] = min(pasts[-1], n)
-    first, past = bytearray(n // 8 + 1), bytearray(n // 8 + 1)
+    first, past = bytearray(pasts[-1] // 8 + 1), bytearray(pasts[-1] // 8 + 1)
     for o in offsets:
         first[o >> 3] |= 1 << (o & 7)
     for o in pasts:

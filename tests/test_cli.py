@@ -317,16 +317,57 @@ def test_verify_decides_a_valid_sequence_past_the_subset_budget(capsys, tmp_path
 
 
 def test_verify_refuses_a_failing_sequence_past_the_subset_budget(capsys, tmp_path):
-    # odd bases 1, 3, 5, ...: the hull of the second run already leaves
-    # PolyRuns(2), and the per-subset fallback would take 2**30 - 1 checks
+    # odd bases 1, 3, 5, ...: the second run, [3, 3], already leaves
+    # PolyRuns(2), and the search finds it without enumerating 2**30 - 1
+    # subsets, so k past SUBSET_BUDGET_MAX is no refusal
     seq = from_entries((1,) * 30, tuple(range(1, 61, 2)))
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(seq.to_payload()), encoding="utf-8")
     code, out, err = run_cli(
         capsys, "verify", "--set", "gen poly_runs 2", "--bseq", str(path)
     )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "status": "Fail", "checked": 2**30 - 1, "witness": "3", "witness_subset": [2]}
+
+
+@pytest.mark.parametrize("k, top, want", [
+    (24, 10**11, {"witness": "104603532030", "witness_subset": [24, 22]}),
+    (25, 10**11, {"witness": "104603532030", "witness_subset": [24, 22]}),
+    (40, 10**22, {}),
+])
+def test_verify_decides_powers_of_three(capsys, tmp_path, monkeypatch, k, top, want):
+    # bases 3**j with unit runs sum to the integers whose base-3 digits are
+    # 0 and 1; the hull [9, 13] holds the hole 11 of the target, though no
+    # subset sums to 11, and the least sum past top + 11 is 3**23 + 3**21.
+    # The search decides each case in fewer than 2**7 nodes.
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 7)
+    seq = from_entries((1,) * k, tuple(3**j for j in range(k)))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(seq.to_payload()), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--set", f"run 1 10;run 12 {top}", "--bseq", str(path)
+    )
+    status = "Fail" if want else "Pass"
+    assert (code, err) == (int(bool(want)), "")
+    assert json.loads(out) == {"status": status, "checked": 2**k - 1, **want}
+
+
+def test_verify_checks_brute_span_before_the_set(capsys, tmp_path):
+    # the bitmap route works on [0, brute_span], as family's does; the
+    # span is refused before the set, which is not even well formed here
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(from_entries((1,), (1,)).to_payload()), encoding="utf-8")
+    common = ("verify", "--set", "bogus", "--bseq", str(path), "--brute-span")
+    code, out, err = run_cli(capsys, *common, "-1")
+    assert (code, out) == (2, "")
+    assert "--brute-span" in err and ">= 0" in err
+    code, out, err = run_cli(capsys, *common, "2000000")
     assert (code, err) == (3, "")
-    assert json.loads(out)["error"] == "BudgetExceeded"
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "detail": f"window of 2000001 bits exceeds the budget of {WINDOW_BITS_BUDGET} bits",
+    }
 
 
 def test_verify_rejects_malformed_file(capsys, tmp_path):
@@ -583,8 +624,10 @@ def test_family_command(capsys):
 def test_family_answers_many_picks_from_the_hulls(capsys, monkeypatch):
     # 8 components of 25 runs each make 26**8 - 1 picks, far over the pick
     # budget; the greedy sequence's hulls pass, so no pick is swept.  The
-    # bitmap route folds the components in one pairwise_sumset each, so 24
-    # components of 8 or 9 runs take 24 calls, not one per selection
+    # bitmap route folds the components in at most one pairwise_sumset
+    # each, not one per selection: of 24 components of 8 or 9 runs, the
+    # first 13 already sum to every integer of [14, 2048], where each later
+    # component's least element lies, so those 11 are not summed
     calls = []
     sumset = construct.pairwise_sumset
 
@@ -593,7 +636,7 @@ def test_family_answers_many_picks_from_the_hulls(capsys, monkeypatch):
         return sumset(b, c, cap)
 
     monkeypatch.setattr(construct, "pairwise_sumset", counting)
-    for k_sets, checked in (8, 26**8 - 1), (24, 10**8 * 9**16 - 1):
+    for k_sets, checked, sums in (8, 26**8 - 1, 8), (24, 10**8 * 9**16 - 1, 13):
         calls.clear()
         code, out, err = run_cli(
             capsys, "family", "--set", "gen full", "--ells", "1", "--k", "200",
@@ -601,7 +644,7 @@ def test_family_answers_many_picks_from_the_hulls(capsys, monkeypatch):
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["verification"] == {"status": "Pass", "checked": checked}
-        assert len(calls) == k_sets
+        assert len(calls) == sums
 
 
 def test_family_checks_brute_span_before_any_work(capsys):

@@ -2,12 +2,12 @@
 
 import itertools
 import json
-import math
 import random
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from banachsum import construct, intset
@@ -16,7 +16,6 @@ from banachsum.construct import (
     BFamily,
     BSequence,
     SweepReport,
-    _MemberWalk,
     ap_reduce,
     build_b_sequence,
     build_family,
@@ -50,6 +49,7 @@ from banachsum.sumset import (
     enumerate_subsets,
     pairwise_sumset,
     run_sum,
+    subset_of,
     verify_containment,
 )
 from oracles import family_sumset, from_entries
@@ -133,8 +133,8 @@ def test_verify_window_target_is_finite():
 
 def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
     """Report of the per-subset sweep: the sum of each subset's runs
-    summed anew by run_sum, checked whole by verify_containment, then walked
-    element by element with member()."""
+    summed anew by run_sum and checked whole by verify_containment, then
+    the cells of that sum up to brute_span asked one by one by member()."""
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     checked = 0
     witness = witness_subset = None
@@ -143,8 +143,8 @@ def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
         v = verify_containment(s, a)
         checked += 1
         found = [] if v is None else [v]
-        if s.length <= brute_span:
-            found += [x for x in range(s.start, s.end + 1) if not a.member(x)][:1]
+        cells = range(s.start, min(s.end, brute_span) + 1)
+        found += [x for x in cells if not a.member(x)][:1]
         for x in found:
             if witness is None or x < witness:
                 witness, witness_subset = x, subset
@@ -238,8 +238,8 @@ def test_sweep_payload_past_the_int_str_limit():
 
 class MemberOnly(IntSet):
     """inner's members behind a run query that vouches for everything, so
-    that only the brute route, which asks member(), can find a gap in a
-    sum, and only member() and next_run() in a hull."""
+    that only the bitmap route, whose bitmap of the target the default
+    materialize builds by member(), can find a gap in a sum."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -265,7 +265,7 @@ def test_brute_route_alone_matches_reference(case):
 
 class NextRunVouches(IntSet):
     """inner behind a next_run that vouches for every run from its lower
-    bound: the mirror of MemberOnly."""
+    bound.  The verifiers ask next_run nothing, so it cannot matter."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -308,47 +308,40 @@ class RunQueriesVouch(IntSet):
 @given(sweep_cases())
 @settings(max_examples=300, deadline=None)
 def test_member_walk_alone_decides_short_hulls(case):
-    # with both run queries lying, a hull of at most brute_span integers
-    # passes only on the member walk, which then finds what the per-subset
-    # brute route finds
+    # with both run queries lying, only the bitmap route can fail a sum;
+    # when [0, brute_span] holds every subset sum, it alone finds what the
+    # per-subset brute route finds
     seq, a, k_limit, _ = case
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     brute_span = 10_000
-    # the top hull is the longest
-    top = sum(seq.run(j).end for j in range(1, k + 1)) - (seq.bs[k - 1] if k else 0)
-    assume(top < brute_span)
+    # the sum of all k runs is the largest
+    assume(sum(seq.run(j).end for j in range(1, k + 1)) <= brute_span)
     a = RunQueriesVouch(a)
     got = verify_b_sequence(seq, a, k_limit, brute_span)
     assert got == reference_sweep(seq, a, k_limit, brute_span)
 
 
-def test_hulls_are_sufficient_not_necessary(monkeypatch):
+def test_hulls_are_sufficient_not_necessary():
     # the hull [100, 111] of the third run holds the hole 102, yet all
     # seven subset sums 1, 10, 11, 100, 101, 110, 111 are members: the
-    # failing hull hands the claim to the per-subset sweep
+    # search descends below that node, whose picks with and without run 2
+    # sum inside [100, 101] and [110, 111], and passes both
     seq = from_entries((1, 1, 1), (1, 10, 100))
-    a = parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2")
-    assert not construct._hulls_pass([seq.run(j) for j in (1, 2, 3)], a, 0)
-    sweeps = []
-    sweep = construct._sweep
-
-    def counting(*args):
-        sweeps.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(construct, "_sweep", counting)
+    a = CountingRunEnds(parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2"))
     payload = {"status": "Pass", "checked": 7}
     assert reference_sweep(seq, a).to_payload() == payload
-    assert verify_b_sequence(seq, a).to_payload() == payload
-    assert len(sweeps) == 1
+    a.asked.clear()
+    assert verify_b_sequence(seq, a, brute_span=0).to_payload() == payload
+    # the root and the picks without run 3 start at 1; then run 2's hull
+    # [10, 11], run 3's hull, and the two nodes below it
+    assert a.asked == [1, 1, 1, 10, 100, 100, 110]
     fam = build_family(seq, 2, "residue")
     assert verify_family(fam, a) == reference_family(fam, a)
-    assert len(sweeps) == 2
 
 
 def test_brute_route_alone_finds_a_gap_just_past_a_walked_stretch():
-    # run 3's sum [10, 12] is walked first; the sum of runs 3 and 1,
-    # [11, 13], starts inside that stretch and ends on the gap at 13
+    # the sum of run 3, [10, 12], is all members; the sum of runs 3 and 1,
+    # [11, 13], overlaps it and ends on the gap at 13
     seq = from_entries((1, 2, 3), (1, 5, 10))
     a = MemberOnly(RunList([Run(1, 12), Run(15, 100)]))
     payload = {"status": "Fail", "checked": 7, "witness": "13", "witness_subset": [3, 1]}
@@ -411,64 +404,19 @@ def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     seq = from_entries((1,) * k, tuple(range(1, k + 1)))
     with pytest.raises(ValueError, match="k_limit must be >= 0"):
         verify_b_sequence(seq, Untouchable(), k_limit=-1)
-    # the hulls [1, 20000] and [20001, 40001] pass, [20002, 60003] fails,
-    # all too long for the member walk: the refusal of the 2**25 - 1
-    # subsets follows a few run queries, and no member() or
-    # verify_containment call
+    # k over SUBSET_BUDGET_MAX is no refusal: the budget counts search
+    # nodes, and a valid sequence passes on its first level
+    assert verify_b_sequence(seq, Full()).checked == 2**k - 1
+    # lowered to 2**3 - 1 nodes, the budget stops the search against
+    # [1, 5] at its eighth node, still on the chain of nodes that fix
+    # nothing, each of whose ranges [1, 1 + 2 + ... + p] leaves [1, 5]:
+    # seven run queries, and no member() or verify_containment call
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
-    long_first = from_entries((20000,) + (1,) * (k - 1),
-                                        (1,) + tuple(range(20001, 20000 + k)))
-    a = RunQueriesOnly(RunList([Run(1, 40005)]))
-    with pytest.raises(BudgetExceeded):
-        verify_b_sequence(long_first, a)
-    assert 0 < a.queries <= k
-    assert verify_b_sequence(seq, Full(), k_limit=3).checked == 7
-
-
-class CountingRuns(RunList):
-    def __init__(self, runs):
-        super().__init__(runs)
-        self.asked = []
-
-    def member(self, x):
-        self.asked.append(x)
-        return super().member(x)
-
-
-def test_member_walk_examples():
-    target = CountingRuns([Run(1, 3), Run(5, 6)])
-    walk = _MemberWalk(target)
-    assert walk.first_gap(2, 8) == 4
-    assert walk.first_gap(5, 9) is None
-    # members 2..3 and 5..9 are known but not joined across the gap at 4
-    assert walk.first_gap(1, 9) == 4
-    assert walk.first_gap(6, 12) == 11
-    assert sorted(target.asked) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
-
-
-@given(
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 30)), max_size=8),
-    st.lists(st.tuples(st.integers(1, 150), st.integers(1, 40)), max_size=30),
-)
-@settings(max_examples=100, deadline=None)
-def test_member_walk_asks_each_integer_once(runs, intervals):
-    # runs separated by gaps of 1 to 6 non-members
-    starts, pos = [], 0
-    for gap, n in runs:
-        starts.append(pos + gap)
-        pos += gap + n
-    target = CountingRuns(Run(s, n) for s, (_, n) in zip(starts, runs))
-    walk = _MemberWalk(target)
-    for lo, span in intervals:
-        hi = lo + span
-        want = next((x for x in range(lo, hi + 1) if not RunList.member(target, x)), None)
-        assert walk.first_gap(lo, hi) == want
-    assert len(target.asked) == len(set(target.asked))
-    # a one-integer interval is asked every time and never recorded
-    target.asked.clear()
-    walk.first_gap(1, 1)
-    walk.first_gap(1, 1)
-    assert target.asked == [1, 1]
+    a = RunQueriesOnly(RunList([Run(1, 5)]))
+    with pytest.raises(BudgetExceeded, match=r"2\*\*3 - 1 search nodes"):
+        verify_b_sequence(seq, a)
+    assert a.queries == 7
 
 
 @given(
@@ -573,27 +521,27 @@ def test_family_selection_budget():
 
 
 def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
-    # the hulls of bases 1, 2, 3, ... end at 1, 3, 6, ...: the target's
-    # run [1, 5] passes two and fails the third, so the picks would go to
-    # the sweep, which refuses them after a few run queries, with no
-    # member() or verify_containment call
+    # bases 1, 2, 3, ... sum past the target's run [1, 5] from the third
+    # on: lowered to 2**3 - 1 nodes, the budget stops the certificate of
+    # the source runs at its eighth node, after seven run queries on the
+    # chain of nodes that fix nothing, with no member() or
+    # verify_containment call
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     # 20 components of two runs each: 3**20 - 1 picks
     seq = from_entries((1,) * 40, tuple(range(1, 41)))
+    fam = build_family(seq, 20, "residue")
     a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded):
-        verify_family(build_family(seq, 20, "residue"), a)
-    assert 0 < a.queries <= seq.k
-    # component sizes 96, 256 and 672 give 97 * 257 * 673 - 1 = 2**24
-    # picks, one over the budget
-    seq = from_entries((1,) * 1024, tuple(range(1, 1025)))
-    cuts = (0, 96, 352, 1024)
-    index_sets = tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(cuts, cuts[1:]))
-    sets = tuple(RunList(seq.run(j) for j in ix) for ix in index_sets)
-    a = RunQueriesOnly(RunList([Run(1, 5)]))
+        verify_family(fam, a)
+    assert a.queries == 7
+    # the search of the picks, the components' runs as its parts, stops
+    # the same way on the chain of nodes that fix nothing
+    a.queries = 0
+    parts = [[seq.run(j) for j in ix] for ix in fam.index_sets]
     with pytest.raises(BudgetExceeded):
-        verify_family(BFamily(3, index_sets, sets, seq), a)
-    assert 0 < a.queries <= seq.k
+        construct._least_failure(parts, a)
+    assert a.queries == 7
     # more than SUBSET_BUDGET_MAX components are refused before the target
     # is asked anything
     seq = from_entries((1,) * 25, tuple(range(1, 26)))
@@ -616,32 +564,69 @@ class CountingRunEnds(IntSet):
         self.asked.append(x)
         return self.inner.run_end_at(x)
 
+    def materialize(self, window):
+        return self.inner.materialize(window)
+
 
 def test_valid_sweeps_look_up_each_run_once(monkeypatch):
     # the hull of each run of a valid sequence lies inside the target's run
-    # through its start, so verify and family both look up each run once
-    seq = build_b_sequence(PolyRuns(2), [1, 2, 1, 3, 1, 2])
-    a = CountingRunEnds(PolyRuns(2))
-    assert verify_b_sequence(seq, a, brute_span=0).passed
-    assert a.asked == list(seq.bs)
-    a.asked.clear()
-    assert verify_family(build_family(seq, 2, "blocks"), a, brute_span=0).passed
-    assert a.asked == list(seq.bs)
-    # with brute_span=0 not one member() call: the 65 535 subsets of a
-    # valid PolyRuns(2) k=16 sequence pass on 16 run_end_at calls
+    # through its start, so the search passes each run's node on its first
+    # query: of a greedy PolyRuns(2) k=16 sequence's 65 535 subsets, in at
+    # most 2**5 - 1 nodes, within 2k + 1 = 33, and not one member() call
     seq = build_b_sequence(PolyRuns(2), [1] * 16)
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 5)
     monkeypatch.setattr(PolyRuns, "member", refuse_member)
     a = CountingRunEnds(PolyRuns(2))
     assert verify_b_sequence(seq, a, brute_span=0).to_payload() == {
         "status": "Pass", "checked": 2**16 - 1}
-    assert a.asked == list(seq.bs)
+    # each base once for the node of its run, and the first base once more
+    # for each node that fixes nothing yet
+    assert sorted(a.asked) == [seq.bs[0]] * 16 + list(seq.bs[1:])
+    # a family searches the source runs the same way, whatever its split
+    for k_sets, scheme in ((4, "blocks"), (8, "residue")):
+        a.asked.clear()
+        assert verify_family(build_family(seq, k_sets, scheme), a, brute_span=0).passed
+        assert sorted(a.asked) == [seq.bs[0]] * 16 + list(seq.bs[1:])
+
+
+def test_family_certificate_falls_through_to_the_picks(monkeypatch):
+    # unit runs at 3, 6, ..., 90 in Congruence(3, 0): every pick passes,
+    # but no node's range lies in one target run, so searching all subsets
+    # of the source runs would visit 2**31 - 1 nodes.  The certificate
+    # stops at run 2's hull, after the 30 nodes from the root down to the
+    # one that fixes nothing below run 2 and passes: 31 queries.  The two
+    # blocks of 15 runs then give 16 * 16 - 1 = 255 picks: one query for
+    # the root, one for each of its 16 children, and one for each pick.
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 9)
+    seq = from_entries((1,) * 30, tuple(range(3, 91, 3)))
+    a = CountingRunEnds(Congruence(3, 0))
+    report = verify_family(build_family(seq, 2, "blocks"), a)
+    assert report.to_payload() == {"status": "Pass", "checked": 255}
+    assert len(a.asked) == 31 + 1 + 16 + 255
+
+
+def test_search_budget_counts_every_node(monkeypatch):
+    # unit runs at multiples of 3 in Congruence(3, 0): every pick passes
+    # and no node passes a subtree, so the search visits the whole tree,
+    # 2**(k + 1) - 1 nodes for 2**k - 1 picks.  Lowered to 2**6 - 1
+    # nodes, the budget takes k = 5 and refuses k = 6, whose 63 picks
+    # would have fit a budget of picks
+    monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 6)
+    for k in (5, 6):
+        seq = from_entries((1,) * k, tuple(range(3, 3 * k + 1, 3)))
+        if k == 5:
+            assert verify_b_sequence(seq, Congruence(3, 0)).to_payload() == {
+                "status": "Pass", "checked": 31}
+        else:
+            with pytest.raises(BudgetExceeded, match=r"2\*\*6 - 1 search nodes"):
+                verify_b_sequence(seq, Congruence(3, 0))
 
 
 @pytest.mark.parametrize("k", [13, 16])
 def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
     """A fresh PolyRuns(2) remembers the bracket of the run it last met,
-    so the whole check, the member walk of the short hulls included,
-    takes one root per base.
+    so the whole check, the search and the bitmap route, takes one root
+    per base.
     Past k roots the counter raises at once, instead of letting a
     root-per-query sweep run to its end."""
     seq = build_b_sequence(PolyRuns(2), [1] * k)
@@ -704,19 +689,25 @@ def family_cases(draw):
 
 
 def walk_family(family, a, brute_span=2048):
-    """verify_family with its bitmap route as a walk over the selections:
-    the same run route, then every selection of nonempty components
-    depth first by increasing component, its sum the sum of the selection
-    without its highest component plus that component, one
-    pairwise_sumset each, checked against the target's bitmap."""
+    """verify_family with each route as a walk: every pick of at most one
+    source run per component, at least one in all, summed anew by run_sum
+    and checked whole by verify_containment; then every selection of
+    nonempty components depth first by increasing component, its sum the
+    sum of the selection without its highest component plus that
+    component, one pairwise_sumset each, checked against the target's
+    bitmap."""
     construct._check_disjoint(family)
-    state = construct._SweepState()
-    source = family.source
-    if construct._hulls_pass([source.run(j) for j in range(1, source.k + 1)], a, 0):
-        state.checked = math.prod(len(ix) + 1 for ix in family.index_sets) - 1
-    else:
-        runs = [[source.run(j) for j in ix] for ix in family.index_sets]
-        construct._sweep(runs, a, 0, state)
+    checked, failures = 0, []
+    choices = [[None, *(family.source.run(j) for j in ix)] for ix in family.index_sets]
+    for pick in itertools.product(*choices):
+        runs = [run for run in pick if run is not None]
+        if not runs:
+            continue
+        checked += 1
+        witness = verify_containment(run_sum(runs), a)
+        if witness is not None:
+            mask = sum(1 << i for i, run in enumerate(pick) if run is not None)
+            failures.append((witness, mask))
     window = Window(0, brute_span + 1)
     parts = [rl.materialize(window) for rl in family.sets]
     target = a.materialize(window)
@@ -728,11 +719,14 @@ def walk_family(family, a, brute_span=2048):
             total = parts[i] if acc is None else pairwise_sumset(parts[i], acc, brute_span)
             witness = verify_containment(total, target)
             if witness is not None:
-                state.fail(witness, mask | 1 << i)
+                failures.append((witness, mask | 1 << i))
             extend(mask | 1 << i, total, i + 1)
 
     extend(0, None, 0)
-    return state.report()
+    if not failures:
+        return SweepReport(checked)
+    witness, mask = min(failures)
+    return SweepReport(checked, witness, subset_of(mask))
 
 
 @st.composite
@@ -788,13 +782,21 @@ def family_with_counted_sums(fam, a, brute_span):
         return verify_family(fam, a, brute_span), len(calls)
 
 
+def most_sums(k_sets):
+    """The most pairwise_sumset calls of verify_family's bitmap route: at
+    most one per component for the fold, then, on a hole, at most
+    2 * top + 1 for _least_mask's fold and rebuilds and 2 * top for its
+    descent, with top at most k_sets - 1."""
+    return k_sets + 4 * (k_sets - 1) + 1
+
+
 @given(family_cases())
 @settings(max_examples=300, deadline=None)
 def test_family_matches_per_selection_reference(case):
     fam, a, brute_span = case
     got, sums = family_with_counted_sums(fam, a, brute_span)
     assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
-    assert fam.k_sets <= sums <= 3 * fam.k_sets
+    assert sums <= most_sums(fam.k_sets)
 
 
 @given(multi_hole_families())
@@ -804,7 +806,60 @@ def test_family_names_the_first_selection_of_several_components(case):
     got, sums = family_with_counted_sums(fam, a, brute_span)
     assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
     assert len(got.witness_subset) >= 2
-    assert fam.k_sets < sums <= 3 * fam.k_sets
+    assert sums <= most_sums(fam.k_sets)
+
+
+@st.composite
+def failing_hull_families(draw):
+    """A family of 1 to 4 components of two or three short source runs
+    each, split by either scheme, over a target that is [1, the sum of all
+    runs] but for one to three holes drawn from that range.  A hole in a
+    hull fails it, so the search goes below the first level often, and
+    sums of overlapping runs often share their witness."""
+    k_sets = draw(st.integers(1, 4))
+    ells = draw(st.lists(st.integers(1, 4), min_size=2 * k_sets, max_size=3 * k_sets))
+    bs, nxt = [], 1
+    for ell in ells:
+        bs.append(nxt + draw(st.integers(0, 6)))
+        nxt = bs[-1] + ell
+    seq = from_entries(tuple(ells), tuple(bs))
+    top = sum(seq.run(j).end for j in range(1, seq.k + 1))
+    holes = draw(st.lists(st.integers(1, top), min_size=1, max_size=3, unique=True))
+    cuts = [0, *sorted(holes), top + 1]
+    a = RunList(Run(lo + 1, hi - lo - 1) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1)
+    fam = build_family(seq, k_sets, draw(st.sampled_from(["residue", "blocks"])))
+    return fam, a, draw(st.sampled_from([0, 5, 64, 2048]))
+
+
+@given(failing_hull_families())
+@settings(max_examples=200, deadline=None)
+def test_failing_hulls_match_the_references(case):
+    fam, a, brute_span = case
+    got = verify_family(fam, a, brute_span)
+    assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
+    seq = fam.source
+    assert verify_b_sequence(seq, a, None, brute_span) == reference_sweep(seq, a, None, brute_span)
+
+
+def test_failing_hulls_give_ties_on_the_witness():
+    """failing_hull_families draws families whose witness lies in the sums
+    of two or more selections, so the tie rule is exercised."""
+
+    def tie(case):
+        fam, a, _ = case
+        report = reference_family(fam, a, 0)
+        if report.passed:
+            return False
+        sums = {
+            sel: [run_sum(fam.source.run(j) for j in pick)
+                  for pick in itertools.product(*(fam.index_sets[i - 1] for i in sel))]
+            for sel in enumerate_subsets(fam.k_sets)
+        }
+        holders = [sel for sel, runs in sums.items()
+                   if any(s.start <= report.witness <= s.end for s in runs)]
+        return len(holders) >= 2
+
+    find(failing_hull_families(), tie, settings=settings(database=None, max_examples=500))
 
 
 def test_family_fail_reports_lowest_selection_of_smallest_witness():
@@ -822,14 +877,90 @@ def test_family_fail_reports_lowest_selection_of_smallest_witness():
 
 
 def test_family_bitmap_route_sums_each_component_once():
-    # one pairwise_sumset per component, emptied or not: 5 either way, where
-    # walk_family makes one per selection of two or more nonempty
+    # one pairwise_sumset per nonempty component, 5, or 4 with one emptied,
+    # where walk_family makes one per selection of two or more nonempty
     # components, 2**5 - 1 - 5 = 26, or 2**4 - 1 - 4 = 11 with one emptied
     fam = build_family(build_b_sequence(Full(), [1] * 10), 5, "residue")
     emptied = with_sets(fam, fam.sets[:2] + (RunList(()),) + fam.sets[3:])
-    for family in fam, emptied:
+    for family, want in (fam, 5), (emptied, 4):
         report, sums = family_with_counted_sums(family, Full(), 64)
-        assert report.passed and sums == 5
+        assert report.passed and sums == want
+    # on [0, 16] the sums of the first three components, {1, 6}, {2, 7} and
+    # {3, 8}, hold all of [1, 16] but 12, so the fourth, {4, 9}, is summed;
+    # then the union holds [1, 16], and so [5, 16], where every sum with
+    # the fifth, {5, 10}, lies: that one is skipped
+    report, sums = family_with_counted_sums(fam, Full(), 16)
+    assert report.passed and sums == 4
+
+
+def least_mask_of_every_prefix(sets, w):
+    """_least_mask as it was when every union below[i] was kept: the
+    same descent, each below[i] folded once and held to the end."""
+    window = Window(0, w + 1)
+    parts = [s.materialize(window) for s in sets]
+    below = [ExplicitWindow(window, 0)]
+    for part in parts:
+        grown = pairwise_sumset(part, below[-1], w)
+        below.append(ExplicitWindow(window, below[-1].bits | part.bits | grown.bits))
+    top = next(i for i in range(len(parts)) if below[i + 1].bits >> w & 1)
+    mask, total = 1 << top, parts[top]
+    for i in range(top - 1, -1, -1):
+        if total.bits >> w & 1:
+            break
+        if not pairwise_sumset(total, below[i], w).bits >> w & 1:
+            mask |= 1 << i
+            total = pairwise_sumset(parts[i], total, w)
+    return mask
+
+
+def runs_after_gaps(gaps_and_lengths):
+    """Ascending disjoint runs, each a gap past the end of the last."""
+    runs, pos = [], 0
+    for gap, n in gaps_and_lengths:
+        runs.append(Run(pos + gap, n))
+        pos += gap + n
+    return RunList(runs)
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)), max_size=3),
+                min_size=1, max_size=60), st.data())
+@settings(max_examples=200, deadline=None)
+def test_least_mask_rebuilds_the_unions_it_did_not_keep(runs, data):
+    # up to 60 sets, so up to 7 stretches of up to 8 unions each are
+    # rebuilt from their marks
+    sets = [runs_after_gaps(rs) for rs in runs]
+    window = Window(0, 401)
+    union = ExplicitWindow(window, 0)
+    for s in sets:
+        union = construct._grow(union, s.materialize(window), 400)
+    assume(union.bits)
+    held = [x for x in range(401) if union.bits >> x & 1]
+    w = data.draw(st.sampled_from(held))
+    assert construct._least_mask(sets, w) == least_mask_of_every_prefix(sets, w)
+
+
+def test_fold_keeps_a_bounded_number_of_bitmaps():
+    # 1000 unit runs at 1, 2, ..., 1000 on [0, 2**18 - 1]: their sums fill
+    # the window from the 724th run on.  Kept for every run, the unions
+    # would take about 724 * 32 KiB = 23 MiB; the fold keeps two, and
+    # _least_mask, for a hole near the top, its marks and one stretch:
+    # about 2 * sqrt(1000) = 64 bitmaps, 2 MiB
+    span = 2**18 - 1
+    seq = from_entries((1,) * 1000, tuple(range(1, 1001)))
+    sets = [RunList([seq.run(j)]) for j in range(1, 1001)]
+    hole = span - 3
+    a = RunList([Run(1, hole - 1), Run(hole + 1, span)])
+    tracemalloc.start()
+    try:
+        assert verify_b_sequence(seq, Full(), brute_span=span).passed
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+        tracemalloc.reset_peak()
+        witness, mask = construct._fold_failure(sets, a, span)
+        assert tracemalloc.get_traced_memory()[1] < 3 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert witness == hole
+    assert sum(seq.bs[i] for i in range(1000) if mask >> i & 1) == hole
 
 
 @given(
@@ -1194,33 +1325,12 @@ def test_family_materializes_a_full_target_once(monkeypatch, scheme):
     (Congruence(3, 1), (1, 4), SweepReport(3, 5, (2, 1))),
 ])
 def test_run_route_asks_a_congruence_target_no_member_question(monkeypatch, target, bs, want):
-    """With brute_span 0 only the run route decides: run_end_at, next_run
-    and first_gap answer from the residue, not through member(), so the two
+    """With brute_span 0 only the run route decides: run_end_at and
+    first_gap answer from the residue, not through member(), so the two
     routes stay independent on a congruence target of modulus >= 2."""
     seq = from_entries((1,) * len(bs), bs)
     monkeypatch.setattr(Congruence, "member", refuse_member)
     assert verify_b_sequence(seq, target, brute_span=0) == want
-
-
-def test_full_sweep_skips_walked_stretches(monkeypatch):
-    """A brute-route sum inside a stretch of members already walked is
-    passed by _sweep itself: of the 65 535 picks of a Full k=16 sweep,
-    only a few hundred reach first_gap.  verify_b_sequence would pass this
-    valid sequence on its hulls, so the sweep is run directly."""
-    seq = build_b_sequence(Full(), list(range(1, 17)))
-    calls = []
-    first_gap = _MemberWalk.first_gap
-
-    def counting(self, lo, hi):
-        calls.append((lo, hi))
-        return first_gap(self, lo, hi)
-
-    monkeypatch.setattr(_MemberWalk, "first_gap", counting)
-    state = construct._SweepState()
-    construct._sweep([[seq.run(j)] for j in range(1, 17)], Full(), 10_000, state)
-    report = state.report()
-    assert report.passed and report.checked == 65535
-    assert 16 < len(calls) < 1000
 
 
 @given(st.integers(0, 10**9))

@@ -51,8 +51,12 @@ UNENTERED = {
     ),
     "looked up by name by bench/tracing.py": ("sumset.run_sum",),
     "the console entry point, entered only by a real process": ("cli.run",),
-    "names the selection of a family that fails the bitmap route, which a "
-    "greedy family never does": ("construct._least_mask",),
+    "membership, which no command asks: the verifiers read run_end_at and "
+    "bitmaps, and the tests' references and library callers read member": (
+        "intset.Congruence.member",
+        "intset.RunList.member",
+        "intset._IndexedRuns.member",
+    ),
     "the run queries of a window, for library callers": (
         "intset.ExplicitWindow.member",
         "intset.ExplicitWindow.run_end_at",
