@@ -19,7 +19,7 @@ and report the smallest counterexample when one exists.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -50,7 +50,6 @@ from .intset import (
 )
 from .sumset import (
     SUBSET_BUDGET_MAX,
-    check_subset_count,
     pairwise_sumset,
     subset_of,
     verify_containment,
@@ -284,16 +283,28 @@ class SweepReport(Record):
         return payload
 
 
-def _report(checked: int, *failures: tuple[int, int] | None) -> SweepReport:
-    """The report of checked claims whose routes found failures: the least
-    (witness, mask) of them all, bit p - 1 of mask set when part p took
-    part, so a tie on the witness goes to the first selection in
-    enumerate_subsets order."""
-    found = [f for f in failures if f is not None]
-    if not found:
+def _report(
+    checked: int, found: tuple[int, int] | None, hole: int | None, brute_span: int
+) -> SweepReport:
+    """The report of checked claims from the search's least (witness, mask)
+    found, bit p - 1 of mask set when part p took part, so a tie on the
+    witness goes to the first selection in enumerate_subsets order.
+
+    The fold saw every selection's sum on [0, brute_span], so its least
+    hole there must be the search's witness when that is at most
+    brute_span, and None otherwise; if they differ, that is a bug here,
+    not a verdict, and AssertionError names both values.
+    """
+    witness = None if found is None else found[0]
+    if hole != (witness if witness is not None and witness <= brute_span else None):
+        raise AssertionError(
+            f"the search's least witness is {'none' if witness is None else _echo(witness)}"
+            f" but the fold's least hole on [0, {_echo(brute_span)}] is "
+            f"{'none' if hole is None else _echo(hole)}"
+        )
+    if found is None:
         return SweepReport(checked)
-    witness, mask = min(found)
-    return SweepReport(checked, witness, subset_of(mask))
+    return SweepReport(checked, witness, subset_of(found[1]))
 
 
 def _least_failure(
@@ -369,9 +380,9 @@ def _grow(below: ExplicitWindow, part: ExplicitWindow, cap: int) -> ExplicitWind
     return ExplicitWindow(below.window, below.bits | part.bits | grown.bits)
 
 
-def _fold_failure(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> tuple[int, int] | None:
-    """The least (witness, mask) of the sums of every nonempty selection of
-    sets on the window [0, brute_span], or None when a holds them all.
+def _fold_hole(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> int | None:
+    """The least integer of [0, brute_span] that the sum of some nonempty
+    selection of sets holds and a lacks, or None when a holds them all.
 
     One fold over the sets' bitmaps keeps only the union of the sums of
     every nonempty selection of the sets so far, so one verify_containment
@@ -381,9 +392,7 @@ def _fold_failure(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> tuple[i
     every integer of [full, brute_span], a set's members from full up and
     all their sums lie there, so a set is materialized below full only,
     and not summed when it has no member there, or when its least member
-    finds the union full from there on, which lowers full.  Its witness w
-    is the smallest witness of each selection whose sum holds w, and
-    _least_mask names the first of them.
+    finds the union full from there on, which lowers full.
     """
     window = Window(0, brute_span + 1)
     union = ExplicitWindow(window, 0)
@@ -397,10 +406,7 @@ def _fold_failure(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> tuple[i
             full = least
         else:
             union = _grow(union, part, brute_span)
-    witness = verify_containment(union, a.materialize(window))
-    if witness is None:
-        return None
-    return witness, _least_mask(sets, witness)
+    return verify_containment(union, a.materialize(window))
 
 
 def verify_b_sequence(
@@ -412,13 +418,13 @@ def verify_b_sequence(
     """Recheck every nonempty subset's sumset against the target.
 
     The sumset of a subset's runs is the interval [sum of starts, sum of
-    ends].  Two routes decide all 2**k - 1 of them: _least_failure, with
-    one run per part, from run queries, and _fold_failure, on the window
-    [0, brute_span], from the target's bitmap there.  The bases increase,
-    so the runs that start in that window are the first ones, and only
-    they are folded.  The report takes the least failure of either route,
-    its subset the first in binary-counter order (see enumerate_subsets)
-    among those sharing the witness.  A negative k_limit raises
+    ends].  _least_failure decides all 2**k - 1 of them from run queries,
+    one run per part, and the report is its least failure, its subset the
+    first in binary-counter order (see enumerate_subsets) among those
+    sharing the witness.  _fold_hole checks that search on the window
+    [0, brute_span] from the target's bitmap there (see _report).  The
+    bases increase, so the runs that start in that window are the first
+    ones, and only they are folded.  A negative k_limit raises
     PreconditionFailed before any query.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
@@ -428,7 +434,8 @@ def verify_b_sequence(
     return _report(
         (1 << k) - 1,
         _least_failure([[run] for run in runs], a),
-        _fold_failure([RunList([run]) for run in runs if run.start <= brute_span], a, brute_span),
+        _fold_hole([RunList([run]) for run in runs if run.start <= brute_span], a, brute_span),
+        brute_span,
     )
 
 
@@ -466,10 +473,7 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
             f"component count must lie in [1, {k}], got {_echo(k_sets)}"
         )
     if scheme == "residue":
-        index_sets = tuple(
-            tuple(j for j in range(1, k + 1) if j % k_sets == i % k_sets)
-            for i in range(1, k_sets + 1)
-        )
+        index_sets = tuple(tuple(range(i, k + 1, k_sets)) for i in range(1, k_sets + 1))
     elif scheme == "blocks":
         q, rem = divmod(k, k_sets)
         index_sets = []
@@ -486,16 +490,20 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
     return BFamily(k_sets, index_sets, sets, seq)
 
 
-def _check_disjoint(family: BFamily) -> None:
-    _, _, clash = _merge_spans(sorted(
+def _check_disjoint(family: BFamily) -> list[tuple[int, int, int]]:
+    """The (start, end, component) of every run of the family's sets,
+    ascending, once no two of them overlap."""
+    spans = sorted(
         (s, e, i) for i, rl in enumerate(family.sets, 1) for s, e in zip(*rl.run_bounds())
-    ))
+    )
+    _, _, clash = _merge_spans(spans)
     if clash is not None:
         (s1, e1, i1), (s2, e2, i2) = clash
         raise DisjointnessViolation(
             f"component {i1} run [{_echo(s1)}, {_echo(e1)}] overlaps "
             f"component {i2} run [{_echo(s2)}, {_echo(e2)}]"
         )
+    return spans
 
 
 def verify_family(
@@ -505,71 +513,32 @@ def verify_family(
 ) -> SweepReport:
     """Recheck disjointness and every component selection's sumset.
 
-    For each nonempty selection of components, every way of picking one
-    source run per selected component gives an interval that must lie in
-    the target: prod(|ix_i| + 1) - 1 picks in all.  Every pick is a subset
-    of the source runs, so the run route first certifies the source runs,
-    one per part, which a greedy sequence passes in at most 2k + 1 nodes
-    and no pick; only when that certificate fails does _least_failure
-    search the picks themselves, the components' source runs as its
-    parts.  The second route is _fold_failure over the component sets on
-    [0, brute_span].  More than SUBSET_BUDGET_MAX components raise
-    BudgetExceeded before any query.
+    A selection's sumset is the union of the intervals of its picks, one
+    run of each selected component set: those picks, at least one run in
+    all, are what must lie in the target.  Every pick is a subset of the
+    sets' runs, so the run route first certifies those runs, one per part
+    in ascending order, which a greedy sequence's family passes in at most
+    2k + 1 nodes and no pick; only when that certificate fails does
+    _least_failure search the picks themselves, the components' runs as
+    its parts.  _fold_hole over the component sets checks that search on
+    [0, brute_span] (see _report).  checked counts the picks of one source
+    run per selected component, prod(|ix_i| + 1) - 1, whether or not
+    adjacent source runs of a component merged into one run of its set.
     """
-    _check_disjoint(family)
-    check_subset_count(family.k_sets)
-    source = family.source
-    found = _least_failure([[source.run(j)] for j in range(1, source.k + 1)], a, certify=True)
+    spans = _check_disjoint(family)
+    runs = [Run(s, e - s + 1) for s, e, _ in spans]
+    found = _least_failure([[run] for run in runs], a, certify=True)
     if found is not None:
-        found = _least_failure([[source.run(j) for j in ix] for ix in family.index_sets], a)
+        parts: list[list[Run]] = [[] for _ in family.sets]
+        for run, (_, _, i) in zip(runs, spans):
+            parts[i - 1].append(run)
+        found = _least_failure(parts, a)
     return _report(
         prod(len(ix) + 1 for ix in family.index_sets) - 1,
         found,
-        _fold_failure(family.sets, a, brute_span),
+        _fold_hole(family.sets, a, brute_span),
+        brute_span,
     )
-
-
-def _least_mask(sets: Sequence[IntSet], w: int) -> int:
-    """The least mask whose selection of sets sums to a set holding w.
-
-    below[i], the sums of every nonempty selection of the first i sets,
-    is folded again on [0, w], since no sum past w can hold it.  The top
-    set is the least i with w in below[i + 1]; going down, set i is taken
-    only when w lies neither in the sum of the sets taken nor in that sum
-    plus below[i]: at most two pairwise_sumset calls a step.  The descent
-    reads below[i] in reverse, so the fold keeps every step-th of them as
-    a mark, step about the square root of the number of sets, and the
-    stretch of below[i] from the last mark to top; each earlier stretch is
-    rebuilt from its mark when the descent reaches it.  So about
-    2 * sqrt(len(sets)) bitmaps of w + 1 bits are kept at most, and the
-    fold and the rebuilds make at most 2 * top + 1 sums.
-    """
-    window = Window(0, w + 1)
-    step = isqrt(len(sets)) + 1
-    marks: list[ExplicitWindow] = []  # below[0], below[step], below[2 * step], ...
-    stretch: list[ExplicitWindow] = []  # below[i // step * step] .. below[i]
-    below = ExplicitWindow(window, 0)
-    for top, s in enumerate(sets):
-        if top % step == 0:
-            marks.append(below)
-            stretch.clear()
-        stretch.append(below)
-        below = _grow(below, s.materialize(window), w)
-        if below.bits >> w & 1:
-            break
-    stretch.pop()  # below[top]: no set below top reads it
-    mask, total = 1 << top, sets[top].materialize(window)
-    for i in range(top - 1, -1, -1):
-        if total.bits >> w & 1:
-            break
-        if not stretch:
-            stretch.append(marks[i // step])
-            for j in range(i // step * step, i):
-                stretch.append(_grow(stretch[-1], sets[j].materialize(window), w))
-        if not pairwise_sumset(total, stretch.pop(), w).bits >> w & 1:
-            mask |= 1 << i
-            total = pairwise_sumset(sets[i].materialize(window), total, w)
-    return mask
 
 
 class APReduction(Record):

@@ -19,7 +19,6 @@ __all__ = [
     "SUBSET_BUDGET_MAX",
     "pairwise_sumset",
     "run_sum",
-    "check_subset_count",
     "subset_of",
     "enumerate_subsets",
     "verify_containment",
@@ -66,20 +65,6 @@ def run_sum(runs: Iterable[Run]) -> Run:
     return Run(start, length)
 
 
-def check_subset_count(k: int) -> None:
-    """Reject a sweep over the 2**k - 1 nonempty subsets of {1..k} up front.
-
-    Raises ValueError for k < 0 and BudgetExceeded above SUBSET_BUDGET_MAX,
-    before any subset is looked at.
-    """
-    if k < 0:
-        raise ValueError(f"subset count needs k >= 0, got {_echo(k)}")
-    if k > SUBSET_BUDGET_MAX:
-        raise BudgetExceeded(
-            f"enumerating 2**{_echo(k)} - 1 subsets exceeds the budget of 2**{SUBSET_BUDGET_MAX}"
-        )
-
-
 def subset_of(i: int) -> tuple[int, ...]:
     """Subset number i >= 1 in binary-counter order: the indices of i's set
     bits, top bit first."""
@@ -96,8 +81,15 @@ def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
 
     Subset number i (1-based) selects the indices of i's set bits, listed
     top bit first, so the stream starts (1,), (2,), (2, 1), (3,), ...
+    Raises ValueError for k < 0 and BudgetExceeded above SUBSET_BUDGET_MAX
+    before the first subset.
     """
-    check_subset_count(k)
+    if k < 0:
+        raise ValueError(f"subset count needs k >= 0, got {_echo(k)}")
+    if k > SUBSET_BUDGET_MAX:
+        raise BudgetExceeded(
+            f"enumerating 2**{_echo(k)} - 1 subsets exceeds the budget of 2**{SUBSET_BUDGET_MAX}"
+        )
     for i in range(1, 1 << k):
         yield subset_of(i)
 

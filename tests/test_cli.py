@@ -647,6 +647,18 @@ def test_family_answers_many_picks_from_the_hulls(capsys, monkeypatch):
         assert len(calls) == sums
 
 
+def test_family_takes_more_components_than_the_subset_budget(capsys):
+    # the search's budget counts nodes, not components: 1000 components of
+    # one unit run each pass on the certificate of the greedy sequence's
+    # runs, and the fold sums each component at most once
+    code, out, err = run_cli(
+        capsys, "family", "--set", "gen full", "--ells", "1", "--k", "1000",
+        "--k-sets", "1000",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"] == {"status": "Pass", "checked": 2**1000 - 1}
+
+
 def test_family_checks_brute_span_before_any_work(capsys):
     # "run 1 5" holds no base sequence of k=8, so any build ends in
     # NoSuitableRun: the span is refused before the build starts

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import assume, example, find, given, settings
@@ -237,9 +238,8 @@ def test_sweep_payload_past_the_int_str_limit():
 
 
 class MemberOnly(IntSet):
-    """inner's members behind a run query that vouches for everything, so
-    that only the bitmap route, whose bitmap of the target the default
-    materialize builds by member(), can find a gap in a sum."""
+    """inner's members behind a run query that vouches for everything: a
+    lying target, whose run queries and member-built bitmap disagree."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -254,13 +254,24 @@ class MemberOnly(IntSet):
         return None
 
 
+def fold_hole_of_sweep(seq, a, k_limit, brute_span):
+    """_fold_hole alone over the runs verify_b_sequence folds."""
+    k = seq.k if k_limit is None else min(k_limit, seq.k)
+    sets = [RunList([seq.run(j)]) for j in range(1, k + 1) if seq.bs[j - 1] <= brute_span]
+    return construct._fold_hole(sets, a, brute_span)
+
+
+def in_window(witness, brute_span):
+    """witness when it lies in [0, brute_span], else None."""
+    return witness if witness is not None and witness <= brute_span else None
+
+
 @given(sweep_cases())
 @settings(max_examples=300, deadline=None)
-def test_brute_route_alone_matches_reference(case):
+def test_fold_alone_finds_the_witness_in_its_window(case):
     seq, a, k_limit, brute_span = case
-    a = MemberOnly(a)
-    got = verify_b_sequence(seq, a, k_limit, brute_span)
-    assert got == reference_sweep(seq, a, k_limit, brute_span)
+    want = reference_sweep(seq, a, k_limit, brute_span).witness
+    assert fold_hole_of_sweep(seq, a, k_limit, brute_span) == in_window(want, brute_span)
 
 
 class NextRunVouches(IntSet):
@@ -289,38 +300,6 @@ def test_lying_next_run_cannot_change_the_verdict(case):
     assert got == reference_sweep(seq, a, k_limit, brute_span)
 
 
-class RunQueriesVouch(IntSet):
-    """inner's members behind run queries that both vouch for everything."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def member(self, x):
-        return self.inner.member(x)
-
-    def next_run(self, min_len, lower_bound=0):
-        return Run(max(lower_bound, 1), min_len)
-
-    def run_end_at(self, x):
-        return None
-
-
-@given(sweep_cases())
-@settings(max_examples=300, deadline=None)
-def test_member_walk_alone_decides_short_hulls(case):
-    # with both run queries lying, only the bitmap route can fail a sum;
-    # when [0, brute_span] holds every subset sum, it alone finds what the
-    # per-subset brute route finds
-    seq, a, k_limit, _ = case
-    k = seq.k if k_limit is None else min(k_limit, seq.k)
-    brute_span = 10_000
-    # the sum of all k runs is the largest
-    assume(sum(seq.run(j).end for j in range(1, k + 1)) <= brute_span)
-    a = RunQueriesVouch(a)
-    got = verify_b_sequence(seq, a, k_limit, brute_span)
-    assert got == reference_sweep(seq, a, k_limit, brute_span)
-
-
 def test_hulls_are_sufficient_not_necessary():
     # the hull [100, 111] of the third run holds the hole 102, yet all
     # seven subset sums 1, 10, 11, 100, 101, 110, 111 are members: the
@@ -339,14 +318,38 @@ def test_hulls_are_sufficient_not_necessary():
     assert verify_family(fam, a) == reference_family(fam, a)
 
 
-def test_brute_route_alone_finds_a_gap_just_past_a_walked_stretch():
-    # the sum of run 3, [10, 12], is all members; the sum of runs 3 and 1,
-    # [11, 13], overlaps it and ends on the gap at 13
+def test_a_lying_target_raises_in_both_verifiers():
+    # the sum of runs 3 and 1, [11, 13], ends on the gap at 13, which the
+    # fold finds in the member-built bitmap; the run query vouches for it,
+    # so the search passes: the routes disagree, and that is no verdict
     seq = from_entries((1, 2, 3), (1, 5, 10))
     a = MemberOnly(RunList([Run(1, 12), Run(15, 100)]))
-    payload = {"status": "Fail", "checked": 7, "witness": "13", "witness_subset": [3, 1]}
-    assert reference_sweep(seq, a).to_payload() == payload
-    assert verify_b_sequence(seq, a).to_payload() == payload
+    assert reference_sweep(seq, a).witness == 13
+    with pytest.raises(AssertionError, match=r"witness is none but .* \[0, 10000\] is 13$"):
+        verify_b_sequence(seq, a)
+    with pytest.raises(AssertionError, match=r"witness is none but .* \[0, 2048\] is 13$"):
+        verify_family(build_family(seq, 3), a)
+
+
+def grow_one_high(below, part, cap):
+    """construct._grow with every sum of part and below one cell high."""
+    grown = pairwise_sumset(part, below, cap).bits << 1 & (1 << cap + 1) - 1
+    return ExplicitWindow(below.window, below.bits | part.bits | grown)
+
+
+def test_a_faulty_fold_raises_instead_of_failing_a_passing_claim(monkeypatch):
+    # all 7 subset sums of bases 1, 10, 100 are members; a fold that puts
+    # 1 + 10 at 12 finds a hole there, which the search does not, so both
+    # verifiers raise where a report of witness 12 used to be printed
+    seq = from_entries((1, 1, 1), (1, 10, 100))
+    a = parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2")
+    assert verify_b_sequence(seq, a).passed
+    monkeypatch.setattr(construct, "_grow", grow_one_high)
+    with pytest.raises(AssertionError, match="witness is none but .* is 12$"):
+        verify_b_sequence(seq, a)
+    for k_sets in (2, 3):
+        with pytest.raises(AssertionError, match="witness is none but .* is 12$"):
+            verify_family(build_family(seq, k_sets), a)
 
 
 def test_sweep_reference_examples():
@@ -512,12 +515,15 @@ def test_family_disjointness_violation_fires():
     assert str(exc.value) == "component 1 run [1, 1] overlaps component 2 run [1, 2]"
 
 
-def test_family_selection_budget():
+def test_families_of_more_components_than_the_subset_budget_pass():
+    # the budget counts search nodes, not components: the certificate of a
+    # greedy sequence's runs passes in at most 2k + 1 nodes, and the fold
+    # makes at most one pairwise_sumset per component
     k = SUBSET_BUDGET_MAX + 1
     seq = build_b_sequence(Full(), [1] * k, k=k)
-    fam = build_family(seq, k, "residue")
-    with pytest.raises(BudgetExceeded):
-        verify_family(fam, Full())
+    for scheme in ("residue", "blocks"):
+        report = verify_family(build_family(seq, k, scheme), Full())
+        assert report.to_payload() == {"status": "Pass", "checked": 2**k - 1}
 
 
 def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
@@ -542,11 +548,6 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     with pytest.raises(BudgetExceeded):
         construct._least_failure(parts, a)
     assert a.queries == 7
-    # more than SUBSET_BUDGET_MAX components are refused before the target
-    # is asked anything
-    seq = from_entries((1,) * 25, tuple(range(1, 26)))
-    with pytest.raises(BudgetExceeded):
-        verify_family(build_family(seq, 25, "residue"), Untouchable())
 
 
 class CountingRunEnds(IntSet):
@@ -642,19 +643,26 @@ def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
     assert len(roots) == k
 
 
+def set_runs(rl):
+    """The maximal runs of a run list, ascending."""
+    return [Run(s, e - s + 1) for s, e in zip(*rl.run_bounds())]
+
+
 def reference_family(family, a, brute_span=2048):
-    """Report of the per-selection family check: every pick of one source
-    run per selected component summed anew by run_sum and checked whole by
+    """Report of the per-selection family check: every pick of one run per
+    selected component set summed anew by run_sum and checked whole by
     verify_containment, then the selection's component bitmaps summed and
-    checked."""
+    checked.  checked counts the picks of one source run per selected
+    component."""
     checked = 0
     witness = witness_subset = None
     parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
+    runs = [set_runs(rl) for rl in family.sets]
     for sel in enumerate_subsets(family.k_sets):
+        checked += prod(len(family.index_sets[i - 1]) for i in sel)
         found = []
-        for combo in itertools.product(*(family.index_sets[i - 1] for i in sel)):
-            v = verify_containment(run_sum([family.source.run(j) for j in combo]), a)
-            checked += 1
+        for combo in itertools.product(*(runs[i - 1] for i in sel)):
+            v = verify_containment(run_sum(combo), a)
             if v is not None:
                 found.append(v)
         if all(parts[i - 1].bits for i in sel):
@@ -690,20 +698,20 @@ def family_cases(draw):
 
 def walk_family(family, a, brute_span=2048):
     """verify_family with each route as a walk: every pick of at most one
-    source run per component, at least one in all, summed anew by run_sum
+    run per component set, at least one in all, summed anew by run_sum
     and checked whole by verify_containment; then every selection of
     nonempty components depth first by increasing component, its sum the
     sum of the selection without its highest component plus that
     component, one pairwise_sumset each, checked against the target's
-    bitmap."""
+    bitmap.  checked is the number of picks of at most one source run per
+    component, at least one in all."""
     construct._check_disjoint(family)
-    checked, failures = 0, []
-    choices = [[None, *(family.source.run(j) for j in ix)] for ix in family.index_sets]
+    failures = []
+    choices = [[None, *set_runs(rl)] for rl in family.sets]
     for pick in itertools.product(*choices):
         runs = [run for run in pick if run is not None]
         if not runs:
             continue
-        checked += 1
         witness = verify_containment(run_sum(runs), a)
         if witness is not None:
             mask = sum(1 << i for i, run in enumerate(pick) if run is not None)
@@ -723,6 +731,7 @@ def walk_family(family, a, brute_span=2048):
             extend(mask | 1 << i, total, i + 1)
 
     extend(0, None, 0)
+    checked = prod(len(ix) + 1 for ix in family.index_sets) - 1
     if not failures:
         return SweepReport(checked)
     witness, mask = min(failures)
@@ -782,21 +791,22 @@ def family_with_counted_sums(fam, a, brute_span):
         return verify_family(fam, a, brute_span), len(calls)
 
 
-def most_sums(k_sets):
-    """The most pairwise_sumset calls of verify_family's bitmap route: at
-    most one per component for the fold, then, on a hole, at most
-    2 * top + 1 for _least_mask's fold and rebuilds and 2 * top for its
-    descent, with top at most k_sets - 1."""
-    return k_sets + 4 * (k_sets - 1) + 1
+@given(family_cases())
+@settings(max_examples=300, deadline=None)
+def test_family_matches_per_selection_reference(case):
+    # the fold makes at most one pairwise_sumset per component
+    fam, a, brute_span = case
+    got, sums = family_with_counted_sums(fam, a, brute_span)
+    assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
+    assert sums <= fam.k_sets
 
 
 @given(family_cases())
 @settings(max_examples=300, deadline=None)
-def test_family_matches_per_selection_reference(case):
+def test_fold_alone_finds_the_family_witness_in_its_window(case):
     fam, a, brute_span = case
-    got, sums = family_with_counted_sums(fam, a, brute_span)
-    assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
-    assert sums <= most_sums(fam.k_sets)
+    want = reference_family(fam, a, brute_span).witness
+    assert construct._fold_hole(fam.sets, a, brute_span) == in_window(want, brute_span)
 
 
 @given(multi_hole_families())
@@ -806,7 +816,7 @@ def test_family_names_the_first_selection_of_several_components(case):
     got, sums = family_with_counted_sums(fam, a, brute_span)
     assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
     assert len(got.witness_subset) >= 2
-    assert sums <= most_sums(fam.k_sets)
+    assert sums <= fam.k_sets
 
 
 @st.composite
@@ -893,58 +903,11 @@ def test_family_bitmap_route_sums_each_component_once():
     assert report.passed and sums == 4
 
 
-def least_mask_of_every_prefix(sets, w):
-    """_least_mask as it was when every union below[i] was kept: the
-    same descent, each below[i] folded once and held to the end."""
-    window = Window(0, w + 1)
-    parts = [s.materialize(window) for s in sets]
-    below = [ExplicitWindow(window, 0)]
-    for part in parts:
-        grown = pairwise_sumset(part, below[-1], w)
-        below.append(ExplicitWindow(window, below[-1].bits | part.bits | grown.bits))
-    top = next(i for i in range(len(parts)) if below[i + 1].bits >> w & 1)
-    mask, total = 1 << top, parts[top]
-    for i in range(top - 1, -1, -1):
-        if total.bits >> w & 1:
-            break
-        if not pairwise_sumset(total, below[i], w).bits >> w & 1:
-            mask |= 1 << i
-            total = pairwise_sumset(parts[i], total, w)
-    return mask
-
-
-def runs_after_gaps(gaps_and_lengths):
-    """Ascending disjoint runs, each a gap past the end of the last."""
-    runs, pos = [], 0
-    for gap, n in gaps_and_lengths:
-        runs.append(Run(pos + gap, n))
-        pos += gap + n
-    return RunList(runs)
-
-
-@given(st.lists(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)), max_size=3),
-                min_size=1, max_size=60), st.data())
-@settings(max_examples=200, deadline=None)
-def test_least_mask_rebuilds_the_unions_it_did_not_keep(runs, data):
-    # up to 60 sets, so up to 7 stretches of up to 8 unions each are
-    # rebuilt from their marks
-    sets = [runs_after_gaps(rs) for rs in runs]
-    window = Window(0, 401)
-    union = ExplicitWindow(window, 0)
-    for s in sets:
-        union = construct._grow(union, s.materialize(window), 400)
-    assume(union.bits)
-    held = [x for x in range(401) if union.bits >> x & 1]
-    w = data.draw(st.sampled_from(held))
-    assert construct._least_mask(sets, w) == least_mask_of_every_prefix(sets, w)
-
-
 def test_fold_keeps_a_bounded_number_of_bitmaps():
     # 1000 unit runs at 1, 2, ..., 1000 on [0, 2**18 - 1]: their sums fill
     # the window from the 724th run on.  Kept for every run, the unions
-    # would take about 724 * 32 KiB = 23 MiB; the fold keeps two, and
-    # _least_mask, for a hole near the top, its marks and one stretch:
-    # about 2 * sqrt(1000) = 64 bitmaps, 2 MiB
+    # would take about 724 * 32 KiB = 23 MiB; the fold keeps two, whether
+    # the target holds every sum or lacks one near the top
     span = 2**18 - 1
     seq = from_entries((1,) * 1000, tuple(range(1, 1001)))
     sets = [RunList([seq.run(j)]) for j in range(1, 1001)]
@@ -955,12 +918,10 @@ def test_fold_keeps_a_bounded_number_of_bitmaps():
         assert verify_b_sequence(seq, Full(), brute_span=span).passed
         assert tracemalloc.get_traced_memory()[1] < 2**20
         tracemalloc.reset_peak()
-        witness, mask = construct._fold_failure(sets, a, span)
-        assert tracemalloc.get_traced_memory()[1] < 3 * 2**20
+        assert construct._fold_hole(sets, a, span) == hole
+        assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
-    assert witness == hole
-    assert sum(seq.bs[i] for i in range(1000) if mask >> i & 1) == hole
 
 
 @given(
