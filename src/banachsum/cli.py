@@ -297,6 +297,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_runs(args) -> int:
+    """The runs, the longest run and the run bound all come from the one
+    run_bounds() scan that the window keeps."""
     s, w = _load_window(args)
     starts, ends = w.run_bounds()
     payload: dict = {

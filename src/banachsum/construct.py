@@ -426,6 +426,23 @@ def verify_b_sequence(
     bases increase, so the runs that start in that window are the first
     ones, and only they are folded.  A negative k_limit raises
     PreconditionFailed before any query.
+
+    The first level of the search holds the hulls of BSequence, and a
+    greedy sequence passes on them: at most 2k + 1 nodes, one run query
+    each, and k roots for a PolyRuns(2) sequence, whatever k is.  So a
+    Full sequence of k = 30 passes with checked = 2**30 - 1.  The hulls
+    are sufficient, not necessary: for bases 1, 10, 100 with unit
+    lengths against `elem 1; run 10 2; run 100 2; run 110 2`, the hull
+    [100, 111] holds a hole, yet all 7 subset sums are members, and the
+    search passes them on the two nodes below that hull.  Bases 3**j with
+    unit lengths sum to the integers whose base-3 digits are 0 and 1, so
+    against `run 1 10; run 12 T` only the hull [9, 13] holds a hole, 11,
+    which no subset sums to, until the sums pass T + 11: at k = 24 and 25
+    with T = 10**11 the search fails with witness 104603532030 and subset
+    (24, 22), and at k = 40 with T = 10**22 it passes, each in fewer than
+    128 nodes.  Unit runs at multiples of 3 against Congruence(3, 0) pass
+    every pick, but no node passes its subtree, so the search must visit
+    the whole tree: k = 24 runs, 2**24 - 1 picks, exceed the node budget.
     """
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     if k < 0:
@@ -465,7 +482,8 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
 
     "residue" sends run j to component (j mod k_sets), so components
     interleave; "blocks" cuts {1..k} into contiguous chunks as equal as
-    possible, longer chunks first.
+    possible, longer chunks first.  Either split takes O(k), and
+    k_sets is not capped beyond k.
     """
     k = seq.k
     if not 1 <= k_sets <= k:
@@ -523,7 +541,11 @@ def verify_family(
     its parts.  _fold_hole over the component sets checks that search on
     [0, brute_span] (see _report).  checked counts the picks of one source
     run per selected component, prod(|ix_i| + 1) - 1, whether or not
-    adjacent source runs of a component merged into one run of its set.
+    adjacent source runs of a component merged into one run of its set:
+    200 runs in 8 residue components give 26**8 - 1, and 1000 runs in
+    1000 components 2**1000 - 1.  Unit runs at 3, 6, ..., 90 against
+    Congruence(3, 0), split into two blocks, fail every hull but pass
+    every pick, so the picks are searched: 273 nodes for the 255 picks.
     """
     spans = _check_disjoint(family)
     runs = [Run(s, e - s + 1) for s, e, _ in spans]
@@ -572,7 +594,9 @@ def ap_reduce(w: ExplicitWindow, m_max: int) -> APReduction:
     class of difference m holds at most (N - 1) // m + 1 of the window's N
     cells, a count that never grows with m, so the search stops at the
     first m whose classes cannot beat the best streak: by m = N at the
-    latest, whatever m_max.  The members of the winning class become the
+    latest, whatever m_max.  The worst case is a window whose best streak
+    is short, such as two members at its two ends, which still searches
+    about N differences.  The members of the winning class become the
     derived quotient set {(x - r) / m >= 1}, on a window from the class's
     first quotient q >= 1 to its last.
     """
@@ -637,6 +661,9 @@ class EscapeCheck(Record):
 
 
 class EscapeReport(Record):
+    """The rungs checked for shift t, one EscapeCheck each from i0(t) up;
+    all_escaped holds when every rung passes both checks."""
+
     _fields = ("t", "checks")
 
     @property

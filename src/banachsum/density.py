@@ -6,30 +6,14 @@ consecutive positions inside the window.  The windowed density estimate
 is min over n of f[n]/n, an upper bound on how densely the set can pack
 any block at the scales the window exposes.
 
-f_profile takes one of two routes by the window's run count R.  Up to
-_STAIRCASE_MAX_RUNS (2**10) runs it works in pure Python from run pairs:
-the block from one run's start to a later run's end holds C members and
-G gap cells, and the running maxima of C over increasing G, a staircase,
-give f piecewise linearly in O(N + R**2).  This is the run-length form
-of the binary jumbled index (Badkobeh, Fici, Kroon & Liptak, IPL 2013).
-Above the cut it works from the shortest span of c members, L[c], for
-every count c.  A block that starts on a member with a member just
-before it can slide one step left without losing a member, so L[c] is a
-minimum over the R run starts only.  L is strictly increasing, so f[n]
-is the number of c with L[c] <= n.  That costs O(N + R*M) for M members
-in a numpy loop; the worst case, alternating members, costs N**2/8.  The
-cut sits where the staircase's R**2 pairs cost as much as a fresh numpy
-import, so only profiles of windows with more than 2**10 runs load
-numpy, which is imported inside the functions that use it.  So is
-fractions, by the two functions that build a Fraction, so only a JSON
-profile loads it.  f_naive and f_naive_all are the independent slow
-paths kept for cross-checks.
-
-check_run_bound needs no profile at all.  A window with no d consecutive
-members meets the bound d*f[n] < (d - 1)*n + d at every n by pigeonhole,
-so the longest run alone decides it, found by two routes that must agree:
-the streak search of longest_run and the run starts and ends of the
-bitmap.
+f_profile computes every f[n] by one of two routes, chosen by the
+window's run count: _profile_from_runs in pure Python, or
+_profile_from_spans with numpy.  f_naive and f_naive_all are the
+independent slow paths kept for cross-checks.  density_estimate,
+check_subadditivity and fekete_qd_check read a profile; check_run_bound
+needs none.  numpy is imported inside the functions that use it, and
+fractions by the two that build a Fraction, so only profiles of many runs
+load numpy and only a JSON profile loads fractions.
 """
 
 from __future__ import annotations
@@ -132,6 +116,9 @@ class WindowProfile(Record):
 
 
 class DensityEstimate(Record):
+    """min f[n]/n over a profile as an exact Fraction, value, and the
+    smallest n that attains it, argmin_n."""
+
     _fields = ("value", "argmin_n")
 
 
@@ -173,7 +160,9 @@ def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
     best C per G matters, and only the running maxima (g_k, c_k) over
     increasing G.  Between them f is piecewise linear: it climbs from
     c_(k-1) + 1 to c_k along n - g_k, then stays at c_k until
-    n = g_(k+1) + c_k, so each piece is one list.extend.
+    n = g_(k+1) + c_k, so each piece is one list.extend: O(N + R**2) for R
+    runs.  This is the run-length form of the binary jumbled index
+    (Badkobeh, Fici, Kroon & Liptak, IPL 2013).
     """
     N = w.window.length
     starts, ends = w.run_bounds()
@@ -209,7 +198,9 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
     more than those from s, so the minimum is taken over run starts only.
     Dropping the last member of a shortest block shortens it, so span is
     strictly increasing and f[n] = #{c : span[c - 1] < n}.  Every such
-    block lies inside the window, so no edge case arises.
+    block lies inside the window, so no edge case arises.  The loop costs
+    O(N + R*M) for R runs and M members, N**2/8 at worst, on alternating
+    members.
     """
     import numpy as np
 

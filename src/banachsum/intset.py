@@ -1,28 +1,25 @@
 """Exact representations of sets of positive integers built from runs.
 
-A set is either finite and explicit (a window bitmap or a list of runs of
-consecutive integers) or an infinite symbolic generator (a congruence
-class, with all positive integers as the class 0 mod 1, or an indexed
-family of runs whose i-th run has length i).  Every representation
-answers membership and run queries with exact arbitrary-precision
-arithmetic, so queries against astronomically large elements stay cheap
-and correct.
+A set is either finite and explicit (ExplicitWindow, a bitmap on a
+window, or RunList, its maximal runs) or an infinite symbolic generator
+(Congruence, with Full its class 0 mod 1, and the run families PowRuns
+and PolyRuns, whose i-th run has length i).  IntSet names the queries
+they all answer in exact arbitrary-precision arithmetic, so queries
+against astronomically large elements stay cheap and correct.  The
+integer 0 is never a member of any set here, even when an explicit
+window happens to cover it.
 
-All values are immutable once constructed and safe to share across
-threads.  The state that changes is caches that never change an answer:
-the run bracket PowRuns and PolyRuns remember between queries and the
-run bounds of an ExplicitWindow, built on first use.  A finite set lists
-its runs one way, run_bounds(), and answers run queries from it by
-bisection.  Run lists and run generators turn the runs that meet a window
-into its bitmap one way, _fill; a bitmap turns back into runs one way,
-run_bounds().  The integer 0 is never a member of any set here, even when
-an explicit window happens to cover it.
+A finite set lists its runs one way, run_bounds(), and every reader of
+them asks it; runs become a bitmap one way, _fill.  Record is the base
+of the immutable values: Run, Window, the generators and the report
+types of the other modules.  All values are immutable once constructed
+and safe to share across threads; the state that changes is caches that
+never change an answer (see _IndexedRuns and ExplicitWindow.run_bounds).
 
-This module also holds the one decimal codec of the package: to_decimal
-and from_decimal turn integers into decimal text and back, whatever the
-interpreter's int/str digit limit, so no call depends on or changes that
-process-wide setting.  Text of more than DECIMAL_DIGIT_LIMIT digits is
-refused unless a caller names a larger limit.
+parse_set and serialize_set read and write the set description grammar;
+_GENERATORS names each generator form once.  to_decimal and from_decimal
+are the package's one decimal codec, whatever the interpreter's int/str
+digit limit.
 """
 
 from __future__ import annotations
@@ -539,6 +536,8 @@ class Congruence(Record, IntSet):
         return None if self.m == 1 else x
 
     def materialize(self, window: Window) -> ExplicitWindow:
+        """The members in the window, one _comb of teeth m apart from the
+        first of them."""
         first = max(window.base, self.r or self.m)
         first += (self.r - first) % self.m
         count = (window.end - first) // self.m + 1
@@ -855,7 +854,9 @@ def _check_min_len(min_len: int) -> None:
 
 
 # Each generator form by its name in the grammar: `gen <name>` followed by
-# one integer per field of the class, in _fields order.
+# one integer per field of the class, in _fields order.  parse_set and
+# serialize_set read only this table, so a new form is one class plus one
+# entry here.
 _GENERATORS = {"full": Full, "congruence": Congruence, "pow_runs": PowRuns, "poly_runs": PolyRuns}
 
 

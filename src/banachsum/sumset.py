@@ -101,6 +101,8 @@ def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> int | Non
     An interval claim costs one first_gap call, that is one run_end_at
     query on the target; a bitmap claim one materialize of the target on the
     claim's window and one AND, claim.bits & ~target's bitmap, no member call.
+    A window target is the finite set of its set bits, so it gives the
+    witness its run list gives.
     """
     if isinstance(claim, ExplicitWindow):
         missing = claim.bits & ~target.materialize(claim.window).bits

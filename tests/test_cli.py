@@ -137,6 +137,18 @@ def test_runs_search_refuses_starts_over_the_digit_budget(capsys):
     code, out, _ = run_cli(capsys, *argv, "--min-len", "20000")
     assert code == 0
     assert len(json.loads(out)["next_run"]["start"]) == 6021
+    # the refusal compares the estimate with DEFAULT_DIGIT_BUDGET +
+    # SUM_DIGITS, 100064 digits: run i of pow_runs 10 starts at 10**i
+    argv = ["runs", "--set", "gen pow_runs 10", "--window", "0:8"]
+    code, out, _ = run_cli(capsys, *argv, "--min-len", "100030")
+    assert code == 0
+    assert len(json.loads(out)["next_run"]["start"]) == 100031
+    code, out, err = run_cli(capsys, *argv, "--min-len", "100070")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "detail": "next run needs about 100071 digits, over the budget of 100000",
+    }
 
 
 def dense_runs(n_runs):
