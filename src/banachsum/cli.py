@@ -22,7 +22,6 @@ from .construct import (
     budget_int,
     build_b_sequence,
     build_family,
-    check_start_digits,
     verify_b_sequence,
     verify_escape,
     verify_family,
@@ -308,7 +307,6 @@ def _cmd_runs(args) -> int:
         "longest_run": max((b - a + 1 for a, b in zip(starts, ends)), default=0),
     }
     if args.min_len is not None:
-        check_start_digits(s, args.min_len, args.lower_bound, DEFAULT_DIGIT_BUDGET)
         found = s.next_run(args.min_len, args.lower_bound)
         payload["next_run"] = (
             None if found is None else {"start": to_decimal(found.start), "len": found.length}

@@ -58,7 +58,6 @@ from .sumset import (
 __all__ = [
     "BSequence",
     "budget_int",
-    "check_start_digits",
     "build_b_sequence",
     "SweepReport",
     "verify_b_sequence",
@@ -189,19 +188,6 @@ def _exact_int(value, what: str, text: bool = False) -> int:
     raise TypeError(f"{what} must be an integer, got {shown}")
 
 
-def check_start_digits(
-    a: IntSet, min_len: int, lower_bound: int, digit_budget: int, what: str = "next run"
-) -> None:
-    """Refuse a.next_run(min_len, lower_bound) before searching, when its
-    start would need more than digit_budget digits: on fast-growing
-    generators it can be too large to represent at all."""
-    est = a.next_run_start_digits(min_len, lower_bound)
-    if est is not None and est > digit_budget + SUM_DIGITS:
-        raise BudgetExceeded(
-            f"{what} needs about {est} digits, over the budget of {_echo(digit_budget)}"
-        )
-
-
 def build_b_sequence(
     a: IntSet,
     ells: Sequence[int],
@@ -213,7 +199,9 @@ def build_b_sequence(
     Step j demands a run of length ell_j plus the total mass
     sum_{i<j} (b_i + ell_i) already placed, starting past the previous
     run.  Taking the smallest such run start keeps the sequence canonical
-    for a given target and lengths.
+    for a given target and lengths.  A base estimated at more than
+    digit_budget + SUM_DIGITS digits is refused before it is computed, and
+    one of more than digit_budget digits after.
     """
     if k is None:
         k = len(ells)
@@ -232,23 +220,27 @@ def build_b_sequence(
         ell = ells[j - 1]
         need = ell + acc
         lb = bs[-1] + ells[j - 2] if j >= 2 else 0
-        check_start_digits(a, need, lb, digit_budget, f"step {j}: next base")
         try:
-            found = a.next_run(need, lb)
+            found = a.next_run(need, lb, digit_budget + SUM_DIGITS)
         except HorizonExceeded as exc:
             raise NoSuitableRun(
                 f"step {j}: target exhausted looking for a run of {_echo(need)} "
                 f"at or above {_echo(lb)}"
             ) from exc
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"step {j}: {exc}") from exc
         if found is None:
             raise NoSuitableRun(
                 f"step {j}: target provably has no run of {_echo(need)} at or above {_echo(lb)}"
             )
         b = found.start
-        if decimal_digits(b) > digit_budget:
+        digits = decimal_digits(b)
+        # the estimate is exact or one too high: one power of ten decides
+        if digits > digit_budget and b < 10 ** (digits - 1):
+            digits -= 1
+        if digits > digit_budget:
             raise BudgetExceeded(
-                f"step {j}: base has {decimal_digits(b)} digits, over the "
-                f"budget of {_echo(digit_budget)}"
+                f"step {j}: base has {digits} digits, over the budget of {_echo(digit_budget)}"
             )
         bs.append(b)
         certs.append(Run(b, need))
@@ -717,7 +709,8 @@ def _escape_check(gen: PowRuns, t: int, i: int) -> EscapeCheck:
     when that comb ANDs nonzero with gen's bitmap on the window of 2i - 1
     cells from 2 * 4**i - t or 2 * 4**i + t.  Cells below 0 hold no member
     and are cut from window and comb alike.  For i >= i0(t) both windows
-    lie in the bracket [4**i, 4**(i + 1)), so gen locates it once per rung.
+    lie in [4**i, 4**(i + 1)), so each materialize starts from run i, the
+    floor run of its base, and stops at run i + 1.
     """
     p = 1 << 2 * i
     doubles = _comb(2, i)

@@ -13,8 +13,8 @@ A finite set lists its runs one way, run_bounds(), and every reader of
 them asks it; runs become a bitmap one way, _fill.  Record is the base
 of the immutable values: Run, Window, the generators and the report
 types of the other modules.  All values are immutable once constructed
-and safe to share across threads; the state that changes is caches that
-never change an answer (see _IndexedRuns and ExplicitWindow.run_bounds).
+and safe to share across threads: the run generators keep no state, and
+the one cache, ExplicitWindow.run_bounds, never changes an answer.
 
 parse_set and serialize_set read and write the set description grammar;
 _GENERATORS names each generator form once.  to_decimal and from_decimal
@@ -66,7 +66,8 @@ _LEAF = 10**_LEAF_DIGITS
 
 
 def decimal_digits(x: int) -> int:
-    """Decimal digit count of x >= 0, via bit length (log10(2) ~ 0.30103)."""
+    """Decimal digit count of x >= 0, via bit length (log10(2) ~ 0.30103):
+    the exact count or one more, for any x of fewer than 10**8 bits."""
     if x < 10:
         return 1
     return (x.bit_length() * 30103) // 100000 + 1
@@ -299,26 +300,19 @@ class IntSet:
         """Exact membership; always False for x < 1."""
         raise NotImplementedError
 
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run | None:
         """Smallest-start run of min_len consecutive members at or above lower_bound.
 
         Returns a Run of exactly min_len (its start may sit inside a longer
         run of the set), None when the set provably has no such run, and
         raises HorizonExceeded when a finite representation is exhausted
-        without an answer.
+        without an answer.  A run generator raises BudgetExceeded for a start
+        estimated at more than digit_limit digits, before computing it; the
+        other sets' starts never exceed their text or lower_bound.
         """
         raise NotImplementedError
-
-    def next_run_start_digits(self, min_len: int, lower_bound: int = 0) -> int | None:
-        """Rough decimal digit count of next_run's start, without computing it.
-
-        Run generators grow so fast that the start of the next admissible
-        run can be too large to represent at all; this estimate (within a
-        couple of digits when not None) lets callers enforce size budgets
-        before asking for the run.  None means "unknown, but searching is
-        safe".
-        """
-        return None
 
     def first_gap(self, start: int, end: int) -> int | None:
         """Smallest x in [start, end] that is not a member, or None."""
@@ -411,7 +405,9 @@ class ExplicitWindow(IntSet):
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
 
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run:
         return _first_fit(*self.run_bounds(), min_len, lower_bound, "inside the window")
 
     def run_end_at(self, x: int) -> int:
@@ -473,7 +469,9 @@ class RunList(IntSet):
     def member(self, x: int) -> bool:
         return self.run_end_at(x) >= x
 
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run:
         return _first_fit(*self._bounds, min_len, lower_bound, "in the run list")
 
     def run_end_at(self, x: int) -> int:
@@ -517,7 +515,9 @@ class Congruence(Record, IntSet):
     def member(self, x: int) -> bool:
         return x >= 1 and x % self.m == self.r
 
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run | None:
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run | None:
         _check_min_len(min_len)
         lb = max(lower_bound, 1)
         if self.m == 1:
@@ -558,53 +558,30 @@ class Full(Congruence):
 
 
 class _IndexedRuns(IntSet):
-    """Union of disjoint runs run(i) for i >= 1.
+    """Union of disjoint runs [start_i, start_i + i - 1] for i >= 1.
 
-    Subclasses supply strictly increasing run starts with run(i) of length
-    i, and starts growing fast enough that consecutive runs never touch.
-
-    Every query finds its floor run through _floor_run, which remembers
-    the last run bracket it found: (start_i, i, start_(i+1)).  Since the
-    starts strictly increase, [start_i, start_(i+1)) holds exactly the x
-    whose floor run is i, so a query inside the bracket is answered by two
-    comparisons and a sweep pays one root or power per run it meets, not
-    one per query.  The bracket is a single tuple, read and replaced
-    whole: threads sharing an instance can at worst read each other's
-    bracket, which is still a true one.  It is set past Record's
-    assignment guard and is not a field, so equality, hashing, repr and
-    serialize_set never see it.
+    Subclasses supply strictly increasing starts, _start(i), growing fast
+    enough that consecutive runs never touch, and _floor_run(x), the run
+    with the largest start <= x.  Every query finds its floor run once,
+    from scratch, by a power search or a root: an instance remembers
+    nothing between queries.
     """
 
-    # no x satisfies 0 <= x < 0, so the first query always misses
-    _bracket = (0, 0, 0)
     # runs of every length force blocks of every length full
     _density = (1, 1)
 
-    def _run(self, i: int) -> Run:
+    def _start(self, i: int) -> int:
+        raise NotImplementedError
+
+    def _start_digits(self, i: int) -> int:
+        """Decimal digits of _start(i), the exact count or more, without
+        computing it."""
         raise NotImplementedError
 
     def _floor_run(self, x: int) -> tuple[int, int] | None:
-        """(start, i) of the run i with the largest start <= x, or None.
-
-        A plain pair, not a Run: membership asks this once per query.  A
-        query inside the remembered bracket costs two comparisons.  Any
-        other query pays _locate, a power search or a root, plus the next
-        start, derived from the start in linear time (one product by c, or
-        one sum of small multiples of the powers below i**p), and its
-        bracket becomes the remembered one.
-        """
-        start, i, after = self._bracket
-        if start <= x < after:
-            return start, i
-        found = self._locate(x)
-        if found is None:
-            return None
-        object.__setattr__(self, "_bracket", found)
-        return found[0], found[1]
-
-    def _locate(self, x: int) -> tuple[int, int, int] | None:
-        """(start_i, i, start_(i+1)) for the floor run i of x, computed
-        from scratch, or None when x lies below run 1."""
+        """(start, i) of the run i with the largest start <= x, or None
+        when x lies below run 1.  A plain pair, not a Run: membership asks
+        this once per query."""
         raise NotImplementedError
 
     def member(self, x: int) -> bool:
@@ -613,33 +590,24 @@ class _IndexedRuns(IntSet):
         below = self._floor_run(x)
         return below is not None and x < below[0] + below[1]
 
-    def _next_run_index(self, min_len: int, lower_bound: int) -> int | None:
-        """Index of the run holding next_run's answer; None if it starts at
-        the lower bound inside a straddled run."""
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run:
+        _check_min_len(min_len)
         lb = max(lower_bound, 1)
         below = self._floor_run(lb)
         if below is not None and lb + min_len <= below[0] + below[1]:
-            return None
-        # otherwise the earliest candidate is the first whole run that is
-        # both long enough and past lb
-        return max(min_len, 1 if below is None else below[1] + 1)
-
-    def next_run(self, min_len: int, lower_bound: int = 0) -> Run:
-        _check_min_len(min_len)
-        i = self._next_run_index(min_len, lower_bound)
-        if i is None:
-            return Run(max(lower_bound, 1), min_len)
-        return Run(self._run(i).start, min_len)
-
-    def next_run_start_digits(self, min_len: int, lower_bound: int = 0) -> int:
-        _check_min_len(min_len)
-        i = self._next_run_index(min_len, lower_bound)
-        if i is None:
-            return decimal_digits(max(lower_bound, 1))
-        return self._start_digits(i)
-
-    def _start_digits(self, i: int) -> int:
-        raise NotImplementedError
+            # the floor run of lb holds the answer, from lb on
+            i, digits = None, decimal_digits(lb)
+        else:
+            # the first whole run past lb that is long enough
+            i = max(min_len, 1 if below is None else below[1] + 1)
+            digits = self._start_digits(i)
+        if digits > digit_limit:
+            raise BudgetExceeded(
+                f"next run needs about {digits} digits, over the limit of {_echo(digit_limit)}"
+            )
+        return Run(lb if i is None else self._start(i), min_len)
 
     def run_end_at(self, x: int) -> int:
         below = self._floor_run(x)
@@ -652,21 +620,18 @@ class _IndexedRuns(IntSet):
         """The runs meeting the window, listed by index from the floor run
         of its base, set by _fill.  The floor run is left out when it ends
         below the window; every later run starts inside or past it."""
-        below = self._floor_run(window.base)
-        i = 1 if below is None else below[1]
+        start, i = self._floor_run(window.base) or (self._start(1), 1)
         starts, ends = [], []
         prev_end = 0
-        while True:
-            run = self._run(i)
-            if run.start > window.end:
-                break
-            if prev_end >= run.start:
+        while start <= window.end:
+            if prev_end >= start:
                 raise AssertionError(f"runs {i - 1} and {i} are not disjoint")
-            prev_end = run.end
+            prev_end = start + i - 1
             if prev_end >= window.base:
-                starts.append(run.start)
+                starts.append(start)
                 ends.append(prev_end)
             i += 1
+            start = self._start(i)
         return _fill(window, starts, ends)
 
 
@@ -680,8 +645,8 @@ class PowRuns(Record, _IndexedRuns):
             raise ValueError(f"base must be >= 2, got {_echo(c)}")
         super().__init__(c)
 
-    def _run(self, i: int) -> Run:
-        return Run(self.c ** i, i)
+    def _start(self, i: int) -> int:
+        return self.c ** i
 
     def _start_digits(self, i: int) -> int:
         if i.bit_length() > 60:
@@ -689,7 +654,7 @@ class PowRuns(Record, _IndexedRuns):
             return 1 << 62
         return int(i * math.log10(self.c)) + 1
 
-    def _locate(self, x: int) -> tuple[int, int, int] | None:
+    def _floor_run(self, x: int) -> tuple[int, int] | None:
         c = self.c
         if x < c:
             return None
@@ -701,9 +666,9 @@ class PowRuns(Record, _IndexedRuns):
             p, after = after, after * c
             i += 1
         while p > x:
-            p, after = p // c, p
+            p //= c
             i -= 1
-        return p, i, after
+        return p, i
 
 
 class PolyRuns(Record, _IndexedRuns):
@@ -716,25 +681,17 @@ class PolyRuns(Record, _IndexedRuns):
             raise ValueError(f"exponent must be >= 2, got {_echo(p)}")
         super().__init__(p)
 
-    def _run(self, i: int) -> Run:
-        return Run(i ** self.p, i)
+    def _start(self, i: int) -> int:
+        return i ** self.p
 
     def _start_digits(self, i: int) -> int:
         return (self.p * i.bit_length() * 30103) // 100000 + 1
 
-    def _locate(self, x: int) -> tuple[int, int, int] | None:
+    def _floor_run(self, x: int) -> tuple[int, int] | None:
         if x < 1:
             return None
         i = nth_root_floor(x, self.p)
-        # start_(i+1) - start_i = sum of C(p, k) * i**k over k < p, whose
-        # powers are the steps to i**p itself, so the next start adds only
-        # products by small binomials: start + 2i + 1 for p = 2.  The
-        # chain begins at i itself, so for p = 2 it is i * i, a square.
-        start, step = i, 1
-        for k in range(1, self.p):
-            step += math.comb(self.p, k) * start
-            start *= i
-        return start, i, start + step
+        return i ** self.p, i
 
 
 def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> ExplicitWindow:

@@ -137,8 +137,9 @@ def test_runs_search_refuses_starts_over_the_digit_budget(capsys):
     code, out, _ = run_cli(capsys, *argv, "--min-len", "20000")
     assert code == 0
     assert len(json.loads(out)["next_run"]["start"]) == 6021
-    # the refusal compares the estimate with DEFAULT_DIGIT_BUDGET +
-    # SUM_DIGITS, 100064 digits: run i of pow_runs 10 starts at 10**i
+    # next_run compares the estimate with its default digit limit,
+    # DEFAULT_DIGIT_BUDGET + SUM_DIGITS = 100064 digits, and names it:
+    # run i of pow_runs 10 starts at 10**i
     argv = ["runs", "--set", "gen pow_runs 10", "--window", "0:8"]
     code, out, _ = run_cli(capsys, *argv, "--min-len", "100030")
     assert code == 0
@@ -147,7 +148,7 @@ def test_runs_search_refuses_starts_over_the_digit_budget(capsys):
     assert (code, err) == (3, "")
     assert json.loads(out) == {
         "error": "BudgetExceeded",
-        "detail": "next run needs about 100071 digits, over the budget of 100000",
+        "detail": "next run needs about 100071 digits, over the limit of 100064",
     }
 
 
@@ -484,6 +485,22 @@ def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
             )
             assert code == 3, (where, quote)
             assert json.loads(stdout)["error"] == "BudgetExceeded"
+
+
+def test_a_base_of_exactly_the_digit_budget_is_built(capsys):
+    # decimal_digits may count one digit too many; the refusal and the
+    # count it prints are exact on both sides of 10**DEFAULT_DIGIT_BUDGET
+    nines, power = "9" * DEFAULT_DIGIT_BUDGET, "1" + "0" * DEFAULT_DIGIT_BUDGET
+    argv = ["construct-b", "--ells", "1", "--k", "1", "--set"]
+    code, out, err = run_cli(capsys, *argv, f"run {nines} 5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bs"] == [nines]
+    code, out, err = run_cli(capsys, *argv, f"run {power} 5")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["detail"] == (
+        f"step 1: base has {DEFAULT_DIGIT_BUDGET + 1} digits, over the budget of "
+        f"{DEFAULT_DIGIT_BUDGET}"
+    )
 
 
 def test_options_take_integers_past_4300_digits(capsys):

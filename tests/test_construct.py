@@ -623,24 +623,42 @@ def test_search_budget_counts_every_node(monkeypatch):
                 verify_b_sequence(seq, Congruence(3, 0))
 
 
-@pytest.mark.parametrize("k", [13, 16])
-def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
-    """A fresh PolyRuns(2) remembers the bracket of the run it last met,
-    so the whole check, the search and the bitmap route, takes one root
-    per base.
-    Past k roots the counter raises at once, instead of letting a
-    root-per-query sweep run to its end."""
-    seq = build_b_sequence(PolyRuns(2), [1] * k)
-    roots = []
+class CountingRoots:
+    """Every radicand intset.nth_root_floor is asked, in order; past limit
+    roots the counter raises at once, instead of letting a root-per-query
+    loop run to its end."""
 
-    def counting(x, p):
-        roots.append(x)
-        assert len(roots) <= k, "more than one root per run"
+    def __init__(self, monkeypatch, limit):
+        self.radicands, self.limit = [], limit
+        monkeypatch.setattr(intset, "nth_root_floor", self)
+
+    def __call__(self, x, p):
+        self.radicands.append(x)
+        assert len(self.radicands) <= self.limit, "more roots than the limit"
         return nth_root_floor(x, p)
 
-    monkeypatch.setattr(intset, "nth_root_floor", counting)
+
+@pytest.mark.parametrize("k", [13, 16])
+def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
+    """A PolyRuns(2) keeps no state, so every query takes its own root,
+    but the whole check, the search and the bitmap route, takes one root
+    per base b_j and k - 1 more of b_1 = 1, which nth_root_floor answers
+    at once: 2k - 1 roots on k distinct radicands."""
+    seq = build_b_sequence(PolyRuns(2), [1] * k)
+    roots = CountingRoots(monkeypatch, 2 * k - 1)
     assert verify_b_sequence(seq, PolyRuns(2)).passed
-    assert len(roots) == k
+    assert len(roots.radicands) == 2 * k - 1
+    assert sorted(set(roots.radicands)) == list(seq.bs)
+    assert roots.radicands.count(1) == k and seq.bs[0] == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_build_takes_one_root_per_step(monkeypatch, p):
+    """next_run finds the floor run of its lower bound once, and the
+    digit estimate of the start it returns needs no second lookup."""
+    roots = CountingRoots(monkeypatch, 12)
+    build_b_sequence(PolyRuns(p), [1] * 12)
+    assert len(roots.radicands) <= 12
 
 
 def set_runs(rl):

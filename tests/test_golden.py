@@ -21,8 +21,8 @@ UNENTERED = {
         "intset.IntSet.run_end_at",
         "intset.IntSet.next_run",
         "intset.IntSet.materialize",
-        "intset._IndexedRuns._run",
-        "intset._IndexedRuns._locate",
+        "intset._IndexedRuns._start",
+        "intset._IndexedRuns._floor_run",
         "intset._IndexedRuns._start_digits",
     ),
     "value dunders: equality, hashing, repr and the assignment guard": (

@@ -2,9 +2,9 @@
 and the decimal codec."""
 
 import contextlib
+import itertools
 import random
 import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banachsum.errors import (
+    BudgetExceeded,
     HorizonExceeded,
     OverlapError,
     ParseError,
@@ -68,6 +69,15 @@ generators = st.one_of(
 )
 
 base_sets = st.one_of(explicit_windows(), run_lists, generators)
+indexed_generators = st.one_of(
+    st.integers(2, 5).map(PowRuns), st.integers(2, 4).map(PolyRuns)
+)
+
+
+def run_start(s, i):
+    """Start of run i of a PowRuns or PolyRuns, from its formula alone."""
+    return s.c ** i if isinstance(s, PowRuns) else i ** s.p
+
 
 # ------------------------------------------------------------------- Run/Window
 
@@ -132,7 +142,7 @@ def test_full_answers_as_the_congruence_zero_mod_one():
             lambda s: s.run_end_at(x),
             lambda s: s.first_gap(x, x + 5),
             lambda s: s.next_run(3, x),
-            lambda s: s.next_run_start_digits(3, x),
+            lambda s: s.next_run(3, x, digit_limit=0),
             lambda s: s.materialize(Window(max(x, 0), 70)),
         ):
             assert query(full) == query(one), x
@@ -341,9 +351,9 @@ def reference_indexed_materialize(s, window: Window) -> ExplicitWindow:
     runs for one bitmap builder: runs taken by index from run 1, one
     window-wide mask OR'd in per run that meets the window."""
     bits, i = 0, 1
-    while (run := s._run(i)).start <= window.end:
-        lo = max(run.start, window.base)
-        hi = min(run.end, window.end)
+    while (start := run_start(s, i)) <= window.end:
+        lo = max(start, window.base)
+        hi = min(start + i - 1, window.end)
         if lo <= hi:
             bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.base)
         i += 1
@@ -355,11 +365,11 @@ def gap_windows(draw):
     """A run generator and a window whose base lies in the gap after run i,
     from the cell just past the run to the next start, so the floor run of
     the base ends below the window, one or more cells below."""
-    s = draw(st.one_of(st.integers(2, 5).map(PowRuns), st.integers(2, 4).map(PolyRuns)))
+    s = draw(indexed_generators)
     i = draw(st.integers(1, 12 if isinstance(s, PolyRuns) else 6))
-    run, after = s._run(i), s._run(i + 1).start
-    base = draw(st.integers(run.end + 1, after))
-    return s, Window(base, draw(st.integers(1, 3 * (after - run.start) + 2)))
+    start, after = run_start(s, i), run_start(s, i + 1)
+    base = draw(st.integers(start + i, after))
+    return s, Window(base, draw(st.integers(1, 3 * (after - start) + 2)))
 
 
 @given(gap_windows())
@@ -477,23 +487,47 @@ def test_next_run_finite_horizon():
         ExplicitWindow(Window(0, 8), 0b0110).next_run(3, 0)
 
 
+def refuses_under_its_digits(s, min_len, lb):
+    """s.next_run refuses a digit limit one under the true digit count of
+    the start its default call returns."""
+    d = len(to_decimal(s.next_run(min_len, lb).start))
+    with pytest.raises(BudgetExceeded, match=f"over the limit of {d - 1}$"):
+        s.next_run(min_len, lb, digit_limit=d - 1)
+
+
 def test_next_run_start_digit_estimates():
-    # explicit representations give no estimate
-    assert RunList([Run(5, 4)]).next_run_start_digits(3, 0) is None
-    assert Full().next_run_start_digits(3, 0) is None
-    run = PowRuns(4).next_run(3, 0)
-    assert PowRuns(4).next_run_start_digits(3, 0) >= len(str(run.start))
-    # lower bound falling inside a long run: the answer starts right there
-    assert PowRuns(4).next_run_start_digits(2, 1025) >= len(str(1025))
-    # a demand so long that the matching run index is astronomical
-    assert PowRuns(2).next_run_start_digits(1 << 62, 1) > 10**9
-    # a large but representable answer: estimate agrees with the real digits
-    big = PowRuns(2).next_run(20000, 0)
-    true_digits, x = 0, big.start
-    while x:
-        x //= 10
-        true_digits += 1
-    assert PowRuns(2).next_run_start_digits(20000, 0) >= true_digits
+    for s, min_len, lb in (
+        (PowRuns(4), 3, 0),
+        (PolyRuns(3), 5, 0),
+        # lower bound falling inside a long run: the answer starts right there
+        (PowRuns(4), 2, 1025),
+        (PolyRuns(2), 2, 10),
+        # a large but representable answer
+        (PowRuns(2), 20000, 0),
+    ):
+        refuses_under_its_digits(s, min_len, lb)
+    # a demand so long that the matching run index is astronomical is
+    # refused before any power is taken, whatever the limit
+    with pytest.raises(BudgetExceeded, match=r"needs about 4611686018427387904 digits"):
+        PowRuns(2).next_run(1 << 62, 1, digit_limit=10**18)
+    # the default limit is the decimal codec's
+    with pytest.raises(BudgetExceeded, match=f"over the limit of {DECIMAL_DIGIT_LIMIT}$"):
+        PowRuns(10).next_run(DECIMAL_DIGIT_LIMIT, 0)
+
+
+@given(st.one_of(explicit_windows(), run_lists, generators.filter(
+    lambda s: isinstance(s, Congruence))), st.integers(1, 6), st.integers(0, 420))
+@settings(max_examples=150)
+def test_lists_windows_and_congruences_never_refuse_a_start(s, min_len, lb):
+    """Their starts never exceed their own text or the lower bound, so
+    next_run ignores the digit limit, even 0."""
+    answers = []
+    for limit in (DECIMAL_DIGIT_LIMIT, 0):
+        try:
+            answers.append(s.next_run(min_len, lb, digit_limit=limit))
+        except HorizonExceeded as exc:
+            answers.append(str(exc))
+    assert answers[0] == answers[1]
 
 
 def test_decimal_digits_is_a_tight_upper_bound():
@@ -505,9 +539,7 @@ def test_decimal_digits_is_a_tight_upper_bound():
 @given(st.integers(2, 5), st.integers(1, 40), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_start_digit_estimate_bounds_the_poly_run(p, min_len, lb):
-    a = PolyRuns(p)
-    est = a.next_run_start_digits(min_len, lb)
-    assert est >= len(str(a.next_run(min_len, lb).start))
+    refuses_under_its_digits(PolyRuns(p), min_len, lb)
 
 
 @given(generators, st.integers(1, 6), st.integers(0, 120))
@@ -571,7 +603,7 @@ def test_run_list_next_run_matches_a_scan_over_all_runs(s, min_len, data):
 
 def test_generator_runs_disjoint():
     for s in (PowRuns(4), PowRuns(2), PolyRuns(2), PolyRuns(3)):
-        assert all(s._run(i).end < s._run(i + 1).start for i in range(1, 65))
+        assert all(s._start(i) + i - 1 < s._start(i + 1) for i in range(1, 65))
 
 
 # ------------------------------------------------------------------- RunList shape
@@ -681,27 +713,15 @@ def test_affine_materialize_matches_member_scan(s, m, r, base, length):
     assert s.materialize(w) == ExplicitWindow(w, want)
 
 
-# ------------------------------------------------------- indexed run brackets
-
-indexed_generators = st.one_of(
-    st.integers(2, 5).map(PowRuns), st.integers(2, 4).map(PolyRuns)
-)
+# ------------------------------------------------------- indexed run generators
 
 
-def run_start(s, i):
-    return s.c ** i if isinstance(s, PowRuns) else i ** s.p
-
-
-def bracket_probes(s, i):
-    """The integers where run i's bracket [start_i, start_(i+1)) and the
-    run [start_i, start_i + i - 1] begin and end, from both sides."""
+def edge_probes(s, i):
+    """The integers where run i and the gap after it begin and end, from
+    both sides: start_i - 1, start_i, start_i + i - 1, start_i + i and
+    start_(i+1) - 1."""
     start, after = run_start(s, i), run_start(s, i + 1)
     return [start - 1, start, start + i - 1, start + i, after - 1]
-
-
-def fresh_answer(s, query):
-    """query asked of a new, equal instance, whose bracket is empty."""
-    return query(PowRuns(s.c) if isinstance(s, PowRuns) else PolyRuns(s.p))
 
 
 def answers(s, x, min_len):
@@ -713,76 +733,51 @@ def answers(s, x, min_len):
     )
 
 
-@given(
-    indexed_generators,
-    st.lists(
-        st.tuples(st.integers(1, 30), st.integers(0, 5), st.integers(1, 6)),
-        min_size=1, max_size=40,
-    ),
-    st.sampled_from(["drawn", "descending", "ascending"]),
-)
-@settings(max_examples=200, deadline=None)
-def test_remembered_bracket_answers_like_a_fresh_instance(s, picks, order):
-    """One shared instance asked in an adversarial order (jumps between
-    runs, descending, every edge of a bracket, x < 1) answers every query
-    as a fresh instance does."""
-    queries = []
-    for i, edge, min_len in picks:
-        x = bracket_probes(s, i)[edge] if edge < 5 else 1 - min_len
-        queries.append((x, min_len))
-    if order != "drawn":
-        queries.sort(reverse=order == "descending")
-    for x, min_len in queries:
-        got = answers(s, x, min_len)
-        assert got == fresh_answer(s, lambda f: answers(f, x, min_len)), (x, min_len)
-        # and a remembered bracket is a whole one, not a conservative part
-        start, i, after = s._bracket
-        assert i == 0 or (start, after) == (run_start(s, i), run_start(s, i + 1))
+def reference_answers(s, x, min_len):
+    """answers(s, x, min_len) from the runs [start_i, start_i + i - 1],
+    their starts c**i or i**p listed from run 1 up to the first run that
+    is long enough and starts past x."""
+    runs = []
+    for i in itertools.count(1):
+        start = run_start(s, i)
+        runs.append((start, start + i - 1))
+        if i >= min_len and start > x:
+            break
+
+    def end_at(y):
+        return next((e for a, e in runs if a <= y <= e), y - 1)
+
+    lb = max(x, 1)
+    first = next(max(a, lb) for a, e in runs if max(a, lb) + min_len - 1 <= e)
+    gap = next((y for y in range(x, x + min_len + 1) if end_at(y) < y), None)
+    return (end_at(x) >= x, end_at(x), Run(first, min_len), gap)
 
 
-def test_shared_bracket_is_safe_across_threads():
-    """Two threads take turns on one instance, each in its own runs, so
-    every query of one replaces the other's bracket; then four threads run
-    free with a tiny switch interval.  Every answer equals a fresh
-    instance's."""
-    for s in (PolyRuns(2), PolyRuns(3), PowRuns(3)):
-        xs = [[x for i in runs for x in bracket_probes(s, i)]
-              for runs in ((9, 10, 11), (20, 3, 21), (5, 30, 1), (14, 2, 15))]
-        want = [[fresh_answer(s, lambda f: answers(f, x, 2)) for x in q] for q in xs]
-        turns = [threading.Semaphore(1), threading.Semaphore(0)]
-        wrong, done = [], []
+@given(indexed_generators, st.integers(1, 30), st.integers(0, 5), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_generator_queries_match_the_power_reference(s, i, edge, min_len):
+    """At every edge of run i and of the gap after it, and at x < 1,
+    member, run_end_at, next_run and first_gap answer as the runs listed
+    from the formula do."""
+    x = edge_probes(s, i)[edge] if edge < 5 else 1 - min_len
+    assert answers(s, x, min_len) == reference_answers(s, x, min_len)
 
-        def in_turn(t):
-            for x, w in zip(xs[t], want[t]):
-                if not turns[t].acquire(timeout=30):
-                    return
-                if answers(s, x, 2) != w:
-                    wrong.append((t, x))
-                turns[1 - t].release()
-            done.append(t)
 
-        def free(t):
-            for _ in range(50):
-                for x, w in zip(xs[t], want[t]):
-                    if answers(s, x, 2) != w:
-                        wrong.append((t, x))
-            done.append(t)
-
-        for body, n in ((in_turn, 2), (free, 4)):
-            done.clear()
-            threads = [threading.Thread(target=body, args=(t,)) for t in range(n)]
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=60)
-            finally:
-                sys.setswitchinterval(old)
-            assert not any(th.is_alive() for th in threads)
-            assert sorted(done) == list(range(n))
-        assert wrong == []
+def test_queries_leave_no_state():
+    """Every query of every generator form, Full included, leaves the
+    instance's attributes as a fresh instance has them."""
+    for s in (Full(), Congruence(3, 1), PowRuns(2), PowRuns(4), PolyRuns(2), PolyRuns(3)):
+        fresh = vars(type(s)(*s._values()))
+        for x in (-3, 0, 1, 8, 9, 10, 11, 64, 1000, 10**30):
+            s.member(x)
+            s.run_end_at(x)
+            s.first_gap(x, x + 5)
+            s.materialize(Window(max(x, 0), 70))
+            for min_len in (1, 3):
+                s.next_run(min_len, x)
+                with contextlib.suppress(BudgetExceeded):
+                    s.next_run(min_len, x, digit_limit=0)
+        assert vars(s) == fresh, s
 
 
 # ------------------------------------------------------------------- text format
