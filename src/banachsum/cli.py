@@ -32,6 +32,7 @@ from .density import (
     density_estimate,
     f_profile,
     forced_density,
+    longest_run,
     profile_csv,
     profile_payload,
 )
@@ -51,6 +52,7 @@ from .intset import (
     IntSet,
     Window,
     _echo,
+    _run_payload,
     from_decimal,
     parse_set,
     serialize_set,
@@ -296,23 +298,21 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_runs(args) -> int:
-    """The runs, the longest run and the run bound all come from the one
-    run_bounds() scan that the window keeps."""
+    """The runs come from the window's run_bounds() and the longest run
+    from longest_run, which check_run_bound also reports under --d."""
     s, w = _load_window(args)
-    starts, ends = w.run_bounds()
+    found = None if args.min_len is None else s.next_run(args.min_len, args.lower_bound)
+    report = None if args.d is None else check_run_bound(w, args.d)
     payload: dict = {
         "window": {"base": args.window.base, "length": args.window.length},
         # rows are built as _emit writes them, a slice at a time
-        "runs": ({"start": to_decimal(a), "len": b - a + 1} for a, b in zip(starts, ends)),
-        "longest_run": max((b - a + 1 for a, b in zip(starts, ends)), default=0),
+        "runs": (_run_payload(a, b) for a, b in zip(*w.run_bounds())),
+        "longest_run": longest_run(w) if report is None else report.longest_run,
     }
     if args.min_len is not None:
-        found = s.next_run(args.min_len, args.lower_bound)
-        payload["next_run"] = (
-            None if found is None else {"start": to_decimal(found.start), "len": found.length}
-        )
-    if args.d is not None:
-        payload["run_bound"] = check_run_bound(w, args.d).to_payload()
+        payload["next_run"] = None if found is None else _run_payload(found.start, found.end)
+    if report is not None:
+        payload["run_bound"] = report.to_payload()
     _emit(payload)
     return 0
 

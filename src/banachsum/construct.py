@@ -42,6 +42,7 @@ from .intset import (
     _comb,
     _echo,
     _merge_spans,
+    _run_payload,
     _streak,
     decimal_digits,
     from_decimal,
@@ -132,9 +133,7 @@ class BSequence(Record):
         return {
             "ells": list(self.ells),
             "bs": [to_decimal(b) for b in self.bs],
-            "certificates": [
-                {"start": to_decimal(c.start), "len": c.length} for c in self.certificates
-            ],
+            "certificates": [_run_payload(c.start, c.end) for c in self.certificates],
         }
 
     @classmethod
@@ -462,10 +461,7 @@ class BFamily(Record):
         return {
             "k_sets": self.k_sets,
             "index_sets": [list(ix) for ix in self.index_sets],
-            "sets": [
-                [{"start": to_decimal(s), "len": e - s + 1} for s, e in zip(*rl.run_bounds())]
-                for rl in self.sets
-            ],
+            "sets": [[_run_payload(s, e) for s, e in zip(*rl.run_bounds())] for rl in self.sets],
         }
 
 

@@ -6,21 +6,22 @@ consecutive positions inside the window.  The windowed density estimate
 is min over n of f[n]/n, an upper bound on how densely the set can pack
 any block at the scales the window exposes.
 
-f_profile computes every f[n] by one of two routes, chosen by the
-window's run count: _profile_from_runs in pure Python, or
+f_profile computes every f[n] by one of two routes, chosen by the run
+pairs the staircase must try: _profile_from_runs in pure Python, or
 _profile_from_spans with numpy.  f_naive and f_naive_all are the
 independent slow paths kept for cross-checks.  density_estimate,
 check_subadditivity and fekete_qd_check read a profile; check_run_bound
 needs none.  numpy is imported inside the functions that use it, and
 fractions by the two that build a Fraction, so only profiles of many runs
-load numpy and only a JSON profile loads fractions.
+with no short period load numpy and only a JSON profile loads fractions.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
-from typing import TYPE_CHECKING, Iterator
+from operator import sub
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BadLength, PreconditionFailed
 from .intset import ExplicitWindow, IntSet, Record, _echo, _streak
@@ -122,34 +123,70 @@ class DensityEstimate(Record):
     _fields = ("value", "argmin_n")
 
 
-# Run count up to which f_profile takes the staircase route.  On random
-# runs in a 2**16 window on a 2-core x86-64 host (medians of 5), the
-# staircase takes 15 ms at R = 512, 71 ms at R = 1024 and 216 ms at
-# R = 2048; the span loop takes 6-16 ms there, and a fresh `import numpy`
-# 0.155-0.164 s (median 0.157 s).  The two routes cost the same near
-# R = 1750 in a fresh process; the cut is rounded down to a power of two
-# because a process that has already imported numpy pays only the loop.
+# Square root of the most run pairs f_profile's staircase route tries.  On
+# random runs in a 2**16 window on a 2-core x86-64 host (medians of 5), the
+# staircase takes 19 ms at R = 512, 60 ms at R = 1024 and 215 ms at
+# R = 2048 runs, trying all R**2 pairs; the span loop takes 6-16 ms there,
+# and a fresh `import numpy` 0.155-0.164 s (median 0.157 s).  The two
+# routes cost the same near R = 1750 in a fresh process; the cut is
+# rounded down to a power of two because a process that has already
+# imported numpy pays only the loop.
 _STAIRCASE_MAX_RUNS = 1 << 10
 
 
 def f_profile(w: ExplicitWindow) -> WindowProfile:
     """Profile of every block length at once, by the cheaper of two routes.
 
-    The run count R is one popcount of the run starts.  Up to
-    _STAIRCASE_MAX_RUNS runs, _profile_from_runs works in pure Python in
-    O(N + R**2); above it, _profile_from_spans runs numpy's span loop in
-    O(N + R*M), which is the only route fast enough on run-dense windows
-    (R = 13 101 at N = 2**16: 0.08 s against 8.9 s).  Both give the same f.
+    The staircase of _profile_from_runs costs O(N + T*R) in pure Python
+    for R runs when it starts run pairs at the first T runs only: T = R,
+    or P + 1 when the runs repeat with a short period P
+    (_staircase_starts).  It is taken when T*R <= _STAIRCASE_MAX_RUNS**2:
+    on every window of at most _STAIRCASE_MAX_RUNS runs, and on a
+    congruence window of any size.  Otherwise _profile_from_spans runs
+    numpy's span loop in O(N + R*M) for M members, which is the only route
+    fast enough on aperiodic run-dense windows (R = 13 101 at N = 2**16:
+    0.08 s against 8.9 s).  Both give the same f.
     """
-    b = w.bits
-    if (b & ~(b << 1)).bit_count() <= _STAIRCASE_MAX_RUNS:
-        f = _profile_from_runs(w)
+    starts, ends = w.run_bounds()
+    tried = _staircase_starts(starts, ends)
+    if tried * len(starts) <= _STAIRCASE_MAX_RUNS**2:
+        f = _profile_from_runs(w, tried)
     else:
         f = _profile_from_spans(w)
     return WindowProfile(w.window.base, f)
 
 
-def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
+def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
+    """How many of the R runs [starts[i], ends[i]] the staircase must
+    start pairs at: P + 1 for the least period P with
+    (P + 1)*R <= _STAIRCASE_MAX_RUNS**2, else R.
+
+    P is a period when runs i and i + P have the same length and the same
+    gap after them for 1 <= i <= R - 2 - P, and the last run, which the
+    window may cut, is no longer than run R - 1 - P.  Then every pair that
+    starts at a run r > P has a copy from run r - P with the same gaps and
+    no fewer members.  Equivalently, starts[i + P] - starts[i] for
+    1 <= i <= R - 1 - P and ends[i + P] - ends[i] for 1 <= i <= R - 2 - P
+    all equal one shift.  Windows of at most _STAIRCASE_MAX_RUNS runs are
+    not searched; otherwise fewer than _STAIRCASE_MAX_RUNS**2 // R
+    candidates are, each compared run by run up to the first mismatch.
+    """
+    R = len(starts)
+    if R <= _STAIRCASE_MAX_RUNS:
+        return R
+    last = ends[-1] - starts[-1]
+    for p in range(1, _STAIRCASE_MAX_RUNS**2 // R):
+        shift = starts[1 + p] - starts[1]
+        if (
+            last <= ends[-1 - p] - starts[-1 - p]
+            and all(map(shift.__eq__, map(sub, islice(starts, 1 + p, R), islice(starts, 1, R))))
+            and all(map(shift.__eq__, map(sub, islice(ends, 1 + p, R - 1), islice(ends, 1, R))))
+        ):
+            return p + 1
+    return R
+
+
+def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
     """f from the staircase of run pairs, f[0] = 0 first.
 
     The block from run r's start to run j's end (r <= j) holds C(r, j)
@@ -160,22 +197,24 @@ def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
     best C per G matters, and only the running maxima (g_k, c_k) over
     increasing G.  Between them f is piecewise linear: it climbs from
     c_(k-1) + 1 to c_k along n - g_k, then stays at c_k until
-    n = g_(k+1) + c_k, so each piece is one list.extend: O(N + R**2) for R
-    runs.  This is the run-length form of the binary jumbled index
-    (Badkobeh, Fici, Kroon & Liptak, IPL 2013).
+    n = g_(k+1) + c_k, so each piece is a few list.extend calls.  Pairs
+    start at the first `tried` runs only, as _staircase_starts allows:
+    every later pair has a copy with the same G and no smaller C.  Each
+    start walks the runs after it with a running count, so beside the run
+    bounds only best and f are held.  The cost is O(N + tried*R) time for
+    R runs and O(N) memory.  This is the run-length form of the binary
+    jumbled index (Badkobeh, Fici, Kroon & Liptak, IPL 2013).
     """
     N = w.window.length
     starts, ends = w.run_bounds()
-    counts = [0]  # counts[r]: members in the runs before run r
-    gaps = []  # gaps[r]: non-members from run 0's start to run r's start
-    for start, end in zip(starts, ends):
-        gaps.append(start - starts[0] - counts[-1])
-        counts.append(counts[-1] + end - start + 1)
-    best = [0] * (gaps[-1] + 1 if gaps else 1)  # best[G]: largest C(r, j) with G(r, j) = G
-    for r, (g0, c0) in enumerate(zip(gaps, counts)):
-        for g, c in zip(gaps[r:], counts[r + 1 :]):
-            g -= g0
-            c -= c0
+    # best[G]: largest C(r, j) with G(r, j) = G; G(0, R - 1) is the largest G
+    best = [0] * (ends[-1] - starts[0] + 2 - w.bits.bit_count() if starts else 1)
+    for r in range(tried):
+        before = starts[r] - 1
+        c = 0
+        for start, end in zip(islice(starts, r, None), islice(ends, r, None)):
+            c += end - start + 1
+            g = end - before - c
             if c > best[g]:
                 best[g] = c
     f = [0]
@@ -183,7 +222,9 @@ def _profile_from_runs(w: ExplicitWindow) -> tuple[int, ...]:
     for g, c in enumerate(best):
         if c > top:
             f.extend(repeat(top, g + top + 1 - len(f)))
-            f.extend(range(top + 1, c + 1))
+            # c is appended, not ranged, so f shares best's int objects
+            f.extend(range(top + 1, c))
+            f.append(c)
             top = c
     f.extend(repeat(top, N + 1 - len(f)))
     return tuple(f)
@@ -299,9 +340,10 @@ def check_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
     block holds a non-member, so f[n] <= n - floor(n/d) and
     d*f[n] <= d*n - d*floor(n/d) = (d - 1)*n + (n mod d) < (d - 1)*n + d.
     So the longest run alone decides the report.  It is found two ways,
-    by longest_run's streak search and as the widest pair of the bitmap's
-    run starts and ends; if they differ, that is a bug here, not a usage
-    error, and AssertionError names both values.
+    by longest_run's streak search over the bits and as the widest pair of
+    run_bounds(), which for a window _fill built are the runs it was built
+    from; if they differ, that is a bug here, not a usage error, and
+    AssertionError names both values.
     """
     if d < 2:
         raise BadLength(f"run bound needs d >= 2, got {_echo(d)}")

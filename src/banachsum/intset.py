@@ -10,11 +10,16 @@ integer 0 is never a member of any set here, even when an explicit
 window happens to cover it.
 
 A finite set lists its runs one way, run_bounds(), and every reader of
-them asks it; runs become a bitmap one way, _fill.  Record is the base
-of the immutable values: Run, Window, the generators and the report
-types of the other modules.  All values are immutable once constructed
-and safe to share across threads: the run generators keep no state, and
-the one cache, ExplicitWindow.run_bounds, never changes an answer.
+them asks it; _FiniteRuns answers the run queries of both finite forms
+from it.  Runs become a bitmap one way, _fill, and the window it returns
+keeps the runs it set, clipped to the window, so only a window made by
+bit operations (a congruence comb, a sub-window, a sum, a dilation, the
+ap-reduce quotient) finds its runs by a scan of its bits, once.  Record
+is the base of the immutable values: Run, Window, the generators and the
+report types of the other modules.  All values are immutable once
+constructed and safe to share across threads: the run generators keep no
+state, and the one cache, the runs an ExplicitWindow keeps, never changes
+an answer.
 
 parse_set and serialize_set read and write the set description grammar;
 _GENERATORS names each generator form once.  to_decimal and from_decimal
@@ -154,8 +159,23 @@ def nth_root_floor(x: int, p: int) -> int:
         return x
     if p == 2:
         return math.isqrt(x)
-    # start from an overestimate so the iteration decreases monotonically
-    r = 1 << -(-x.bit_length() // p)
+    return _root_floor(x, p)
+
+
+def _root_floor(x: int, p: int) -> int:
+    """nth_root_floor for x >= 2 and p >= 3.
+
+    Newton's iteration decreases monotonically from an overestimate.  With
+    k = bit_length // (2p) and r the root of the top bits, x >> p*k, the
+    start (r + 1) << k is one: (r + 1)**p > x >> p*k, so its p-th power
+    exceeds x.  The top bits hold at least half of x's bits, so the start
+    is right in about half of the root's bits: on random radicands of 2e4
+    to 3e5 bits, one full-size step reaches the floor and a second
+    confirms it.  The recursion calls this helper, not nth_root_floor, so
+    nth_root_floor is entered once per root.
+    """
+    k = x.bit_length() // (2 * p)
+    r = (_root_floor(x >> p * k, p) + 1) << k if k else 1 << -(-x.bit_length() // p)
     while True:
         nr = ((p - 1) * r + x // r ** (p - 1)) // p
         if nr >= r:
@@ -344,7 +364,49 @@ class IntSet:
         return ExplicitWindow(window, bits)
 
 
-class ExplicitWindow(IntSet):
+class _FiniteRuns(IntSet):
+    """A finite set read through its maximal runs.
+
+    _bounds holds them as run_bounds() gives them: two ascending tuples,
+    the first and last members of each run.  A subclass that can leave it
+    None finds them in its own run_bounds; _where names the set in the
+    HorizonExceeded message of next_run.
+    """
+
+    __slots__ = ("_bounds",)
+
+    def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(starts, ends), the first and last members of the maximal runs,
+        as two ascending tuples."""
+        return self._bounds
+
+    def next_run(
+        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
+    ) -> Run:
+        """The scan begins at the run with the largest start <= lower_bound,
+        found by bisection, since every run before it ends below
+        lower_bound."""
+        _check_min_len(min_len)
+        starts, ends = self.run_bounds()
+        for i in range(max(bisect_right(starts, lower_bound) - 1, 0), len(starts)):
+            b = max(starts[i], lower_bound)
+            if b + min_len - 1 <= ends[i]:
+                return Run(b, min_len)
+        raise HorizonExceeded(
+            f"no run of length {_echo(min_len)} at or above {_echo(lower_bound)} {self._where}"
+        )
+
+    def run_end_at(self, x: int) -> int:
+        """Only the run with the largest start <= x, found by bisection,
+        can hold x."""
+        starts, ends = self.run_bounds()
+        i = bisect_right(starts, x) - 1
+        if i >= 0 and x <= ends[i]:
+            return ends[i]
+        return x - 1
+
+
+class ExplicitWindow(_FiniteRuns):
     """Bitmap of a set's intersection with a finite window.
 
     Bit i of ``bits`` records membership of ``window.base + i``.  Whatever
@@ -352,7 +414,8 @@ class ExplicitWindow(IntSet):
     value, an ExplicitWindow contains exactly its set bits.
     """
 
-    __slots__ = ("window", "bits", "_bounds")
+    __slots__ = ("window", "bits")
+    _where = "inside the window"
 
     def __init__(self, window: Window, bits: int):
         if bits < 0 or bits >> window.length:
@@ -374,13 +437,9 @@ class ExplicitWindow(IntSet):
             yield from range(start, end + 1)
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(starts, ends), the first and last members of the maximal runs,
-        as two ascending tuples.
-
-        The bits, written lowest first, are scanned once on the first call
-        by str.find, two calls per run and no Python step per cell; the
-        tuples are kept for later calls.
-        """
+        """The runs _fill set, or else the bits, written lowest first,
+        scanned once on the first call by str.find, two calls per run and
+        no Python step per cell; the tuples are kept for later calls."""
         if self._bounds is None:
             cells, base = format(self.bits, "b")[::-1], self.window.base
             starts, ends = [], []
@@ -404,14 +463,6 @@ class ExplicitWindow(IntSet):
             raise ValueError(f"dilation shift must be >= 0, got {_echo(r)}")
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
-
-    def next_run(
-        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
-    ) -> Run:
-        return _first_fit(*self.run_bounds(), min_len, lower_bound, "inside the window")
-
-    def run_end_at(self, x: int) -> int:
-        return _run_end_at(*self.run_bounds(), x)
 
     def materialize(self, window: Window) -> "ExplicitWindow":
         """The bits on [lo, hi], the overlap of the two windows, moved to
@@ -440,16 +491,15 @@ class ExplicitWindow(IntSet):
         return f"ExplicitWindow({self.window!r}, count={self.bits.bit_count()})"
 
 
-class RunList(IntSet):
+class RunList(_FiniteRuns):
     """Finite set stored as sorted, disjoint, non-adjacent runs.
 
     Overlapping or adjacent input runs are merged at construction, so the
     stored runs are maximal and separated by gaps of at least one integer.
-    They are kept as run_bounds() gives them: two ascending tuples, the
-    first and last members of each run.
     """
 
-    __slots__ = ("_bounds",)
+    __slots__ = ()
+    _where = "in the run list"
 
     def __init__(self, runs: Iterable[Run] = ()):
         starts, ends, _ = _merge_spans(sorted((r.start, r.end) for r in runs))
@@ -462,20 +512,8 @@ class RunList(IntSet):
         rl._bounds = (tuple(starts), tuple(ends))
         return rl
 
-    def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(starts, ends) of the maximal runs, as ExplicitWindow.run_bounds."""
-        return self._bounds
-
     def member(self, x: int) -> bool:
         return self.run_end_at(x) >= x
-
-    def next_run(
-        self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
-    ) -> Run:
-        return _first_fit(*self._bounds, min_len, lower_bound, "in the run list")
-
-    def run_end_at(self, x: int) -> int:
-        return _run_end_at(*self._bounds, x)
 
     def materialize(self, window: Window) -> ExplicitWindow:
         """The runs meeting the window, found by bisection, set by _fill:
@@ -622,10 +660,10 @@ class _IndexedRuns(IntSet):
         below the window; every later run starts inside or past it."""
         start, i = self._floor_run(window.base) or (self._start(1), 1)
         starts, ends = [], []
-        prev_end = 0
+        prev_end = -1
         while start <= window.end:
-            if prev_end >= start:
-                raise AssertionError(f"runs {i - 1} and {i} are not disjoint")
+            if prev_end + 1 >= start:
+                raise AssertionError(f"runs {i - 1} and {i} touch")
             prev_end = start + i - 1
             if prev_end >= window.base:
                 starts.append(start)
@@ -695,9 +733,10 @@ class PolyRuns(Record, _IndexedRuns):
 
 
 def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> ExplicitWindow:
-    """The bitmap on window of the ascending disjoint runs [starts[i],
+    """The bitmap on window of the ascending maximal runs [starts[i],
     ends[i]], each of which meets the window, each set as one start bit and
-    one past-end bit in two bytearrays.
+    one past-end bit in two bytearrays; the window keeps the runs, clipped
+    to it, as its run_bounds().
 
     Run i covers the bits from its start offset up to its past-end offset,
     (1 << past_i) - (1 << start_i).  The runs are disjoint, so the sum over
@@ -707,18 +746,23 @@ def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> Explici
     Every start is >= 1, so bit 0 stays clear at window base 0.
     """
     if not starts:
-        return ExplicitWindow(window, 0)
-    base, n = window.base, window.length
-    offsets = [s - base for s in starts]
-    pasts = [e + 1 - base for e in ends]
-    offsets[0] = max(offsets[0], 0)
-    pasts[-1] = min(pasts[-1], n)
-    first, past = bytearray(pasts[-1] // 8 + 1), bytearray(pasts[-1] // 8 + 1)
-    for o in offsets:
+        w = ExplicitWindow(window, 0)
+        w._bounds = ((), ())
+        return w
+    base = window.base
+    starts = (max(starts[0], base), *starts[1:])
+    ends = (*ends[:-1], min(ends[-1], window.end))
+    size = ends[-1] + 1 - base
+    first, past = bytearray(size // 8 + 1), bytearray(size // 8 + 1)
+    for o in starts:
+        o -= base
         first[o >> 3] |= 1 << (o & 7)
-    for o in pasts:
+    for o in ends:
+        o += 1 - base
         past[o >> 3] |= 1 << (o & 7)
-    return ExplicitWindow(window, int.from_bytes(past, "little") - int.from_bytes(first, "little"))
+    w = ExplicitWindow(window, int.from_bytes(past, "little") - int.from_bytes(first, "little"))
+    w._bounds = (starts, ends)
+    return w
 
 
 def _spread(bits: int, n: int, m: int) -> int:
@@ -772,42 +816,15 @@ def _streak(bits: int, m: int) -> tuple[int, int]:
     return longest, starts
 
 
-def _run_end_at(starts: Sequence[int], ends: Sequence[int], x: int) -> int:
-    """run_end_at over finite ascending maximal runs [starts[i], ends[i]]:
-    only the run with the largest start <= x, found by bisection, can
-    hold x."""
-    i = bisect_right(starts, x) - 1
-    if i >= 0 and x <= ends[i]:
-        return ends[i]
-    return x - 1
-
-
-def _first_fit(
-    starts: Sequence[int],
-    ends: Sequence[int],
-    min_len: int,
-    lower_bound: int,
-    where: str,
-) -> Run:
-    """next_run over finite ascending maximal runs [starts[i], ends[i]].
-
-    The scan begins at the run with the largest start <= lower_bound,
-    found by bisection, since every run before it ends below lower_bound;
-    where names the set in the HorizonExceeded message.
-    """
-    _check_min_len(min_len)
-    for i in range(max(bisect_right(starts, lower_bound) - 1, 0), len(starts)):
-        b = max(starts[i], lower_bound)
-        if b + min_len - 1 <= ends[i]:
-            return Run(b, min_len)
-    raise HorizonExceeded(
-        f"no run of length {_echo(min_len)} at or above {_echo(lower_bound)} {where}"
-    )
-
-
 def _check_min_len(min_len: int) -> None:
     if min_len < 1:
         raise PreconditionFailed(f"run length must be >= 1, got {_echo(min_len)}")
+
+
+def _run_payload(start: int, end: int) -> dict:
+    """The run [start, end] as every report writes it: its start as a
+    decimal string, so no start is too long for JSON, and its length."""
+    return {"start": to_decimal(start), "len": end - start + 1}
 
 
 # Each generator form by its name in the grammar: `gen <name>` followed by

@@ -12,6 +12,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -200,8 +201,11 @@ def test_runs_bound_route_disagreement_is_an_internal_error(monkeypatch):
 
 
 def test_runs_bound_scans_the_run_bounds_once(capsys, monkeypatch):
-    # the runs list and check_run_bound share one scan of the bitmap, and
-    # nothing from parsing to the report builds a Run
+    # a window of a run list or a run generator keeps the runs _fill set,
+    # so `runs` and `profile` read them and never scan the bitmap; a
+    # congruence window, a comb of bits, is scanned once for the runs list
+    # and check_run_bound together; nothing from parsing to a report
+    # builds a Run
     import banachsum.intset as intset
 
     scans = []
@@ -217,10 +221,49 @@ def test_runs_bound_scans_the_run_bounds_once(capsys, monkeypatch):
     monkeypatch.setattr(intset.ExplicitWindow, "run_bounds", counting_bounds)
     monkeypatch.setattr(intset.Run, "__init__", no_run)
     assert run_cli(capsys, *DENSE_ARGV) == (0, DENSE_OUT, "")
+    assert scans == [False, False]
+    unscanned = [
+        DENSE_PROFILE_ARGV,
+        *(
+            [command, "--set", f"gen {form}", "--window", "0:5000"]
+            for form in ("poly_runs 2", "pow_runs 2")
+            for command in ("runs", "profile")
+        ),
+    ]
+    for argv in unscanned:
+        scans.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert scans and not any(scans), argv
+    scans.clear()
+    argv = ["runs", "--set", "gen congruence 3 1", "--window", "1:64", "--d", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["runs"]) == 22
     assert scans == [True, False]
 
 
 DENSE_PROFILE_ARGV = ["profile", "--set", DENSE_ARGV[2], "--window", DENSE_ARGV[4]]
+
+
+def seeded_runs(n_runs, seed=0):
+    """Runs of 1 to 3 members between gaps of 1 or 2 cells, from 1 on,
+    drawn by a seeded generator, so that they repeat with no period."""
+    rng = random.Random(seed)
+    runs, pos = [], 1
+    for _ in range(n_runs):
+        n = rng.randint(1, 3)
+        runs.append((pos, n))
+        pos += n + rng.randint(1, 2)
+    return runs, pos
+
+
+# more runs than the staircase takes when they do not repeat (2**10): the
+# profile takes numpy's span loop
+APERIODIC_RUNS, APERIODIC_LEN = seeded_runs(1100)
+NUMPY_PROFILE_ARGV = [
+    "profile",
+    "--set", ";".join(f"run {s} {n}" for s, n in APERIODIC_RUNS),
+    "--window", f"0:{APERIODIC_LEN}",
+]
 
 
 def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
@@ -238,7 +281,7 @@ def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
     monkeypatch.setattr(density, "_profile_from_spans", spy)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)
-    code, out, _ = run_cli(capsys, *DENSE_PROFILE_ARGV)
+    code, out, _ = run_cli(capsys, *NUMPY_PROFILE_ARGV)
     assert code == 0 and json.loads(out)["f"][:3] == [1, 2, 3]
     assert seen == [None] and dict(os.environ) == before
     assert run_cli(capsys, "profile", "--set", "run 0 1")[0] == 2
@@ -1053,7 +1096,7 @@ def test_console_script_calls_run():
         is cli.run
 
 
-# Calls in order: none prints a JSON profile before the last two, the
+# Calls in order: none prints a JSON profile before the last three, the
 # first calls that build a Fraction.
 NUMPY_FREE_CALLS = [
     ["gen", "--set", "gen poly_runs 2"],
@@ -1065,9 +1108,12 @@ NUMPY_FREE_CALLS = [
     ["profile", "--set", "gen poly_runs 2", "--window", "0:4096"],
     # the odd numbers below 2048: 1024 runs, the most the staircase takes
     ["profile", "--set", "gen congruence 2 1", "--window", "1:2047"],
+    # 1025 runs, one over the cut, but of period 1: the staircase starts
+    # pairs at two runs only
+    ["profile", "--set", "gen congruence 2 1", "--window", "1:2049"],
 ]
-# 1025 runs, one over the cut: the span loop loads numpy
-NUMPY_CALL = ["profile", "--set", "gen congruence 2 1", "--window", "1:2049"]
+# 1100 runs with no period: the span loop loads numpy
+NUMPY_CALL = NUMPY_PROFILE_ARGV
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -1094,7 +1140,7 @@ def test_cli_import_leaves_numpy_unloaded():
         env=CHILD_ENV,
     )
     *lines, last = proc.stdout.splitlines()
-    assert lines == ["import"] + ["0"] * (len(NUMPY_FREE_CALLS) - 2) + ["0 fractions"] * 2
+    assert lines == ["import"] + ["0"] * (len(NUMPY_FREE_CALLS) - 3) + ["0 fractions"] * 3
     # numpy itself may load inspect
     assert last.split()[:2] == ["0", "fractions"] and "numpy" in last.split()
 

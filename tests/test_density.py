@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from banachsum import density
 from banachsum.density import (
     _STAIRCASE_MAX_RUNS,
     DensityEstimate,
@@ -13,6 +14,7 @@ from banachsum.density import (
     WindowProfile,
     _profile_from_runs,
     _profile_from_spans,
+    _staircase_starts,
     check_run_bound,
     check_subadditivity,
     density_estimate,
@@ -140,7 +142,7 @@ def test_profile_matches_naive_everywhere(w):
     # called by name
     f = f_naive_all(w)
     assert f_profile(w).f == f
-    assert _profile_from_runs(w) == f
+    assert _profile_from_runs(w, len(w.run_bounds()[0])) == f
     assert _profile_from_spans(w) == f
 
 
@@ -161,8 +163,56 @@ def test_routes_agree_on_both_sides_of_the_cut(R):
     for w in windows_with_runs(R):
         assert len(w.run_bounds()[0]) == R
         f = f_profile(w).f
-        assert f == _profile_from_runs(w) == _profile_from_spans(w)
+        assert f == _profile_from_runs(w, R) == _profile_from_spans(w)
         assert f == f_naive_all(w)
+
+
+@st.composite
+def periodic_windows(draw):
+    """A window cut at a random phase from a repeating bit pattern, the
+    number of runs in one repeat, and which defect, if any, breaks the
+    repeat: one flipped cell, or a last run made longer than its copy."""
+    q = draw(st.integers(1, 12))
+    pattern = draw(st.integers(1, (1 << q) - 1))
+    phase = draw(st.integers(0, q - 1))
+    base = draw(st.integers(0, 5))
+    length = draw(st.integers(1, 300))
+    bits = sum(1 << t for t in range(length) if pattern >> (t + phase) % q & 1)
+    defect = draw(st.sampled_from(["none", "flip", "tail"]))
+    if defect == "flip":
+        # anywhere, or where it breaks the period of the last runs only
+        near_end = st.integers(max(0, length - 2 * q - 2), length - 1)
+        bits ^= 1 << draw(st.one_of(st.integers(0, length - 1), near_end))
+    elif defect == "tail":
+        bits |= ((1 << q + 1) - 1) << length >> q + 1
+    if base == 0:
+        bits &= ~1
+    # runs per repeat: the 0 -> 1 steps around the cyclic pattern
+    per_repeat = (pattern & ~(pattern << 1 | pattern >> q - 1)).bit_count()
+    return ExplicitWindow(Window(base, length), bits), per_repeat, defect
+
+
+@given(periodic_windows(), st.sampled_from([2, 4, 8, 16]))
+# runs 1 and 3 start two cells apart from the runs after them but split
+# those cells into run and gap differently: no period 2
+@example((ExplicitWindow(Window(1, 11), int("10100101101"[::-1], 2)), 2, "flip"), 4)
+@settings(max_examples=1000)
+def test_pruned_staircase_matches_naive(case, cut):
+    # with the cut lowered, windows of a few dozen runs take the period
+    # search, and the product of tried starts and runs picks the route
+    w, per_repeat, defect = case
+    want = f_naive_all(w)
+    starts, ends = w.run_bounds()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_STAIRCASE_MAX_RUNS", cut)
+        tried = _staircase_starts(starts, ends)
+        assert f_profile(w).f == want
+    R = len(starts)
+    assert 1 <= tried <= R or R == 0
+    assert _profile_from_runs(w, tried) == want
+    if defect == "none" and R > cut and per_repeat + 2 <= R and (per_repeat + 1) * R <= cut**2:
+        # the repeat is a period below the bound, so the search stops there
+        assert tried <= per_repeat + 1
 
 
 @given(explicit_windows(max_len=48))

@@ -57,11 +57,7 @@ UNENTERED = {
         "intset.RunList.member",
         "intset._IndexedRuns.member",
     ),
-    "the run queries of a window, for library callers": (
-        "intset.ExplicitWindow.member",
-        "intset.ExplicitWindow.run_end_at",
-        "intset.ExplicitWindow.next_run",
-    ),
+    "membership of a window, for library callers": ("intset.ExplicitWindow.member",),
 }
 
 

@@ -106,10 +106,17 @@ def test_nth_root_floor_small_cases():
     assert nth_root_floor(10**30, 2) == 10**15
 
 
-@given(st.integers(0, 10**24), st.integers(2, 7))
+@given(st.integers(0, 10**24) | st.integers(0, 1 << 20000), st.integers(2, 9))
 def test_nth_root_floor_brackets(x, p):
     r = nth_root_floor(x, p)
     assert r**p <= x < (r + 1) ** p
+
+
+@given(st.integers(2, 1 << 3000), st.integers(3, 9), st.integers(-1, 1))
+def test_nth_root_floor_at_exact_powers(r, p, d):
+    # the start from the root of the top bits lands next to r, where the
+    # fix-up steps decide
+    assert nth_root_floor(r**p + d, p) == (r if d >= 0 else r - 1)
 
 
 # ------------------------------------------------------------------- membership
@@ -627,7 +634,13 @@ def test_runlist_merges_adjacent_and_overlapping():
     assert rl.run_bounds() == ((4,), (7,))
 
 
-@given(explicit_windows(), st.integers(1, 5))
+def materialized(case):
+    s, window = case
+    return s.materialize(window)
+
+
+@given(st.one_of(explicit_windows(), run_lists_and_windows().map(materialized)),
+       st.integers(1, 5))
 def test_window_runs_reconstruct_elements(w, min_len):
     got = []
     for start, end in zip(*w.run_bounds()):
@@ -661,6 +674,13 @@ def test_window_runs_match_bit_scan(w):
             ends.append(w.window.base + off - 1)
             streak = 0
     assert w.run_bounds() == (tuple(starts), tuple(ends))
+
+
+@given(st.one_of(run_lists_and_windows(), gap_windows()).map(materialized))
+@settings(max_examples=200)
+def test_filled_window_keeps_the_runs_a_scan_finds(w):
+    assert w._bounds is not None
+    assert w.run_bounds() == ExplicitWindow(w.window, w.bits).run_bounds()
 
 
 @given(explicit_windows(), st.integers(0, 250), st.integers(0, 250))
