@@ -19,7 +19,6 @@ from typing import NoReturn
 from .construct import (
     BSequence,
     ap_reduce,
-    budget_int,
     build_b_sequence,
     build_family,
     verify_b_sequence,
@@ -63,7 +62,8 @@ from .intset import (
 # and that the bitmap route of family and verify, on [0, --brute-span], may span.
 WINDOW_BITS_BUDGET = 1 << 20
 # Largest --k that construct-b and family accept, checked before the run
-# lengths are listed.
+# lengths are listed, and most steps of a --bseq file that verify reads,
+# checked before the sequence is built.
 STEP_BUDGET = 1 << 16
 
 _EXIT_LIMIT = (BudgetExceeded, HorizonExceeded, NoSuitableRun)
@@ -122,8 +122,10 @@ def _write_array(write, values) -> None:
 
 
 def _int_arg(text: str) -> int:
-    """from_decimal(text); a refused token gets argparse's own message for
-    type=int, with the token cut as _echo cuts it."""
+    """from_decimal(text); a token that int() refuses gets argparse's own
+    message for type=int, with the token cut as _echo cuts it.  A number
+    of more than DECIMAL_DIGIT_LIMIT digits, here or in a --window, raises
+    BudgetExceeded, which argparse does not catch, so the call exits 3."""
     try:
         return from_decimal(text)
     except ValueError:
@@ -140,17 +142,24 @@ def _window_arg(text: str) -> Window:
         ) from None
 
 
-def _resolve_ells(spec: str, k: int) -> list[int]:
+def _check_steps(k: int) -> None:
     if k > STEP_BUDGET:
         raise BudgetExceeded(f"{_echo(k)} steps exceed the budget of {STEP_BUDGET} steps")
+
+
+def _resolve_ells(spec: str, k: int, digit_budget: int) -> list[int]:
+    """The k run lengths of --ells: "j" for 1..k, one number for all k, or
+    a comma list of at least k numbers.  A number may have digit_budget
+    digits, as a base may, since it enters the sums a certificate covers."""
+    _check_steps(k)
     if spec == "j":
         return list(range(1, k + 1))
     try:
-        if "," not in spec:
-            return [from_decimal(spec)] * k
-        parts = [from_decimal(p) for p in spec.split(",") if p.strip()]
+        parts = [from_decimal(p, digit_budget) for p in spec.split(",")]
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"--ells: {exc}") from None
+    if "," not in spec:
+        return parts * k
     if len(parts) < k:
         raise PreconditionFailed(f"ells list has {len(parts)} entries but k={k}")
     return parts[:k]
@@ -319,7 +328,7 @@ def _cmd_runs(args) -> int:
 
 def _cmd_construct_b(args) -> int:
     s = _load_set(args)
-    ells = _resolve_ells(args.ells, args.k)
+    ells = _resolve_ells(args.ells, args.k, args.digit_budget)
     seq = build_b_sequence(s, ells, args.k, args.digit_budget)
     _emit(seq.to_payload())
     return 0
@@ -328,7 +337,7 @@ def _cmd_construct_b(args) -> int:
 def _cmd_family(args) -> int:
     _check_brute_span(args.brute_span)
     s = _load_set(args)
-    ells = _resolve_ells(args.ells, args.k)
+    ells = _resolve_ells(args.ells, args.k, args.digit_budget)
     seq = build_b_sequence(s, ells, args.k, args.digit_budget)
     family = build_family(seq, args.k_sets, args.scheme)
     report = verify_family(family, s, args.brute_span)
@@ -340,10 +349,11 @@ def _cmd_verify(args) -> int:
     _check_brute_span(args.brute_span)
     s = _load_set(args)
     try:
-        payload = json.loads(_read_text(args.bseq), parse_int=budget_int)
+        payload = json.loads(_read_text(args.bseq), parse_int=from_decimal)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad base sequence file: {exc}") from None
     try:
+        _check_steps(len(payload["bs"]))
         seq = BSequence.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad base sequence payload: {exc}") from None

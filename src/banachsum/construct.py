@@ -58,7 +58,6 @@ from .sumset import (
 
 __all__ = [
     "BSequence",
-    "budget_int",
     "build_b_sequence",
     "SweepReport",
     "verify_b_sequence",
@@ -143,8 +142,10 @@ class BSequence(Record):
         Run lengths must be JSON integers; bases and certificate starts
         JSON integers or decimal strings.  A bool or a float anywhere, or a
         string where a length belongs, raises TypeError instead of being
-        coerced.  A decimal string longer than DEFAULT_DIGIT_BUDGET raises
-        BudgetExceeded before it is converted.
+        coerced.  Decimal strings are read by from_decimal, which refuses
+        one of more than DECIMAL_DIGIT_LIMIT digits with BudgetExceeded
+        before converting it; the CLI reads JSON integers with it too, as
+        json.loads's parse_int.
         """
         return cls(
             tuple(_exact_int(ell, "ells entry") for ell in payload["ells"]),
@@ -159,23 +160,12 @@ class BSequence(Record):
         )
 
 
-def budget_int(text: str) -> int:
-    """from_decimal(text), refusing text longer than DEFAULT_DIGIT_BUDGET
-    before converting it; usable as json.load's parse_int."""
-    if len(text) > DEFAULT_DIGIT_BUDGET:
-        raise BudgetExceeded(
-            f"a number of {len(text)} digits exceeds the budget of "
-            f"{DEFAULT_DIGIT_BUDGET} digits"
-        )
-    return from_decimal(text)
-
-
 def _exact_int(value, what: str, text: bool = False) -> int:
     # bool is a subclass of int, so test the type itself
     if type(value) is int:
         return value
     if text and type(value) is str:
-        return budget_int(value)
+        return from_decimal(value)
     # a string is cut as _echo cuts it; a value that is no scalar is named
     # by its type, since its repr can be as long as the file
     if isinstance(value, str):

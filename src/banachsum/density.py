@@ -236,7 +236,8 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
     With pos the sorted member offsets, span[c - 1] = min over s of
     pos[s + c - 1] - pos[s] is one less than the shortest block holding c
     members.  If pos[s - 1] = pos[s] - 1, the c members from s - 1 span no
-    more than those from s, so the minimum is taken over run starts only.
+    more than those from s, so the minimum is taken over run starts only,
+    whose ranks are the prefix sums of the run lengths of run_bounds().
     Dropping the last member of a shortest block shortens it, so span is
     strictly increasing and f[n] = #{c : span[c - 1] < n}.  Every such
     block lies inside the window, so no edge case arises.  The loop costs
@@ -250,9 +251,11 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
     # halves the memory traffic of the loop below at N = 2**16
     pos = np.flatnonzero(_bit_vector(w)).astype(np.min_scalar_type(N - 1))
     M = pos.shape[0]
-    run_starts = np.flatnonzero(np.diff(pos, prepend=pos[:1]) != 1).tolist()
     span = pos - pos[0] if M else pos
-    for s in run_starts[1:]:
+    starts, ends = w.run_bounds()
+    s = 0  # the rank of the next run's first member
+    for start, end in zip(starts, ends[:-1]):
+        s += end - start + 1
         k = M - s
         np.minimum(span[:k], pos[s:] - pos[s], out=span[:k])
     return tuple(np.searchsorted(span, np.arange(N + 1)).tolist())

@@ -24,7 +24,8 @@ an answer.
 parse_set and serialize_set read and write the set description grammar;
 _GENERATORS names each generator form once.  to_decimal and from_decimal
 are the package's one decimal codec, whatever the interpreter's int/str
-digit limit.
+digit limit, and from_decimal decides each refusal of a number: text that
+is no number is a ValueError, a number over its digit limit BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ DECIMAL_DIGIT_LIMIT = DEFAULT_DIGIT_BUDGET + SUM_DIGITS
 # to 640 digits or fewer.
 _LEAF_DIGITS = 512
 _LEAF = 10**_LEAF_DIGITS
+# The ASCII separators: str.strip() strips them, and int() refuses them.
+_SEPARATORS = frozenset("\x1c\x1d\x1e\x1f")
 
 
 def decimal_digits(x: int) -> int:
@@ -109,14 +112,16 @@ def _decimal(x: int, powers: list[int], j: int, pad: bool) -> str:
 
 
 def from_decimal(text: str, limit: int = DECIMAL_DIGIT_LIMIT) -> int:
-    """int(text) for text of at most limit digits, else ValueError.
+    """int(text) for text of at most limit digits.
 
     The grammar is int()'s in base 10: surrounding whitespace, one sign,
-    Unicode decimal digits and single underscores between digits; a
-    refused text gets int()'s own message.  Digits are counted as int()
-    counts them, without sign, whitespace and underscores.  Long text is
-    split at the powers of ten that to_decimal uses, so no builtin int()
-    call sees more than _LEAF_DIGITS digits.
+    Unicode decimal digits and single underscores between digits.  Text
+    that int() refuses raises ValueError with int()'s own message; a
+    number of more than limit digits raises BudgetExceeded before it is
+    converted.  Digits are counted as int() counts them, without sign,
+    whitespace and underscores.  Long text is split at the powers of ten
+    that to_decimal uses, so no builtin int() call sees more than
+    _LEAF_DIGITS digits.
     """
     if len(text) <= _LEAF_DIGITS <= limit:
         return int(text)
@@ -126,10 +131,10 @@ def from_decimal(text: str, limit: int = DECIMAL_DIGIT_LIMIT) -> int:
         digits = digits[1:]
     if "_" in digits and digits[0] != "_" and digits[-1] != "_" and "__" not in digits:
         digits = digits.replace("_", "")
-    if not digits.isdecimal():
+    if not digits.isdecimal() or not _SEPARATORS.isdisjoint(text):
         raise ValueError(f"invalid literal for int() with base 10: {repr(text)[:200]}")
     if len(digits) > limit:
-        raise ValueError(f"a number of {len(digits)} digits exceeds the limit of {limit}")
+        raise BudgetExceeded(f"a number of {len(digits)} digits exceeds the limit of {limit}")
     powers = [_LEAF]
     while _LEAF_DIGITS << len(powers) < len(digits):
         powers.append(powers[-1] * powers[-1])
@@ -927,12 +932,9 @@ def _parse_ints(args: list[str], n: int, lineno: int, digit_limit: int) -> list[
         try:
             out.append(from_decimal(a, digit_limit))
         except ValueError:
-            digits = a[1:] if a[0] in "+-" else a
-            if digits.isdecimal():
-                # only the digit limit refuses a decimal token
-                raise BudgetExceeded(f"line {lineno}: a number of {len(digits)} digits "
-                                     f"exceeds the limit of {digit_limit}") from None
             raise ParseError(f"not an integer: {_echo(a)}", lineno) from None
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"line {lineno}: {exc}") from None
     return out
 
 

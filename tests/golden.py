@@ -3,7 +3,8 @@
 golden.json, next to this file, holds one entry per call of corpus(), in
 order: the argv, the exit code, the sha256 of stdout and, for exit 2 only,
 the stderr text; every other exit leaves stderr empty.  Paths into the
-directory of input files are written "{dir}".  A call with a "save" name
+directory of input files are written "{dir}", and a digit d repeated n
+times in a long number "{d*n}".  A call with a "save" name
 writes its stdout to that file for the calls after it, as the
 benchmark's setup calls store base sequences.
 
@@ -30,12 +31,14 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-from banachsum.cli import SLICE_ITEMS, main
+from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, main
+from banachsum.intset import DECIMAL_DIGIT_LIMIT, DEFAULT_DIGIT_BUDGET
 
 MANIFEST = Path(__file__).with_name("golden.json")
 SEED = "golden:1"
@@ -80,6 +83,17 @@ def _with_holes(holes: list[int], tail: int) -> list[tuple[int, int]]:
     return runs
 
 
+def _repeat(digit: int, n: int) -> str:
+    """The digit n times, as the manifest writes it and replay expands it."""
+    return f"{{{digit}*{n}}}"
+
+
+def _expand(arg: str, work: Path) -> str:
+    """An argument as the call passes it, with "{dir}" and "{d*n}" expanded."""
+    arg = arg.replace("{dir}", str(work))
+    return re.sub(r"\{(\d)\*(\d+)\}", lambda m: m[1] * int(m[2]), arg)
+
+
 def _near(rng: random.Random, starts: list[int], n: int) -> int:
     """A window base that puts one of the starts inside a window of n."""
     return max(rng.choice(starts) - rng.randrange(n // 2), 0)
@@ -102,6 +116,8 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
         "not_json.json": "not json",
         "bad_payload.json": json.dumps({**bseq, "bs": [True]}),
         "huge.json": json.dumps({**bseq, "bs": ["1" * 100_001]}),
+        "over_limit.json": json.dumps({**bseq, "bs": ["1" * (DECIMAL_DIGIT_LIMIT + 1)]}),
+        "many_steps.json": json.dumps({**bseq, "bs": ["1"] * (STEP_BUDGET + 1)}),
         "latin1.json": b'{"\xff": 1}',
         "huge_elem.txt": f"elem 1{'0' * 200_000}\n",
     }
@@ -202,12 +218,13 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("runs", "--set", full, "--window", "0:16", "--d", "3")
     call("construct-b", "--set", "gen congruence 3 1", "--k", "2")
     call("construct-b", "--set", "gen pow_runs 4", "--ells", "j", "--k", "6")
-    for ells in ("abc", "1,x", "", "1,2", "0"):
+    for ells in ("abc", "1,x", "", "1,,2", "1,2", "0"):
         call("construct-b", "--set", full, "--ells", ells, "--k", "3")
     call("construct-b", "--set", full, "--k", "0")
     call("construct-b", "--set", full, "--ells", "1", "--k", "65537")
     call("verify", "--set", full, "--bseq", f"{d}/seq_full.json", "--k-limit", "-1")
-    for name in ("not_json.json", "bad_payload.json", "huge.json", "latin1.json"):
+    for name in ("not_json.json", "bad_payload.json", "huge.json", "over_limit.json",
+                 "many_steps.json", "latin1.json"):
         call("verify", "--set", full, "--bseq", f"{d}/{name}")
     call("family", "--set", full, "--k", "30", "--k-sets", "25")
     call("family", "--set", full, "--k", "4", "--k-sets", "0")
@@ -241,6 +258,20 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("runs", "--set", poly2, "--window", "0:8", "--min-len", "2",
          "--lower-bound", "1" + "0" * 5000)
     call("gen", "--input", f"{d}/huge_elem.txt")
+    # a run length is read at the digit budget, as a base is, so verify
+    # reads every file construct-b writes at the default budget
+    call("construct-b", "--set", full, "--ells", "6" + _repeat(0, DEFAULT_DIGIT_BUDGET - 1),
+         "--k", "2", save="seq_long_ell.json")
+    call("verify", "--set", full, "--bseq", f"{d}/seq_long_ell.json")
+    call("construct-b", "--set", full, "--ells", "1," + _repeat(9, DECIMAL_DIGIT_LIMIT),
+         "--k", "2")
+    # a number over its digit limit is a budget error wherever it is read,
+    # underscores or not
+    over = "1" + _repeat(0, DECIMAL_DIGIT_LIMIT)
+    call("construct-b", "--set", full, "--k", over)
+    call("runs", "--set", full, "--window", f"{over}:8")
+    call("construct-b", "--set", full, "--ells", over)
+    call("gen", "--set", "elem 1_" + _repeat(0, DECIMAL_DIGIT_LIMIT))
 
     # a bad token of more than 200 characters is quoted cut after 200,
     # with its length: as an option, a window, a number in set text and a
@@ -266,7 +297,7 @@ def replay(work: Path):
     for argv, save in calls:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([a.replace("{dir}", str(work)) for a in argv])
+            code = main([_expand(a, work) for a in argv])
         if save is not None:
             (work / save).write_text(out.getvalue(), encoding="utf-8")
         yield argv, save, code, out.getvalue(), err.getvalue().replace(str(work), "{dir}")

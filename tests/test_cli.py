@@ -28,7 +28,7 @@ import banachsum
 from banachsum import cli, construct
 from banachsum.cli import SLICE_ITEMS, STEP_BUDGET, WINDOW_BITS_BUDGET, main
 from banachsum.construct import ESCAPE_I_MAX_BUDGET
-from banachsum.intset import DEFAULT_DIGIT_BUDGET, SUM_DIGITS
+from banachsum.intset import DECIMAL_DIGIT_LIMIT, DEFAULT_DIGIT_BUDGET, SUM_DIGITS
 from oracles import from_entries
 
 
@@ -512,7 +512,7 @@ def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
         capsys, "construct-b", "--set", "gen full", "--ells", "1", "--k", "2"
     )
     assert code == 0
-    huge = "1" + "0" * DEFAULT_DIGIT_BUDGET
+    huge = "1" + "0" * DECIMAL_DIGIT_LIMIT
     path = tmp_path / "huge.json"
     for where, key in [("bs", 1), ("certificates", "start")]:
         for quote in ('"', ""):
@@ -528,6 +528,75 @@ def test_verify_refuses_numbers_over_the_digit_budget(capsys, tmp_path):
             )
             assert code == 3, (where, quote)
             assert json.loads(stdout)["error"] == "BudgetExceeded"
+
+
+def test_verify_reads_every_file_construct_b_writes_at_the_default_budget(capsys, tmp_path):
+    # a run length may have as many digits as a base, so a certificate len,
+    # a sum of both, has more digits than the budget: up to SUM_DIGITS more
+    ell = "6" + "0" * (DEFAULT_DIGIT_BUDGET - 1)
+    code, out, err = run_cli(capsys, "construct-b", "--set", "gen full", "--ells", ell, "--k", "2")
+    assert (code, err) == (0, "")
+    lens = [c["len"] for c in json.loads(out, parse_int=str)["certificates"]]
+    assert lens == [ell, "12" + "0" * (DEFAULT_DIGIT_BUDGET - 2) + "1"]
+    path = tmp_path / "seq.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"status": "Pass", "checked": 3}
+
+
+def test_run_lengths_are_read_at_the_digit_budget(capsys):
+    argv = ["construct-b", "--set", "gen full", "--k", "2", "--ells"]
+    for budget, ells, over in ((["--digit-budget", "5"], "12345", "1,123456"),
+                               ([], "5" * DEFAULT_DIGIT_BUDGET, "1," + "9" * DECIMAL_DIGIT_LIMIT)):
+        code, _, err = run_cli(capsys, *argv, ells, *budget)
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, *argv, over, *budget)
+        assert (code, err) == (3, "")
+        limit = int(budget[1]) if budget else DEFAULT_DIGIT_BUDGET
+        assert json.loads(out) == {
+            "error": "BudgetExceeded",
+            "detail": f"a number of {len(over) - 2} digits exceeds the limit of {limit}",
+        }
+
+
+OVER_LIMIT = "1" + "0" * DECIMAL_DIGIT_LIMIT
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["construct-b", "--set", "gen full", "--k", OVER_LIMIT], DECIMAL_DIGIT_LIMIT),
+    (["runs", "--set", "gen full", "--window", f"{OVER_LIMIT}:8"], DECIMAL_DIGIT_LIMIT),
+    (["runs", "--set", "gen full", "--window", f"0:{OVER_LIMIT}"], DECIMAL_DIGIT_LIMIT),
+    (["construct-b", "--set", "gen full", "--ells", OVER_LIMIT], DEFAULT_DIGIT_BUDGET),
+    # underscores are no digits, and do not turn the number into a usage error
+    (["gen", "--set", f"elem 1_{OVER_LIMIT[1:]}"], DECIMAL_DIGIT_LIMIT),
+], ids=["option", "window-base", "window-length", "ells", "set-text"])
+def test_a_number_over_its_digit_limit_exits_3_wherever_it_is_read(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "")
+    where = "line 1: " if argv[0] == "gen" else ""
+    assert json.loads(out) == {
+        "error": "BudgetExceeded",
+        "detail": f"{where}a number of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds the limit "
+                  f"of {detail}",
+    }
+
+
+def test_verify_checks_the_step_budget_before_the_sequence(capsys, tmp_path):
+    # the steps of a --bseq file are its bases; with no certificates these
+    # files hold no base sequence, so only the step budget refuses them first
+    path = tmp_path / "seq.json"
+    for k in (STEP_BUDGET, STEP_BUDGET + 1):
+        path.write_text(json.dumps({"ells": [1] * k, "bs": ["1"] * k, "certificates": []}))
+        code, out, err = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+        if k == STEP_BUDGET:
+            assert (code, out) == (2, "") and "equal length" in err
+        else:
+            assert (code, err) == (3, "")
+            assert json.loads(out) == {
+                "error": "BudgetExceeded",
+                "detail": f"{k} steps exceed the budget of {STEP_BUDGET} steps",
+            }
 
 
 def test_a_base_of_exactly_the_digit_budget_is_built(capsys):
@@ -991,11 +1060,13 @@ FAILING_SEQ = from_entries((1,) * 3, (1, 3, 5))
         ["verify", "--set", "gen poly_runs 2", "--bseq", "SEQ"],
         ["profile", "--set", "run 4 3;run 0 2"],
         ["profile", "--set", "gen full", "--window", "0:300000000"],
+        # an option that argparse reads raises the budget error
+        ["construct-b", "--set", "gen full", "--k", OVER_LIMIT],
         # about 1.4 MB, more than a pipe buffer holds
         ["profile", "--set", "gen poly_runs 2", "--window", "0:65536",
          "--format", "csv"],
     ],
-    ids=["exit0", "exit1", "exit2", "exit3", "pipe-overflow"],
+    ids=["exit0", "exit1", "exit2", "exit3", "exit3-option", "pipe-overflow"],
 )
 def test_process_matches_main(capsys, tmp_path, argv):
     # python -m banachsum leaves through cli.run: same code, same bytes

@@ -1078,8 +1078,50 @@ def test_from_decimal_counts_digits_as_int_does():
         # underscores, a sign and whitespace are not digits
         spaced = "_".join(at_limit)
         assert from_decimal(f"+{spaced}") == int(at_limit)
-    with pytest.raises(ValueError, match=f"of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds"):
+    with pytest.raises(BudgetExceeded, match=f"of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds"):
         from_decimal(at_limit + "1")
-    with pytest.raises(ValueError, match="of 6 digits exceeds the limit of 5"):
+    with pytest.raises(BudgetExceeded, match="of 6 digits exceeds the limit of 5"):
         from_decimal("123456", 5)
     assert from_decimal("12345", 5) == 12345
+
+
+# decimal digits of several scripts, ASCII first; int() reads them all
+DIGIT_CHARS = "0123456789\u0663\u06f7\u07c1\u0967\u0e59\U0001d7d7"
+# whitespace to str.strip(); int() refuses the separators \x1c and \x1f
+SPACE_CHARS = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000"
+# no part of an integer: the superscript two is a digit, but not a decimal one
+JUNK_CHARS = "x.+- \x00\xe9\xb2"
+
+
+@st.composite
+def int_like_tokens(draw):
+    """Text near int()'s grammar: whitespace around a sign and a body of
+    digits and underscores, sometimes with a junk character in it.  A body
+    repeated 40 times is longer than the codec's 512-digit leaves."""
+    space = st.text(SPACE_CHARS, max_size=2)
+    body = draw(st.text(DIGIT_CHARS + "_", max_size=16)) * draw(st.sampled_from((1, 1, 40)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(body)))
+        body = body[:i] + draw(st.sampled_from(JUNK_CHARS)) + body[i:]
+    return draw(space) + draw(st.sampled_from(("", "+", "-"))) + body + draw(space)
+
+
+@given(int_like_tokens(), st.integers(0, 20) | st.just(512))
+@settings(max_examples=500, deadline=None)
+def test_from_decimal_reads_as_int_does_and_refuses_by_its_digits(token, limit):
+    # int(token) when int() accepts the token and its digits fit the limit,
+    # BudgetExceeded when they do not, and int()'s own ValueError otherwise
+    with int_str_limit(0):
+        try:
+            want = int(token)
+        except ValueError as exc:
+            want = exc
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as refused:
+            from_decimal(token, limit)
+        assert str(refused.value) == str(want)
+    elif sum(map(str.isdecimal, token)) > limit:
+        with pytest.raises(BudgetExceeded):
+            from_decimal(token, limit)
+    else:
+        assert from_decimal(token, limit) == want
