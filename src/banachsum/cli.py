@@ -18,6 +18,7 @@ from typing import NoReturn
 
 from .construct import (
     BSequence,
+    _payload_array,
     ap_reduce,
     build_b_sequence,
     build_family,
@@ -95,9 +96,9 @@ def _emit(payload: dict) -> None:
     per json.dumps call, and an iterator's elements are built only as their
     slice is written, so a caller runs every check that can fail first.
     At WINDOW_BITS_BUDGET, a JSON `profile` of `gen poly_runs 2` peaks at
-    about 61 MB and `runs --d 2` on `gen congruence 3 1` at about 48 MB
-    (2-core x86-64 host, Python 3.11.7), mostly the profile or the run
-    starts and ends.
+    about 51 MB and `runs --d 2` on `gen congruence 3 1` at about 48 MB
+    (2-core x86-64 host, Python 3.11.7), mostly the profile's staircase
+    and spans, or the run starts and ends.
     """
     write, sep = sys.stdout.write, ""
     write("{")
@@ -353,7 +354,7 @@ def _cmd_verify(args) -> int:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad base sequence file: {exc}") from None
     try:
-        _check_steps(len(payload["bs"]))
+        _check_steps(len(_payload_array(payload, "bs")))
         seq = BSequence.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad base sequence payload: {exc}") from None

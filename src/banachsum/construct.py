@@ -20,7 +20,7 @@ and report the smallest counterexample when one exists.
 from __future__ import annotations
 
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -81,30 +81,27 @@ ESCAPE_I_MAX_BUDGET = 4096
 
 
 class BSequence(Record):
-    """Base points b_j with run lengths ell_j and per-step run certificates.
+    """Base points b_j with run lengths ell_j.
 
-    certificate j attests that the target set contains one unbroken run
-    covering [b_j, sum_{i<=j} (b_i + ell_i) - 1].  That interval contains
-    the hull [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so
-    every subset sumset whose largest index is j: k run checks decide all
-    2**k - 1 subset claims.  verify_b_sequence's search makes those checks
-    at its first level from the target alone; it never reads the
-    certificates.
+    Step j's certificate is the claim that the target set contains one
+    unbroken run covering [b_j, sum_{i<=j} (b_i + ell_i) - 1], which
+    certificates() derives.  That interval contains the hull
+    [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so every subset
+    sumset whose largest index is j: k run checks decide all 2**k - 1
+    subset claims.  verify_b_sequence's search makes those checks at its
+    first level from the target alone.
     """
 
-    _fields = ("ells", "bs", "certificates")
+    _fields = ("ells", "bs")
 
-    def __init__(
-        self, ells: tuple[int, ...], bs: tuple[int, ...], certificates: tuple[Run, ...]
-    ):
+    def __init__(self, ells: tuple[int, ...], bs: tuple[int, ...]):
         k = len(bs)
-        if len(ells) != k or len(certificates) != k:
-            raise ValueError("ells, bs, certificates must have equal length")
+        if len(ells) != k:
+            raise ValueError("ells and bs must have equal length")
         if k == 0:
             raise ValueError("a base sequence needs at least one step")
-        total = 0
         for j in range(k):
-            b, ell, cert = bs[j], ells[j], certificates[j]
+            b, ell = bs[j], ells[j]
             if ell < 1:
                 raise ValueError(f"run length {_echo(ell)} at step {j + 1} must be >= 1")
             if b < 1:
@@ -113,12 +110,7 @@ class BSequence(Record):
                 raise ValueError(
                     f"base at step {j + 1} must clear the previous run entirely"
                 )
-            total += b + ell
-            if cert.start > b or cert.end < total - 1:
-                raise ValueError(
-                    f"certificate at step {j + 1} must cover [{_echo(b)}, {_echo(total - 1)}]"
-                )
-        super().__init__(ells, bs, certificates)
+        super().__init__(ells, bs)
 
     @property
     def k(self) -> int:
@@ -128,36 +120,63 @@ class BSequence(Record):
         """The j-th run (1-based)."""
         return Run(self.bs[j - 1], self.ells[j - 1])
 
+    def certificates(self) -> Iterator[Run]:
+        """Step j's certificate, the run [b_j, sum_{i<=j} (b_i + ell_i) - 1]."""
+        total = 0
+        for b, ell in zip(self.bs, self.ells):
+            total += b + ell
+            yield Run(b, total - b)
+
     def to_payload(self) -> dict:
         return {
             "ells": list(self.ells),
             "bs": [to_decimal(b) for b in self.bs],
-            "certificates": [_run_payload(c.start, c.end) for c in self.certificates],
+            "certificates": [_run_payload(c.start, c.end) for c in self.certificates()],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "BSequence":
-        """Inverse of to_payload.
+        """Inverse of to_payload; a stored certificate that does not cover
+        its step's run of certificates() raises ValueError.
 
-        Run lengths must be JSON integers; bases and certificate starts
-        JSON integers or decimal strings.  A bool or a float anywhere, or a
-        string where a length belongs, raises TypeError instead of being
-        coerced.  Decimal strings are read by from_decimal, which refuses
-        one of more than DECIMAL_DIGIT_LIMIT digits with BudgetExceeded
-        before converting it; the CLI reads JSON integers with it too, as
-        json.loads's parse_int.
+        ells, bs and certificates must be JSON arrays and each certificate
+        a JSON object, else TypeError names the key.  Run lengths must be
+        JSON integers; bases and certificate starts JSON integers or
+        decimal strings.  A bool or a float anywhere, or a string where a
+        length belongs, raises TypeError instead of being coerced.  Decimal
+        strings are read by from_decimal, which refuses one of more than
+        DECIMAL_DIGIT_LIMIT digits with BudgetExceeded before converting
+        it; the CLI reads JSON integers with it too, as json.loads's
+        parse_int.
         """
-        return cls(
-            tuple(_exact_int(ell, "ells entry") for ell in payload["ells"]),
-            tuple(_exact_int(b, "base", text=True) for b in payload["bs"]),
-            tuple(
-                Run(
-                    _exact_int(c["start"], "certificate start", text=True),
-                    _exact_int(c["len"], "certificate len"),
-                )
-                for c in payload["certificates"]
-            ),
+        keys = ("ells", "bs", "certificates")
+        ells, bs, stored = (_payload_array(payload, key) for key in keys)
+        if not len(ells) == len(bs) == len(stored):
+            raise ValueError("ells, bs, certificates must have equal length")
+        seq = cls(
+            tuple(_exact_int(ell, "ells entry") for ell in ells),
+            tuple(_exact_int(b, "base", text=True) for b in bs),
         )
+        for j, (c, need) in enumerate(zip(stored, seq.certificates()), 1):
+            if type(c) is not dict:
+                raise TypeError(f"certificates entry must be an object, got {_shown(c)}")
+            cert = Run(
+                _exact_int(c["start"], "certificate start", text=True),
+                _exact_int(c["len"], "certificate len"),
+            )
+            if cert.start > need.start or cert.end < need.end:
+                raise ValueError(
+                    f"certificate at step {j} must cover [{_echo(need.start)}, {_echo(need.end)}]"
+                )
+        return seq
+
+
+def _payload_array(payload: dict, key: str) -> list:
+    """payload[key], which must be a JSON array, else TypeError names key."""
+    value = payload[key]
+    if type(value) is not list:
+        raise TypeError(f"{key} must be an array, got {_shown(value)}")
+    return value
 
 
 def _exact_int(value, what: str, text: bool = False) -> int:
@@ -166,15 +185,17 @@ def _exact_int(value, what: str, text: bool = False) -> int:
         return value
     if text and type(value) is str:
         return from_decimal(value)
-    # a string is cut as _echo cuts it; a value that is no scalar is named
-    # by its type, since its repr can be as long as the file
-    if isinstance(value, str):
-        shown = _echo(value)
-    elif value is None or isinstance(value, (bool, float)):
-        shown = repr(value)
-    else:
-        shown = f"a {type(value).__name__}"
-    raise TypeError(f"{what} must be an integer, got {shown}")
+    raise TypeError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    # a string or an integer is cut as _echo cuts it; a value that is no
+    # scalar is named by its type, since its repr can be as long as the file
+    if type(value) in (str, int):
+        return _echo(value)
+    if value is None or type(value) in (bool, float):
+        return repr(value)
+    return f"a {type(value).__name__}"
 
 
 def build_b_sequence(
@@ -183,7 +204,7 @@ def build_b_sequence(
     k: int | None = None,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> BSequence:
-    """Greedy base sequence inside a, with certificates found along the way.
+    """Greedy base sequence inside a, each step's certificate run found first.
 
     Step j demands a run of length ell_j plus the total mass
     sum_{i<j} (b_i + ell_i) already placed, starting past the previous
@@ -203,7 +224,6 @@ def build_b_sequence(
     if any(ell < 1 for ell in ells[:k]):
         raise PreconditionFailed("every run length must be >= 1")
     bs: list[int] = []
-    certs: list[Run] = []
     acc = 0
     for j in range(1, k + 1):
         ell = ells[j - 1]
@@ -232,9 +252,8 @@ def build_b_sequence(
                 f"step {j}: base has {digits} digits, over the budget of {_echo(digit_budget)}"
             )
         bs.append(b)
-        certs.append(Run(b, need))
         acc += b + ell
-    return BSequence(tuple(ells[:k]), tuple(bs), tuple(certs))
+    return BSequence(tuple(ells[:k]), tuple(bs))
 
 
 class SweepReport(Record):

@@ -6,19 +6,20 @@ consecutive positions inside the window.  The windowed density estimate
 is min over n of f[n]/n, an upper bound on how densely the set can pack
 any block at the scales the window exposes.
 
-f_profile computes every f[n] by one of two routes, chosen by the run
-pairs the staircase must try: _profile_from_runs in pure Python, or
-_profile_from_spans with numpy.  f_naive and f_naive_all are the
-independent slow paths kept for cross-checks.  density_estimate,
-check_subadditivity and fekete_qd_check read a profile; check_run_bound
-needs none.  numpy is imported inside the functions that use it, and
-fractions by the two that build a Fraction, so only profiles of many runs
-with no short period load numpy and only a JSON profile loads fractions.
+f_profile finds a window's shortest spans, which WindowProfile stores and
+derives f from, by one of two routes chosen by the run pairs the staircase
+must try: _profile_from_runs in pure Python, or _profile_from_spans with
+numpy.  f_naive and f_naive_all are the independent slow paths kept for
+cross-checks.  density_estimate reads the spans, the other readers read f,
+and check_run_bound needs no profile.  numpy is imported inside the
+functions that use it, and fractions by the two that build a Fraction, so
+only profiles of many runs with no short period load numpy and only a JSON
+profile loads fractions.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from math import gcd
 from operator import sub
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -102,18 +103,21 @@ def f_naive_all(w: ExplicitWindow) -> tuple[int, ...]:
 
 
 class WindowProfile(Record):
-    """Profile values for one window; f[0] is a 0 sentinel so f[n] indexes directly."""
+    """One window's profile as its shortest spans: spans[c - 1] + 1 cells is
+    the shortest block holding c members, so the spans strictly increase."""
 
-    _fields = ("window_base", "f")
+    _fields = ("window_base", "window_length", "spans")
 
-    def __init__(self, window_base: int, f: tuple[int, ...]):
-        if not f or f[0] != 0:
-            raise ValueError("profile must start with the 0 sentinel")
-        super().__init__(window_base, f)
+    def iter_f(self) -> Iterator[int]:
+        """f[0..N], each made as it is read: f[n] counts the spans below n."""
+        spans = self.spans
+        gaps = map(sub, chain(spans, (self.window_length,)), chain((0,), spans))
+        return chain((0,), chain.from_iterable(map(repeat, count(), gaps)))
 
     @property
-    def window_length(self) -> int:
-        return len(self.f) - 1
+    def f(self) -> tuple[int, ...]:
+        """The tuple of iter_f(), built afresh on each read."""
+        return tuple(self.iter_f())
 
 
 class DensityEstimate(Record):
@@ -145,15 +149,15 @@ def f_profile(w: ExplicitWindow) -> WindowProfile:
     congruence window of any size.  Otherwise _profile_from_spans runs
     numpy's span loop in O(N + R*M) for M members, which is the only route
     fast enough on aperiodic run-dense windows (R = 13 101 at N = 2**16:
-    0.08 s against 8.9 s).  Both give the same f.
+    0.08 s against 8.9 s).  Both give the same spans.
     """
     starts, ends = w.run_bounds()
     tried = _staircase_starts(starts, ends)
     if tried * len(starts) <= _STAIRCASE_MAX_RUNS**2:
-        f = _profile_from_runs(w, tried)
+        spans = _profile_from_runs(w, tried)
     else:
-        f = _profile_from_spans(w)
-    return WindowProfile(w.window.base, f)
+        spans = _profile_from_spans(w)
+    return WindowProfile(w.window.base, w.window.length, spans)
 
 
 def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
@@ -187,7 +191,7 @@ def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
 
 
 def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
-    """f from the staircase of run pairs, f[0] = 0 first.
+    """The shortest spans from the staircase of run pairs.
 
     The block from run r's start to run j's end (r <= j) holds C(r, j)
     members and G(r, j) non-members.  Some block of n positions holds
@@ -195,17 +199,16 @@ def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
     r..j, touching both, holds all G of its gap cells, so
     f[n] = max(0, max over r <= j of min(C(r, j), n - G(r, j))).  Only the
     best C per G matters, and only the running maxima (g_k, c_k) over
-    increasing G.  Between them f is piecewise linear: it climbs from
-    c_(k-1) + 1 to c_k along n - g_k, then stays at c_k until
-    n = g_(k+1) + c_k, so each piece is a few list.extend calls.  Pairs
-    start at the first `tried` runs only, as _staircase_starts allows:
-    every later pair has a copy with the same G and no smaller C.  Each
-    start walks the runs after it with a running count, so beside the run
-    bounds only best and f are held.  The cost is O(N + tried*R) time for
-    R runs and O(N) memory.  This is the run-length form of the binary
-    jumbled index (Badkobeh, Fici, Kroon & Liptak, IPL 2013).
+    increasing G.  So c members first fit in c + g_k cells at the least k
+    with c_k >= c, and each new maximum adds the spans of c_(k-1) + 1 to
+    c_k in one list.extend.  Pairs start at the first `tried` runs only,
+    as _staircase_starts allows: every later pair has a copy with the same
+    G and no smaller C.  Each start walks the runs after it with a running
+    count, so beside the run bounds only best and the spans are held.  The
+    cost is O(N + tried*R) time for R runs and O(N) memory.  This is the
+    run-length form of the binary jumbled index (Badkobeh, Fici, Kroon &
+    Liptak, IPL 2013).
     """
-    N = w.window.length
     starts, ends = w.run_bounds()
     # best[G]: largest C(r, j) with G(r, j) = G; G(0, R - 1) is the largest G
     best = [0] * (ends[-1] - starts[0] + 2 - w.bits.bit_count() if starts else 1)
@@ -217,21 +220,15 @@ def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
             g = end - before - c
             if c > best[g]:
                 best[g] = c
-    f = [0]
-    top = 0
+    spans: list[int] = []
     for g, c in enumerate(best):
-        if c > top:
-            f.extend(repeat(top, g + top + 1 - len(f)))
-            # c is appended, not ranged, so f shares best's int objects
-            f.extend(range(top + 1, c))
-            f.append(c)
-            top = c
-    f.extend(repeat(top, N + 1 - len(f)))
-    return tuple(f)
+        if c > len(spans):
+            spans.extend(range(g + len(spans), g + c))
+    return tuple(spans)
 
 
 def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
-    """f from the shortest member spans, f[0] = 0 first.
+    """The shortest spans from the member offsets, by numpy.
 
     With pos the sorted member offsets, span[c - 1] = min over s of
     pos[s + c - 1] - pos[s] is one less than the shortest block holding c
@@ -239,17 +236,15 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
     more than those from s, so the minimum is taken over run starts only,
     whose ranks are the prefix sums of the run lengths of run_bounds().
     Dropping the last member of a shortest block shortens it, so span is
-    strictly increasing and f[n] = #{c : span[c - 1] < n}.  Every such
-    block lies inside the window, so no edge case arises.  The loop costs
-    O(N + R*M) for R runs and M members, N**2/8 at worst, on alternating
-    members.
+    strictly increasing.  Every such block lies inside the window, so no
+    edge case arises.  The loop costs O(N + R*M) for R runs and M members,
+    N**2/8 at worst, on alternating members.
     """
     import numpy as np
 
-    N = w.window.length
     # offsets and spans lie in [0, N - 1]; the narrowest type that holds them
     # halves the memory traffic of the loop below at N = 2**16
-    pos = np.flatnonzero(_bit_vector(w)).astype(np.min_scalar_type(N - 1))
+    pos = np.flatnonzero(_bit_vector(w)).astype(np.min_scalar_type(w.window.length - 1))
     M = pos.shape[0]
     span = pos - pos[0] if M else pos
     starts, ends = w.run_bounds()
@@ -258,18 +253,21 @@ def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
         s += end - start + 1
         k = M - s
         np.minimum(span[:k], pos[s:] - pos[s], out=span[:k])
-    return tuple(np.searchsorted(span, np.arange(N + 1)).tolist())
+    return tuple(span.tolist())
 
 
 def density_estimate(profile: WindowProfile) -> DensityEstimate:
-    """min f[n]/n over the window's block lengths, smallest minimizer kept."""
+    """min f[n]/n over the window's block lengths, smallest minimizer kept:
+    f[n]/n falls along each flat piece of f, so only the pieces' ends are
+    scanned, n = spans[c] with f = c and n = N with f = M, not f itself."""
     from fractions import Fraction
 
-    f = profile.f
-    best_f, best_n = f[1], 1
-    for n in range(2, profile.window_length + 1):
-        if f[n] * best_n < best_f * n:
-            best_f, best_n = f[n], n
+    spans = profile.spans
+    best_f, best_n = (1 if spans else 0), 1
+    ends = islice(chain(spans, (profile.window_length,)), 1, None)
+    for c, n in enumerate(ends, 1):
+        if c * best_n < best_f * n:
+            best_f, best_n = c, n
     return DensityEstimate(Fraction(best_f, best_n), best_n)
 
 
@@ -384,11 +382,11 @@ def profile_payload(
 ) -> dict:
     """JSON-ready report; exact fractions carried as numerator/denominator.
 
-    "f" is the tuple f[1..N], one slice of the profile and no list copy.
+    "f" iterates over f[1..N], each value made as the CLI writes it.
     """
     payload = {
         "window": {"base": profile.window_base, "length": profile.window_length},
-        "f": profile.f[1:],
+        "f": islice(profile.iter_f(), 1, None),
         "density": {
             "num": estimate.value.numerator,
             "den": estimate.value.denominator,
@@ -408,16 +406,16 @@ def profile_csv(profile: WindowProfile) -> Iterator[str]:
 
     The text comes as slices: the header line, then SLICE_ITEMS rows at a
     time, every row ending in a newline, so a caller that writes each
-    slice as it comes never holds the whole CSV.  The CLI does: at
-    WINDOW_BITS_BUDGET, `profile --format csv` on `gen poly_runs 2` peaks
-    at about 61 MB, mostly the profile itself (2-core x86-64 host, Python
-    3.11.7).
+    slice as it comes never holds the whole CSV, and f's values are made
+    as their rows are.  The CLI does: at WINDOW_BITS_BUDGET, `profile
+    --format csv` on `gen poly_runs 2` peaks at about 51 MB RSS, mostly
+    the staircase and the spans (2-core x86-64 host, Python 3.11.7).
     """
     yield "n,f,fn_over_n\n"
-    f, N = profile.f, profile.window_length
+    f, N = islice(profile.iter_f(), 1, None), profile.window_length
     for lo in range(1, N + 1, SLICE_ITEMS):
         rows = []
-        for n in range(lo, min(lo + SLICE_ITEMS, N + 1)):
-            g = gcd(f[n], n)
-            rows.append(f"{n},{f[n]},{f[n] // g}/{n // g}\n")
+        for n, fn in zip(range(lo, min(lo + SLICE_ITEMS, N + 1)), f):
+            g = gcd(fn, n)
+            rows.append(f"{n},{fn},{fn // g}/{n // g}\n")
         yield "".join(rows)

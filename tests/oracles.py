@@ -6,20 +6,13 @@ from typing import Sequence
 
 from banachsum.construct import BSequence
 from banachsum.errors import EmptySelection
-from banachsum.intset import ExplicitWindow, Run, Window
+from banachsum.intset import ExplicitWindow, Window
 from banachsum.sumset import pairwise_sumset
 
 
 def from_entries(ells: Sequence[int], bs: Sequence[int]) -> BSequence:
-    """The base sequence of the given run lengths and bases, with the
-    canonical tight certificates: step j covers [b_j, b_1 + l_1 + ... +
-    b_j + l_j - 1]."""
-    certs = []
-    total = 0
-    for b, ell in zip(bs, ells):
-        total += b + ell
-        certs.append(Run(b, total - b))
-    return BSequence(tuple(ells), tuple(bs), tuple(certs))
+    """The base sequence of the given run lengths and bases."""
+    return BSequence(tuple(ells), tuple(bs))
 
 
 def family_sumset(

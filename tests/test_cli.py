@@ -477,6 +477,42 @@ def test_verify_rejects_non_integer_numbers(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("payload, shown", [
+    # a string of digits was read as the bases 1, 3 and 5, and an object
+    # as its one key
+    ({"ells": [1, 1, 1], "bs": "135", "certificates": [
+        {"start": "1", "len": 1}, {"start": "3", "len": 3}, {"start": "5", "len": 7}]},
+     "'135'"),
+    ({"ells": [1], "bs": {"7": 0}, "certificates": [{"start": "7", "len": 1}]}, "a dict"),
+])
+def test_verify_reads_arrays_only_as_arrays(capsys, tmp_path, payload, shown):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad base sequence payload: bs must be an array, got {shown}\n"
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    *((key, value, shown) for key in ("ells", "bs", "certificates")
+      for value, shown in ((7, "7"), (None, "None"), ("1", "'1'"), ({"1": 1}, "a dict"))),
+    *(("certificates entry", value, shown)
+      for value, shown in ((7, "7"), (None, "None"), ("1", "'1'"), ([1], "a list"))),
+])
+def test_verify_refuses_each_key_in_the_wrong_shape(capsys, tmp_path, key, value, shown):
+    payload = from_entries((1,), (7,)).to_payload()
+    if key == "certificates entry":
+        payload["certificates"][0] = value
+    else:
+        payload[key] = value
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--set", "gen full", "--bseq", str(path))
+    assert (code, out) == (2, "")
+    shape = "an object" if key == "certificates entry" else "an array"
+    assert err == f"error: bad base sequence payload: {key} must be {shape}, got {shown}\n"
+
+
 def test_bases_past_4300_digits_round_trip(capsys, tmp_path):
     # the largest base has 4637 digits, past Python's default int/str limit
     saved = sys.get_int_max_str_digits()

@@ -62,7 +62,7 @@ from strategies import shaped_windows
 def test_build_examples():
     seq = build_b_sequence(PolyRuns(2), [1, 1, 1])
     assert seq.bs == (1, 9, 169)
-    assert seq.certificates == (Run(1, 1), Run(9, 3), Run(169, 13))
+    assert list(seq.certificates()) == [Run(1, 1), Run(9, 3), Run(169, 13)]
 
     with pytest.raises(NoSuitableRun):
         build_b_sequence(Congruence(2, 1), [2, 2, 2])
@@ -90,11 +90,14 @@ def test_build_argument_validation():
 
 def test_sequence_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        BSequence((1, 1), (1,), (Run(1, 1),))
+        BSequence((1, 1), (1,))
     with pytest.raises(ValueError):
         from_entries((1, 1), (1, 1))  # second base inside first run
-    with pytest.raises(ValueError):
-        BSequence((1,), (1,), (Run(2, 1),))  # certificate misses the base
+    with pytest.raises(ValueError, match=r"certificate at step 1 must cover \[1, 1\]"):
+        # the certificate misses the base
+        BSequence.from_payload(
+            {"ells": [1], "bs": ["1"], "certificates": [{"start": "2", "len": 1}]}
+        )
     ok = from_entries((1, 1), (1, 2))
     assert ok.run(2) == Run(2, 1)
 
@@ -460,7 +463,7 @@ def test_subset_sums_stay_inside_step_certificates(ells, pick):
         top = max(subset)
         assert s.start >= seq.bs[top - 1]
         assert s.end <= sum(seq.bs[i] + seq.ells[i] for i in range(top)) - 1
-        cert = seq.certificates[top - 1]
+        cert = list(seq.certificates())[top - 1]
         assert cert.start <= s.start and s.end <= cert.end
 
 

@@ -89,11 +89,9 @@ def reference_run_bound(w: ExplicitWindow, d: int) -> RunBoundReport:
             f"window contains a run of {lr} consecutive members, so the "
             f"no-run-of-{d} hypothesis does not hold"
         )
-    profile = f_profile(w)
+    f = f_profile(w).f
     failures = tuple(
-        (n, profile.f[n])
-        for n in range(1, profile.window_length + 1)
-        if d * profile.f[n] >= (d - 1) * n + d
+        (n, f[n]) for n in range(1, len(f)) if d * f[n] >= (d - 1) * n + d
     )
     assert failures == RunBoundReport.failures, failures
     return RunBoundReport(d, lr)
@@ -131,19 +129,57 @@ def test_density_examples():
 
 def test_density_smallest_argmin_on_ties():
     # f = (1, 2): both n give ratio 1; the smaller n wins
-    est = density_estimate(WindowProfile(0, (0, 1, 2)))
+    est = density_estimate(WindowProfile(0, 2, (0, 1)))
     assert est.argmin_n == 1
 
 
-@given(shaped_windows())
-@settings(max_examples=80)
+def scan_density(f: tuple[int, ...]) -> DensityEstimate:
+    """min f[n]/n by trying every n in [1, N], smallest minimizer kept:
+    the reference for density_estimate, which tries only the ends of f's
+    flat pieces."""
+    best_f, best_n = f[1], 1
+    for n in range(2, len(f)):
+        if f[n] * best_n < best_f * n:
+            best_f, best_n = f[n], n
+    return DensityEstimate(Fraction(best_f, best_n), best_n)
+
+
+@pytest.mark.parametrize("N, spans", [
+    (1, ()), (1, (0,)), (7, ()), (4, (0, 3)),
+    # ties: 1/1 = 2/2 = 3/3; 1/2 = 2/4 at a piece end and at N; 1/2 = 2/4
+    # at two piece ends
+    (3, (0, 1, 2)), (4, (0, 2)), (5, (0, 2, 4)),
+])
+def test_density_matches_the_full_scan_on_small_and_tied_profiles(N, spans):
+    profile = WindowProfile(0, N, spans)
+    assert density_estimate(profile) == scan_density(profile.f)
+
+
+def test_density_reads_only_the_spans(monkeypatch):
+    profiles = [f_profile(w) for w in (ODDS8, FULL8, ExplicitWindow(Window(0, 6), 0))]
+    want = [scan_density(p.f) for p in profiles]
+
+    def no_f(self):
+        raise AssertionError("density_estimate read f")
+
+    monkeypatch.setattr(WindowProfile, "f", property(no_f))
+    monkeypatch.setattr(WindowProfile, "iter_f", no_f)
+    assert [density_estimate(p) for p in profiles] == want
+
+
+@given(explicit_windows() | shaped_windows())
+@settings(max_examples=200)
 def test_profile_matches_naive_everywhere(w):
-    # every shaped window is under the route cut, so both routes are
-    # called by name
-    f = f_naive_all(w)
-    assert f_profile(w).f == f
-    assert _profile_from_runs(w, len(w.run_bounds()[0])) == f
-    assert _profile_from_spans(w) == f
+    # every window here is under the route cut, so both routes are called
+    # by name: they return the same spans, whose f is the naive one, and
+    # the density read from the spans is the full scan's
+    spans = _profile_from_runs(w, len(w.run_bounds()[0]))
+    assert _profile_from_spans(w) == spans
+    profile = f_profile(w)
+    assert profile == WindowProfile(w.window.base, w.window.length, spans)
+    f = profile.f
+    assert f == f_naive_all(w)
+    assert density_estimate(profile) == scan_density(f)
 
 
 def windows_with_runs(R):
@@ -162,9 +198,9 @@ def windows_with_runs(R):
 def test_routes_agree_on_both_sides_of_the_cut(R):
     for w in windows_with_runs(R):
         assert len(w.run_bounds()[0]) == R
-        f = f_profile(w).f
-        assert f == _profile_from_runs(w, R) == _profile_from_spans(w)
-        assert f == f_naive_all(w)
+        profile = f_profile(w)
+        assert profile.spans == _profile_from_runs(w, R) == _profile_from_spans(w)
+        assert profile.f == f_naive_all(w)
 
 
 @st.composite
@@ -201,15 +237,15 @@ def test_pruned_staircase_matches_naive(case, cut):
     # with the cut lowered, windows of a few dozen runs take the period
     # search, and the product of tried starts and runs picks the route
     w, per_repeat, defect = case
-    want = f_naive_all(w)
     starts, ends = w.run_bounds()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(density, "_STAIRCASE_MAX_RUNS", cut)
         tried = _staircase_starts(starts, ends)
-        assert f_profile(w).f == want
+        profile = f_profile(w)
+    assert profile.f == f_naive_all(w)
     R = len(starts)
     assert 1 <= tried <= R or R == 0
-    assert _profile_from_runs(w, tried) == want
+    assert _profile_from_runs(w, tried) == profile.spans == _profile_from_spans(w)
     if defect == "none" and R > cut and per_repeat + 2 <= R and (per_repeat + 1) * R <= cut**2:
         # the repeat is a period below the bound, so the search stops there
         assert tried <= per_repeat + 1
@@ -240,7 +276,8 @@ def test_subadditivity_exhaustive(w):
 
 
 def test_subadditivity_flags_bad_profile():
-    assert check_subadditivity(WindowProfile(0, (0, 0, 5))) == [(1, 1, 5)]
+    # f = (0, 1, 1, 1, 2, 3), and f[5] = 3 > f[2] + f[3] = 2
+    assert check_subadditivity(WindowProfile(0, 5, (0, 3, 4))) == [(2, 3, 1)]
 
 
 def test_fekete_examples():
@@ -393,7 +430,7 @@ def test_payload_and_csv_shapes():
     est = density_estimate(profile)
     payload = profile_payload(profile, est, forced_density(Congruence(2, 1)))
     assert payload["window"] == {"base": 0, "length": 8}
-    assert payload["f"] == (1, 1, 2, 2, 3, 3, 4, 4)
+    assert tuple(payload["f"]) == (1, 1, 2, 2, 3, 3, 4, 4)
     assert payload["density"] == {"num": 1, "den": 2, "argmin": 2}
     assert payload["generator_density"] == {"num": 1, "den": 2}
 

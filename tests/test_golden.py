@@ -43,6 +43,7 @@ UNENTERED = {
         "density.f_naive_all",
         "density.check_subadditivity",
         "density.fekete_qd_check",
+        "density.WindowProfile.f",
         "sumset.enumerate_subsets",
         "construct.EscapeCheck.chain_ok",
         "intset.ExplicitWindow.dilate",
