@@ -124,9 +124,7 @@ def _write_array(write, values) -> None:
 
 def _int_arg(text: str) -> int:
     """from_decimal(text); a token that int() refuses gets argparse's own
-    message for type=int, with the token cut as _echo cuts it.  A number
-    of more than DECIMAL_DIGIT_LIMIT digits, here or in a --window, raises
-    BudgetExceeded, which argparse does not catch, so the call exits 3."""
+    message for type=int, with the token cut as _echo cuts it."""
     try:
         return from_decimal(text)
     except ValueError:
@@ -143,6 +141,21 @@ def _window_arg(text: str) -> Window:
         ) from None
 
 
+def _add_arg(p: argparse.ArgumentParser, option: str, parse=_int_arg, **kw) -> None:
+    """Add option, its value read by parse.  A number in it of more than
+    DECIMAL_DIGIT_LIMIT digits raises BudgetExceeded, which argparse does
+    not catch, so the call exits 3 with the option's name in front, as a
+    number in set text gets its line's."""
+
+    def typed(text: str):
+        try:
+            return parse(text)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{option}: {exc}") from None
+
+    p.add_argument(option, type=typed, **kw)
+
+
 def _check_steps(k: int) -> None:
     if k > STEP_BUDGET:
         raise BudgetExceeded(f"{_echo(k)} steps exceed the budget of {STEP_BUDGET} steps")
@@ -151,7 +164,8 @@ def _check_steps(k: int) -> None:
 def _resolve_ells(spec: str, k: int, digit_budget: int) -> list[int]:
     """The k run lengths of --ells: "j" for 1..k, one number for all k, or
     a comma list of at least k numbers.  A number may have digit_budget
-    digits, as a base may, since it enters the sums a certificate covers."""
+    digits, as a base may, since it enters the sums a certificate covers;
+    either refusal names --ells."""
     _check_steps(k)
     if spec == "j":
         return list(range(1, k + 1))
@@ -159,6 +173,8 @@ def _resolve_ells(spec: str, k: int, digit_budget: int) -> list[int]:
         parts = [from_decimal(p, digit_budget) for p in spec.split(",")]
     except ValueError as exc:
         raise ParseError(f"--ells: {exc}") from None
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"--ells: {exc}") from None
     if "," not in spec:
         return parts * k
     if len(parts) < k:
@@ -215,9 +231,10 @@ def _add_set_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_window_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+    _add_arg(
+        p,
         "--window",
-        type=_window_arg,
+        _window_arg,
         default=Window(0, 4096),
         help="evaluation window as BASE:LENGTH (default 0:4096)",
     )
@@ -256,39 +273,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", help="run structure in a window; optional run search")
     _add_set_args(p)
     _add_window_arg(p)
-    p.add_argument("--min-len", type=_int_arg, help="search for a run of this length")
-    p.add_argument("--lower-bound", type=_int_arg, default=0)
-    p.add_argument("--d", type=_int_arg, help="check the no-run-of-d density bound")
+    _add_arg(p, "--min-len", help="search for a run of this length")
+    _add_arg(p, "--lower-bound", default=0)
+    _add_arg(p, "--d", help="check the no-run-of-d density bound")
 
     p = sub.add_parser("construct-b", help="greedy base sequence inside a set")
     _add_set_args(p)
     p.add_argument("--ells", default="j", help='"j", a constant, or a comma list')
-    p.add_argument("--k", type=_int_arg, default=8)
-    p.add_argument("--digit-budget", type=_int_arg, default=DEFAULT_DIGIT_BUDGET)
+    _add_arg(p, "--k", default=8)
+    _add_arg(p, "--digit-budget", default=DEFAULT_DIGIT_BUDGET)
 
     p = sub.add_parser("family", help="build and verify a disjoint component family")
     _add_set_args(p)
     p.add_argument("--ells", default="j")
-    p.add_argument("--k", type=_int_arg, default=8)
-    p.add_argument("--k-sets", type=_int_arg, default=2)
+    _add_arg(p, "--k", default=8)
+    _add_arg(p, "--k-sets", default=2)
     _add_choice_arg(p, "--scheme", ("residue", "blocks"), "residue")
-    p.add_argument("--brute-span", type=_int_arg, default=2048)
-    p.add_argument("--digit-budget", type=_int_arg, default=DEFAULT_DIGIT_BUDGET)
+    _add_arg(p, "--brute-span", default=2048)
+    _add_arg(p, "--digit-budget", default=DEFAULT_DIGIT_BUDGET)
 
     p = sub.add_parser("verify", help="recheck a stored base sequence against a set")
     _add_set_args(p)
     p.add_argument("--bseq", required=True, help="path to a base sequence JSON file")
-    p.add_argument("--k-limit", type=_int_arg)
-    p.add_argument("--brute-span", type=_int_arg, default=10_000)
+    _add_arg(p, "--k-limit")
+    _add_arg(p, "--brute-span", default=10_000)
 
     p = sub.add_parser("ap-reduce", help="strongest dilation structure in a window")
     _add_set_args(p)
     _add_window_arg(p)
-    p.add_argument("--m0", type=_int_arg, default=10, help="largest difference to try")
+    _add_arg(p, "--m0", default=10, help="largest difference to try")
 
     p = sub.add_parser("escape", help="doubling-escape checks on the power-run set")
-    p.add_argument("--t", type=_int_arg, required=True)
-    p.add_argument("--i-max", type=_int_arg, required=True)
+    _add_arg(p, "--t", required=True)
+    _add_arg(p, "--i-max", required=True)
 
     p = sub.add_parser("gen", help="echo a set description in canonical form")
     _add_set_args(p)

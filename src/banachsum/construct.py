@@ -88,8 +88,7 @@ class BSequence(Record):
     certificates() derives.  That interval contains the hull
     [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so every subset
     sumset whose largest index is j: k run checks decide all 2**k - 1
-    subset claims.  verify_b_sequence's search makes those checks at its
-    first level from the target alone.
+    subset claims, and both verifiers make them first, in _hulls_pass.
     """
 
     _fields = ("ells", "bs")
@@ -307,9 +306,23 @@ def _report(
     return SweepReport(checked, witness, subset_of(found[1]))
 
 
-def _least_failure(
-    parts: Sequence[Sequence[Run]], a: IntSet, certify: bool = False
-) -> tuple[int, int] | None | bool:
+def _hulls_pass(runs: Sequence[Run], a: IntSet) -> bool:
+    """Whether a holds every hull [start_j, end_1 + ... + end_j] of the
+    ascending runs, in which lie all sums of distinct runs whose largest is
+    run j: one run_end_at(start_j) per hull, until a hull fails or a run of
+    a reaches end_1 + ... + end_k, which holds every hull left."""
+    top, hi = sum(r.end for r in runs), 0
+    for r in runs:
+        hi += r.end
+        reach = a.run_end_at(r.start)
+        if reach is None or reach >= top:
+            return True
+        if reach < hi:
+            return False
+    return True
+
+
+def _least_failure(parts: Sequence[Sequence[Run]], a: IntSet) -> tuple[int, int] | None:
     """The least (witness, mask) over every pick of at most one run per
     part, at least one run in all, or None when every pick passes.
 
@@ -327,13 +340,8 @@ def _least_failure(
     least its own.  The node that would bring the count to
     2**SUBSET_BUDGET_MAX, read at call time, raises BudgetExceeded before
     it asks a anything; internal nodes count too, so a tree that must be
-    visited whole holds up to twice its picks.
-
-    With certify no pick is looked at: the search returns False at the
-    first node that fixes a run and does not pass its subtree on its one
-    run query, and None when there is no such node.  The hulls of a base
-    sequence are those nodes, so, each part one run, it visits at most
-    2 * len(parts) + 1 nodes.
+    visited whole holds up to twice its picks.  The verifiers search only
+    once _hulls_pass has failed.
     """
     budget = SUBSET_BUDGET_MAX
     rest, least = [0], [None]
@@ -356,15 +364,13 @@ def _least_failure(
         low = lo if mask else least[p]
         if low is None or best is not None and (low, mask) >= best:
             continue
-        if p == 0 and not certify:
+        if p == 0:
             witness = verify_containment(Run(lo, hi - lo + 1), a)
             if witness is not None and (best is None or (witness, mask) < best):
                 best = (witness, mask)
             continue
         reach = a.run_end_at(low)
         if reach is not None and reach < hi + rest[p]:
-            if certify and mask:
-                return False
             bit = 1 << (p - 1)
             stack.extend(
                 (p - 1, lo + r.start, hi + r.end, mask | bit) for r in reversed(parts[p - 1])
@@ -418,20 +424,20 @@ def verify_b_sequence(
     """Recheck every nonempty subset's sumset against the target.
 
     The sumset of a subset's runs is the interval [sum of starts, sum of
-    ends].  _least_failure decides all 2**k - 1 of them from run queries,
-    one run per part, and the report is its least failure, its subset the
-    first in binary-counter order (see enumerate_subsets) among those
-    sharing the witness.  _fold_hole checks that search on the window
-    [0, brute_span] from the target's bitmap there (see _report).  The
-    bases increase, so the runs that start in that window are the first
-    ones, and only they are folded.  A negative k_limit raises
-    PreconditionFailed before any query.
+    ends].  A greedy sequence passes all 2**k - 1 of them on the hulls of
+    BSequence, which _hulls_pass checks in at most k run queries: k roots
+    for a PolyRuns(2) sequence and one query for a Full one, whatever k
+    is, so a Full sequence of k = 30 passes with checked = 2**30 - 1.
+    Past a failing hull, _least_failure searches them, one run per part,
+    and the report is its least failure, its subset the first in
+    binary-counter order (see enumerate_subsets) among those sharing the
+    witness.  _fold_hole checks that search on the window [0, brute_span]
+    from the target's bitmap there (see _report).  The bases increase, so
+    the runs that start in that window are the first ones, and only they
+    are folded.  A negative k_limit raises PreconditionFailed before any
+    query.
 
-    The first level of the search holds the hulls of BSequence, and a
-    greedy sequence passes on them: at most 2k + 1 nodes, one run query
-    each, and k roots for a PolyRuns(2) sequence, whatever k is.  So a
-    Full sequence of k = 30 passes with checked = 2**30 - 1.  The hulls
-    are sufficient, not necessary: for bases 1, 10, 100 with unit
+    Hulls are sufficient, not necessary: for bases 1, 10, 100 with unit
     lengths against `elem 1; run 10 2; run 100 2; run 110 2`, the hull
     [100, 111] holds a hole, yet all 7 subset sums are members, and the
     search passes them on the two nodes below that hull.  Bases 3**j with
@@ -450,7 +456,7 @@ def verify_b_sequence(
     runs = [seq.run(j) for j in range(1, k + 1)]
     return _report(
         (1 << k) - 1,
-        _least_failure([[run] for run in runs], a),
+        None if _hulls_pass(runs, a) else _least_failure([[run] for run in runs], a),
         _fold_hole([RunList([run]) for run in runs if run.start <= brute_span], a, brute_span),
         brute_span,
     )
@@ -505,9 +511,9 @@ def build_family(seq: BSequence, k_sets: int, scheme: str = "residue") -> BFamil
     return BFamily(k_sets, index_sets, sets, seq)
 
 
-def _check_disjoint(family: BFamily) -> list[tuple[int, int, int]]:
-    """The (start, end, component) of every run of the family's sets,
-    ascending, once no two of them overlap."""
+def _check_disjoint(family: BFamily) -> list[Run]:
+    """The runs of the family's sets, ascending, once no two of them
+    overlap."""
     spans = sorted(
         (s, e, i) for i, rl in enumerate(family.sets, 1) for s, e in zip(*rl.run_bounds())
     )
@@ -518,7 +524,7 @@ def _check_disjoint(family: BFamily) -> list[tuple[int, int, int]]:
             f"component {i1} run [{_echo(s1)}, {_echo(e1)}] overlaps "
             f"component {i2} run [{_echo(s2)}, {_echo(e2)}]"
         )
-    return spans
+    return [Run(s, e - s + 1) for s, e, _ in spans]
 
 
 def verify_family(
@@ -531,30 +537,24 @@ def verify_family(
     A selection's sumset is the union of the intervals of its picks, one
     run of each selected component set: those picks, at least one run in
     all, are what must lie in the target.  Every pick is a subset of the
-    sets' runs, so the run route first certifies those runs, one per part
-    in ascending order, which a greedy sequence's family passes in at most
-    2k + 1 nodes and no pick; only when that certificate fails does
-    _least_failure search the picks themselves, the components' runs as
-    its parts.  _fold_hole over the component sets checks that search on
-    [0, brute_span] (see _report).  checked counts the picks of one source
-    run per selected component, prod(|ix_i| + 1) - 1, whether or not
-    adjacent source runs of a component merged into one run of its set:
-    200 runs in 8 residue components give 26**8 - 1, and 1000 runs in
-    1000 components 2**1000 - 1.  Unit runs at 3, 6, ..., 90 against
-    Congruence(3, 0), split into two blocks, fail every hull but pass
-    every pick, so the picks are searched: 273 nodes for the 255 picks.
+    sets' runs, so _hulls_pass on those runs in ascending order passes a
+    greedy sequence's family; past a failing hull, _least_failure searches
+    the picks, the components' runs as its parts, and _fold_hole over the
+    component sets checks that search on [0, brute_span] (see _report).
+    checked counts the picks of one source run per selected component,
+    prod(|ix_i| + 1) - 1, whether or not adjacent source runs of a
+    component merged into one run of its set: 200 runs in 8 residue
+    components give 26**8 - 1, and 1000 runs in 1000 components
+    2**1000 - 1.  Unit runs at 3, 6, ..., 90 against Congruence(3, 0),
+    split into two blocks, fail their second hull but pass every pick, so
+    the picks are searched: 273 nodes for 255 picks.
     """
-    spans = _check_disjoint(family)
-    runs = [Run(s, e - s + 1) for s, e, _ in spans]
-    found = _least_failure([[run] for run in runs], a, certify=True)
-    if found is not None:
-        parts: list[list[Run]] = [[] for _ in family.sets]
-        for run, (_, _, i) in zip(runs, spans):
-            parts[i - 1].append(run)
-        found = _least_failure(parts, a)
+    runs = _check_disjoint(family)
+    # the components' runs, listed only past a failing hull
+    parts = ([Run(s, e - s + 1) for s, e in zip(*rl.run_bounds())] for rl in family.sets)
     return _report(
         prod(len(ix) + 1 for ix in family.index_sets) - 1,
-        found,
+        None if _hulls_pass(runs, a) else _least_failure(list(parts), a),
         _fold_hole(family.sets, a, brute_span),
         brute_span,
     )

@@ -266,7 +266,7 @@ def corpus() -> tuple[dict[str, bytes], list[tuple[list[str], str | None]]]:
     call("construct-b", "--set", full, "--ells", "1," + _repeat(9, DECIMAL_DIGIT_LIMIT),
          "--k", "2")
     # a number over its digit limit is a budget error wherever it is read,
-    # underscores or not
+    # underscores or not, and names the option or line that held it
     over = "1" + _repeat(0, DECIMAL_DIGIT_LIMIT)
     call("construct-b", "--set", full, "--k", over)
     call("runs", "--set", full, "--window", f"{over}:8")

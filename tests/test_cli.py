@@ -592,28 +592,36 @@ def test_run_lengths_are_read_at_the_digit_budget(capsys):
         limit = int(budget[1]) if budget else DEFAULT_DIGIT_BUDGET
         assert json.loads(out) == {
             "error": "BudgetExceeded",
-            "detail": f"a number of {len(over) - 2} digits exceeds the limit of {limit}",
+            "detail": f"--ells: a number of {len(over) - 2} digits exceeds the limit of {limit}",
         }
 
 
 OVER_LIMIT = "1" + "0" * DECIMAL_DIGIT_LIMIT
 
 
-@pytest.mark.parametrize("argv, detail", [
-    (["construct-b", "--set", "gen full", "--k", OVER_LIMIT], DECIMAL_DIGIT_LIMIT),
-    (["runs", "--set", "gen full", "--window", f"{OVER_LIMIT}:8"], DECIMAL_DIGIT_LIMIT),
-    (["runs", "--set", "gen full", "--window", f"0:{OVER_LIMIT}"], DECIMAL_DIGIT_LIMIT),
-    (["construct-b", "--set", "gen full", "--ells", OVER_LIMIT], DEFAULT_DIGIT_BUDGET),
+@pytest.mark.parametrize("argv, where, detail", [
+    (["construct-b", "--set", "gen full", "--k", OVER_LIMIT], "--k", DECIMAL_DIGIT_LIMIT),
+    (["escape", "--t", "5", "--i-max", OVER_LIMIT], "--i-max", DECIMAL_DIGIT_LIMIT),
+    (["runs", "--set", "gen full", "--window", f"{OVER_LIMIT}:8"], "--window",
+     DECIMAL_DIGIT_LIMIT),
+    (["runs", "--set", "gen full", "--window", f"0:{OVER_LIMIT}"], "--window",
+     DECIMAL_DIGIT_LIMIT),
+    (["construct-b", "--set", "gen full", "--ells", OVER_LIMIT], "--ells", DEFAULT_DIGIT_BUDGET),
+    (["construct-b", "--set", "gen full", "--ells", f"1,{OVER_LIMIT},2"], "--ells",
+     DEFAULT_DIGIT_BUDGET),
     # underscores are no digits, and do not turn the number into a usage error
-    (["gen", "--set", f"elem 1_{OVER_LIMIT[1:]}"], DECIMAL_DIGIT_LIMIT),
-], ids=["option", "window-base", "window-length", "ells", "set-text"])
-def test_a_number_over_its_digit_limit_exits_3_wherever_it_is_read(capsys, argv, detail):
+    (["gen", "--set", f"elem 1_{OVER_LIMIT[1:]}"], "line 1", DECIMAL_DIGIT_LIMIT),
+], ids=["option", "escape-option", "window-base", "window-length", "ells", "ells-list",
+        "set-text"])
+def test_a_number_over_its_digit_limit_exits_3_wherever_it_is_read(
+    capsys, argv, where, detail
+):
+    # the detail names the option or the line that held the number
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (3, "")
-    where = "line 1: " if argv[0] == "gen" else ""
     assert json.loads(out) == {
         "error": "BudgetExceeded",
-        "detail": f"{where}a number of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds the limit "
+        "detail": f"{where}: a number of {DECIMAL_DIGIT_LIMIT + 1} digits exceeds the limit "
                   f"of {detail}",
     }
 

@@ -314,9 +314,10 @@ def test_hulls_are_sufficient_not_necessary():
     assert reference_sweep(seq, a).to_payload() == payload
     a.asked.clear()
     assert verify_b_sequence(seq, a, brute_span=0).to_payload() == payload
-    # the root and the picks without run 3 start at 1; then run 2's hull
-    # [10, 11], run 3's hull, and the two nodes below it
-    assert a.asked == [1, 1, 1, 10, 100, 100, 110]
+    # the hulls [1, 1], [10, 11] and [100, 111], the last failing; then the
+    # search: its root and the picks without run 3 start at 1, then run 2's
+    # node, run 3's, and the two nodes below it
+    assert a.asked == [1, 10, 100, 1, 1, 1, 10, 100, 100, 110]
     fam = build_family(seq, 2, "residue")
     assert verify_family(fam, a) == reference_family(fam, a)
 
@@ -411,18 +412,19 @@ def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     with pytest.raises(ValueError, match="k_limit must be >= 0"):
         verify_b_sequence(seq, Untouchable(), k_limit=-1)
     # k over SUBSET_BUDGET_MAX is no refusal: the budget counts search
-    # nodes, and a valid sequence passes on its first level
+    # nodes, and a valid sequence passes on its hulls, with no search
     assert verify_b_sequence(seq, Full()).checked == 2**k - 1
-    # lowered to 2**3 - 1 nodes, the budget stops the search against
-    # [1, 5] at its eighth node, still on the chain of nodes that fix
-    # nothing, each of whose ranges [1, 1 + 2 + ... + p] leaves [1, 5]:
-    # seven run queries, and no member() or verify_containment call
+    # against [1, 5] the third hull, [3, 6], fails; lowered to 2**3 - 1
+    # nodes, the budget stops the search at its eighth node, still on the
+    # chain of nodes that fix nothing, each of whose ranges
+    # [1, 1 + 2 + ... + p] leaves [1, 5]: three run queries for the hulls,
+    # seven for the search, and no member() or verify_containment call
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded, match=r"2\*\*3 - 1 search nodes"):
         verify_b_sequence(seq, a)
-    assert a.queries == 7
+    assert a.queries == 3 + 7
 
 
 @given(
@@ -519,9 +521,9 @@ def test_family_disjointness_violation_fires():
 
 
 def test_families_of_more_components_than_the_subset_budget_pass():
-    # the budget counts search nodes, not components: the certificate of a
-    # greedy sequence's runs passes in at most 2k + 1 nodes, and the fold
-    # makes at most one pairwise_sumset per component
+    # the budget counts search nodes, not components: a greedy sequence's
+    # runs pass on their hulls, with no search, and the fold makes at most
+    # one pairwise_sumset per component
     k = SUBSET_BUDGET_MAX + 1
     seq = build_b_sequence(Full(), [1] * k, k=k)
     for scheme in ("residue", "blocks"):
@@ -531,10 +533,10 @@ def test_families_of_more_components_than_the_subset_budget_pass():
 
 def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     # bases 1, 2, 3, ... sum past the target's run [1, 5] from the third
-    # on: lowered to 2**3 - 1 nodes, the budget stops the certificate of
-    # the source runs at its eighth node, after seven run queries on the
-    # chain of nodes that fix nothing, with no member() or
-    # verify_containment call
+    # on, so the third hull of the source runs fails: lowered to 2**3 - 1
+    # nodes, the budget stops the search of the picks at its eighth node,
+    # after three run queries for the hulls and seven on the chain of
+    # nodes that fix nothing, with no member() or verify_containment call
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     # 20 components of two runs each: 3**20 - 1 picks
@@ -543,9 +545,8 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     a = RunQueriesOnly(RunList([Run(1, 5)]))
     with pytest.raises(BudgetExceeded):
         verify_family(fam, a)
-    assert a.queries == 7
-    # the search of the picks, the components' runs as its parts, stops
-    # the same way on the chain of nodes that fix nothing
+    assert a.queries == 3 + 7
+    # the search alone, the components' runs as its parts, makes the seven
     a.queries = 0
     parts = [[seq.run(j) for j in ix] for ix in fam.index_sets]
     with pytest.raises(BudgetExceeded):
@@ -574,39 +575,52 @@ class CountingRunEnds(IntSet):
 
 def test_valid_sweeps_look_up_each_run_once(monkeypatch):
     # the hull of each run of a valid sequence lies inside the target's run
-    # through its start, so the search passes each run's node on its first
-    # query: of a greedy PolyRuns(2) k=16 sequence's 65 535 subsets, in at
-    # most 2**5 - 1 nodes, within 2k + 1 = 33, and not one member() call
+    # through its start, so one query per run passes a greedy PolyRuns(2)
+    # k=16 sequence's 65 535 subsets, with no search node under a budget
+    # of 2**5 - 1, and not one member() call
     seq = build_b_sequence(PolyRuns(2), [1] * 16)
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 5)
     monkeypatch.setattr(PolyRuns, "member", refuse_member)
     a = CountingRunEnds(PolyRuns(2))
     assert verify_b_sequence(seq, a, brute_span=0).to_payload() == {
         "status": "Pass", "checked": 2**16 - 1}
-    # each base once for the node of its run, and the first base once more
-    # for each node that fixes nothing yet
-    assert sorted(a.asked) == [seq.bs[0]] * 16 + list(seq.bs[1:])
-    # a family searches the source runs the same way, whatever its split
+    assert a.asked == list(seq.bs)
+    # a family checks the hulls of the source runs the same way, whatever
+    # its split
     for k_sets, scheme in ((4, "blocks"), (8, "residue")):
         a.asked.clear()
         assert verify_family(build_family(seq, k_sets, scheme), a, brute_span=0).passed
-        assert sorted(a.asked) == [seq.bs[0]] * 16 + list(seq.bs[1:])
+        assert a.asked == list(seq.bs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 30, SUBSET_BUDGET_MAX + 1, 1000])
+def test_a_full_target_takes_one_run_query(k):
+    # the run of gen full through b_1 reaches past every sum, so it holds
+    # every hull at once; so does a finite run that reaches the top sum
+    seq = build_b_sequence(Full(), [1] * k)
+    top = sum(seq.run(j).end for j in range(1, k + 1))
+    for target in (Full(), RunList([Run(1, top)])):
+        a = CountingRunEnds(target)
+        assert verify_b_sequence(seq, a).passed
+        assert a.asked == [1]
+        a.asked.clear()
+        assert verify_family(build_family(seq, min(k, 3)), a).passed
+        assert a.asked == [1]
 
 
 def test_family_certificate_falls_through_to_the_picks(monkeypatch):
     # unit runs at 3, 6, ..., 90 in Congruence(3, 0): every pick passes,
     # but no node's range lies in one target run, so searching all subsets
-    # of the source runs would visit 2**31 - 1 nodes.  The certificate
-    # stops at run 2's hull, after the 30 nodes from the root down to the
-    # one that fixes nothing below run 2 and passes: 31 queries.  The two
-    # blocks of 15 runs then give 16 * 16 - 1 = 255 picks: one query for
-    # the root, one for each of its 16 children, and one for each pick.
+    # of the source runs would visit 2**31 - 1 nodes.  The hulls stop at
+    # run 2's, [6, 9], after 2 queries.  The two blocks of 15 runs then
+    # give 16 * 16 - 1 = 255 picks: one query for the root, one for each
+    # of its 16 children, and one for each pick.
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 9)
     seq = from_entries((1,) * 30, tuple(range(3, 91, 3)))
     a = CountingRunEnds(Congruence(3, 0))
     report = verify_family(build_family(seq, 2, "blocks"), a)
     assert report.to_payload() == {"status": "Pass", "checked": 255}
-    assert len(a.asked) == 31 + 1 + 16 + 255
+    assert len(a.asked) == 2 + 1 + 16 + 255
 
 
 def test_search_budget_counts_every_node(monkeypatch):
@@ -644,15 +658,12 @@ class CountingRoots:
 @pytest.mark.parametrize("k", [13, 16])
 def test_poly2_sweep_extracts_one_root_per_run(monkeypatch, k):
     """A PolyRuns(2) keeps no state, so every query takes its own root,
-    but the whole check, the search and the bitmap route, takes one root
-    per base b_j and k - 1 more of b_1 = 1, which nth_root_floor answers
-    at once: 2k - 1 roots on k distinct radicands."""
+    but the whole check, the hulls and the bitmap route, takes one root
+    per base b_j, in order: k roots."""
     seq = build_b_sequence(PolyRuns(2), [1] * k)
-    roots = CountingRoots(monkeypatch, 2 * k - 1)
+    roots = CountingRoots(monkeypatch, k)
     assert verify_b_sequence(seq, PolyRuns(2)).passed
-    assert len(roots.radicands) == 2 * k - 1
-    assert sorted(set(roots.radicands)) == list(seq.bs)
-    assert roots.radicands.count(1) == k and seq.bs[0] == 1
+    assert roots.radicands == list(seq.bs)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -870,6 +881,22 @@ def test_failing_hulls_match_the_references(case):
     assert got == walk_family(fam, a, brute_span) == reference_family(fam, a, brute_span)
     seq = fam.source
     assert verify_b_sequence(seq, a, None, brute_span) == reference_sweep(seq, a, None, brute_span)
+
+
+@given(st.one_of(sweep_cases(), family_cases(), failing_hull_families()))
+@settings(max_examples=300, deadline=None)
+def test_passing_hulls_leave_no_failing_pick(case):
+    # a sum of distinct runs whose largest is run j lies in hull j, so
+    # when every hull passes, the search over those runs finds nothing
+    source, a = case[:2]
+    if isinstance(source, BFamily):
+        runs = construct._check_disjoint(source)
+    else:
+        runs = [source.run(j) for j in range(1, source.k + 1)]
+    counted = CountingRunEnds(a)
+    if construct._hulls_pass(runs, counted):
+        assert construct._least_failure([[run] for run in runs], a) is None
+    assert len(counted.asked) <= len(runs)
 
 
 def test_failing_hulls_give_ties_on_the_witness():
