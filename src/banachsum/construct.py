@@ -88,7 +88,7 @@ class BSequence(Record):
     certificates() derives.  That interval contains the hull
     [b_j, e_1 + ... + e_j], with e_i = b_i + ell_i - 1, and so every subset
     sumset whose largest index is j: k run checks decide all 2**k - 1
-    subset claims, and both verifiers make them first, in _hulls_pass.
+    subset claims, and both verifiers make them first, in _failing_hull.
     """
 
     _fields = ("ells", "bs")
@@ -158,7 +158,7 @@ class BSequence(Record):
         )
         for j, (c, need) in enumerate(zip(stored, seq.certificates()), 1):
             if type(c) is not dict:
-                raise TypeError(f"certificates entry must be an object, got {_shown(c)}")
+                raise TypeError(f"certificates entry must be an object, got {_echo(c)}")
             cert = Run(
                 _exact_int(c["start"], "certificate start", text=True),
                 _exact_int(c["len"], "certificate len"),
@@ -174,7 +174,7 @@ def _payload_array(payload: dict, key: str) -> list:
     """payload[key], which must be a JSON array, else TypeError names key."""
     value = payload[key]
     if type(value) is not list:
-        raise TypeError(f"{key} must be an array, got {_shown(value)}")
+        raise TypeError(f"{key} must be an array, got {_echo(value)}")
     return value
 
 
@@ -184,17 +184,7 @@ def _exact_int(value, what: str, text: bool = False) -> int:
         return value
     if text and type(value) is str:
         return from_decimal(value)
-    raise TypeError(f"{what} must be an integer, got {_shown(value)}")
-
-
-def _shown(value) -> str:
-    # a string or an integer is cut as _echo cuts it; a value that is no
-    # scalar is named by its type, since its repr can be as long as the file
-    if type(value) in (str, int):
-        return _echo(value)
-    if value is None or type(value) in (bool, float):
-        return repr(value)
-    return f"a {type(value).__name__}"
+    raise TypeError(f"{what} must be an integer, got {_echo(value)}")
 
 
 def build_b_sequence(
@@ -306,54 +296,60 @@ def _report(
     return SweepReport(checked, witness, subset_of(found[1]))
 
 
-def _hulls_pass(runs: Sequence[Run], a: IntSet) -> bool:
-    """Whether a holds every hull [start_j, end_1 + ... + end_j] of the
-    ascending runs, in which lie all sums of distinct runs whose largest is
-    run j: one run_end_at(start_j) per hull, until a hull fails or a run of
-    a reaches end_1 + ... + end_k, which holds every hull left."""
+def _failing_hull(runs: Sequence[Run], a: IntSet) -> int | None:
+    """The start of the first hull [start_j, end_1 + ... + end_j] of the
+    ascending runs that a does not hold, or None when a holds them all; in
+    hull j lie all sums of distinct runs whose largest is run j.  One
+    run_end_at(start_j) per hull, until a hull fails or a run of a reaches
+    end_1 + ... + end_k, which holds every hull left."""
     top, hi = sum(r.end for r in runs), 0
     for r in runs:
         hi += r.end
         reach = a.run_end_at(r.start)
         if reach is None or reach >= top:
-            return True
+            return None
         if reach < hi:
-            return False
-    return True
+            return r.start
+    return None
 
 
-def _least_failure(parts: Sequence[Sequence[Run]], a: IntSet) -> tuple[int, int] | None:
+def _least_failure(
+    parts: Sequence[Sequence[Run]], a: IntSet, fail: int
+) -> tuple[int, int] | None:
     """The least (witness, mask) over every pick of at most one run per
     part, at least one run in all, or None when every pick passes.
 
     A pick sums to [sum of starts, sum of ends], and its witness is what
-    verify_containment finds of that interval outside a.  The picks are
-    searched depth first as a tree.  A node fixes the choice of each part
-    from p up, none or one run, and every pick below it sums inside
-    [low, hi + rest[p]]: hi sums the fixed ends, rest[p] the largest run
-    end of each part below p, and low is the sum of the fixed starts, or
-    the least start below p when nothing is fixed yet.  One run_end_at(low)
-    that reaches the top of that range passes the whole subtree; a leaf's
-    sum goes to verify_containment.  "None" is tried before a part's runs,
-    and a node whose (low, mask) is not below the least failure found so
-    far is cut: its picks have witnesses of at least low and masks of at
-    least its own.  The node that would bring the count to
+    verify_containment finds of that interval outside a.  fail is the
+    start of the first hull a lacks (see _failing_hull): a pick whose runs
+    all start below it sums inside a hull that passed, so the search starts
+    from one node per run of each part p whose parts up to p hold a run
+    from fail on.  A node fixes a run of part p and the choices above it,
+    and every pick below it sums inside [lo, hi + rest[p]]: lo and hi sum
+    the fixed starts and ends, rest[p] the largest run end of each part
+    below p.  One run_end_at(lo) that reaches the top of that range passes
+    the subtree; else the children fix part p - 1, "none" first, unless
+    that reach holds none's range too.  A leaf's sum goes to
+    verify_containment.  A node whose (lo, mask) is not below the least
+    failure found so far is cut: its picks have witnesses of at least lo
+    and masks of at least its own.  The node that would bring the count to
     2**SUBSET_BUDGET_MAX, read at call time, raises BudgetExceeded before
     it asks a anything; internal nodes count too, so a tree that must be
-    visited whole holds up to twice its picks.  The verifiers search only
-    once _hulls_pass has failed.
+    visited whole holds up to twice its picks.
     """
     budget = SUBSET_BUDGET_MAX
-    rest, least = [0], [None]
+    rest = [0]
     for runs in parts:
         rest.append(rest[-1] + max((r.end for r in runs), default=0))
-        starts = [r.start for r in runs]
-        if least[-1] is not None:
-            starts.append(least[-1])
-        least.append(min(starts, default=None))
+    first = min(p for p, runs in enumerate(parts) if any(r.start >= fail for r in runs))
+    # (p, sum of starts, sum of ends, mask), the lowest part's runs on top
+    stack = [
+        (p, r.start, r.end, 1 << p)
+        for p in range(len(parts) - 1, first - 1, -1)
+        for r in reversed(parts[p])
+    ]
     best = None
     nodes = 0
-    stack = [(len(parts), 0, 0, 0)]  # (p, sum of starts, sum of ends, mask)
     while stack:
         p, lo, hi, mask = stack.pop()
         nodes += 1
@@ -361,21 +357,21 @@ def _least_failure(parts: Sequence[Sequence[Run]], a: IntSet) -> tuple[int, int]
             raise BudgetExceeded(
                 f"checking the picks needs more than the budget of 2**{budget} - 1 search nodes"
             )
-        low = lo if mask else least[p]
-        if low is None or best is not None and (low, mask) >= best:
+        if best is not None and (lo, mask) >= best:
             continue
         if p == 0:
             witness = verify_containment(Run(lo, hi - lo + 1), a)
             if witness is not None and (best is None or (witness, mask) < best):
                 best = (witness, mask)
             continue
-        reach = a.run_end_at(low)
+        reach = a.run_end_at(lo)
         if reach is not None and reach < hi + rest[p]:
             bit = 1 << (p - 1)
             stack.extend(
                 (p - 1, lo + r.start, hi + r.end, mask | bit) for r in reversed(parts[p - 1])
             )
-            stack.append((p - 1, lo, hi, mask))
+            if reach < hi + rest[p - 1]:
+                stack.append((p - 1, lo, hi, mask))
     return best
 
 
@@ -425,11 +421,11 @@ def verify_b_sequence(
 
     The sumset of a subset's runs is the interval [sum of starts, sum of
     ends].  A greedy sequence passes all 2**k - 1 of them on the hulls of
-    BSequence, which _hulls_pass checks in at most k run queries: k roots
-    for a PolyRuns(2) sequence and one query for a Full one, whatever k
-    is, so a Full sequence of k = 30 passes with checked = 2**30 - 1.
-    Past a failing hull, _least_failure searches them, one run per part,
-    and the report is its least failure, its subset the first in
+    BSequence, which _failing_hull checks in at most k run queries: k
+    roots for a PolyRuns(2) sequence and one query for a Full one, whatever
+    k is, so a Full sequence of k = 30 passes with checked = 2**30 - 1.
+    Past a failing hull, _least_failure searches them from that hull's run
+    up, one run per part, and the report is its least failure, its subset the first in
     binary-counter order (see enumerate_subsets) among those sharing the
     witness.  _fold_hole checks that search on the window [0, brute_span]
     from the target's bitmap there (see _report).  The bases increase, so
@@ -440,13 +436,13 @@ def verify_b_sequence(
     Hulls are sufficient, not necessary: for bases 1, 10, 100 with unit
     lengths against `elem 1; run 10 2; run 100 2; run 110 2`, the hull
     [100, 111] holds a hole, yet all 7 subset sums are members, and the
-    search passes them on the two nodes below that hull.  Bases 3**j with
+    search passes that hull's picks in two nodes.  Bases 3**j with
     unit lengths sum to the integers whose base-3 digits are 0 and 1, so
     against `run 1 10; run 12 T` only the hull [9, 13] holds a hole, 11,
     which no subset sums to, until the sums pass T + 11: at k = 24 and 25
     with T = 10**11 the search fails with witness 104603532030 and subset
     (24, 22), and at k = 40 with T = 10**22 it passes, each in fewer than
-    128 nodes.  Unit runs at multiples of 3 against Congruence(3, 0) pass
+    70 nodes.  Unit runs at multiples of 3 against Congruence(3, 0) pass
     every pick, but no node passes its subtree, so the search must visit
     the whole tree: k = 24 runs, 2**24 - 1 picks, exceed the node budget.
     """
@@ -454,9 +450,10 @@ def verify_b_sequence(
     if k < 0:
         raise PreconditionFailed(f"k_limit must be >= 0, got {_echo(k_limit)}")
     runs = [seq.run(j) for j in range(1, k + 1)]
+    fail = _failing_hull(runs, a)
     return _report(
         (1 << k) - 1,
-        None if _hulls_pass(runs, a) else _least_failure([[run] for run in runs], a),
+        None if fail is None else _least_failure([[run] for run in runs], a, fail),
         _fold_hole([RunList([run]) for run in runs if run.start <= brute_span], a, brute_span),
         brute_span,
     )
@@ -537,7 +534,7 @@ def verify_family(
     A selection's sumset is the union of the intervals of its picks, one
     run of each selected component set: those picks, at least one run in
     all, are what must lie in the target.  Every pick is a subset of the
-    sets' runs, so _hulls_pass on those runs in ascending order passes a
+    sets' runs, so _failing_hull on those runs in ascending order passes a
     greedy sequence's family; past a failing hull, _least_failure searches
     the picks, the components' runs as its parts, and _fold_hole over the
     component sets checks that search on [0, brute_span] (see _report).
@@ -547,14 +544,14 @@ def verify_family(
     components give 26**8 - 1, and 1000 runs in 1000 components
     2**1000 - 1.  Unit runs at 3, 6, ..., 90 against Congruence(3, 0),
     split into two blocks, fail their second hull but pass every pick, so
-    the picks are searched: 273 nodes for 255 picks.
+    the picks are searched: 255 nodes for 255 picks.
     """
-    runs = _check_disjoint(family)
+    fail = _failing_hull(_check_disjoint(family), a)
     # the components' runs, listed only past a failing hull
     parts = ([Run(s, e - s + 1) for s, e in zip(*rl.run_bounds())] for rl in family.sets)
     return _report(
         prod(len(ix) + 1 for ix in family.index_sets) - 1,
-        None if _hulls_pass(runs, a) else _least_failure(list(parts), a),
+        None if fail is None else _least_failure(list(parts), a, fail),
         _fold_hole(family.sets, a, brute_span),
         brute_span,
     )

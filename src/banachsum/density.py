@@ -10,11 +10,12 @@ f_profile finds a window's shortest spans, which WindowProfile stores and
 derives f from, by one of two routes chosen by the run pairs the staircase
 must try: _profile_from_runs in pure Python, or _profile_from_spans with
 numpy.  f_naive and f_naive_all are the independent slow paths kept for
-cross-checks.  density_estimate reads the spans, the other readers read f,
-and check_run_bound needs no profile.  numpy is imported inside the
-functions that use it, and fractions by the two that build a Fraction, so
-only profiles of many runs with no short period load numpy and only a JSON
-profile loads fractions.
+cross-checks.  density_estimate reads the spans, the two law checks f's
+array made from them at once, the reports iter_f, and check_run_bound
+needs no profile.  numpy is imported inside the functions that use it,
+and fractions by the two that build a Fraction, so only profiles of many
+runs with no short period load numpy and only a JSON profile loads
+fractions.
 """
 
 from __future__ import annotations
@@ -271,6 +272,14 @@ def density_estimate(profile: WindowProfile) -> DensityEstimate:
     return DensityEstimate(Fraction(best_f, best_n), best_n)
 
 
+def _f_array(profile: WindowProfile):
+    """f[0..N] as a numpy array, made from the spans at once: f[n] counts
+    the spans below n, so one searchsorted of 0..N into them gives it."""
+    import numpy as np
+
+    return np.searchsorted(profile.spans, np.arange(profile.window_length + 1))
+
+
 def check_subadditivity(profile: WindowProfile) -> list[tuple[int, int, int]]:
     """Violations of f[n1 + n2] <= f[n1] + f[n2]; empty means the law holds.
 
@@ -280,7 +289,7 @@ def check_subadditivity(profile: WindowProfile) -> list[tuple[int, int, int]]:
     """
     import numpy as np
 
-    f = np.asarray(profile.f, dtype=np.int64)
+    f = _f_array(profile)
     N = profile.window_length
     violations = []
     for n1 in range(1, N // 2 + 1):
@@ -298,7 +307,7 @@ def fekete_qd_check(profile: WindowProfile, d: int) -> bool:
         raise BadLength(f"divisor must lie in [1, {N}], got {_echo(d)}")
     import numpy as np
 
-    f = np.asarray(profile.f, dtype=np.int64)
+    f = _f_array(profile)
     ns = np.arange(d, N + 1)
     bound = (ns // d) * f[d] + f[ns % d]
     return bool(np.all(f[ns] <= bound))

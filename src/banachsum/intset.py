@@ -5,9 +5,11 @@ window, or RunList, its maximal runs) or an infinite symbolic generator
 (Congruence, with Full its class 0 mod 1, and the run families PowRuns
 and PolyRuns, whose i-th run has length i).  IntSet names the queries
 they all answer in exact arbitrary-precision arithmetic, so queries
-against astronomically large elements stay cheap and correct.  The
-integer 0 is never a member of any set here, even when an explicit
-window happens to cover it.
+against astronomically large elements stay cheap and correct.  Each form
+answers one membership question, run_end_at, the maximal run through x;
+member and first_gap are derived from it once, on IntSet.  The integer 0
+is never a member of any set here, even when an explicit window happens
+to cover it.
 
 A finite set lists its runs one way, run_bounds(), and every reader of
 them asks it; _FiniteRuns answers the run queries of both finite forms
@@ -312,9 +314,9 @@ class IntSet:
     (Congruence, with Full its class 0 mod 1, PowRuns, PolyRuns) answer
     queries by formula and may describe infinite sets.
 
-    A subclass supplies member, run_end_at and next_run.  run_end_at is the
-    one run query: first_gap is derived from it here.  materialize defaults
-    to one member call per cell of the window.
+    A subclass supplies run_end_at, next_run and materialize.  run_end_at
+    is the one membership query: member and first_gap are derived from it
+    here.
     """
 
     # (numerator, denominator) of the set's density when the representation
@@ -322,8 +324,10 @@ class IntSet:
     _density: tuple[int, int] | None = None
 
     def member(self, x: int) -> bool:
-        """Exact membership; always False for x < 1."""
-        raise NotImplementedError
+        """Exact membership; always False for x < 1, where run_end_at gives
+        x - 1."""
+        end = self.run_end_at(x)
+        return end is None or end >= x
 
     def next_run(
         self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
@@ -362,11 +366,7 @@ class IntSet:
 
     def materialize(self, window: Window) -> "ExplicitWindow":
         """Exact bitmap of the intersection with the window."""
-        bits = 0
-        for off in range(window.length):
-            if self.member(window.base + off):
-                bits |= 1 << off
-        return ExplicitWindow(window, bits)
+        raise NotImplementedError
 
 
 class _FiniteRuns(IntSet):
@@ -416,7 +416,8 @@ class ExplicitWindow(_FiniteRuns):
 
     Bit i of ``bits`` records membership of ``window.base + i``.  Whatever
     the set looked like outside the window is not represented; as a set
-    value, an ExplicitWindow contains exactly its set bits.
+    value, an ExplicitWindow contains exactly its set bits.  Its run
+    queries, member among them, read run_bounds(), not the bits.
     """
 
     __slots__ = ("window", "bits")
@@ -430,11 +431,6 @@ class ExplicitWindow(_FiniteRuns):
         self.window = window
         self.bits = bits
         self._bounds = None
-
-    def member(self, x: int) -> bool:
-        if x < 1 or not self.window.base <= x <= self.window.end:
-            return False
-        return bool((self.bits >> (x - self.window.base)) & 1)
 
     def elements(self) -> Iterator[int]:
         """Members in ascending order, run by run from run_bounds()."""
@@ -517,9 +513,6 @@ class RunList(_FiniteRuns):
         rl._bounds = (tuple(starts), tuple(ends))
         return rl
 
-    def member(self, x: int) -> bool:
-        return self.run_end_at(x) >= x
-
     def materialize(self, window: Window) -> ExplicitWindow:
         """The runs meeting the window, found by bisection, set by _fill:
         O(log runs + runs met + window bits)."""
@@ -555,9 +548,6 @@ class Congruence(Record, IntSet):
         # exactly one of any m consecutive integers is r modulo m
         return 1, self.m
 
-    def member(self, x: int) -> bool:
-        return x >= 1 and x % self.m == self.r
-
     def next_run(
         self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
     ) -> Run | None:
@@ -572,8 +562,6 @@ class Congruence(Record, IntSet):
         return Run(lo + (self.r - lo) % self.m, 1)
 
     def run_end_at(self, x: int) -> int | None:
-        # the residue is tested here, not through member, so the run route
-        # stays apart from the membership route
         if x < 1 or x % self.m != self.r:
             return x - 1
         return None if self.m == 1 else x
@@ -623,15 +611,9 @@ class _IndexedRuns(IntSet):
 
     def _floor_run(self, x: int) -> tuple[int, int] | None:
         """(start, i) of the run i with the largest start <= x, or None
-        when x lies below run 1.  A plain pair, not a Run: membership asks
-        this once per query."""
+        when x lies below run 1.  A plain pair, not a Run: every query asks
+        this once."""
         raise NotImplementedError
-
-    def member(self, x: int) -> bool:
-        if x < 1:
-            return False
-        below = self._floor_run(x)
-        return below is not None and x < below[0] + below[1]
 
     def next_run(
         self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
@@ -938,17 +920,22 @@ def _parse_ints(args: list[str], n: int, lineno: int, digit_limit: int) -> list[
     return out
 
 
-def _echo(token: str | int) -> str:
-    """A token as an error message quotes it: a string by its repr, an
-    integer in decimal.  A token of more than 200 characters, the cut
-    CPython's int() makes in its own message, shows its first 200, then an
-    ellipsis and its length."""
-    if isinstance(token, int):
-        text = to_decimal(token)
+def _echo(value) -> str:
+    """A value as an error message quotes it: an integer in decimal; a
+    string, None, a bool or a float by its repr; anything else by its type,
+    as `a list`, since its repr can be as long as the file.  A string or an
+    integer of more than 200 characters, the cut CPython's int() makes in
+    its own message, shows its first 200, then an ellipsis and its length."""
+    if value is None or isinstance(value, (bool, float)):
+        return repr(value)
+    if isinstance(value, int):
+        text = to_decimal(value)
         return text if len(text) <= 200 else f"{text[:200]}… ({len(text)} characters)"
-    if len(token) <= 200:
-        return repr(token)
-    return f"{token[:200]!r}… ({len(token)} characters)"
+    if not isinstance(value, str):
+        return f"a {type(value).__name__}"
+    if len(value) <= 200:
+        return repr(value)
+    return f"{value[:200]!r}… ({len(value)} characters)"
 
 
 def _make_run(start: int, length: int, lineno: int) -> Run:

@@ -138,7 +138,8 @@ def test_verify_window_target_is_finite():
 def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
     """Report of the per-subset sweep: the sum of each subset's runs
     summed anew by run_sum and checked whole by verify_containment, then
-    the cells of that sum up to brute_span asked one by one by member()."""
+    the cells of that sum up to brute_span read one by one from a's bitmap
+    on them."""
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     checked = 0
     witness = witness_subset = None
@@ -147,8 +148,10 @@ def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
         v = verify_containment(s, a)
         checked += 1
         found = [] if v is None else [v]
-        cells = range(s.start, min(s.end, brute_span) + 1)
-        found += [x for x in cells if not a.member(x)][:1]
+        if s.start <= brute_span:
+            bits = a.materialize(Window(s.start, min(s.end, brute_span) - s.start + 1)).bits
+            cells = range(s.start, min(s.end, brute_span) + 1)
+            found += [x for x in cells if not bits >> (x - s.start) & 1][:1]
         for x in found:
             if witness is None or x < witness:
                 witness, witness_subset = x, subset
@@ -240,15 +243,15 @@ def test_sweep_payload_past_the_int_str_limit():
     assert payload["witness_subset"] == [3, 2, 1]
 
 
-class MemberOnly(IntSet):
-    """inner's members behind a run query that vouches for everything: a
-    lying target, whose run queries and member-built bitmap disagree."""
+class BitmapOnly(IntSet):
+    """inner's bitmap behind a run query that vouches for everything: a
+    lying target, whose run queries and bitmap disagree."""
 
     def __init__(self, inner):
         self.inner = inner
 
-    def member(self, x):
-        return self.inner.member(x)
+    def materialize(self, window):
+        return self.inner.materialize(window)
 
     def next_run(self, min_len, lower_bound=0):
         return self.inner.next_run(min_len, lower_bound)
@@ -284,8 +287,8 @@ class NextRunVouches(IntSet):
     def __init__(self, inner):
         self.inner = inner
 
-    def member(self, x):
-        return self.inner.member(x)
+    def materialize(self, window):
+        return self.inner.materialize(window)
 
     def next_run(self, min_len, lower_bound=0):
         return Run(max(lower_bound, 1), min_len)
@@ -306,8 +309,8 @@ def test_lying_next_run_cannot_change_the_verdict(case):
 def test_hulls_are_sufficient_not_necessary():
     # the hull [100, 111] of the third run holds the hole 102, yet all
     # seven subset sums 1, 10, 11, 100, 101, 110, 111 are members: the
-    # search descends below that node, whose picks with and without run 2
-    # sum inside [100, 101] and [110, 111], and passes both
+    # search starts at run 3, whose picks with and without run 2 sum
+    # inside [110, 111] and [100, 101], and passes both
     seq = from_entries((1, 1, 1), (1, 10, 100))
     a = CountingRunEnds(parse_set("elem 1\nrun 10 2\nrun 100 2\nrun 110 2"))
     payload = {"status": "Pass", "checked": 7}
@@ -315,19 +318,19 @@ def test_hulls_are_sufficient_not_necessary():
     a.asked.clear()
     assert verify_b_sequence(seq, a, brute_span=0).to_payload() == payload
     # the hulls [1, 1], [10, 11] and [100, 111], the last failing; then the
-    # search: its root and the picks without run 3 start at 1, then run 2's
-    # node, run 3's, and the two nodes below it
-    assert a.asked == [1, 10, 100, 1, 1, 1, 10, 100, 100, 110]
+    # search: run 3's node, whose run [100, 101] holds the picks without
+    # run 2, and the node of runs 3 and 2
+    assert a.asked == [1, 10, 100, 100, 110]
     fam = build_family(seq, 2, "residue")
     assert verify_family(fam, a) == reference_family(fam, a)
 
 
 def test_a_lying_target_raises_in_both_verifiers():
     # the sum of runs 3 and 1, [11, 13], ends on the gap at 13, which the
-    # fold finds in the member-built bitmap; the run query vouches for it,
-    # so the search passes: the routes disagree, and that is no verdict
+    # fold finds in the bitmap; the run query vouches for it, so the hulls
+    # pass: the routes disagree, and that is no verdict
     seq = from_entries((1, 2, 3), (1, 5, 10))
-    a = MemberOnly(RunList([Run(1, 12), Run(15, 100)]))
+    a = BitmapOnly(RunList([Run(1, 12), Run(15, 100)]))
     assert reference_sweep(seq, a).witness == 13
     with pytest.raises(AssertionError, match=r"witness is none but .* \[0, 10000\] is 13$"):
         verify_b_sequence(seq, a)
@@ -414,17 +417,18 @@ def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     # k over SUBSET_BUDGET_MAX is no refusal: the budget counts search
     # nodes, and a valid sequence passes on its hulls, with no search
     assert verify_b_sequence(seq, Full()).checked == 2**k - 1
-    # against [1, 5] the third hull, [3, 6], fails; lowered to 2**3 - 1
-    # nodes, the budget stops the search at its eighth node, still on the
-    # chain of nodes that fix nothing, each of whose ranges
-    # [1, 1 + 2 + ... + p] leaves [1, 5]: three run queries for the hulls,
-    # seven for the search, and no member() or verify_containment call
+    # against [1, 28] the hulls [j, 1 + 2 + ... + j] pass up to j = 7, and
+    # the eighth, [8, 36], fails.  Lowered to 2**3 - 1 nodes, the budget
+    # stops the search at its eighth node, the leaf of runs 8, 6, 5, 4, 3,
+    # 2 and 1, whose sum 29 is the first to leave [1, 28]: eight run
+    # queries for the hulls, seven on the path to that leaf, one per node,
+    # and no member() or verify_containment call
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
-    a = RunQueriesOnly(RunList([Run(1, 5)]))
+    a = RunQueriesOnly(RunList([Run(1, 28)]))
     with pytest.raises(BudgetExceeded, match=r"2\*\*3 - 1 search nodes"):
         verify_b_sequence(seq, a)
-    assert a.queries == 3 + 7
+    assert a.queries == 8 + 7
 
 
 @given(
@@ -442,12 +446,17 @@ def test_greedy_choices_are_minimal(a, ells):
         need = ell + acc
         lb = seq.bs[j - 2] + seq.ells[j - 2] if j >= 2 else 0
         scan_from = max(lb, 1)
-        if b - scan_from <= 2000:
-            for b2 in range(scan_from, b):
-                assert any(not a.member(b2 + i) for i in range(need))
+        # a's bitmap from scan_from, or from b when that is far below, to
+        # the first 2000 cells of the run at b: every cell of the run set,
+        # and a clear one among the need cells from each start below b
+        below = b - scan_from if b - scan_from <= 2000 else 0
+        width = below + min(need, 2000)
+        clear = ~a.materialize(Window(b - below, width)).bits & (1 << width) - 1
+        assert clear >> below == 0
+        for off in range(below):
+            rest = clear >> off
+            assert rest and (rest & -rest).bit_length() <= need
         assert a.first_gap(b, b + need - 1) is None
-        for x in range(b, b + min(need, 2000)):
-            assert a.member(x)
         acc += b + ell
 
 
@@ -532,25 +541,26 @@ def test_families_of_more_components_than_the_subset_budget_pass():
 
 
 def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
-    # bases 1, 2, 3, ... sum past the target's run [1, 5] from the third
-    # on, so the third hull of the source runs fails: lowered to 2**3 - 1
-    # nodes, the budget stops the search of the picks at its eighth node,
-    # after three run queries for the hulls and seven on the chain of
-    # nodes that fix nothing, with no member() or verify_containment call
+    # 20 blocks of two unit runs each, 3**20 - 1 picks, whose sets merge
+    # them into the runs [1, 2], [3, 4], ..., [39, 40].  Against [1, 56]
+    # the hulls [2j - 1, 2 + 4 + ... + 2j] pass up to j = 7, and the
+    # eighth, [15, 72], fails.  Lowered to 2**3 - 1 nodes, the budget stops
+    # the search of the picks at its eighth node, before any leaf: eight
+    # run queries for the hulls, seven in the search, and no member() or
+    # verify_containment call
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
-    # 20 components of two runs each: 3**20 - 1 picks
     seq = from_entries((1,) * 40, tuple(range(1, 41)))
-    fam = build_family(seq, 20, "residue")
-    a = RunQueriesOnly(RunList([Run(1, 5)]))
+    fam = build_family(seq, 20, "blocks")
+    a = RunQueriesOnly(RunList([Run(1, 56)]))
     with pytest.raises(BudgetExceeded):
         verify_family(fam, a)
-    assert a.queries == 3 + 7
-    # the search alone, the components' runs as its parts, makes the seven
+    assert a.queries == 8 + 7
+    # the search alone, the sets' runs as its parts, makes the seven
     a.queries = 0
-    parts = [[seq.run(j) for j in ix] for ix in fam.index_sets]
+    parts = [set_runs(rl) for rl in fam.sets]
     with pytest.raises(BudgetExceeded):
-        construct._least_failure(parts, a)
+        construct._least_failure(parts, a, 15)
     assert a.queries == 7
 
 
@@ -558,9 +568,6 @@ class CountingRunEnds(IntSet):
     def __init__(self, inner):
         self.inner = inner
         self.asked = []
-
-    def member(self, x):
-        return self.inner.member(x)
 
     def next_run(self, min_len, lower_bound=0):
         return self.inner.next_run(min_len, lower_bound)
@@ -610,25 +617,26 @@ def test_a_full_target_takes_one_run_query(k):
 
 def test_family_certificate_falls_through_to_the_picks(monkeypatch):
     # unit runs at 3, 6, ..., 90 in Congruence(3, 0): every pick passes,
-    # but no node's range lies in one target run, so searching all subsets
-    # of the source runs would visit 2**31 - 1 nodes.  The hulls stop at
-    # run 2's, [6, 9], after 2 queries.  The two blocks of 15 runs then
-    # give 16 * 16 - 1 = 255 picks: one query for the root, one for each
-    # of its 16 children, and one for each pick.
+    # but no node's range of two or more cells lies in one target run, so
+    # searching all subsets of the source runs would visit about 2**31
+    # nodes.  The hulls stop at run 2's, [6, 9], after 2 queries.  The two
+    # blocks of 15 runs then give 16 * 16 - 1 = 255 picks, searched in 255
+    # nodes of one query each: a node per run of either block, and a leaf
+    # per pick of one run of each
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 9)
     seq = from_entries((1,) * 30, tuple(range(3, 91, 3)))
     a = CountingRunEnds(Congruence(3, 0))
     report = verify_family(build_family(seq, 2, "blocks"), a)
     assert report.to_payload() == {"status": "Pass", "checked": 255}
-    assert len(a.asked) == 2 + 1 + 16 + 255
+    assert len(a.asked) == 2 + 255
 
 
 def test_search_budget_counts_every_node(monkeypatch):
     # unit runs at multiples of 3 in Congruence(3, 0): every pick passes
-    # and no node passes a subtree, so the search visits the whole tree,
-    # 2**(k + 1) - 1 nodes for 2**k - 1 picks.  Lowered to 2**6 - 1
-    # nodes, the budget takes k = 5 and refuses k = 6, whose 63 picks
-    # would have fit a budget of picks
+    # and no node above a leaf passes its subtree, so the search visits the
+    # tree of the picks that hold a run past the first, 41 nodes for k = 5
+    # and 88 for k = 6.  Lowered to 2**6 - 1 nodes, the budget takes k = 5
+    # and refuses k = 6, whose 63 picks would have fit a budget of picks
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 6)
     for k in (5, 6):
         seq = from_entries((1,) * k, tuple(range(3, 3 * k + 1, 3)))
@@ -887,16 +895,27 @@ def test_failing_hulls_match_the_references(case):
 @settings(max_examples=300, deadline=None)
 def test_passing_hulls_leave_no_failing_pick(case):
     # a sum of distinct runs whose largest is run j lies in hull j, so
-    # when every hull passes, the search over those runs finds nothing
+    # when every hull passes, the search over those runs from the first
+    # finds nothing, and when one fails, the search from it finds what the
+    # search from the first finds, asking nothing below it
     source, a = case[:2]
     if isinstance(source, BFamily):
         runs = construct._check_disjoint(source)
     else:
         runs = [source.run(j) for j in range(1, source.k + 1)]
     counted = CountingRunEnds(a)
-    if construct._hulls_pass(runs, counted):
-        assert construct._least_failure([[run] for run in runs], a) is None
+    fail = construct._failing_hull(runs, counted)
     assert len(counted.asked) <= len(runs)
+    if not runs or fail is not None and len(runs) > 8:
+        return
+    parts = [[run] for run in runs]
+    whole = construct._least_failure(parts, a, runs[0].start)
+    if fail is None:
+        assert whole is None
+    else:
+        counted.asked.clear()
+        assert construct._least_failure(parts, counted, fail) == whole
+        assert min(counted.asked, default=fail) >= fail
 
 
 def test_failing_hulls_give_ties_on_the_witness():
@@ -1338,8 +1357,24 @@ def test_run_route_asks_a_congruence_target_no_member_question(monkeypatch, targ
     first_gap answer from the residue, not through member(), so the two
     routes stay independent on a congruence target of modulus >= 2."""
     seq = from_entries((1,) * len(bs), bs)
-    monkeypatch.setattr(Congruence, "member", refuse_member)
+    monkeypatch.setattr(IntSet, "member", refuse_member)
     assert verify_b_sequence(seq, target, brute_span=0) == want
+
+
+@given(st.one_of(sweep_cases(), family_cases()))
+@example((from_entries((1, 1, 1), (3, 6, 12)), Congruence(3, 0), None, 0))
+@example((from_entries((1, 1), (1, 4)), Congruence(3, 1), None, 0))
+@settings(max_examples=200, deadline=None)
+def test_the_verifiers_ask_no_member_question(case):
+    """Both verifiers read run_end_at and bitmaps only: IntSet.member, the
+    one membership method, is never called, on any target."""
+    source, a = case[:2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntSet, "member", refuse_member)
+        if isinstance(source, BFamily):
+            verify_family(source, a, case[2])
+        else:
+            verify_b_sequence(source, a, *case[2:])
 
 
 @given(st.integers(0, 10**9))

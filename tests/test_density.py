@@ -280,6 +280,25 @@ def test_subadditivity_flags_bad_profile():
     assert check_subadditivity(WindowProfile(0, 5, (0, 3, 4))) == [(2, 3, 1)]
 
 
+@given(explicit_windows())
+@settings(max_examples=60)
+def test_law_checks_build_f_from_the_spans_once(w):
+    """The laws read f as one array searched from the spans, equal to
+    profile.f, and never build the tuple f itself."""
+    profile = f_profile(w)
+    assert density._f_array(profile).tolist() == list(profile.f)
+
+    def no_f(self):
+        raise AssertionError("a law check read f")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WindowProfile, "f", property(no_f))
+        patch.setattr(WindowProfile, "iter_f", no_f)
+        assert check_subadditivity(profile) == []
+        N = w.window.length
+        assert all(fekete_qd_check(profile, d) for d in {1, min(2, N), N})
+
+
 def test_fekete_examples():
     odds = f_profile(ODDS8)
     assert fekete_qd_check(odds, 2)

@@ -16,8 +16,7 @@ from golden import COLUMNS, MANIFEST, changes, corpus, entry, replay
 # unentered definitions are exactly these, so a definition that nothing
 # reaches fails it, and so does a stale name here.
 UNENTERED = {
-    "abstract stubs, and the per-member materialize default a subclass inherits": (
-        "intset.IntSet.member",
+    "abstract stubs": (
         "intset.IntSet.run_end_at",
         "intset.IntSet.next_run",
         "intset.IntSet.materialize",
@@ -43,6 +42,7 @@ UNENTERED = {
         "density.f_naive_all",
         "density.check_subadditivity",
         "density.fekete_qd_check",
+        "density._f_array",
         "density.WindowProfile.f",
         "sumset.enumerate_subsets",
         "construct.EscapeCheck.chain_ok",
@@ -53,12 +53,9 @@ UNENTERED = {
     "looked up by name by bench/tracing.py": ("sumset.run_sum",),
     "the console entry point, entered only by a real process": ("cli.run",),
     "membership, which no command asks: the verifiers read run_end_at and "
-    "bitmaps, and the tests' references and library callers read member": (
-        "intset.Congruence.member",
-        "intset.RunList.member",
-        "intset._IndexedRuns.member",
+    "bitmaps, and member, derived once from run_end_at, is for library callers": (
+        "intset.IntSet.member",
     ),
-    "membership of a window, for library callers": ("intset.ExplicitWindow.member",),
 }
 
 

@@ -683,33 +683,45 @@ def test_filled_window_keeps_the_runs_a_scan_finds(w):
     assert w.run_bounds() == ExplicitWindow(w.window, w.bits).run_bounds()
 
 
+def scan_gap(s, start, end):
+    """first_gap by scanning the cells of s's bitmap on [start, end], for
+    0 <= start <= end: the first clear one, or None."""
+    bits = s.materialize(Window(start, end - start + 1)).bits
+    return next((x for x in range(start, end + 1) if not bits >> (x - start) & 1), None)
+
+
 @given(explicit_windows(), st.integers(0, 250), st.integers(0, 250))
 def test_first_gap_matches_scan(w, a, b):
     start, end = min(a, b), max(a, b)
-    got = w.first_gap(start, end)
-    want = next((x for x in range(start, end + 1) if not w.member(x)), None)
-    assert got == want
+    assert w.first_gap(start, end) == scan_gap(w, start, end)
 
 
 @given(st.one_of(generators, run_lists), st.integers(0, 200), st.integers(0, 200))
 @settings(max_examples=150)
 def test_first_gap_matches_scan_generators(s, a, b):
     start, end = min(a, b), max(a, b)
-    got = s.first_gap(start, end)
-    want = next((x for x in range(start, end + 1) if not s.member(x)), None)
-    assert got == want
+    assert s.first_gap(start, end) == scan_gap(s, start, end)
 
 
 def scan_run_end(s, x, horizon=600):
-    """run_end_at by asking member upward from x; None past the horizon."""
-    if not s.member(x):
+    """run_end_at by counting the set bits of s's bitmap upward from x;
+    None when more than horizon + 1 cells past x are set.  No set holds an
+    integer below 1."""
+    if x < 1:
         return x - 1
-    y = x
-    while s.member(y + 1):
-        y += 1
-        if y - x > horizon:
-            return None
-    return y
+    bits = s.materialize(Window(x, horizon + 2)).bits
+    ones = (~bits & (bits + 1)).bit_length() - 1  # the set cells from x on
+    return None if ones == horizon + 2 else x + ones - 1
+
+
+@given(base_sets, st.integers(-5, 0), st.integers(1, 300))
+@settings(max_examples=300)
+def test_member_reads_the_bitmap(s, low, length):
+    """member, derived from run_end_at, answers as the bitmap: bit x of
+    materialize on [0, length - 1], and False for every x < 0."""
+    bits = s.materialize(Window(0, length)).bits
+    for x in range(low, length):
+        assert s.member(x) == (x >= 0 and bool(bits >> x & 1)), x
 
 
 @given(base_sets, st.integers(-5, 250))

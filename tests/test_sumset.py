@@ -30,6 +30,13 @@ def from_elems(xs, window=Window(0, 256)):
     return RunList(Run(x, 1) for x in xs).materialize(window)
 
 
+def absent(target, start, end):
+    """The cells of [start, end], 0 <= start, clear in target's bitmap
+    there, ascending: the brute reference of a run claim's witness."""
+    bits = target.materialize(Window(start, end - start + 1)).bits
+    return [x for x in range(start, end + 1) if not bits >> (x - start) & 1]
+
+
 def brute_sumset(b, c, cap):
     return sorted(
         {x + y for x in b for y in c if x + y <= cap}
@@ -247,7 +254,7 @@ def test_containment_bitmap_claim():
 @settings(max_examples=80)
 def test_containment_matches_membership_scan(start, length, target):
     claim = Run(start, length)
-    missing = [x for x in range(start, claim.end + 1) if not target.member(x)]
+    missing = absent(target, start, claim.end)
     assert verify_containment(claim, target) == (missing[0] if missing else None)
 
 
@@ -273,7 +280,7 @@ symbolic = st.one_of(
 @settings(max_examples=300)
 def test_containment_decides_non_window_targets(target, start, length):
     claim = Run(start, length)
-    missing = next((x for x in range(start, claim.end + 1) if not target.member(x)), None)
+    missing = next(iter(absent(target, start, claim.end)), None)
     assert verify_containment(claim, target) == missing
 
 
@@ -289,7 +296,8 @@ def test_translated_window_fails_past_its_end():
 
 def reference_bitmap_witness(claim, target):
     """The per-element witness: the first of the claim's elements, asked of
-    member() in ascending order, that is not a member, or None."""
+    member() in ascending order, that is not a member, or None.  member
+    reads run_end_at, so this reference shares nothing with materialize."""
     return next((x for x in claim.elements() if not target.member(x)), None)
 
 
@@ -388,7 +396,7 @@ def test_one_set_one_verdict(case):
     w, run, claim, seq = case
     forms = [w, RunList(Run(s, e - s + 1) for s, e in zip(*w.run_bounds())), w.dilate(1)]
     for c, elements in ((run, range(run.start, run.end + 1)), (claim, claim.elements())):
-        missing = next((x for x in elements if not w.member(x)), None)
+        missing = next((x for x in elements if x in absent(w, x, x)), None)
         assert [verify_containment(c, a) for a in forms] == [missing] * 3
     payloads = [verify_b_sequence(seq, a).to_payload() for a in forms]
     assert payloads[1:] == payloads[:1] * 2
