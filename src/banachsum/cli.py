@@ -141,6 +141,22 @@ def _window_arg(text: str) -> Window:
         ) from None
 
 
+def _choice(choices: tuple[str, ...]):
+    """A parser of one of choices: any other token gets argparse's own
+    `invalid choice` message, cut as _echo cuts it.  choices= on the option
+    only sets the usage text."""
+
+    def choice(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {_echo(text)} (choose from {listed})"
+            )
+        return text
+
+    return choice
+
+
 def _add_arg(p: argparse.ArgumentParser, option: str, parse=_int_arg, **kw) -> None:
     """Add option, its value read by parse.  A number in it of more than
     DECIMAL_DIGIT_LIMIT digits raises BudgetExceeded, which argparse does
@@ -240,24 +256,6 @@ def _add_window_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_choice_arg(
-    p: argparse.ArgumentParser, option: str, choices: tuple[str, ...], default: str
-) -> None:
-    """An option that takes one of choices.  Its type= function refuses
-    any other token with argparse's own `invalid choice` message, the token
-    cut as _echo cuts it; choices= only sets the usage text."""
-
-    def choice(text: str) -> str:
-        if text not in choices:
-            listed = ", ".join(map(repr, choices))
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {_echo(text)} (choose from {listed})"
-            )
-        return text
-
-    p.add_argument(option, type=choice, choices=choices, default=default)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="banachsum",
@@ -268,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="windowed occupancy profile and density")
     _add_set_args(p)
     _add_window_arg(p)
-    _add_choice_arg(p, "--format", ("json", "csv"), "json")
+    formats = ("json", "csv")
+    _add_arg(p, "--format", _choice(formats), choices=formats, default="json")
 
     p = sub.add_parser("runs", help="run structure in a window; optional run search")
     _add_set_args(p)
@@ -288,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ells", default="j")
     _add_arg(p, "--k", default=8)
     _add_arg(p, "--k-sets", default=2)
-    _add_choice_arg(p, "--scheme", ("residue", "blocks"), "residue")
+    schemes = ("residue", "blocks")
+    _add_arg(p, "--scheme", _choice(schemes), choices=schemes, default="residue")
     _add_arg(p, "--brute-span", default=2048)
     _add_arg(p, "--digit-budget", default=DEFAULT_DIGIT_BUDGET)
 

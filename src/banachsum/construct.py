@@ -296,12 +296,13 @@ def _report(
     return SweepReport(checked, witness, subset_of(found[1]))
 
 
-def _failing_hull(runs: Sequence[Run], a: IntSet) -> int | None:
-    """The start of the first hull [start_j, end_1 + ... + end_j] of the
-    ascending runs that a does not hold, or None when a holds them all; in
-    hull j lie all sums of distinct runs whose largest is run j.  One
-    run_end_at(start_j) per hull, until a hull fails or a run of a reaches
-    end_1 + ... + end_k, which holds every hull left."""
+def _failing_hull(runs: Sequence[Run], a: IntSet) -> tuple[int, int] | None:
+    """(start_j, a.run_end_at(start_j)) of the first hull [start_j,
+    end_1 + ... + end_j] of the ascending runs that a does not hold, or
+    None when a holds them all; in hull j lie all sums of distinct runs
+    whose largest is run j.  One run_end_at(start_j) per hull, until a hull
+    fails or a run of a reaches end_1 + ... + end_k, which holds every hull
+    left."""
     top, hi = sum(r.end for r in runs), 0
     for r in runs:
         hi += r.end
@@ -309,28 +310,31 @@ def _failing_hull(runs: Sequence[Run], a: IntSet) -> int | None:
         if reach is None or reach >= top:
             return None
         if reach < hi:
-            return r.start
+            return r.start, reach
     return None
 
 
 def _least_failure(
-    parts: Sequence[Sequence[Run]], a: IntSet, fail: int
+    parts: Sequence[Sequence[Run]], a: IntSet, fail: tuple[int, int]
 ) -> tuple[int, int] | None:
     """The least (witness, mask) over every pick of at most one run per
     part, at least one run in all, or None when every pick passes.
 
-    A pick sums to [sum of starts, sum of ends], and its witness is what
-    verify_containment finds of that interval outside a.  fail is the
-    start of the first hull a lacks (see _failing_hull): a pick whose runs
-    all start below it sums inside a hull that passed, so the search starts
-    from one node per run of each part p whose parts up to p hold a run
-    from fail on.  A node fixes a run of part p and the choices above it,
-    and every pick below it sums inside [lo, hi + rest[p]]: lo and hi sum
-    the fixed starts and ends, rest[p] the largest run end of each part
-    below p.  One run_end_at(lo) that reaches the top of that range passes
-    the subtree; else the children fix part p - 1, "none" first, unless
-    that reach holds none's range too.  A leaf's sum goes to
-    verify_containment.  A node whose (lo, mask) is not below the least
+    A pick sums to [sum of starts, sum of ends], and its witness is the
+    least integer of that interval outside a.  fail is the pair
+    _failing_hull gives, the start s of the first hull a lacks and
+    run_end_at(s): a pick whose runs all start below s sums inside a hull
+    that passed, so the search starts from one node per run of each part p
+    whose parts up to p hold a run from s on.  A node fixes a run of part p
+    and the choices above it, and every pick below it sums inside
+    [lo, hi + rest[p]]: lo and hi sum the fixed starts and ends, rest[p]
+    the largest run end of each part below p, rest[0] = 0.  Each node asks
+    one reach r = run_end_at(lo), unless it is known: the node of the
+    failing hull's run takes the hull's, and a "none" child, whose lo is
+    its parent's, takes its parent's.  r None or at least hi + rest[p]
+    passes the subtree.  Else a leaf, p = 0, fails with witness r + 1, and
+    an inner node's children fix part p - 1, "none" first, unless r holds
+    none's range too.  A node whose (lo, mask) is not below the least
     failure found so far is cut: its picks have witnesses of at least lo
     and masks of at least its own.  The node that would bring the count to
     2**SUBSET_BUDGET_MAX, read at call time, raises BudgetExceeded before
@@ -341,17 +345,20 @@ def _least_failure(
     rest = [0]
     for runs in parts:
         rest.append(rest[-1] + max((r.end for r in runs), default=0))
-    first = min(p for p, runs in enumerate(parts) if any(r.start >= fail for r in runs))
-    # (p, sum of starts, sum of ends, mask), the lowest part's runs on top
+    fail_start, fail_reach = fail
+    first = min(p for p, runs in enumerate(parts) if any(r.start >= fail_start for r in runs))
+    unasked = object()
+    # (p, sum of starts, sum of ends, mask, reach or unasked), the lowest
+    # part's runs on top
     stack = [
-        (p, r.start, r.end, 1 << p)
+        (p, r.start, r.end, 1 << p, fail_reach if r.start == fail_start else unasked)
         for p in range(len(parts) - 1, first - 1, -1)
         for r in reversed(parts[p])
     ]
     best = None
     nodes = 0
     while stack:
-        p, lo, hi, mask = stack.pop()
+        p, lo, hi, mask, reach = stack.pop()
         nodes += 1
         if nodes >> budget:
             raise BudgetExceeded(
@@ -359,19 +366,21 @@ def _least_failure(
             )
         if best is not None and (lo, mask) >= best:
             continue
-        if p == 0:
-            witness = verify_containment(Run(lo, hi - lo + 1), a)
-            if witness is not None and (best is None or (witness, mask) < best):
-                best = (witness, mask)
+        if reach is unasked:
+            reach = a.run_end_at(lo)
+        if reach is None or reach >= hi + rest[p]:
             continue
-        reach = a.run_end_at(lo)
-        if reach is not None and reach < hi + rest[p]:
-            bit = 1 << (p - 1)
-            stack.extend(
-                (p - 1, lo + r.start, hi + r.end, mask | bit) for r in reversed(parts[p - 1])
-            )
-            if reach < hi + rest[p - 1]:
-                stack.append((p - 1, lo, hi, mask))
+        if p == 0:
+            if best is None or (reach + 1, mask) < best:
+                best = (reach + 1, mask)
+            continue
+        bit = 1 << (p - 1)
+        stack.extend(
+            (p - 1, lo + r.start, hi + r.end, mask | bit, unasked)
+            for r in reversed(parts[p - 1])
+        )
+        if reach < hi + rest[p - 1]:
+            stack.append((p - 1, lo, hi, mask, reach))
     return best
 
 
@@ -436,7 +445,7 @@ def verify_b_sequence(
     Hulls are sufficient, not necessary: for bases 1, 10, 100 with unit
     lengths against `elem 1; run 10 2; run 100 2; run 110 2`, the hull
     [100, 111] holds a hole, yet all 7 subset sums are members, and the
-    search passes that hull's picks in two nodes.  Bases 3**j with
+    search passes that hull's picks in two nodes, which ask one run query.  Bases 3**j with
     unit lengths sum to the integers whose base-3 digits are 0 and 1, so
     against `run 1 10; run 12 T` only the hull [9, 13] holds a hole, 11,
     which no subset sums to, until the sums pass T + 11: at k = 24 and 25
@@ -544,7 +553,8 @@ def verify_family(
     components give 26**8 - 1, and 1000 runs in 1000 components
     2**1000 - 1.  Unit runs at 3, 6, ..., 90 against Congruence(3, 0),
     split into two blocks, fail their second hull but pass every pick, so
-    the picks are searched: 255 nodes for 255 picks.
+    the picks are searched: 255 nodes for 255 picks, which ask 254 run
+    queries, as run 2's node takes the second hull's.
     """
     fail = _failing_hull(_check_disjoint(family), a)
     # the components' runs, listed only past a failing hull

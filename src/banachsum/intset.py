@@ -7,9 +7,9 @@ and PolyRuns, whose i-th run has length i).  IntSet names the queries
 they all answer in exact arbitrary-precision arithmetic, so queries
 against astronomically large elements stay cheap and correct.  Each form
 answers one membership question, run_end_at, the maximal run through x;
-member and first_gap are derived from it once, on IntSet.  The integer 0
-is never a member of any set here, even when an explicit window happens
-to cover it.
+member is derived from it once, on IntSet.  The integer 0 is never a
+member of any set here, even when an explicit window happens to cover
+it.
 
 A finite set lists its runs one way, run_bounds(), and every reader of
 them asks it; _FiniteRuns answers the run queries of both finite forms
@@ -315,8 +315,7 @@ class IntSet:
     queries by formula and may describe infinite sets.
 
     A subclass supplies run_end_at, next_run and materialize.  run_end_at
-    is the one membership query: member and first_gap are derived from it
-    here.
+    is the one membership query: member is derived from it here.
     """
 
     # (numerator, denominator) of the set's density when the representation
@@ -342,17 +341,6 @@ class IntSet:
         other sets' starts never exceed their text or lower_bound.
         """
         raise NotImplementedError
-
-    def first_gap(self, start: int, end: int) -> int | None:
-        """Smallest x in [start, end] that is not a member, or None."""
-        if start > end:
-            return None
-        stop = self.run_end_at(start)
-        if stop is None or stop >= end:
-            return None
-        # maximal runs are separated by gaps, so stop+1 is a non-member;
-        # it is start itself when start is not a member
-        return stop + 1
 
     def run_end_at(self, x: int) -> int | None:
         """End of the maximal run of members through x, for any integer x.

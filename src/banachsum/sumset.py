@@ -2,10 +2,10 @@
 
 Pairwise sumsets of finite sets are computed by shift-or on bitmaps:
 adding x to every member of C is one shift of C's bitmap, and the union
-over x in B is an or.  Containment of a claimed interval or bitmap in a
-target set yields its smallest element outside the target, the witness,
-or None.  Every target decides every integer: a window target is the
-finite set of its set bits.
+over x in B is an or.  Containment of a claimed bitmap in a target set
+yields its smallest element outside the target, the witness, or None.
+Every target decides every integer: a window target is the finite set of
+its set bits.
 """
 
 from __future__ import annotations
@@ -94,17 +94,13 @@ def enumerate_subsets(k: int) -> Iterator[tuple[int, ...]]:
         yield subset_of(i)
 
 
-def verify_containment(claim: Run | ExplicitWindow, target: IntSet) -> int | None:
-    """The smallest element of the claim outside the target, or None when
-    every element is a member.
+def verify_containment(claim: ExplicitWindow, target: IntSet) -> int | None:
+    """The smallest element of the bitmap claim outside the target, or None
+    when every element is a member.
 
-    An interval claim costs one first_gap call, that is one run_end_at
-    query on the target; a bitmap claim one materialize of the target on the
-    claim's window and one AND, claim.bits & ~target's bitmap, no member call.
-    A window target is the finite set of its set bits, so it gives the
-    witness its run list gives.
+    One materialize of the target on the claim's window and one AND,
+    claim.bits & ~target's bitmap, no member call.  A window target is the
+    finite set of its set bits, so it gives the witness its run list gives.
     """
-    if isinstance(claim, ExplicitWindow):
-        missing = claim.bits & ~target.materialize(claim.window).bits
-        return claim.window.base + (missing & -missing).bit_length() - 1 if missing else None
-    return target.first_gap(claim.start, claim.end)
+    missing = claim.bits & ~target.materialize(claim.window).bits
+    return claim.window.base + (missing & -missing).bit_length() - 1 if missing else None

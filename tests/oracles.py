@@ -6,13 +6,21 @@ from typing import Sequence
 
 from banachsum.construct import BSequence
 from banachsum.errors import EmptySelection
-from banachsum.intset import ExplicitWindow, Window
+from banachsum.intset import ExplicitWindow, IntSet, Run, Window
 from banachsum.sumset import pairwise_sumset
 
 
 def from_entries(ells: Sequence[int], bs: Sequence[int]) -> BSequence:
     """The base sequence of the given run lengths and bases."""
     return BSequence(tuple(ells), tuple(bs))
+
+
+def run_witness(run: Run, a: IntSet) -> int | None:
+    """The least integer of the run outside a, or None: maximal runs are
+    separated by gaps, so when a's run through run.start ends short of
+    run.end, the cell after it is the witness."""
+    reach = a.run_end_at(run.start)
+    return None if reach is None or reach >= run.end else reach + 1
 
 
 def family_sumset(

@@ -53,7 +53,7 @@ from banachsum.sumset import (
     subset_of,
     verify_containment,
 )
-from oracles import family_sumset, from_entries
+from oracles import family_sumset, from_entries, run_witness
 from strategies import shaped_windows
 
 # ------------------------------------------------------------------ b-sequence
@@ -137,15 +137,15 @@ def test_verify_window_target_is_finite():
 
 def reference_sweep(seq, a, k_limit=None, brute_span=10_000):
     """Report of the per-subset sweep: the sum of each subset's runs
-    summed anew by run_sum and checked whole by verify_containment, then
-    the cells of that sum up to brute_span read one by one from a's bitmap
-    on them."""
+    summed anew by run_sum and checked whole by run_witness, then the
+    cells of that sum up to brute_span read one by one from a's bitmap on
+    them."""
     k = seq.k if k_limit is None else min(k_limit, seq.k)
     checked = 0
     witness = witness_subset = None
     for subset in enumerate_subsets(k):
         s = run_sum([seq.run(j) for j in subset])
-        v = verify_containment(s, a)
+        v = run_witness(s, a)
         checked += 1
         found = [] if v is None else [v]
         if s.start <= brute_span:
@@ -318,9 +318,9 @@ def test_hulls_are_sufficient_not_necessary():
     a.asked.clear()
     assert verify_b_sequence(seq, a, brute_span=0).to_payload() == payload
     # the hulls [1, 1], [10, 11] and [100, 111], the last failing; then the
-    # search: run 3's node, whose run [100, 101] holds the picks without
-    # run 2, and the node of runs 3 and 2
-    assert a.asked == [1, 10, 100, 100, 110]
+    # search: run 3's node, which takes the hull's run [100, 101], holding
+    # the picks without run 2, and the node of runs 3 and 2
+    assert a.asked == [1, 10, 100, 110]
     fam = build_family(seq, 2, "residue")
     assert verify_family(fam, a) == reference_family(fam, a)
 
@@ -386,23 +386,23 @@ class Untouchable(IntSet):
         raise AssertionError(f"asked about {x}")
 
 
-class RunQueriesOnly(IntSet):
-    """inner's run queries, counted, behind a member() that refuses."""
+class CountingRunEnds(IntSet):
+    """inner behind a run_end_at that records every x it is asked, in
+    order; member, derived from run_end_at, is recorded with it."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.queries = 0
-
-    def member(self, x):
-        raise AssertionError(f"member({x}) asked")
+        self.asked = []
 
     def next_run(self, min_len, lower_bound=0):
-        self.queries += 1
         return self.inner.next_run(min_len, lower_bound)
 
     def run_end_at(self, x):
-        self.queries += 1
+        self.asked.append(x)
         return self.inner.run_end_at(x)
+
+    def materialize(self, window):
+        return self.inner.materialize(window)
 
 
 def refuse_containment(claim, target):
@@ -421,14 +421,15 @@ def test_sweep_budget_is_checked_before_any_query(monkeypatch):
     # the eighth, [8, 36], fails.  Lowered to 2**3 - 1 nodes, the budget
     # stops the search at its eighth node, the leaf of runs 8, 6, 5, 4, 3,
     # 2 and 1, whose sum 29 is the first to leave [1, 28]: eight run
-    # queries for the hulls, seven on the path to that leaf, one per node,
-    # and no member() or verify_containment call
+    # queries for the hulls, five on the path to that leaf, and no
+    # verify_containment call: run 8's node takes the eighth hull's reach,
+    # and so does its "none" child, which leaves run 7 out
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
-    a = RunQueriesOnly(RunList([Run(1, 28)]))
+    a = CountingRunEnds(RunList([Run(1, 28)]))
     with pytest.raises(BudgetExceeded, match=r"2\*\*3 - 1 search nodes"):
         verify_b_sequence(seq, a)
-    assert a.queries == 8 + 7
+    assert len(a.asked) == 8 + 5
 
 
 @given(
@@ -456,7 +457,7 @@ def test_greedy_choices_are_minimal(a, ells):
         for off in range(below):
             rest = clear >> off
             assert rest and (rest & -rest).bit_length() <= need
-        assert a.first_gap(b, b + need - 1) is None
+        assert run_witness(Run(b, need), a) is None
         acc += b + ell
 
 
@@ -546,38 +547,24 @@ def test_family_pick_budget_is_checked_before_any_query(monkeypatch):
     # the hulls [2j - 1, 2 + 4 + ... + 2j] pass up to j = 7, and the
     # eighth, [15, 72], fails.  Lowered to 2**3 - 1 nodes, the budget stops
     # the search of the picks at its eighth node, before any leaf: eight
-    # run queries for the hulls, seven in the search, and no member() or
-    # verify_containment call
+    # run queries for the hulls, five in the search, and no
+    # verify_containment call.  The node of the run [15, 16] takes the
+    # eighth hull's reach, and so does its "none" child
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 3)
     monkeypatch.setattr(construct, "verify_containment", refuse_containment)
     seq = from_entries((1,) * 40, tuple(range(1, 41)))
     fam = build_family(seq, 20, "blocks")
-    a = RunQueriesOnly(RunList([Run(1, 56)]))
+    a = CountingRunEnds(RunList([Run(1, 56)]))
     with pytest.raises(BudgetExceeded):
         verify_family(fam, a)
-    assert a.queries == 8 + 7
-    # the search alone, the sets' runs as its parts, makes the seven
-    a.queries = 0
+    assert len(a.asked) == 8 + 5
+    # the search alone, the sets' runs as its parts and the eighth hull's
+    # (start, reach) as its start, makes the five
+    a.asked.clear()
     parts = [set_runs(rl) for rl in fam.sets]
     with pytest.raises(BudgetExceeded):
-        construct._least_failure(parts, a, 15)
-    assert a.queries == 7
-
-
-class CountingRunEnds(IntSet):
-    def __init__(self, inner):
-        self.inner = inner
-        self.asked = []
-
-    def next_run(self, min_len, lower_bound=0):
-        return self.inner.next_run(min_len, lower_bound)
-
-    def run_end_at(self, x):
-        self.asked.append(x)
-        return self.inner.run_end_at(x)
-
-    def materialize(self, window):
-        return self.inner.materialize(window)
+        construct._least_failure(parts, a, (15, 56))
+    assert len(a.asked) == 5
 
 
 def test_valid_sweeps_look_up_each_run_once(monkeypatch):
@@ -621,22 +608,32 @@ def test_family_certificate_falls_through_to_the_picks(monkeypatch):
     # searching all subsets of the source runs would visit about 2**31
     # nodes.  The hulls stop at run 2's, [6, 9], after 2 queries.  The two
     # blocks of 15 runs then give 16 * 16 - 1 = 255 picks, searched in 255
-    # nodes of one query each: a node per run of either block, and a leaf
-    # per pick of one run of each
+    # nodes: a node per run of either block, and a leaf per pick of one run
+    # of each.  Each asks one query but run 2's node, which takes the
+    # second hull's
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 9)
     seq = from_entries((1,) * 30, tuple(range(3, 91, 3)))
     a = CountingRunEnds(Congruence(3, 0))
     report = verify_family(build_family(seq, 2, "blocks"), a)
     assert report.to_payload() == {"status": "Pass", "checked": 255}
-    assert len(a.asked) == 2 + 255
+    assert len(a.asked) == 2 + 254
 
 
 def test_search_budget_counts_every_node(monkeypatch):
     # unit runs at multiples of 3 in Congruence(3, 0): every pick passes
     # and no node above a leaf passes its subtree, so the search visits the
     # tree of the picks that hold a run past the first, 41 nodes for k = 5
-    # and 88 for k = 6.  Lowered to 2**6 - 1 nodes, the budget takes k = 5
-    # and refuses k = 6, whose 63 picks would have fit a budget of picks
+    # and 88 for k = 6.  After the two hulls' run queries they ask 29 and
+    # 61: the node of run 2, the failing hull's, and every "none" child
+    # take a reach already asked.  Lowered to 2**6 - 1 nodes, the budget
+    # takes k = 5 and refuses k = 6, whose 63 picks would have fit a budget
+    # of picks
+    for k, queries in ((5, 2 + 29), (6, 2 + 61)):
+        seq = from_entries((1,) * k, tuple(range(3, 3 * k + 1, 3)))
+        a = CountingRunEnds(Congruence(3, 0))
+        assert verify_b_sequence(seq, a).to_payload() == {
+            "status": "Pass", "checked": 2**k - 1}
+        assert len(a.asked) == queries
     monkeypatch.setattr(construct, "SUBSET_BUDGET_MAX", 6)
     for k in (5, 6):
         seq = from_entries((1,) * k, tuple(range(3, 3 * k + 1, 3)))
@@ -691,9 +688,9 @@ def set_runs(rl):
 def reference_family(family, a, brute_span=2048):
     """Report of the per-selection family check: every pick of one run per
     selected component set summed anew by run_sum and checked whole by
-    verify_containment, then the selection's component bitmaps summed and
-    checked.  checked counts the picks of one source run per selected
-    component."""
+    run_witness, then the selection's component bitmaps summed and checked
+    by verify_containment.  checked counts the picks of one source run per
+    selected component."""
     checked = 0
     witness = witness_subset = None
     parts = [rl.materialize(Window(0, brute_span + 1)) for rl in family.sets]
@@ -702,7 +699,7 @@ def reference_family(family, a, brute_span=2048):
         checked += prod(len(family.index_sets[i - 1]) for i in sel)
         found = []
         for combo in itertools.product(*(runs[i - 1] for i in sel)):
-            v = verify_containment(run_sum(combo), a)
+            v = run_witness(run_sum(combo), a)
             if v is not None:
                 found.append(v)
         if all(parts[i - 1].bits for i in sel):
@@ -739,7 +736,7 @@ def family_cases(draw):
 def walk_family(family, a, brute_span=2048):
     """verify_family with each route as a walk: every pick of at most one
     run per component set, at least one in all, summed anew by run_sum
-    and checked whole by verify_containment; then every selection of
+    and checked whole by run_witness; then every selection of
     nonempty components depth first by increasing component, its sum the
     sum of the selection without its highest component plus that
     component, one pairwise_sumset each, checked against the target's
@@ -752,7 +749,7 @@ def walk_family(family, a, brute_span=2048):
         runs = [run for run in pick if run is not None]
         if not runs:
             continue
-        witness = verify_containment(run_sum(runs), a)
+        witness = run_witness(run_sum(runs), a)
         if witness is not None:
             mask = sum(1 << i for i, run in enumerate(pick) if run is not None)
             failures.append((witness, mask))
@@ -909,13 +906,14 @@ def test_passing_hulls_leave_no_failing_pick(case):
     if not runs or fail is not None and len(runs) > 8:
         return
     parts = [[run] for run in runs]
-    whole = construct._least_failure(parts, a, runs[0].start)
+    start = runs[0].start
+    whole = construct._least_failure(parts, a, (start, a.run_end_at(start)))
     if fail is None:
         assert whole is None
     else:
         counted.asked.clear()
         assert construct._least_failure(parts, counted, fail) == whole
-        assert min(counted.asked, default=fail) >= fail
+        assert min(counted.asked, default=fail[0]) >= fail[0]
 
 
 def test_failing_hulls_give_ties_on_the_witness():
@@ -1353,9 +1351,9 @@ def test_family_materializes_a_full_target_once(monkeypatch, scheme):
     (Congruence(3, 1), (1, 4), SweepReport(3, 5, (2, 1))),
 ])
 def test_run_route_asks_a_congruence_target_no_member_question(monkeypatch, target, bs, want):
-    """With brute_span 0 only the run route decides: run_end_at and
-    first_gap answer from the residue, not through member(), so the two
-    routes stay independent on a congruence target of modulus >= 2."""
+    """With brute_span 0 only the run route decides: run_end_at answers
+    from the residue, not through member(), so the two routes stay
+    independent on a congruence target of modulus >= 2."""
     seq = from_entries((1,) * len(bs), bs)
     monkeypatch.setattr(IntSet, "member", refuse_member)
     assert verify_b_sequence(seq, target, brute_span=0) == want

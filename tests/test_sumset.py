@@ -22,7 +22,7 @@ from banachsum.sumset import (
     run_sum,
     verify_containment,
 )
-from oracles import family_sumset, from_entries
+from oracles import family_sumset, from_entries, run_witness
 from strategies import shaped_windows
 
 
@@ -30,9 +30,14 @@ def from_elems(xs, window=Window(0, 256)):
     return RunList(Run(x, 1) for x in xs).materialize(window)
 
 
+def interval(start, length):
+    """The claim of every cell of [start, start + length - 1], as a bitmap."""
+    return ExplicitWindow(Window(start, length), (1 << length) - 1)
+
+
 def absent(target, start, end):
     """The cells of [start, end], 0 <= start, clear in target's bitmap
-    there, ascending: the brute reference of a run claim's witness."""
+    there, ascending: the brute reference of an interval claim's witness."""
     bits = target.materialize(Window(start, end - start + 1)).bits
     return [x for x in range(start, end + 1) if not bits >> (x - start) & 1]
 
@@ -219,18 +224,18 @@ def test_enumerate_matches_reference_recursion(k):
 
 
 def test_containment_examples():
-    assert verify_containment(Run(178, 15), PolyRuns(2)) == 182
+    assert verify_containment(interval(178, 15), PolyRuns(2)) == 182
     assert verify_containment(ExplicitWindow(Window(0, 16), 0), PowRuns(4)) is None
-    assert verify_containment(Run(64, 3), PowRuns(4)) is None
+    assert verify_containment(interval(64, 3), PowRuns(4)) is None
 
 
 def test_containment_against_window_target():
     target = from_elems([3, 4, 5, 9, 10, 11], Window(0, 12))
-    assert verify_containment(Run(3, 3), target) is None
-    assert verify_containment(Run(3, 4), target) == 6
+    assert verify_containment(interval(3, 3), target) is None
+    assert verify_containment(interval(3, 4), target) == 6
     # a window holds only its set bits: past its end is a gap
-    assert verify_containment(Run(9, 5), target) == 12
-    assert verify_containment(Run(8, 6), target) == 8
+    assert verify_containment(interval(9, 5), target) == 12
+    assert verify_containment(interval(8, 6), target) == 8
 
 
 def test_containment_bitmap_claim():
@@ -253,9 +258,12 @@ def test_containment_bitmap_claim():
 )
 @settings(max_examples=80)
 def test_containment_matches_membership_scan(start, length, target):
-    claim = Run(start, length)
-    missing = absent(target, start, claim.end)
-    assert verify_containment(claim, target) == (missing[0] if missing else None)
+    # the bitmap claim of the run and its one run query agree
+    run = Run(start, length)
+    missing = absent(target, start, run.end)
+    want = missing[0] if missing else None
+    assert verify_containment(interval(start, length), target) == want
+    assert run_witness(run, target) == want
 
 
 # 40-cell windows, each spread m apart and shifted by r: the image of the
@@ -279,9 +287,10 @@ symbolic = st.one_of(
 @given(symbolic, st.integers(1, 300), st.integers(1, 40))
 @settings(max_examples=300)
 def test_containment_decides_non_window_targets(target, start, length):
-    claim = Run(start, length)
-    missing = next(iter(absent(target, start, claim.end)), None)
-    assert verify_containment(claim, target) == missing
+    run = Run(start, length)
+    missing = next(iter(absent(target, start, run.end)), None)
+    assert verify_containment(interval(start, length), target) == missing
+    assert run_witness(run, target) == missing
 
 
 def test_translated_window_fails_past_its_end():
@@ -290,8 +299,8 @@ def test_translated_window_fails_past_its_end():
     w = ExplicitWindow(Window(10, 8), (1 << 8) - 1)
     target = w.dilate(1, 5)
     assert target == ExplicitWindow(Window(15, 8), (1 << 8) - 1)
-    assert verify_containment(Run(15, 8), target) is None
-    assert verify_containment(Run(20, 6), target) == 23
+    assert verify_containment(interval(15, 8), target) is None
+    assert verify_containment(interval(20, 6), target) == 23
 
 
 def reference_bitmap_witness(claim, target):
@@ -395,7 +404,8 @@ def test_one_set_one_verdict(case):
     bit, else None."""
     w, run, claim, seq = case
     forms = [w, RunList(Run(s, e - s + 1) for s, e in zip(*w.run_bounds())), w.dilate(1)]
-    for c, elements in ((run, range(run.start, run.end + 1)), (claim, claim.elements())):
+    whole = interval(run.start, run.length)
+    for c, elements in ((whole, range(run.start, run.end + 1)), (claim, claim.elements())):
         missing = next((x for x in elements if x in absent(w, x, x)), None)
         assert [verify_containment(c, a) for a in forms] == [missing] * 3
     payloads = [verify_b_sequence(seq, a).to_payload() for a in forms]
