@@ -6,11 +6,12 @@ consecutive positions inside the window.  The windowed density estimate
 is min over n of f[n]/n, an upper bound on how densely the set can pack
 any block at the scales the window exposes.
 
-f_profile finds a window's shortest spans, which WindowProfile stores and
-derives f from, by one of two routes chosen by the run pairs the staircase
-must try: _profile_from_runs in pure Python, or _profile_from_spans with
-numpy.  f_naive and f_naive_all are the independent slow paths kept for
-cross-checks.  density_estimate reads the spans, the two law checks f's
+f_profile finds a window's shortest spans from its runs alone, which
+WindowProfile stores and derives f from, by one of two routes chosen by
+the run pairs the staircase must try: _profile_from_runs in pure Python,
+or _profile_from_spans with numpy.  f_naive and f_naive_all, the
+independent slow paths kept for cross-checks, read the bitmap instead.
+density_estimate reads the spans, the two law checks f's
 array made from them at once, the reports iter_f, and check_run_bound
 needs no profile.  numpy is imported inside the functions that use it,
 and fractions by the two that build a Fraction, so only profiles of many
@@ -20,7 +21,7 @@ fractions.
 
 from __future__ import annotations
 
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import gcd
 from operator import sub
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -53,15 +54,6 @@ __all__ = [
 SLICE_ITEMS = 4096
 
 
-def _bit_vector(w: ExplicitWindow):
-    """0/1 membership array of length w.window.length, uint8."""
-    import numpy as np
-
-    n_bytes = (w.window.length + 7) // 8
-    raw = np.frombuffer(w.bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[: w.window.length]
-
-
 def f_naive(w: ExplicitWindow, n: int) -> int:
     """Best count over every block of n positions, by direct scan.
 
@@ -87,13 +79,14 @@ def f_naive_all(w: ExplicitWindow) -> tuple[int, ...]:
     """All profile values by a widening scan, f[0] = 0 sentinel first.
 
     Maintains counts[u] = members in [u, u + n - 1]; widening the block by
-    one appends the next column.  Independent of both f_naive's bit
-    scanning and f_profile's member spans.
+    one appends the next column.  It unpacks the bits itself, so it is
+    independent of both f_naive's bit scanning and f_profile's runs.
     """
     import numpy as np
 
-    a = _bit_vector(w).astype(np.int64)
-    N = a.shape[0]
+    N = w.window.length
+    raw = np.frombuffer(w.bits.to_bytes((N + 7) // 8, "little"), dtype=np.uint8)
+    a = np.unpackbits(raw, bitorder="little")[:N].astype(np.int64)
     out = [0]
     counts = a.copy()
     out.append(int(counts.max()))
@@ -142,28 +135,29 @@ _STAIRCASE_MAX_RUNS = 1 << 10
 def f_profile(w: ExplicitWindow) -> WindowProfile:
     """Profile of every block length at once, by the cheaper of two routes.
 
+    It reads the window and its run_bounds() only, never the bits.  Both
+    routes start run pairs at the first T runs only: T = R for R runs, or
+    P + 1 when the runs repeat with a short period P (_staircase_starts).
     The staircase of _profile_from_runs costs O(N + T*R) in pure Python
-    for R runs when it starts run pairs at the first T runs only: T = R,
-    or P + 1 when the runs repeat with a short period P
-    (_staircase_starts).  It is taken when T*R <= _STAIRCASE_MAX_RUNS**2:
-    on every window of at most _STAIRCASE_MAX_RUNS runs, and on a
-    congruence window of any size.  Otherwise _profile_from_spans runs
-    numpy's span loop in O(N + R*M) for M members, which is the only route
-    fast enough on aperiodic run-dense windows (R = 13 101 at N = 2**16:
-    0.08 s against 8.9 s).  Both give the same spans.
+    and is taken when T*R <= _STAIRCASE_MAX_RUNS**2: on every window of at
+    most _STAIRCASE_MAX_RUNS runs, and on a congruence window of any size.
+    Otherwise _profile_from_spans runs numpy's span loop in O(N + T*M) for
+    M members, which is the only route fast enough on aperiodic run-dense
+    windows (R = 13 101 at N = 2**16: 0.08 s against 8.9 s).  Both give
+    the same spans.
     """
     starts, ends = w.run_bounds()
     tried = _staircase_starts(starts, ends)
     if tried * len(starts) <= _STAIRCASE_MAX_RUNS**2:
-        spans = _profile_from_runs(w, tried)
+        spans = _profile_from_runs(starts, ends, tried)
     else:
-        spans = _profile_from_spans(w)
+        spans = _profile_from_spans(starts, ends, tried)
     return WindowProfile(w.window.base, w.window.length, spans)
 
 
 def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
-    """How many of the R runs [starts[i], ends[i]] the staircase must
-    start pairs at: P + 1 for the least period P with
+    """How many of the R runs [starts[i], ends[i]] the routes must start
+    pairs at: P + 1 for the least period P with
     (P + 1)*R <= _STAIRCASE_MAX_RUNS**2, else R.
 
     P is a period when runs i and i + P have the same length and the same
@@ -172,18 +166,18 @@ def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
     starts at a run r > P has a copy from run r - P with the same gaps and
     no fewer members.  Equivalently, starts[i + P] - starts[i] for
     1 <= i <= R - 1 - P and ends[i + P] - ends[i] for 1 <= i <= R - 2 - P
-    all equal one shift.  Windows of at most _STAIRCASE_MAX_RUNS runs are
-    not searched; otherwise fewer than _STAIRCASE_MAX_RUNS**2 // R
-    candidates are, each compared run by run up to the first mismatch.
+    all equal one shift.  The search runs at every run count, over fewer
+    than min(R - 1, _STAIRCASE_MAX_RUNS**2 // R) candidates, each compared
+    up to its first mismatch in at most R run pairs: at most
+    _STAIRCASE_MAX_RUNS**2 run pairs in all.
     """
     R = len(starts)
-    if R <= _STAIRCASE_MAX_RUNS:
-        return R
-    last = ends[-1] - starts[-1]
-    for p in range(1, _STAIRCASE_MAX_RUNS**2 // R):
+    for p in range(1, R - 1):
+        if (p + 1) * R > _STAIRCASE_MAX_RUNS**2:
+            break
         shift = starts[1 + p] - starts[1]
         if (
-            last <= ends[-1 - p] - starts[-1 - p]
+            ends[-1] - starts[-1] <= ends[-1 - p] - starts[-1 - p]
             and all(map(shift.__eq__, map(sub, islice(starts, 1 + p, R), islice(starts, 1, R))))
             and all(map(shift.__eq__, map(sub, islice(ends, 1 + p, R - 1), islice(ends, 1, R))))
         ):
@@ -191,8 +185,9 @@ def _staircase_starts(starts: Sequence[int], ends: Sequence[int]) -> int:
     return R
 
 
-def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
-    """The shortest spans from the staircase of run pairs.
+def _profile_from_runs(starts: Sequence[int], ends: Sequence[int], tried: int) -> tuple[int, ...]:
+    """The shortest spans of the runs [starts[i], ends[i]], from the
+    staircase of run pairs.
 
     The block from run r's start to run j's end (r <= j) holds C(r, j)
     members and G(r, j) non-members.  Some block of n positions holds
@@ -210,9 +205,9 @@ def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
     run-length form of the binary jumbled index (Badkobeh, Fici, Kroon &
     Liptak, IPL 2013).
     """
-    starts, ends = w.run_bounds()
     # best[G]: largest C(r, j) with G(r, j) = G; G(0, R - 1) is the largest G
-    best = [0] * (ends[-1] - starts[0] + 2 - w.bits.bit_count() if starts else 1)
+    M = sum(ends) - sum(starts) + len(starts)
+    best = [0] * (ends[-1] - starts[0] + 2 - M if starts else 1)
     for r in range(tried):
         before = starts[r] - 1
         c = 0
@@ -228,30 +223,33 @@ def _profile_from_runs(w: ExplicitWindow, tried: int) -> tuple[int, ...]:
     return tuple(spans)
 
 
-def _profile_from_spans(w: ExplicitWindow) -> tuple[int, ...]:
-    """The shortest spans from the member offsets, by numpy.
+def _profile_from_spans(starts: Sequence[int], ends: Sequence[int], tried: int) -> tuple[int, ...]:
+    """The shortest spans of the runs [starts[i], ends[i]], by numpy.
 
-    With pos the sorted member offsets, span[c - 1] = min over s of
-    pos[s + c - 1] - pos[s] is one less than the shortest block holding c
-    members.  If pos[s - 1] = pos[s] - 1, the c members from s - 1 span no
-    more than those from s, so the minimum is taken over run starts only,
-    whose ranks are the prefix sums of the run lengths of run_bounds().
+    With pos the sorted member offsets from starts[0], span[c - 1] = min
+    over s of pos[s + c - 1] - pos[s] is one less than the shortest block
+    holding c members.  If pos[s - 1] = pos[s] - 1, the c members from
+    s - 1 span no more than those from s, so the minimum is taken over run
+    starts only, the first `tried` of them, as _staircase_starts allows.
     Dropping the last member of a shortest block shortens it, so span is
-    strictly increasing.  Every such block lies inside the window, so no
-    edge case arises.  The loop costs O(N + R*M) for R runs and M members,
+    strictly increasing.  Every such block lies inside the runs, so no
+    edge case arises.  The loop costs O(N + tried*M) for M members,
     N**2/8 at worst, on alternating members.
     """
     import numpy as np
 
-    # offsets and spans lie in [0, N - 1]; the narrowest type that holds them
-    # halves the memory traffic of the loop below at N = 2**16
-    pos = np.flatnonzero(_bit_vector(w)).astype(np.min_scalar_type(w.window.length - 1))
-    M = pos.shape[0]
-    span = pos - pos[0] if M else pos
-    starts, ends = w.run_bounds()
-    s = 0  # the rank of the next run's first member
-    for start, end in zip(starts, ends[:-1]):
-        s += end - start + 1
+    # offsets are made in Python ints, so a base past 2**63 never reaches
+    # numpy, and they and the spans lie in [0, ends[-1] - starts[0]]; the
+    # narrowest type that holds them halves the memory traffic of the loop
+    kind = np.min_scalar_type(ends[-1] - starts[0] if starts else 0)
+    lengths = [end - start + 1 for start, end in zip(starts, ends)]
+    ranks = list(accumulate(lengths, initial=0))  # ranks[i]: members before run i
+    M = ranks[-1]
+    # gaps[i]: the non-members before run i, so its member of rank k lies at gaps[i] + k
+    gaps = np.array([start - starts[0] - k for start, k in zip(starts, ranks)], kind)
+    pos = np.repeat(gaps, lengths) + np.arange(M, dtype=kind)
+    span = pos.copy()
+    for s in islice(ranks, 1, tried):
         k = M - s
         np.minimum(span[:k], pos[s:] - pos[s], out=span[:k])
     return tuple(span.tolist())

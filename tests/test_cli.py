@@ -274,9 +274,9 @@ def test_numpy_profile_runs_with_one_openblas_thread(capsys, monkeypatch):
     seen = []
     spans = density._profile_from_spans
 
-    def spy(w):
+    def spy(starts, ends, tried):
         seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return spans(w)
+        return spans(starts, ends, tried)
 
     monkeypatch.setattr(density, "_profile_from_spans", spy)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

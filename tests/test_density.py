@@ -1,5 +1,6 @@
 """Occupancy profiles: oracle equivalence, subadditive laws, run bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,16 +168,31 @@ def test_density_reads_only_the_spans(monkeypatch):
     assert [density_estimate(p) for p in profiles] == want
 
 
+class RunsOnly:
+    """A window that holds its cells and its runs, and no bits."""
+
+    def __init__(self, w):
+        self.window, self.bounds = w.window, w.run_bounds()
+
+    def run_bounds(self):
+        return self.bounds
+
+
 @given(explicit_windows() | shaped_windows())
 @settings(max_examples=200)
 def test_profile_matches_naive_everywhere(w):
     # every window here is under the route cut, so both routes are called
-    # by name: they return the same spans, whose f is the naive one, and
-    # the density read from the spans is the full scan's
-    spans = _profile_from_runs(w, len(w.run_bounds()[0]))
-    assert _profile_from_spans(w) == spans
+    # by name, from the starts the period search leaves and from all of
+    # them: they return the same spans, whose f is the naive one, and the
+    # density read from the spans is the full scan's
+    starts, ends = w.run_bounds()
+    tried = _staircase_starts(starts, ends)
+    spans = _profile_from_runs(starts, ends, len(starts))
+    for route in (_profile_from_runs, _profile_from_spans):
+        assert route(starts, ends, tried) == route(starts, ends, len(starts)) == spans
     profile = f_profile(w)
     assert profile == WindowProfile(w.window.base, w.window.length, spans)
+    assert f_profile(RunsOnly(w)) == profile
     f = profile.f
     assert f == f_naive_all(w)
     assert density_estimate(profile) == scan_density(f)
@@ -197,10 +213,57 @@ def windows_with_runs(R):
 @pytest.mark.parametrize("R", [_STAIRCASE_MAX_RUNS, _STAIRCASE_MAX_RUNS + 1])
 def test_routes_agree_on_both_sides_of_the_cut(R):
     for w in windows_with_runs(R):
-        assert len(w.run_bounds()[0]) == R
+        starts, ends = w.run_bounds()
+        assert len(starts) == R
         profile = f_profile(w)
-        assert profile.spans == _profile_from_runs(w, R) == _profile_from_spans(w)
+        for route in (_profile_from_runs, _profile_from_spans):
+            assert route(starts, ends, R) == profile.spans
         assert profile.f == f_naive_all(w)
+        assert f_profile(RunsOnly(w)) == profile
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_periodic_window_of_1024_runs_tries_two_starts(m, monkeypatch):
+    # at the cut the period search still runs: a congruence window of
+    # _STAIRCASE_MAX_RUNS runs starts pairs at its first two runs only
+    w = Congruence(m, 1).materialize(Window(0, m * _STAIRCASE_MAX_RUNS))
+    starts, ends = w.run_bounds()
+    assert len(starts) == _STAIRCASE_MAX_RUNS and _staircase_starts(starts, ends) == 2
+    seen = []
+    staircase = density._profile_from_runs
+
+    def spy(starts, ends, tried):
+        seen.append(tried)
+        return staircase(starts, ends, tried)
+
+    monkeypatch.setattr(density, "_profile_from_runs", spy)
+    assert f_profile(w).f == f_naive_all(w)
+    assert seen == [2]
+
+
+def test_span_route_takes_offsets_past_64_bits(monkeypatch):
+    # 3000 runs of 1-3 members between gaps of 1-4 cells, seeded so that
+    # they repeat with no period: the profile takes the span loop, whose
+    # offsets from the first start fit numpy however large the base
+    rng = random.Random(0)
+    runs, off = [], 0
+    for _ in range(3000):
+        runs.append((off, rng.randint(1, 3)))
+        off += runs[-1][1] + rng.randint(1, 4)
+    seen = []
+    spans = density._profile_from_spans
+
+    def spy(starts, ends, tried):
+        seen.append(tried)
+        return spans(starts, ends, tried)
+
+    monkeypatch.setattr(density, "_profile_from_spans", spy)
+    far, near = (
+        RunList(Run(base + s, n) for s, n in runs).materialize(Window(base, off))
+        for base in (10**30, 1)
+    )
+    assert f_profile(RunsOnly(far)).spans == f_profile(near).spans
+    assert seen == [3000, 3000]
 
 
 @st.composite
@@ -228,14 +291,16 @@ def periodic_windows(draw):
     return ExplicitWindow(Window(base, length), bits), per_repeat, defect
 
 
-@given(periodic_windows(), st.sampled_from([2, 4, 8, 16]))
+@given(periodic_windows(), st.sampled_from([4, _STAIRCASE_MAX_RUNS]))
 # runs 1 and 3 start two cells apart from the runs after them but split
 # those cells into run and gap differently: no period 2
 @example((ExplicitWindow(Window(1, 11), int("10100101101"[::-1], 2)), 2, "flip"), 4)
 @settings(max_examples=1000)
 def test_pruned_staircase_matches_naive(case, cut):
-    # with the cut lowered, windows of a few dozen runs take the period
-    # search, and the product of tried starts and runs picks the route
+    # the period search runs at every run count, and the product of tried
+    # starts and runs picks the route: at the default cut every window
+    # here takes the staircase, and with the cut lowered most take the
+    # span loop
     w, per_repeat, defect = case
     starts, ends = w.run_bounds()
     with pytest.MonkeyPatch.context() as patch:
@@ -245,8 +310,9 @@ def test_pruned_staircase_matches_naive(case, cut):
     assert profile.f == f_naive_all(w)
     R = len(starts)
     assert 1 <= tried <= R or R == 0
-    assert _profile_from_runs(w, tried) == profile.spans == _profile_from_spans(w)
-    if defect == "none" and R > cut and per_repeat + 2 <= R and (per_repeat + 1) * R <= cut**2:
+    for route in (_profile_from_runs, _profile_from_spans):
+        assert route(starts, ends, tried) == route(starts, ends, R) == profile.spans
+    if defect == "none" and per_repeat + 2 <= R and (per_repeat + 1) * R <= cut**2:
         # the repeat is a period below the bound, so the search stops there
         assert tried <= per_repeat + 1
 
