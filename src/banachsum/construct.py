@@ -397,7 +397,7 @@ def _fold_hole(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> int | None
 
     One fold over the sets' bitmaps keeps only the union of the sums of
     every nonempty selection of the sets so far, so one verify_containment
-    of the last union against a's bitmap, materialized once, decides them
+    of the last union against a, which materializes a once, decides them
     all, with a set's bitmap and two unions alive at a time.  A set adds
     its sums with the union, one pairwise_sumset.  Once the union holds
     every integer of [full, brute_span], a set's members from full up and
@@ -417,7 +417,7 @@ def _fold_hole(sets: Sequence[IntSet], a: IntSet, brute_span: int) -> int | None
             full = least
         else:
             union = _grow(union, part, brute_span)
-    return verify_containment(union, a.materialize(window))
+    return verify_containment(union, a)
 
 
 def verify_b_sequence(

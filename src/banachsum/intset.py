@@ -7,21 +7,22 @@ and PolyRuns, whose i-th run has length i).  IntSet names the queries
 they all answer in exact arbitrary-precision arithmetic, so queries
 against astronomically large elements stay cheap and correct.  Each form
 answers one membership question, run_end_at, the maximal run through x;
-member is derived from it once, on IntSet.  The integer 0 is never a
-member of any set here, even when an explicit window happens to cover
-it.
+member is derived from it once, on IntSet, as materialize is from
+runs_in, the runs meeting a window, which every form but Congruence
+lists.  The integer 0 is never a member of any set here, even when an
+explicit window happens to cover it.
 
 A finite set lists its runs one way, run_bounds(), and every reader of
 them asks it; _FiniteRuns answers the run queries of both finite forms
-from it.  Runs become a bitmap one way, _fill, and the window it returns
-keeps the runs it set, clipped to the window, so only a window made by
-bit operations (a congruence comb, a sub-window, a sum, a dilation, the
-ap-reduce quotient) finds its runs by a scan of its bits, once.  Record
-is the base of the immutable values: Run, Window, the generators and the
-report types of the other modules.  All values are immutable once
-constructed and safe to share across threads: the run generators keep no
-state, and the one cache, the runs an ExplicitWindow keeps, never changes
-an answer.
+from it.  An ExplicitWindow holds its runs, which _fill hands it, or its
+bits, and derives the other once, on first read: a profile, which reads
+runs alone, builds no bitmap, and only a window made by bit operations
+(a congruence comb, a sum, a dilation, the ap-reduce quotient) scans its
+bits for runs.  Record is the base of the immutable values: Run,
+Window, the generators and the report types of the other modules.  All
+values are immutable once constructed and safe to share across threads:
+the run generators keep no state, and the one cache, the runs or bits an
+ExplicitWindow derives, never changes an answer.
 
 parse_set and serialize_set read and write the set description grammar;
 _GENERATORS names each generator form once.  to_decimal and from_decimal
@@ -314,8 +315,9 @@ class IntSet:
     (Congruence, with Full its class 0 mod 1, PowRuns, PolyRuns) answer
     queries by formula and may describe infinite sets.
 
-    A subclass supplies run_end_at, next_run and materialize.  run_end_at
-    is the one membership query: member is derived from it here.
+    A subclass supplies run_end_at, next_run, and runs_in or, like
+    Congruence, materialize.  member is derived here from run_end_at, the
+    one membership query, and materialize from runs_in.
     """
 
     # (numerator, denominator) of the set's density when the representation
@@ -352,9 +354,15 @@ class IntSet:
         """
         raise NotImplementedError
 
-    def materialize(self, window: Window) -> "ExplicitWindow":
-        """Exact bitmap of the intersection with the window."""
+    def runs_in(self, window: Window) -> tuple[Sequence[int], Sequence[int]]:
+        """(starts, ends) of the ascending maximal runs that meet the
+        window, whole: the first may start before it, the last end after."""
         raise NotImplementedError
+
+    def materialize(self, window: Window) -> "ExplicitWindow":
+        """Exact bitmap of the intersection with the window: the runs that
+        meet it, handed to the window by _fill."""
+        return _fill(window, *self.runs_in(window))
 
 
 class _FiniteRuns(IntSet):
@@ -372,6 +380,14 @@ class _FiniteRuns(IntSet):
         """(starts, ends), the first and last members of the maximal runs,
         as two ascending tuples."""
         return self._bounds
+
+    def runs_in(self, window: Window) -> tuple[Sequence[int], Sequence[int]]:
+        """The runs meeting the window, found by bisection: O(log runs +
+        runs met)."""
+        starts, ends = self.run_bounds()
+        lo = bisect_left(ends, window.base)
+        hi = bisect_right(starts, window.end)
+        return starts[lo:hi], ends[lo:hi]
 
     def next_run(
         self, min_len: int, lower_bound: int = 0, digit_limit: int = DECIMAL_DIGIT_LIMIT
@@ -404,11 +420,12 @@ class ExplicitWindow(_FiniteRuns):
 
     Bit i of ``bits`` records membership of ``window.base + i``.  Whatever
     the set looked like outside the window is not represented; as a set
-    value, an ExplicitWindow contains exactly its set bits.  Its run
-    queries, member among them, read run_bounds(), not the bits.
+    value, an ExplicitWindow contains exactly its set bits.  It holds its
+    bits or, when _fill made it, its runs, and derives the other once.
+    Its run queries, member among them, read run_bounds(), not the bits.
     """
 
-    __slots__ = ("window", "bits")
+    __slots__ = ("window", "_bits")
     _where = "inside the window"
 
     def __init__(self, window: Window, bits: int):
@@ -417,8 +434,28 @@ class ExplicitWindow(_FiniteRuns):
         if window.base == 0 and bits & 1:
             raise ValueError("0 cannot be a member of a positive-integer set")
         self.window = window
-        self.bits = bits
+        self._bits = bits
         self._bounds = None
+
+    @property
+    def bits(self) -> int:
+        """The bitmap, or else the runs _fill gave, set on the first read
+        as one start bit and one past-end bit per run in two bytearrays and
+        kept.  Run i covers (1 << past_i) - (1 << start_i), and the runs
+        are disjoint, so the bitmap is the past-end bitmap minus the start
+        bitmap: O(runs + bits up to the last run's end)."""
+        if self._bits is None:
+            (starts, ends), base = self._bounds, self.window.base
+            size = ends[-1] + 1 - base if ends else 0
+            first, past = bytearray(size // 8 + 1), bytearray(size // 8 + 1)
+            for o in starts:
+                o -= base
+                first[o >> 3] |= 1 << (o & 7)
+            for o in ends:
+                o += 1 - base
+                past[o >> 3] |= 1 << (o & 7)
+            self._bits = int.from_bytes(past, "little") - int.from_bytes(first, "little")
+        return self._bits
 
     def elements(self) -> Iterator[int]:
         """Members in ascending order, run by run from run_bounds()."""
@@ -426,7 +463,7 @@ class ExplicitWindow(_FiniteRuns):
             yield from range(start, end + 1)
 
     def run_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The runs _fill set, or else the bits, written lowest first,
+        """The runs _fill gave, or else the bits, written lowest first,
         scanned once on the first call by str.find, two calls per run and
         no Python step per cell; the tuples are kept for later calls."""
         if self._bounds is None:
@@ -452,19 +489,6 @@ class ExplicitWindow(_FiniteRuns):
             raise ValueError(f"dilation shift must be >= 0, got {_echo(r)}")
         w = Window(self.window.base * m + r, (self.window.length - 1) * m + 1)
         return ExplicitWindow(w, _spread(self.bits, self.window.length, m))
-
-    def materialize(self, window: Window) -> "ExplicitWindow":
-        """The bits on [lo, hi], the overlap of the two windows, moved to
-        their place in window: no shift allocates more than the larger of
-        the two bitmaps, and disjoint windows give 0 at once."""
-        if window == self.window:
-            return self
-        lo = max(window.base, self.window.base)
-        hi = min(window.end, self.window.end)
-        if lo > hi:
-            return ExplicitWindow(window, 0)
-        bits = (self.bits >> (lo - self.window.base)) & ((1 << (hi - lo + 1)) - 1)
-        return ExplicitWindow(window, bits << (lo - window.base))
 
     def __eq__(self, other) -> bool:
         return (
@@ -500,14 +524,6 @@ class RunList(_FiniteRuns):
         rl = cls.__new__(cls)
         rl._bounds = (tuple(starts), tuple(ends))
         return rl
-
-    def materialize(self, window: Window) -> ExplicitWindow:
-        """The runs meeting the window, found by bisection, set by _fill:
-        O(log runs + runs met + window bits)."""
-        starts, ends = self._bounds
-        lo = bisect_left(ends, window.base)
-        hi = bisect_right(starts, window.end)
-        return _fill(window, starts[lo:hi], ends[lo:hi])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RunList) and self._bounds == other._bounds
@@ -629,10 +645,10 @@ class _IndexedRuns(IntSet):
         # past the end of the run below, x is a non-member and this is x - 1
         return max(below[0] + below[1] - 1, x - 1)
 
-    def materialize(self, window: Window) -> ExplicitWindow:
-        """The runs meeting the window, listed by index from the floor run
-        of its base, set by _fill.  The floor run is left out when it ends
-        below the window; every later run starts inside or past it."""
+    def runs_in(self, window: Window) -> tuple[list[int], list[int]]:
+        """Listed by index from the floor run of the window's base.  The
+        floor run is left out when it ends below the window; every later
+        run starts inside or past it."""
         start, i = self._floor_run(window.base) or (self._start(1), 1)
         starts, ends = [], []
         prev_end = -1
@@ -645,7 +661,7 @@ class _IndexedRuns(IntSet):
                 ends.append(prev_end)
             i += 1
             start = self._start(i)
-        return _fill(window, starts, ends)
+        return starts, ends
 
 
 class PowRuns(Record, _IndexedRuns):
@@ -708,35 +724,18 @@ class PolyRuns(Record, _IndexedRuns):
 
 
 def _fill(window: Window, starts: Sequence[int], ends: Sequence[int]) -> ExplicitWindow:
-    """The bitmap on window of the ascending maximal runs [starts[i],
-    ends[i]], each of which meets the window, each set as one start bit and
-    one past-end bit in two bytearrays; the window keeps the runs, clipped
-    to it, as its run_bounds().
-
-    Run i covers the bits from its start offset up to its past-end offset,
-    (1 << past_i) - (1 << start_i).  The runs are disjoint, so the sum over
-    i is the past-end bitmap minus the start bitmap: O(runs + bits up to
-    the last run's end).  Only the first run can start before the window
-    and only the last can end after it, so only those two are clipped.
-    Every start is >= 1, so bit 0 stays clear at window base 0.
+    """The window whose run_bounds() are the ascending maximal runs
+    [starts[i], ends[i]], each of which meets it, clipped to it: only the
+    first run can start before it and only the last end after it.  No bit
+    is set here; the window sets its bits from the runs when they are read.
+    Every start is >= 1, so bit 0 stays clear at window base 0, as
+    ExplicitWindow's own check, skipped here, would require.
     """
-    if not starts:
-        w = ExplicitWindow(window, 0)
-        w._bounds = ((), ())
-        return w
-    base = window.base
-    starts = (max(starts[0], base), *starts[1:])
-    ends = (*ends[:-1], min(ends[-1], window.end))
-    size = ends[-1] + 1 - base
-    first, past = bytearray(size // 8 + 1), bytearray(size // 8 + 1)
-    for o in starts:
-        o -= base
-        first[o >> 3] |= 1 << (o & 7)
-    for o in ends:
-        o += 1 - base
-        past[o >> 3] |= 1 << (o & 7)
-    w = ExplicitWindow(window, int.from_bytes(past, "little") - int.from_bytes(first, "little"))
-    w._bounds = (starts, ends)
+    if starts:
+        starts = (max(starts[0], window.base), *starts[1:])
+        ends = (*ends[:-1], min(ends[-1], window.end))
+    w = ExplicitWindow.__new__(ExplicitWindow)
+    w.window, w._bits, w._bounds = window, None, (tuple(starts), tuple(ends))
     return w
 
 

@@ -295,12 +295,19 @@ def replay(work: Path):
     for name, data in files.items():
         (work / name).write_bytes(data)
     for argv, save in calls:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([_expand(a, work) for a in argv])
+        code, out, err = run_call(argv, work)
         if save is not None:
-            (work / save).write_text(out.getvalue(), encoding="utf-8")
-        yield argv, save, code, out.getvalue(), err.getvalue().replace(str(work), "{dir}")
+            (work / save).write_text(out, encoding="utf-8")
+        yield argv, save, code, out, err
+
+
+def run_call(argv: list[str], work: Path) -> tuple[int, str, str]:
+    """One call of the corpus in work: (code, stdout, stderr), with work
+    written "{dir}" in stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([_expand(a, work) for a in argv])
+    return code, out.getvalue(), err.getvalue().replace(str(work), "{dir}")
 
 
 def entry(argv, save, code, out: str, err: str) -> dict:

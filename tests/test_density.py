@@ -199,19 +199,38 @@ def test_profile_matches_naive_everywhere(w):
 
 
 def windows_with_runs(R):
-    """Two windows of exactly R runs: single members two apart, and runs
-    of lengths 1..5 between gaps of 1..3."""
+    """Three windows of exactly R runs: single members two apart (period
+    1), runs of lengths 1..5 between gaps of 1..3 (period 15), and seeded
+    runs of 1..3 members between gaps of 1..4, with no period."""
     alternating = ExplicitWindow(Window(1, 2 * R), int("01" * R, 2))
     bits, off = 0, 0
     for i in range(R):
         off += i % 3 + 1
         bits |= ((1 << i % 5 + 1) - 1) << off
         off += i % 5 + 1
-    return alternating, ExplicitWindow(Window(0, off + 2), bits)
+    rng = random.Random(R)
+    seeded, top = 0, 0
+    for _ in range(R):
+        top += rng.randint(1, 4)
+        n = rng.randint(1, 3)
+        seeded |= ((1 << n) - 1) << top
+        top += n
+    return (alternating, ExplicitWindow(Window(0, off + 2), bits),
+            ExplicitWindow(Window(0, top + 2), seeded))
 
 
 @pytest.mark.parametrize("R", [_STAIRCASE_MAX_RUNS, _STAIRCASE_MAX_RUNS + 1])
-def test_routes_agree_on_both_sides_of_the_cut(R):
+def test_routes_agree_on_both_sides_of_the_cut(R, monkeypatch):
+    # up to the cut every window takes the staircase; past it the periodic
+    # windows still do, from 2 and 16 starts, and the aperiodic one, from
+    # all R, takes the span loop
+    taken = []
+    for name in ("_profile_from_runs", "_profile_from_spans"):
+        def spy(starts, ends, tried, name=name, route=getattr(density, name)):
+            taken.append((name, tried))
+            return route(starts, ends, tried)
+
+        monkeypatch.setattr(density, name, spy)
     for w in windows_with_runs(R):
         starts, ends = w.run_bounds()
         assert len(starts) == R
@@ -220,6 +239,10 @@ def test_routes_agree_on_both_sides_of_the_cut(R):
             assert route(starts, ends, R) == profile.spans
         assert profile.f == f_naive_all(w)
         assert f_profile(RunsOnly(w)) == profile
+    past = R > _STAIRCASE_MAX_RUNS
+    routes = [("_profile_from_runs", 2), ("_profile_from_runs", 16),
+              ("_profile_from_spans" if past else "_profile_from_runs", R)]
+    assert taken == [route for route in routes for _ in range(2)]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -383,14 +406,15 @@ def test_fekete_any_divisor(w, d):
 @given(explicit_windows())
 @settings(max_examples=40)
 def test_ratio_bounded_by_block_decomposition(w):
-    # f[n]/n <= f[d]/d + max_{r<d} f[r]/n for every d <= n
-    f = f_profile(w).f
-    N = w.window.length
-    for d in range(1, N + 1):
-        cap = max(f[:d])
-        for n in range(d, N + 1):
-            # f[n]/n <= f[d]/d + cap/n, times n*d
-            assert f[n] * d <= f[d] * n + cap * d
+    # f[n]/n <= f[d]/d + max_{r<d} f[r]/n for every d <= n, times n*d,
+    # checked at every n >= d in one array comparison per d
+    import numpy as np
+
+    f = np.array(f_profile(w).f, dtype=np.int64)
+    n = np.arange(len(f))
+    for d in range(1, len(f)):
+        cap = f[:d].max()
+        assert np.all(f[d:] * d <= f[d] * n[d:] + cap * d)
 
 
 def test_longest_run_examples():
@@ -466,8 +490,9 @@ def test_run_bound_refuses_like_reference(w, d, off):
 
 
 def test_run_bound_needs_no_profile(monkeypatch):
-    # the pigeonhole proof replaces the profile, also over the staircase
-    # cut, where the profile would take numpy's span loop
+    # the pigeonhole proof replaces the profile, also past the staircase
+    # cut, where the profile of the aperiodic window would take numpy's
+    # span loop and those of the two periodic ones the staircase
     import banachsum.density as density
 
     def no_profile(w):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import banachsum
-from golden import COLUMNS, MANIFEST, changes, corpus, entry, replay
+from banachsum.intset import ExplicitWindow
+from golden import COLUMNS, MANIFEST, changes, corpus, entry, replay, run_call
 
 # Every function and method of the package that no manifest call enters,
 # by the reason it stays.  The reachability test below asserts that the
@@ -19,12 +20,13 @@ UNENTERED = {
     "abstract stubs": (
         "intset.IntSet.run_end_at",
         "intset.IntSet.next_run",
-        "intset.IntSet.materialize",
+        "intset.IntSet.runs_in",
         "intset._IndexedRuns._start",
         "intset._IndexedRuns._floor_run",
         "intset._IndexedRuns._start_digits",
     ),
     "value dunders: equality, hashing, repr and the assignment guard": (
+        "intset.Record.__eq__",
         "intset.Record.__hash__",
         "intset.Record.__repr__",
         "intset._repr",
@@ -90,6 +92,39 @@ def test_manifest_holds_at_any_interpreter_digit_limit(tmp_path, monkeypatch, li
     finally:
         sys.set_int_max_str_digits(saved)
     assert got == manifest
+
+
+def test_profile_reads_no_bitmap(tmp_path, monkeypatch):
+    # a profile reads a window's runs alone: with the bitmap unreadable,
+    # every profile of a run list (an --input file) or of gen poly_runs 2,
+    # JSON and CSV, still prints the manifest's bytes, while runs,
+    # ap-reduce and verify's fold read bits
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    files, calls = corpus()
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    bseq = {"ells": [1], "bs": ["1"], "certificates": [{"start": "1", "len": 1}]}
+    (tmp_path / "seq.json").write_text(json.dumps(bseq), encoding="utf-8")
+
+    def unreadable(self):
+        raise AssertionError("a bitmap was read")
+
+    monkeypatch.setattr(ExplicitWindow, "bits", property(unreadable))
+    profiles = [
+        (argv, want) for (argv, _), want in zip(calls, manifest)
+        if argv[:1] == ["profile"] and want["exit"] == 0
+        and (argv[1] == "--input" or argv[2] == "gen poly_runs 2")
+    ]
+    assert {"--format" in argv for argv, _ in profiles} == {False, True}
+    assert {argv[1] for argv, _ in profiles} == {"--input", "--set"}
+    for argv, want in profiles:
+        assert entry(argv, None, *run_call(argv, tmp_path)) == want
+    for argv in (["runs", "--input", "{dir}/small.txt", "--window", "0:256"],
+                 ["ap-reduce", "--set", "gen poly_runs 2", "--window", "0:256"],
+                 ["verify", "--set", "gen poly_runs 2", "--bseq", "{dir}/seq.json"]):
+        with pytest.raises(AssertionError, match="a bitmap was read"):
+            run_call(argv, tmp_path)
 
 
 def test_regeneration_lists_every_entry_that_moved():

@@ -37,6 +37,7 @@ from banachsum.intset import (
     serialize_set,
     to_decimal,
 )
+from banachsum.sumset import pairwise_sumset
 from oracles import run_witness
 from strategies import run_list_texts
 
@@ -205,6 +206,68 @@ def test_explicit_window_materializes_only_the_overlap():
         cells = range(base, base + length)
         scan = sum(1 << (x - base) for x in cells if w.member(x))
         assert w.materialize(Window(base, length)) == ExplicitWindow(Window(base, length), scan)
+
+
+@st.composite
+def bit_built_windows(draw):
+    """ExplicitWindows made from bits, not runs: random bits, a congruence
+    comb, a pairwise sum and a dilation."""
+    kind = draw(st.sampled_from(["bits", "comb", "sum", "dilate"]))
+    if kind == "comb":
+        m = draw(st.integers(1, 9))
+        window = Window(draw(st.integers(0, 40)), draw(st.integers(1, 200)))
+        return Congruence(m, draw(st.integers(0, m - 1))).materialize(window)
+    w = draw(explicit_windows())
+    if kind == "sum":
+        return pairwise_sumset(w, draw(explicit_windows()), draw(st.integers(0, 300)))
+    if kind == "dilate":
+        return w.dilate(draw(st.integers(1, 4)), draw(st.integers(0, 5)))
+    return w
+
+
+@st.composite
+def windows_around(draw, w):
+    """A window that overlaps w's lower or upper edge, lies inside it,
+    contains it, misses it below or above, or sits far above it."""
+    lo, hi = w.window.base, w.window.end
+    shape = draw(st.sampled_from(["lower", "upper", "inside", "contains", "below", "above",
+                                  "far"]))
+    if shape == "below" and lo == 0:
+        shape = "above"
+    if shape == "lower":
+        base, end = draw(st.integers(max(lo - 20, 0), lo)), draw(st.integers(lo, hi))
+    elif shape == "upper":
+        base, end = draw(st.integers(lo, hi)), draw(st.integers(hi, hi + 20))
+    elif shape == "inside":
+        base = draw(st.integers(lo, hi))
+        end = draw(st.integers(base, hi))
+    elif shape == "contains":
+        base, end = draw(st.integers(max(lo - 20, 0), lo)), draw(st.integers(hi, hi + 20))
+    elif shape == "below":
+        base = draw(st.integers(0, lo - 1))
+        end = draw(st.integers(base, lo - 1))
+    else:
+        base = draw(st.integers(hi + 1, hi + 20)) + (10**8 if shape == "far" else 0)
+        end = base + draw(st.integers(0, 30))
+    return Window(base, end - base + 1)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_bit_built_window_materializes_as_a_cell_scan(data):
+    # a window made from bits finds its runs by a scan, then _fill hands
+    # the ones meeting the new window to it: the same cells as reading the
+    # bits one by one
+    w = data.draw(bit_built_windows())
+    assert w._bounds is None
+    window = data.draw(windows_around(w))
+    old = w.window
+    scan = sum(
+        1 << (x - window.base)
+        for x in range(max(window.base, old.base), min(window.end, old.end) + 1)
+        if w.bits >> (x - old.base) & 1
+    )
+    assert w.materialize(window) == ExplicitWindow(window, scan)
 
 
 @given(generators, st.integers(0, 60), st.integers(1, 120))
@@ -387,6 +450,36 @@ def gap_windows(draw):
 def test_generator_materialize_matches_per_run_reference(case):
     s, w = case
     assert s.materialize(w) == reference_indexed_materialize(s, w)
+
+
+def eager_fill(window: Window, starts, ends) -> int:
+    """The bitmap _fill built at once before a window set its bits from
+    its runs when read: the runs meeting window clipped to it, each set as
+    one start bit and one past-end bit in two bytearrays."""
+    if not starts:
+        return 0
+    base = window.base
+    starts = (max(starts[0], base), *starts[1:])
+    ends = (*ends[:-1], min(ends[-1], window.end))
+    size = ends[-1] + 1 - base
+    first, past = bytearray(size // 8 + 1), bytearray(size // 8 + 1)
+    for o in starts:
+        o -= base
+        first[o >> 3] |= 1 << (o & 7)
+    for o in ends:
+        o += 1 - base
+        past[o >> 3] |= 1 << (o & 7)
+    return int.from_bytes(past, "little") - int.from_bytes(first, "little")
+
+
+@given(st.one_of(run_lists_and_windows(), gap_windows()))
+@settings(max_examples=300)
+def test_filled_window_sets_its_bits_as_the_eager_builder(case):
+    s, w = case
+    got = s.materialize(w)
+    assert got._bits is None
+    assert got.bits == eager_fill(w, *s.runs_in(w))
+    assert got._bits is got.bits
 
 
 def test_parse_and_materialize_build_no_run(monkeypatch):
